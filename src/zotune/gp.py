@@ -7,12 +7,18 @@ Gaussian-process regressors fitted through those beliefs, used to predict a
 belief at configurations that have never been measured.
 
 Each metric's regressor uses a squared-exponential kernel on inputs
-normalized to the unit box, a zero prior mean, per-dimension length scales
-from the median pairwise-distance heuristic, signal variance from the
+normalized to the unit box, a zero prior mean, signal variance from the
 second moment of the targets about the (zero) prior mean, and per-point
 observation noise equal to each belief's aggregated variance.  A small
 diagonal jitter keeps the Cholesky factorization well posed; it escalates
 by factors of ten on failure up to a hard cap.
+
+The metrics share one input normalization and one set of per-dimension
+length scales (the median pairwise-distance heuristic), so they differ only
+in signal variance, noise and targets.  The unit kernel
+``exp(-0.5 * sum_k ((x1_k - x2_k) / l_k)**2)`` is therefore computed once
+per fit and once per prediction, and each metric scales it by its signal
+variance (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .problem import HyperParam
 
@@ -67,21 +73,49 @@ def _normalize(thetas: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarr
 
 
 def _median_lengthscales(x: np.ndarray) -> np.ndarray:
-    """Per-dimension median pairwise distance, with positive fallbacks."""
+    """Per-dimension median pairwise distance, with positive fallbacks.
+
+    Each dimension's distances ``|x_i - x_j|``, ``i < j``, are laid out in
+    row-major upper-triangle order, so the mean fallback sums them in the
+    order of a condensed distance vector.
+    """
     n, d = x.shape
-    scales = np.ones(d)
     if n < 2:
-        return scales
-    iu = np.triu_indices(n, k=1)
-    for k in range(d):
-        dists = np.abs(x[:, k][:, None] - x[:, k][None, :])[iu]
-        m = float(np.median(dists))
-        if m <= 0.0:
-            m = float(np.mean(dists))
-        if m <= 0.0:
-            m = 1.0
-        scales[k] = m
+        return np.ones(d)
+    xt = x.T
+    dists = np.empty((d, n * (n - 1) // 2))
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.subtract(xt[:, i, None], xt[:, i + 1 :], out=dists[:, start:stop])
+        start = stop
+    np.abs(dists, out=dists)
+    scales = np.median(dists, axis=1)
+    for k in np.flatnonzero(scales <= 0.0):
+        m = float(np.mean(dists[k]))
+        scales[k] = m if m > 0.0 else 1.0
     return scales
+
+
+def _unit_kernel(x1: np.ndarray, x2: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    """``exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)``, shape ``(len(x1), len(x2))``.
+
+    Squared scaled distances are accumulated in place one dimension at a
+    time, in dimension order.  ``np.sum`` adds a last axis of up to seven
+    elements in that order too, so for d <= 7 the result equals the summed
+    ``(q, n, d)`` form bit for bit.  A metric's kernel is ``s2 * unit``.
+    """
+    out = np.empty((x1.shape[0], x2.shape[0]))
+    term = np.empty_like(out) if x1.shape[1] > 1 else out
+    for k in range(x1.shape[1]):
+        buf = out if k == 0 else term
+        np.subtract(x1[:, k, None], x2[None, :, k], out=buf)
+        buf /= ls[k]
+        np.square(buf, out=buf)
+        if k > 0:
+            out += term
+    out *= -0.5
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -89,16 +123,18 @@ class _MetricGp:
     """Fitted state of one metric's regressor (immutable after fit)."""
 
     signal_var: float
-    lengthscales: np.ndarray
-    x: np.ndarray          # normalized training inputs, (n, d)
-    chol: np.ndarray       # lower Cholesky factor of K + diag(noise)
-    alpha: np.ndarray      # (K + diag(noise))^-1 y
+    chol: np.ndarray       # lower Cholesky factor of s2 * unit + diag(noise + jitter)
+    alpha: np.ndarray      # (s2 * unit + diag(noise + jitter))^-1 y
     jitter: float
 
 
-def _kernel(x1: np.ndarray, x2: np.ndarray, s2: float, ls: np.ndarray) -> np.ndarray:
-    sq = ((x1[:, None, :] - x2[None, :, :]) / ls) ** 2
-    return s2 * np.exp(-0.5 * sq.sum(axis=-1))
+def _box(bounds: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, hi, span)`` of a bounds box; constant dims get span 1 and normalize to 0."""
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    span = hi - lo
+    span[span == 0.0] = 1.0
+    return lo, hi, span
 
 
 class GpSurrogate:
@@ -112,17 +148,15 @@ class GpSurrogate:
     def __init__(
         self,
         bounds: tuple[tuple[float, float], ...],
+        x: np.ndarray,
+        lengthscales: np.ndarray,
         metrics_gps: tuple[_MetricGp, ...],
     ) -> None:
         self._bounds = bounds
+        self._lo, self._hi, self._span = _box(bounds)
+        self._x = x                  # normalized training inputs, (n, d)
+        self._ls = lengthscales      # shared by every metric
         self._gps = metrics_gps
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        span = hi - lo
-        span[span == 0.0] = 1.0  # constant dims normalize to 0
-        self._lo = lo
-        self._hi = hi
-        self._span = span
 
     @property
     def n_metrics(self) -> int:
@@ -136,7 +170,13 @@ class GpSurrogate:
         return self._gps[metric_index].signal_var
 
     def lengthscales(self, metric_index: int) -> np.ndarray:
-        return self._gps[metric_index].lengthscales.copy()
+        """Length scales in normalized coordinates; every metric shares them."""
+        self._gps[metric_index]  # IndexError for an unknown metric
+        return self._ls.copy()
+
+    def jitter(self, metric_index: int) -> float:
+        """Diagonal jitter the metric's factorization needed."""
+        return self._gps[metric_index].jitter
 
     @classmethod
     def fit(
@@ -168,15 +208,13 @@ class GpSurrogate:
                 raise ValueError("all beliefs must cover the same metrics")
 
         thetas = np.array([hp.theta for hp in bucket], dtype=float)
-        lo = np.array([b[0] for b in bounds])
-        span = np.array([b[1] - b[0] for b in bounds])
-        span[span == 0.0] = 1.0
+        lo, _, span = _box(bounds)
         x = _normalize(thetas, lo, span)
 
         if lengthscales is None:
             ls = _median_lengthscales(x)
         else:
-            ls = np.asarray(lengthscales, dtype=float)
+            ls = np.array(lengthscales, dtype=float)
             if ls.shape != (x.shape[1],) or np.any(ls <= 0):
                 raise ValueError("lengthscales must be positive, one per dimension")
 
@@ -195,16 +233,19 @@ class GpSurrogate:
                 raise ValueError("signal_var must be positive, one per metric")
             s2_all = s2_arr
 
+        unit = _unit_kernel(x, x, ls)
+        n = x.shape[0]
         gps = []
         for k in range(n_metrics):
             s2 = float(s2_all[k])
-            kmat = _kernel(x, x, s2, ls)
             jit = float(jitter)
             while True:
+                kmat = s2 * unit
+                kmat.reshape(-1)[:: n + 1] += noises[:, k] + jit  # the diagonal
                 try:
-                    chol, _ = cho_factor(
-                        kmat + np.diag(noises[:, k] + jit), lower=True
-                    )
+                    # kmat is symmetric, so its transpose is the same matrix
+                    # in Fortran order and LAPACK factorizes it in place.
+                    chol = cholesky(kmat.T, lower=True, overwrite_a=True)
                     break
                 except np.linalg.LinAlgError:
                     jit *= 10.0
@@ -213,20 +254,13 @@ class GpSurrogate:
                             f"kernel factorization failed for metric {k} "
                             f"even at jitter {MAX_JITTER}"
                         ) from None
-            alpha = cho_solve((chol, True), mus[:, k])
-            gps.append(
-                _MetricGp(
-                    signal_var=s2,
-                    lengthscales=ls.copy(),
-                    x=x,
-                    chol=np.tril(chol),
-                    alpha=alpha,
-                    jitter=jit,
-                )
-            )
-        return cls(bounds=bounds, metrics_gps=tuple(gps))
+            alpha = cho_solve((chol, True), mus[:, k], check_finite=False)
+            gps.append(_MetricGp(signal_var=s2, chol=chol, alpha=alpha, jitter=jit))
+        return cls(bounds=bounds, x=x, lengthscales=ls, metrics_gps=tuple(gps))
 
     def _check_inside(self, thetas: np.ndarray) -> None:
+        if not np.all(np.isfinite(thetas)):
+            raise RejectedInputError("query must be finite")
         if np.any(thetas < self._lo) or np.any(thetas > self._hi):
             raise RejectedInputError("query outside the fitted bounds box")
 
@@ -244,14 +278,20 @@ class GpSurrogate:
             )
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
-        q = xq.shape[0]
-        mu = np.empty((q, self.n_metrics))
-        var = np.empty((q, self.n_metrics))
+        unit = _unit_kernel(xq, self._x, self._ls)                   # (q, n)
+        kq = np.empty_like(unit)
+        mu = np.empty((xq.shape[0], self.n_metrics))
+        var = np.empty_like(mu)
+        # Queries are checked finite and every factor came from a finite
+        # matrix, so the solves skip scipy's finiteness scans.
         for k, gk in enumerate(self._gps):
-            kq = _kernel(xq, gk.x, gk.signal_var, gk.lengthscales)  # (q, n)
+            np.multiply(gk.signal_var, unit, out=kq)
             mu[:, k] = kq @ gk.alpha
-            w = solve_triangular(gk.chol, kq.T, lower=True)          # (n, q)
-            var[:, k] = np.maximum(gk.signal_var - np.sum(w * w, axis=0), 0.0)
+            w = solve_triangular(                                     # (n, q), in kq's buffer
+                gk.chol, kq.T, lower=True, overwrite_b=True, check_finite=False
+            )
+            np.square(w, out=w)
+            var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
         return mu, var
 
     def predict(self, theta: Sequence[float]) -> CandidateBelief:

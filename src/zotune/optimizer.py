@@ -123,8 +123,9 @@ def select(
 
     mu = np.array([b.mu for b in beliefs])          # (n, M)
     sd = np.sqrt(np.array([b.sigma2 for b in beliefs]))
-    eps = rng.standard_normal((k_repetitions,) + mu.shape)
-    draws = mu[None, :, :] + sd[None, :, :] * eps   # (K, n, M)
+    draws = rng.standard_normal((k_repetitions,) + mu.shape)  # (K, n, M)
+    draws *= sd
+    draws += mu
 
     fvals = problem.objective_batch(draws)          # (K, n)
     slack = problem.constraint_slack_batch(draws)   # (m, K, n)
@@ -164,7 +165,9 @@ def propose(
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
     mu, var = surrogate.predict_batch(thetas)
-    draws = mu + np.sqrt(var) * rng.standard_normal(mu.shape)  # (N, M)
+    draws = rng.standard_normal(mu.shape)                       # (N, M)
+    draws *= np.sqrt(var)
+    draws += mu
 
     fvals = problem.objective_batch(draws)                      # (N,)
     slack = problem.constraint_slack_batch(draws)               # (m, N)

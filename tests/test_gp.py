@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from zotune.gp import (
     BASE_JITTER,
+    MAX_JITTER,
+    SIGNAL_VAR_FLOOR,
     CandidateBelief,
     FitFailureError,
     GpSurrogate,
@@ -187,6 +190,14 @@ class TestFitAndPredict:
         with pytest.raises(RejectedInputError):
             gp.predict((1.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
+        with pytest.raises(RejectedInputError):
+            gp.predict((bad, 0.5))
+        with pytest.raises(RejectedInputError):
+            gp.predict_batch(np.array([[0.5, 0.5], [0.5, bad]]))
+
     def test_wrong_dimension_query_rejected(self):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
         with pytest.raises(RejectedInputError):
@@ -228,3 +239,103 @@ class TestFitAndPredict:
         bad = CandidateBelief(candidate_id=1, mu=[np.nan], sigma2=[0.0])
         with pytest.raises(FitFailureError):
             GpSurrogate.fit(bucket, [bad, belief(2, [0.05], [0.0])])
+
+
+def _reference_fit_predict(thetas, bounds, mus, noises, queries):
+    """The surrogate as first written: per-metric 3-D broadcast kernels, a
+    dense ``np.diag`` noise matrix and the ``triu_indices`` median."""
+    lo = np.array([b[0] for b in bounds])
+    span = np.array([b[1] - b[0] for b in bounds])
+    span[span == 0.0] = 1.0
+    x = (thetas - lo) / span
+    n, d = x.shape
+    ls = np.ones(d)
+    if n >= 2:
+        iu = np.triu_indices(n, k=1)
+        for k in range(d):
+            dists = np.abs(x[:, k][:, None] - x[:, k][None, :])[iu]
+            m = float(np.median(dists))
+            if m <= 0.0:
+                m = float(np.mean(dists))
+            if m <= 0.0:
+                m = 1.0
+            ls[k] = m
+
+    def kernel(x1, x2, s2):
+        sq = ((x1[:, None, :] - x2[None, :, :]) / ls) ** 2
+        return s2 * np.exp(-0.5 * sq.sum(axis=-1))
+
+    xq = (queries - lo) / span
+    s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
+    mu = np.empty((len(queries), mus.shape[1]))
+    var = np.empty_like(mu)
+    jitters = []
+    for k in range(mus.shape[1]):
+        s2 = float(s2_all[k])
+        kmat = kernel(x, x, s2)
+        jit = BASE_JITTER
+        while True:
+            try:
+                chol, _ = cho_factor(kmat + np.diag(noises[:, k] + jit), lower=True)
+                break
+            except np.linalg.LinAlgError:
+                jit *= 10.0
+                assert jit <= MAX_JITTER * (1 + 1e-12)
+        chol = np.tril(chol)
+        alpha = cho_solve((chol, True), mus[:, k])
+        kq = kernel(xq, x, s2)
+        mu[:, k] = kq @ alpha
+        w = solve_triangular(chol, kq.T, lower=True)
+        var[:, k] = np.maximum(s2 - np.sum(w * w, axis=0), 0.0)
+        jitters.append(jit)
+    return mu, var, s2_all, ls, jitters
+
+
+def _assert_matches_reference(thetas, bounds, mus, noises, queries):
+    bucket = [hp(i + 1, tuple(t), bounds) for i, t in enumerate(thetas)]
+    beliefs = [belief(i + 1, mus[i], noises[i]) for i in range(len(thetas))]
+    gp = GpSurrogate.fit(bucket, beliefs)
+    mu, var = gp.predict_batch(queries)
+    ref_mu, ref_var, ref_s2, ref_ls, ref_jit = _reference_fit_predict(
+        thetas, bounds, mus, noises, queries
+    )
+    assert np.array_equal(mu, ref_mu)
+    assert np.array_equal(var, ref_var)
+    for k in range(mus.shape[1]):
+        assert gp.signal_var(k) == ref_s2[k]
+        assert np.array_equal(gp.lengthscales(k), ref_ls)
+        assert gp.jitter(k) == ref_jit[k]
+    return gp
+
+
+class TestBitwiseReference:
+    """Shared unit kernel, in-place diagonal and streamed median change no bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    def test_matches_reference(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        bounds = tuple((-1.0 + k, 2.0 + 3.0 * k) for k in range(d))
+        lo = np.array([b[0] for b in bounds])
+        hi = np.array([b[1] for b in bounds])
+        thetas = rng.uniform(lo, hi, size=(n, d))
+        mus = rng.normal(0.0, 0.05, size=(n, 3))
+        noises = rng.uniform(0.0, 1e-4, size=(n, 3))
+        noises[::4] = 0.0
+        queries = rng.uniform(lo, hi, size=(200, d))
+        _assert_matches_reference(thetas, bounds, mus, noises, queries)
+
+    def test_duplicates_escalate_jitter_identically(self):
+        """20 exact duplicates, noiseless; metric 0's targets are large enough
+        (signal variance ~1e10) that the base jitter cannot factorize it."""
+        rng = np.random.default_rng(7)
+        thetas = np.full((30, 2), 0.5)
+        thetas[20:] = rng.uniform(0.0, 1.0, size=(10, 2))
+        mus = np.column_stack(
+            [1e5 * (1.0 + 0.01 * rng.standard_normal(30)), np.full(30, 0.05)]
+        )
+        noises = np.zeros((30, 2))
+        queries = rng.uniform(0.0, 1.0, size=(50, 2))
+        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
+        assert gp.jitter(0) > BASE_JITTER
+        assert gp.jitter(1) == BASE_JITTER

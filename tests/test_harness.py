@@ -1,5 +1,6 @@
 """Tests for multi-seed campaigns, reports, comparisons, and the CLI."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -260,6 +261,21 @@ class TestCampaignRuns:
     def test_report_carries_seed_order(self):
         report = run_experiment(tiny_config())
         assert report.seeds == TINY["seeds"]
+
+
+class TestFrozenTrajectory:
+    # Recorded before the GP kernel-sharing rework, with Python 3.11.7,
+    # numpy 2.4.6 and scipy 1.17.1; identical with OPENBLAS_NUM_THREADS=1
+    # and with the default thread count.  A change to any random stream or
+    # to any floating-point result along the loop changes this digest.
+    FULL_42_40_DIGEST = "d2c2a55fa51d1b7eddf425c64e9bca7189a0ce6b2cf60caf372e8a99ea187298"
+
+    def test_full_variant_digest_is_frozen(self):
+        report = run_experiment(
+            ExperimentConfig(variant="full", seeds=(42, 40), rounds=30)
+        )
+        blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.FULL_42_40_DIGEST
 
 
 class TestCheckpointResume:
