@@ -50,18 +50,15 @@ from .optimizer import (
 from .problem import (
     AT_LEAST,
     AT_MOST,
-    ComposedExpr,
     ConfigError,
     ConstraintSpec,
     DimensionMismatchError,
     HyperParam,
     LinearExpr,
-    NegatedExpr,
     TuningProblem,
     UndefinedGainError,
     gain,
     load_problem,
-    register_composed,
     save_problem,
     violation,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "CandidateBelief",
     "ColdStartError",
     "Comparison",
-    "ComposedExpr",
     "ConfigError",
     "ConstraintSpec",
     "DEFAULT_SEEDS",
@@ -104,7 +100,6 @@ __all__ = [
     "HyperParam",
     "InboundBatch",
     "LinearExpr",
-    "NegatedExpr",
     "NoDataError",
     "ProposalResult",
     "RejectedInputError",
@@ -129,7 +124,6 @@ __all__ = [
     "hourly_delta_stat",
     "load_problem",
     "propose",
-    "register_composed",
     "run_experiment",
     "run_single",
     "sample_delta",

@@ -16,10 +16,11 @@ for a (candidate, metric, round) key are write-once.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 DEGENERATE_MEAN_TOL = 1e-9
 
@@ -78,6 +79,8 @@ class GroupReading:
         object.__setattr__(self, "round", int(self.round))
         if self.round < 0:
             raise ValueError("round must be nonnegative")
+        if not (math.isfinite(self.sample_mean) and math.isfinite(self.sample_var)):
+            raise ValueError("sample mean and variance must be finite")
         if self.sample_var < 0:
             raise ValueError("sample variance must be nonnegative")
         if self.group_size < 1:
@@ -176,7 +179,6 @@ class EstimateRecord:
 
     def __init__(self) -> None:
         self._series: dict[tuple[int, str], _Series] = {}
-        self._log: list[tuple[int, str, int, DeltaStat]] = []
         self._lock = threading.Lock()
 
     def absorb(self, candidate_id: int, metric: str, round_no: int, stat: DeltaStat) -> None:
@@ -197,7 +199,6 @@ class EstimateRecord:
             series.sum_w += stat.weight
             series.sum_wm += stat.weight * stat.mean
             series.sum_w2v += stat.weight * stat.weight * stat.var
-            self._log.append((key[0], key[1], round_no, stat))
 
     def hourly(self, candidate_id: int, metric: str) -> list[tuple[int, DeltaStat]]:
         """Hourly stats for one key, sorted by round (ascending)."""
@@ -238,11 +239,7 @@ class EstimateRecord:
             series = self._series.get((int(candidate_id), str(metric)))
             return len(series.by_round) if series else 0
 
-    def rows(self) -> Iterator[tuple[int, str, int, DeltaStat]]:
-        """All absorbed rows in ingestion order (for persistence/replay)."""
-        with self._lock:
-            return iter(list(self._log))
-
     def __len__(self) -> int:
+        """Number of absorbed (candidate, metric, round) rows."""
         with self._lock:
-            return len(self._log)
+            return sum(len(series.by_round) for series in self._series.values())

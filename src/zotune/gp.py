@@ -224,7 +224,10 @@ class GpSurrogate:
             raise FitFailureError("training inputs, targets, and noise must be finite")
 
         if signal_var is None:
-            s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
+            # Huge finite targets overflow the second moment; that is a
+            # failed fit, caught below, not a numpy warning.
+            with np.errstate(over="ignore"):
+                s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
         else:
             s2_arr = np.atleast_1d(np.asarray(signal_var, dtype=float))
             if s2_arr.shape == (1,):
@@ -232,6 +235,8 @@ class GpSurrogate:
             if s2_arr.shape != (n_metrics,) or np.any(s2_arr <= 0):
                 raise ValueError("signal_var must be positive, one per metric")
             s2_all = s2_arr
+        if not np.all(np.isfinite(s2_all)):
+            raise FitFailureError("signal variance must be finite")
 
         unit = _unit_kernel(x, x, ls)
         n = x.shape[0]

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .deltastats import TaylorMode
 from .problem import (
     AT_LEAST,
     ConstraintSpec,
@@ -38,6 +39,7 @@ from .scheduler import (
     InboundBatch,
     Scheduler,
     SchedulerConfig,
+    _fmt,
 )
 from .simenv import BOX, CONTROL_ID, SimEnv
 
@@ -90,6 +92,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        try:
+            object.__setattr__(self, "taylor_mode", TaylorMode(self.taylor_mode).value)
+        except ValueError:
+            raise HarnessConfigError(
+                f"taylor_mode {self.taylor_mode!r} is not one of "
+                f"{[m.value for m in TaylorMode]}"
+            ) from None
         if self.variant not in VARIANTS:
             raise HarnessConfigError(
                 f"variant {self.variant!r} is not one of {VARIANTS}"
@@ -112,7 +121,7 @@ class ExperimentConfig:
             "proposal_samples": self.proposal_samples,
             "proposal_prob": self.proposal_prob,
             "control_fraction": self.control_fraction,
-            "taylor_mode": str(self.taylor_mode),
+            "taylor_mode": self.taylor_mode,
             "fixed_delay": self.fixed_delay,
             "xi_mean": self.xi_mean,
             "xi_sd": self.xi_sd,
@@ -483,12 +492,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         report.save(os.path.join(cfg.out_dir, f"report_{cfg.variant}.json"))
         emit_series([report], cfg.out_dir)
     return report
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return repr(float(x))
 
 
 def emit_series(reports: Sequence[RunReport], out_dir: str) -> list[str]:

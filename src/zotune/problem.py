@@ -1,19 +1,19 @@
 """Constrained tuning problems over relative metric lifts.
 
 A tuning problem fixes an ordered list of metrics, a scalar objective, and
-guardrail constraints.  Objective and constraints are pure functions of a
+guardrail constraints.  Objective and constraints are weighted sums of a
 lift vector: the per-metric relative change of a candidate configuration
 against the base configuration.  Upper-bound ("at-most") constraints are
 normalized to lower-bound form at construction time by negating both the
-function and the threshold, so every downstream consumer sees a single
+weights and the threshold, so every downstream consumer sees a single
 direction.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -79,13 +79,10 @@ class HyperParam:
         return hash(self.id)
 
 
-# A function expression maps a length-M lift vector to a scalar.  Two forms
-# exist: exact linear forms, and named callables from the registry below.
-
-
 @dataclass(frozen=True)
 class LinearExpr:
-    """Exact weighted sum of the lift vector."""
+    """Exact weighted sum of the lift vector; objectives and guardrails are
+    all of this form."""
 
     weights: tuple[float, ...]
 
@@ -112,64 +109,6 @@ class LinearExpr:
 
 
 @dataclass(frozen=True)
-class ComposedExpr:
-    """A registered named callable consuming exactly ``arity`` lifts."""
-
-    name: str
-    arity: int
-    fn: Callable[[np.ndarray], float] = field(repr=False, compare=False)
-
-    def __call__(self, delta: Sequence[float]) -> float:
-        return float(self.fn(np.asarray(delta, dtype=float)))
-
-    def batch(self, deltas: np.ndarray) -> np.ndarray:
-        deltas = np.asarray(deltas, dtype=float)
-        return np.apply_along_axis(lambda d: float(self.fn(d)), -1, deltas)
-
-
-@dataclass(frozen=True)
-class NegatedExpr:
-    """Sign-flipped view of another expression (used for normalization)."""
-
-    inner: LinearExpr | ComposedExpr
-
-    @property
-    def arity(self) -> int:
-        return self.inner.arity
-
-    def __call__(self, delta: Sequence[float]) -> float:
-        return -self.inner(delta)
-
-    def batch(self, deltas: np.ndarray) -> np.ndarray:
-        return -self.inner.batch(deltas)
-
-
-FunctionExpr = LinearExpr | ComposedExpr | NegatedExpr
-
-_COMPOSED_REGISTRY: dict[str, ComposedExpr] = {}
-
-
-def register_composed(name: str, fn: Callable[[np.ndarray], float], arity: int) -> ComposedExpr:
-    """Register a named scalar function of exactly ``arity`` lifts.
-
-    Registration is required before a composed form can be referenced from a
-    problem configuration file.  Re-registering a name replaces the entry.
-    """
-    if arity < 1:
-        raise ValueError("composed functions must declare a positive arity")
-    expr = ComposedExpr(name=name, arity=int(arity), fn=fn)
-    _COMPOSED_REGISTRY[name] = expr
-    return expr
-
-
-def lookup_composed(name: str) -> ComposedExpr:
-    try:
-        return _COMPOSED_REGISTRY[name]
-    except KeyError:
-        raise ConfigError(f"composed function {name!r} is not registered") from None
-
-
-@dataclass(frozen=True)
 class ConstraintSpec:
     """One guardrail: ``g(delta) >= threshold`` after direction normalization.
 
@@ -178,7 +117,7 @@ class ConstraintSpec:
     The boundary case counts as satisfied.
     """
 
-    g: FunctionExpr
+    g: LinearExpr
     threshold: float
     direction: str = AT_LEAST
 
@@ -187,11 +126,15 @@ class ConstraintSpec:
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
 
-    def normalized(self) -> tuple[FunctionExpr, float]:
-        """Return the ``at-least`` form ``(g', c')`` with ``g' >= c'``."""
+    def normalized(self) -> tuple[LinearExpr, float]:
+        """Return the ``at-least`` form ``(g', c')`` with ``g' >= c'``.
+
+        Negating the weights negates every value exactly, since IEEE
+        rounding is symmetric in sign.
+        """
         if self.direction == AT_LEAST:
             return self.g, self.threshold
-        return NegatedExpr(self.g), -self.threshold
+        return LinearExpr(tuple(-w for w in self.g.weights)), -self.threshold
 
 
 @dataclass(frozen=True)
@@ -199,7 +142,7 @@ class TuningProblem:
     """Metrics, objective, guardrails, and the base configuration."""
 
     metrics: tuple[MetricId, ...]
-    objective: FunctionExpr
+    objective: LinearExpr
     constraints: tuple[ConstraintSpec, ...]
     base: HyperParam
 
@@ -279,6 +222,8 @@ class TuningProblem:
             )
         if not self._normalized:
             return np.zeros((0,) + deltas.shape[:-1])
+        # One product per constraint: a single (m, M) matmul may take another
+        # BLAS path and change the last bit.
         return np.stack([g.batch(deltas) - c for g, c in self._normalized])
 
 
@@ -298,21 +243,15 @@ def violation(g_theta: float, threshold: float) -> float:
 # exactly because JSON serialization uses the shortest round-trip repr.
 
 
-def _expr_to_dict(expr: FunctionExpr) -> dict:
-    if isinstance(expr, LinearExpr):
-        return {"form": "linear", "weights": list(expr.weights)}
-    if isinstance(expr, ComposedExpr):
-        return {"form": "composed", "name": expr.name}
-    raise ConfigError(f"expression {expr!r} has no serial form")
+def _expr_to_dict(expr: LinearExpr) -> dict:
+    return {"form": "linear", "weights": list(expr.weights)}
 
 
-def _expr_from_dict(d: dict) -> FunctionExpr:
+def _expr_from_dict(d: dict) -> LinearExpr:
     form = d.get("form")
-    if form == "linear":
-        return LinearExpr(tuple(d["weights"]))
-    if form == "composed":
-        return lookup_composed(d["name"])
-    raise ConfigError(f"unknown expression form {form!r}")
+    if form != "linear":
+        raise ConfigError(f"unknown expression form {form!r}")
+    return LinearExpr(tuple(d["weights"]))
 
 
 def problem_to_dict(problem: TuningProblem) -> dict:

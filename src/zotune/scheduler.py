@@ -5,9 +5,15 @@ Each round the scheduler absorbs whatever delayed feedback has arrived
 measured candidates, optionally proposes one brand-new candidate through
 the GP surrogate, and emits a traffic plan: a reserved control slice plus
 the remainder split across winners in proportion to how many repetitions
-each one won.  All state (candidate bucket, absorbed statistics, round
-counter, rng stream) round-trips through plain-text storage so a run can be
-stopped and resumed exactly.
+each one won.
+
+All state round-trips through a store directory so a run can be stopped and
+resumed exactly.  The store holds each fact once: ``manifest.json`` (round
+counter, rng stream, config, problem, last plan), ``hyperparams.csv`` (the
+candidate bucket) and ``metrics.csv`` (the raw test/control readings, in
+ingestion order).  Hourly lifts and their aggregates are derived from the
+raw readings, so restore rebuilds them by replaying ``metrics.csv`` through
+the same stat code that ``ingest`` runs.
 """
 
 from __future__ import annotations
@@ -265,6 +271,46 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+METRICS_HEADER = [
+    "candidate_id", "metric", "round",
+    "test_mean", "test_var", "test_n",
+    "control_mean", "control_var", "control_n",
+]
+
+
+def _hourly_stat(
+    config: SchedulerConfig, test: GroupReading, ctrl: GroupReading
+) -> DeltaStat | None:
+    """The hour's stat under ``config``'s normalization, or None when a
+    control mean at zero admits no lift estimate."""
+    if config.normalization == "raw":
+        return DeltaStat(
+            mean=test.sample_mean,
+            var=test.sample_var / test.group_size,
+            weight=test.group_size,
+        )
+    try:
+        return hourly_delta_stat(test, ctrl, config.taylor_mode)
+    except DegenerateBaseError:
+        return None
+
+
+def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupReading]:
+    """Parse one ``metrics.csv`` row; ValueError when it is malformed."""
+    if len(row) != len(METRICS_HEADER):
+        raise ValueError(f"expected {len(METRICS_HEADER)} fields, got {len(row)}")
+    cid, metric, round_no = int(row[0]), row[1], int(row[2])
+    test = GroupReading(
+        candidate_id=cid, metric=metric, round=round_no,
+        sample_mean=float(row[3]), sample_var=float(row[4]), group_size=int(row[5]),
+    )
+    ctrl = GroupReading(
+        candidate_id=control_id, metric=metric, round=round_no,
+        sample_mean=float(row[6]), sample_var=float(row[7]), group_size=int(row[8]),
+    )
+    return test, ctrl
+
+
 class Scheduler:
     """Owns the bucket, the estimate record, the rng stream, and the round loop."""
 
@@ -416,19 +462,10 @@ class Scheduler:
         absorbed = 0
         for batch in batches:
             for test, ctrl in batch.readings:
-                if self.config.normalization == "raw":
-                    stat = DeltaStat(
-                        mean=test.sample_mean,
-                        var=test.sample_var / test.group_size,
-                        weight=test.group_size,
-                    )
-                else:
-                    try:
-                        stat = hourly_delta_stat(test, ctrl, self.config.taylor_mode)
-                    except DegenerateBaseError:
-                        # A control mean at zero admits no lift estimate;
-                        # drop the hour rather than poison the record.
-                        continue
+                stat = _hourly_stat(self.config, test, ctrl)
+                if stat is None:
+                    # Drop the hour rather than poison the record.
+                    continue
                 try:
                     self.record.absorb(test.candidate_id, test.metric, test.round, stat)
                 except DuplicateRoundError:
@@ -498,7 +535,7 @@ class Scheduler:
     # Persistence
 
     def persist(self, store_dir: str | None = None) -> None:
-        """Write manifest, bucket, raw readings, and derived stats to disk."""
+        """Write the manifest, the bucket and the raw readings to disk."""
         store_dir = store_dir or self.store_dir
         if not store_dir:
             raise ValueError("no storage directory configured")
@@ -532,13 +569,7 @@ class Scheduler:
 
         with open(os.path.join(store_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "candidate_id", "metric", "round",
-                    "test_mean", "test_var", "test_n",
-                    "control_mean", "control_var", "control_n",
-                ]
-            )
+            writer.writerow(METRICS_HEADER)
             for test, ctrl in self._raw_log:
                 writer.writerow(
                     [
@@ -547,26 +578,6 @@ class Scheduler:
                         _fmt(ctrl.sample_mean), _fmt(ctrl.sample_var), ctrl.group_size,
                     ]
                 )
-
-        with open(os.path.join(store_dir, "deltas_hourly.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["candidate_id", "metric", "round", "mean", "var", "weight"])
-            for cid, metric, round_no, stat in self.record.rows():
-                writer.writerow(
-                    [cid, metric, round_no, _fmt(stat.mean), _fmt(stat.var), _fmt(stat.weight)]
-                )
-
-        with open(os.path.join(store_dir, "deltas_agg.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["candidate_id", "metric", "mean", "var", "weight"])
-            for cid in sorted(self._bucket):
-                for metric in self.problem.metrics:
-                    agg = self.record.aggregate(cid, metric)
-                    if agg is None:
-                        continue
-                    writer.writerow(
-                        [cid, metric, _fmt(agg.mean), _fmt(agg.var), _fmt(agg.weight)]
-                    )
 
     @classmethod
     def restore(cls, store_dir: str, new_store_dir: str | None = None) -> "Scheduler":
@@ -605,56 +616,36 @@ class Scheduler:
             if not header or header[:2] != ["candidate_id", "created_round"]:
                 raise RestoreError("malformed hyperparams.csv header")
             for row in reader:
-                cid = int(row[0])
-                theta = tuple(float(x) for x in row[2:])
-                bucket[cid] = HyperParam(id=cid, theta=theta, bounds=bounds)
-                created[cid] = int(row[1])
+                try:
+                    cid = int(row[0])
+                    theta = tuple(float(x) for x in row[2:])
+                    bucket[cid] = HyperParam(id=cid, theta=theta, bounds=bounds)
+                    created[cid] = int(row[1])
+                except (ValueError, IndexError) as exc:
+                    raise RestoreError(
+                        f"hyperparams.csv line {reader.line_num}: {exc}"
+                    ) from None
 
+        # Replaying the raw readings in file order, which is ingestion order,
+        # gives bitwise the running sums that ingest built.
         record = EstimateRecord()
-        with open(_path("deltas_hourly.csv"), "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                record.absorb(
-                    int(row[0]),
-                    row[1],
-                    int(row[2]),
-                    DeltaStat(mean=float(row[3]), var=float(row[4]), weight=float(row[5])),
-                )
-
         raw_log: list[tuple[GroupReading, GroupReading]] = []
         with open(_path("metrics.csv"), "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            next(reader, None)
+            if next(reader, None) != METRICS_HEADER:
+                raise RestoreError("malformed metrics.csv header")
             for row in reader:
-                cid, metric, round_no = int(row[0]), row[1], int(row[2])
-                test = GroupReading(
-                    candidate_id=cid, metric=metric, round=round_no,
-                    sample_mean=float(row[3]), sample_var=float(row[4]),
-                    group_size=int(row[5]),
-                )
-                ctrl = GroupReading(
-                    candidate_id=problem.base.id, metric=metric, round=round_no,
-                    sample_mean=float(row[6]), sample_var=float(row[7]),
-                    group_size=int(row[8]),
-                )
-                raw_log.append((test, ctrl))
-
-        # Cross-check the derived aggregate table against the replayed record.
-        with open(_path("deltas_agg.csv"), "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)
-            for row in reader:
-                agg = record.aggregate(int(row[0]), row[1])
-                if agg is None or (
-                    _fmt(agg.mean) != row[2]
-                    or _fmt(agg.var) != row[3]
-                    or _fmt(agg.weight) != row[4]
-                ):
+                try:
+                    test, ctrl = _reading_pair(row, problem.base.id)
+                    stat = _hourly_stat(config, test, ctrl)
+                    if stat is None:
+                        raise ValueError("control mean admits no lift estimate")
+                    record.absorb(test.candidate_id, test.metric, test.round, stat)
+                except ValueError as exc:
                     raise RestoreError(
-                        f"aggregate table disagrees with replayed stats for "
-                        f"candidate {row[0]} metric {row[1]!r}"
-                    )
+                        f"metrics.csv line {reader.line_num}: {exc}"
+                    ) from None
+                raw_log.append((test, ctrl))
 
         last_plan = (
             RoundPlan.from_dict(manifest["last_plan"])

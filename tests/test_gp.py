@@ -240,6 +240,13 @@ class TestFitAndPredict:
         with pytest.raises(FitFailureError):
             GpSurrogate.fit(bucket, [bad, belief(2, [0.05], [0.0])])
 
+    def test_overflowing_targets_raise_fit_failure(self):
+        """Finite targets whose square overflows give no signal variance."""
+        bucket = [hp(1, (0.2, 0.2)), hp(2, (0.8, 0.8))]
+        beliefs = [belief(1, [1e200], [0.0]), belief(2, [-1e200], [0.0])]
+        with pytest.raises(FitFailureError, match="signal variance"):
+            GpSurrogate.fit(bucket, beliefs)
+
 
 def _reference_fit_predict(thetas, bounds, mus, noises, queries):
     """The surrogate as first written: per-metric 3-D broadcast kernels, a

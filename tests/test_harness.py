@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from zotune.cli import build_parser, main
+from zotune.deltastats import TaylorMode
 from zotune.harness import (
     DEFAULT_SEED_POOL,
     DEFAULT_SEEDS,
@@ -103,6 +104,20 @@ class TestExperimentConfig:
     def test_dict_roundtrip(self):
         cfg = tiny_config(variant="synchronous", env_weights=(1.0, 2.0, 3.0, 4.0))
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_taylor_mode_enum_roundtrip(self):
+        cfg = ExperimentConfig(taylor_mode=TaylorMode.CROSSED)
+        assert cfg.taylor_mode == "crossed"
+        assert cfg.to_dict()["taylor_mode"] == "crossed"
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig().to_dict()["taylor_mode"] == "delta-method"
+        tiny = tiny_config(taylor_mode=TaylorMode.CROSSED)
+        run = SingleRun(3, ExperimentConfig.from_dict(tiny.to_dict()))
+        assert run.sched.config.taylor_mode is TaylorMode.CROSSED
+
+    def test_unknown_taylor_mode_rejected(self):
+        with pytest.raises(HarnessConfigError, match="taylor_mode"):
+            ExperimentConfig(taylor_mode="TaylorMode.CROSSED")
 
     def test_from_dict_rejects_unknown_keys(self):
         d = ExperimentConfig().to_dict()
@@ -292,6 +307,21 @@ class TestCheckpointResume:
 
         assert resumed.trajectory() == straight.trajectory()
 
+    def test_resume_with_crossed_taylor_mode(self, tmp_path):
+        cfg = tiny_config(seeds=(3,), rounds=6, taylor_mode=TaylorMode.CROSSED)
+        straight = SingleRun(3, cfg)
+        straight.run_to(6)
+
+        broken = SingleRun(3, cfg)
+        broken.run_to(3)
+        broken.save_checkpoint(str(tmp_path / "ckpt"))
+        resumed = SingleRun.resume(str(tmp_path / "ckpt"))
+        assert resumed.cfg == cfg
+        assert resumed.sched.config.taylor_mode is TaylorMode.CROSSED
+        resumed.run_to(6)
+
+        assert resumed.trajectory() == straight.trajectory()
+
     def test_resume_rejects_unknown_version(self, tmp_path):
         cfg = tiny_config(seeds=(3,), rounds=4)
         run = SingleRun(3, cfg)
@@ -332,6 +362,21 @@ class TestEmitSeries:
         first = Path(path).read_bytes()
         emit_series([report], str(tmp_path))
         assert Path(path).read_bytes() == first
+
+    # SHA-256 of the series, summary and comparison CSVs below, recorded
+    # before the two float formatters were merged into one.
+    CSV_DIGEST = "7024013941f85d9a2454ee6a4ec9ec2a557922d9220b7b0d45564b596146a5a7"
+
+    def test_csv_bytes_are_frozen(self, tmp_path):
+        full = synthetic_report("full", gains_by_seed={1: (0.0, 0.1 / 3), 2: (0.0, 0.2)})
+        flat = synthetic_report(
+            "no-proposal", gains_by_seed={1: (0.0, 1e-17), 2: (0.0, -0.01)}, violation=0.25
+        )
+        paths = emit_series([full, flat], str(tmp_path))
+        compare_variants([full, flat]).to_csv(str(tmp_path / "cmp.csv"))
+        blob = b"".join(Path(p).read_bytes() for p in paths + [str(tmp_path / "cmp.csv")])
+        assert b",inf," in blob  # no-proposal never reaches the target
+        assert hashlib.sha256(blob).hexdigest() == self.CSV_DIGEST
 
     def test_empty_report_emits_header_only(self, tmp_path):
         report = RunReport(

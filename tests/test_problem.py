@@ -9,20 +9,17 @@ import pytest
 from zotune.problem import (
     AT_LEAST,
     AT_MOST,
-    ComposedExpr,
     ConfigError,
     ConstraintSpec,
     DimensionMismatchError,
     HyperParam,
     LinearExpr,
-    NegatedExpr,
     TuningProblem,
     UndefinedGainError,
     gain,
     load_problem,
     problem_from_dict,
     problem_to_dict,
-    register_composed,
     save_problem,
     violation,
 )
@@ -87,30 +84,6 @@ class TestExpressions:
         with pytest.raises(DimensionMismatchError):
             LinearExpr((1.0, 2.0))((1.0, 2.0, 3.0))
 
-    def test_composed(self):
-        f = ComposedExpr(name="min2", arity=2, fn=lambda v: float(np.min(v)))
-        assert f((3.0, 1.0)) == 1.0
-        batch = np.array([[3.0, 1.0], [0.5, 2.0]])
-        np.testing.assert_allclose(f.batch(batch), [1.0, 0.5])
-
-    def test_negated(self):
-        f = NegatedExpr(LinearExpr((1.0, 1.0)))
-        assert f((2.0, 3.0)) == pytest.approx(-5.0)
-        np.testing.assert_allclose(f.batch(np.array([[2.0, 3.0]])), [-5.0])
-        assert f.arity == 2
-
-    def test_registry_roundtrip(self):
-        register_composed("prod2_test", lambda v: float(v[0] * v[1]), 2)
-        f = ComposedExpr(name="prod2_test", arity=2, fn=lambda v: float(v[0] * v[1]))
-        p = TuningProblem(
-            metrics=("x1", "x2"),
-            objective=f,
-            constraints=(),
-            base=HyperParam(id=0, theta=(0.5, 0.5), bounds=BOUNDS),
-        )
-        q = problem_from_dict(problem_to_dict(p))
-        assert q.evaluate_objective((2.0, 3.0)) == pytest.approx(6.0)
-
 
 class TestConstraintSpec:
     def test_at_least_normalization_is_identity(self):
@@ -169,6 +142,23 @@ class TestTuningProblem:
         slack = p.constraint_slack_batch(deltas)
         assert slack.shape == (2, 7)
         np.testing.assert_allclose(slack, -0.1)
+
+    def test_at_most_slack_is_exact_negation(self):
+        g = LinearExpr((0.3, 0.7))
+        rng = np.random.default_rng(0)
+        deltas = rng.normal(scale=0.1, size=(50, 2))
+        slack = {
+            direction: TuningProblem(
+                metrics=("x1", "x2"),
+                objective=LinearExpr((1.0, 2.0)),
+                constraints=(ConstraintSpec(g=g, threshold=0.01, direction=direction),),
+                base=HyperParam(id=0, theta=(0.5, 0.5), bounds=BOUNDS),
+            ).constraint_slack_batch(deltas)
+            for direction in (AT_LEAST, AT_MOST)
+        }
+        # -(g - c) and (-g) - (-c) round identically.
+        assert np.array_equal(slack[AT_MOST], -slack[AT_LEAST])
+        assert np.array_equal(slack[AT_MOST][0], -(deltas @ np.array(g.weights)) + 0.01)
 
     def test_unconstrained_slack_batch(self):
         p = TuningProblem(
@@ -230,8 +220,8 @@ class TestSerialization:
         assert q.base.theta == p.base.theta
 
     def test_unknown_expression_kind(self, tmp_path):
-        p = make_problem()
-        d = problem_to_dict(p)
-        d["objective"]["form"] = "mystery"
-        with pytest.raises(ConfigError):
-            problem_from_dict(d)
+        for form in ("mystery", "composed"):
+            d = problem_to_dict(make_problem())
+            d["objective"]["form"] = form
+            with pytest.raises(ConfigError):
+                problem_from_dict(d)

@@ -1,5 +1,6 @@
 """Tests for the round loop, traffic planning, and file-backed persistence."""
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -25,6 +26,7 @@ from zotune.scheduler import (
     SchedulerConfig,
 )
 from zotune.deltastats import GroupReading
+from zotune.harness import ExperimentConfig, SingleRun
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 METRICS = ("x1", "x2")
@@ -49,17 +51,17 @@ def make_sched(seed=0, init=None, store_dir=None, **cfg_kwargs):
     )
 
 
-def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000):
-    """One candidate's feedback: test means lifted over a control of 100."""
+def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=100.0):
+    """One candidate's feedback: test means lifted over a control of ``base``."""
     readings = []
     for metric, lift in zip(METRICS, lifts):
         test = GroupReading(
             candidate_id=cid, metric=metric, round=origin,
-            sample_mean=100.0 * (1.0 + lift), sample_var=var, group_size=n,
+            sample_mean=base * (1.0 + lift), sample_var=var, group_size=n,
         )
         ctrl = GroupReading(
             candidate_id=0, metric=metric, round=origin,
-            sample_mean=100.0, sample_var=var, group_size=n,
+            sample_mean=base, sample_var=var, group_size=n,
         )
         readings.append((test, ctrl))
     return InboundBatch(origin_round=origin, arrival_round=arrival, readings=tuple(readings))
@@ -366,16 +368,46 @@ class TestPersistence:
         with pytest.raises(RestoreError):
             Scheduler.restore(str(store))
 
-    def test_tampered_aggregate_table_fails(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, edit",
+        [
+            (0, lambda f: ["candidate_id"] + f[1:] + ["extra"]),  # bad header
+            (1, lambda f: f[:-1]),                               # truncated row
+            (1, lambda f: f + ["7"]),                            # extra field
+            (1, lambda f: f[:3] + ["abc"] + f[4:]),              # unparseable
+            (1, lambda f: f[:3] + ["nan"] + f[4:]),              # NaN mean
+            (1, lambda f: f[:4] + ["inf"] + f[5:]),              # infinite var
+            (1, lambda f: f[:4] + ["-1.0"] + f[5:]),             # negative var
+            (1, lambda f: f[:5] + ["0"] + f[6:]),                # empty group
+            (1, lambda f: f[:6] + ["0.0"] + f[7:]),              # degenerate control
+            (None, None),                                        # duplicate key
+        ],
+        ids=[
+            "header", "truncated", "extra", "unparseable", "nan", "inf",
+            "negative-var", "empty-group", "degenerate", "duplicate",
+        ],
+    )
+    def test_malformed_metrics_row_fails(self, tmp_path, line, edit):
         store = tmp_path / "s"
         self.run_some_rounds().persist(str(store))
-        agg_path = store / "deltas_agg.csv"
-        lines = agg_path.read_text(encoding="utf-8").splitlines()
-        parts = lines[1].split(",")
-        parts[2] = "0.123456"
-        lines[1] = ",".join(parts)
-        agg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(RestoreError):
+        path = store / "metrics.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if line is None:
+            lines.append(lines[1])
+        else:
+            lines[line] = ",".join(edit(lines[line].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RestoreError, match="metrics.csv"):
+            Scheduler.restore(str(store))
+
+    def test_truncated_hyperparams_row_fails(self, tmp_path):
+        store = tmp_path / "s"
+        self.run_some_rounds().persist(str(store))
+        path = store / "hyperparams.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].split(",")[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RestoreError, match="hyperparams.csv"):
             Scheduler.restore(str(store))
 
     def test_store_dir_autopersists_each_round(self, tmp_path):
@@ -383,3 +415,97 @@ class TestPersistence:
         sched = self.run_some_rounds(store_dir=str(store), rounds=2)
         manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["round"] == sched.round == 2
+
+
+class TestRawReplay:
+    """The store keeps the raw readings only; restore replays them."""
+
+    def run_with_degenerate_row(self, normalization):
+        sched = make_sched(
+            seed=4, select_count=10, proposal_samples=8, normalization=normalization
+        )
+        sched.initial_plan()
+        for r in range(1, 6):
+            batches = [
+                batch_for(1, r - 1, r, lifts=(0.013 * r, -0.007), var=3.0 + r),
+                batch_for(2, r - 1, r, lifts=(0.021, 0.004 * r), var=5.0 / r, n=700 + r),
+            ]
+            if r >= 3:  # late arrivals, out of origin order
+                batches.append(batch_for(3, r - 3, r, lifts=(0.1 / r, 0.03), n=900))
+            sched.run_round(batches)
+        absorbed = sched.ingest([batch_for(4, 2, 6, base=0.0)])
+        assert absorbed == (2 if normalization == "raw" else 0)
+        return sched
+
+    def assert_same_record(self, live, restored):
+        assert len(restored.record) == len(live.record)
+        for hp in live.bucket:
+            for metric in METRICS:
+                assert restored.record.aggregate(hp.id, metric) == live.record.aggregate(
+                    hp.id, metric
+                )
+                assert restored.record.hourly(hp.id, metric) == live.record.hourly(
+                    hp.id, metric
+                )
+
+    @pytest.mark.parametrize("normalization", ["delta", "raw"])
+    def test_restored_record_equals_live(self, tmp_path, normalization):
+        live = self.run_with_degenerate_row(normalization)
+        live.persist(str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "hyperparams.csv", "manifest.json", "metrics.csv",
+        ]
+        rows = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        control_means = {line.split(",")[6] for line in rows[1:]}
+        # The hour with a zero control mean is dropped from the lift record
+        # and from the raw log alike; raw normalization keeps it.
+        assert ("0.0" in control_means) == (normalization == "raw")
+        restored = Scheduler.restore(str(tmp_path))
+        self.assert_same_record(live, restored)
+        assert restored.record.rounds_absorbed(4, "x1") == (1 if normalization == "raw" else 0)
+
+    def test_legacy_derived_tables_are_ignored(self, tmp_path):
+        live = self.run_with_degenerate_row("delta")
+        live.persist(str(tmp_path))
+        # Stores written before the derived tables were dropped carry them
+        # too; nothing reads them.
+        (tmp_path / "deltas_hourly.csv").write_text(
+            "candidate_id,metric,round,mean,var,weight\n1,x1,0,9.0,9.0,9.0\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "deltas_agg.csv").write_text(
+            "candidate_id,metric,mean,var,weight\n1,x1,9.0,9.0,9.0\n", encoding="utf-8"
+        )
+        restored = Scheduler.restore(str(tmp_path))
+        self.assert_same_record(live, restored)
+        assert restored.rng.bit_generator.state == live.rng.bit_generator.state
+
+
+class TestFrozenStore:
+    # SHA-256 of manifest.json, hyperparams.csv and metrics.csv, concatenated
+    # in that order, after SingleRun(42, ...) runs 20 rounds and persists.
+    # Recorded while the store still wrote the derived hourly and aggregate
+    # tables, with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; identical
+    # with OPENBLAS_NUM_THREADS=1.
+    DIGESTS = {
+        "full": "31467f5c804bedad3ff9eabb12f0614ec63eec89c61bfeadeca3db35d0dfd889",
+        "raw-metric": "c2436080fdf659979a27e88ce3a649cf3c99590683f5c2691cbcf89beff7cbe9",
+    }
+
+    @pytest.mark.parametrize("variant", ["full", "raw-metric"])
+    def test_store_bytes_are_frozen(self, tmp_path, variant):
+        run = SingleRun(42, ExperimentConfig(variant=variant, seeds=(42,)))
+        run.run_to(20)
+        run.sched.persist(str(tmp_path))
+        names = ["manifest.json", "hyperparams.csv", "metrics.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        blob = b"".join((tmp_path / name).read_bytes() for name in names)
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[variant]
+
+        restored = Scheduler.restore(str(tmp_path))
+        assert len(restored.record) == len(run.sched.record)
+        for hp in run.sched.bucket:
+            for metric in run.sched.problem.metrics:
+                assert restored.record.aggregate(hp.id, metric) == (
+                    run.sched.record.aggregate(hp.id, metric)
+                )
