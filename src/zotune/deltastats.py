@@ -17,7 +17,6 @@ for a (candidate, metric, round) key are write-once.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -26,7 +25,12 @@ DEGENERATE_MEAN_TOL = 1e-9
 
 
 class DegenerateBaseError(ValueError):
-    """The control-group mean is too close to zero to divide by."""
+    """This hour admits no finite lift estimate.
+
+    Raised when the control-group mean is too close to zero to divide by,
+    or when the lift's mean or variance would overflow to a non-finite
+    value.
+    """
 
 
 class DuplicateRoundError(ValueError):
@@ -99,6 +103,8 @@ class DeltaStat:
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "var", float(self.var))
         object.__setattr__(self, "weight", float(self.weight))
+        if not all(map(math.isfinite, (self.mean, self.var, self.weight))):
+            raise ValueError("mean, variance and weight must be finite")
         if self.var < 0:
             raise ValueError("variance must be nonnegative")
         if self.weight <= 0:
@@ -113,7 +119,10 @@ def hourly_delta_stat(
     """Hourly lift estimate of a test group against the control group.
 
     Both readings must describe the same metric and round.  The returned
-    weight is the test group size, which later drives aggregation.
+    weight is the test group size, which later drives aggregation.  Raises
+    ``DegenerateBaseError`` when the hour admits no finite estimate: a
+    control mean within ``DEGENERATE_MEAN_TOL`` of zero, or a mean or
+    variance that overflows.
     """
     if test.metric != control.metric:
         raise ValueError(
@@ -131,12 +140,17 @@ def hourly_delta_stat(
     m, v, n = test.sample_mean, test.sample_var, test.group_size
     v0, n0 = control.sample_var, control.group_size
     mode = TaylorMode(mode)
-    if mode is TaylorMode.DELTA_METHOD:
-        mean = m / m0 + (v0 / n0) * m / m0**3 - 1.0
-        var = v / (n * m0**2) + m**2 * v0 / (n0 * m0**4)
-    else:
-        mean = m / m0 + v0 * m / m0**3 - 1.0
-        var = (m0**2 * v / n0 + m**2 * v0 / n) / m0**4
+    try:
+        if mode is TaylorMode.DELTA_METHOD:
+            mean = m / m0 + (v0 / n0) * m / m0**3 - 1.0
+            var = v / (n * m0**2) + m**2 * v0 / (n0 * m0**4)
+        else:
+            mean = m / m0 + v0 * m / m0**3 - 1.0
+            var = (m0**2 * v / n0 + m**2 * v0 / n) / m0**4
+    except OverflowError:  # float ** raises where * and / give inf
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DegenerateBaseError("this hour admits no finite lift estimate")
     return DeltaStat(mean=mean, var=var, weight=float(n))
 
 
@@ -172,74 +186,65 @@ class EstimateRecord:
 
     ``absorb`` accepts rows in any arrival order; each (candidate, metric,
     round) key is accepted exactly once and a retry raises
-    ``DuplicateRoundError`` leaving the record unchanged.  A lock guards
-    mutation so concurrent producers may absorb rows for distinct keys;
-    readers see a consistent snapshot.
+    ``DuplicateRoundError`` leaving the record unchanged.
     """
 
     def __init__(self) -> None:
         self._series: dict[tuple[int, str], _Series] = {}
-        self._lock = threading.Lock()
 
     def absorb(self, candidate_id: int, metric: str, round_no: int, stat: DeltaStat) -> None:
         """Add one hourly stat; its ``weight`` is the aggregation weight N_t."""
         key = (int(candidate_id), str(metric))
         round_no = int(round_no)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = _Series(by_round={})
-                self._series[key] = series
-            if round_no in series.by_round:
-                raise DuplicateRoundError(
-                    f"candidate {key[0]} metric {key[1]!r} round {round_no} "
-                    "was already absorbed"
-                )
-            series.by_round[round_no] = stat
-            series.sum_w += stat.weight
-            series.sum_wm += stat.weight * stat.mean
-            series.sum_w2v += stat.weight * stat.weight * stat.var
+        series = self._series.get(key)
+        if series is None:
+            series = _Series(by_round={})
+            self._series[key] = series
+        if round_no in series.by_round:
+            raise DuplicateRoundError(
+                f"candidate {key[0]} metric {key[1]!r} round {round_no} "
+                "was already absorbed"
+            )
+        series.by_round[round_no] = stat
+        series.sum_w += stat.weight
+        series.sum_wm += stat.weight * stat.mean
+        series.sum_w2v += stat.weight * stat.weight * stat.var
 
     def hourly(self, candidate_id: int, metric: str) -> list[tuple[int, DeltaStat]]:
         """Hourly stats for one key, sorted by round (ascending)."""
-        with self._lock:
-            series = self._series.get((int(candidate_id), str(metric)))
-            if series is None:
-                return []
-            return sorted(series.by_round.items())
+        series = self._series.get((int(candidate_id), str(metric)))
+        if series is None:
+            return []
+        return sorted(series.by_round.items())
 
     def aggregate(self, candidate_id: int, metric: str) -> DeltaStat | None:
         """Running weighted aggregate for one key, or None if no data."""
-        with self._lock:
-            series = self._series.get((int(candidate_id), str(metric)))
-            if series is None or series.sum_w == 0.0:
-                return None
-            return DeltaStat(
-                mean=series.sum_wm / series.sum_w,
-                var=series.sum_w2v / series.sum_w**2,
-                weight=series.sum_w,
-            )
+        series = self._series.get((int(candidate_id), str(metric)))
+        if series is None or series.sum_w == 0.0:
+            return None
+        return DeltaStat(
+            mean=series.sum_wm / series.sum_w,
+            var=series.sum_w2v / series.sum_w**2,
+            weight=series.sum_w,
+        )
 
     def candidates_with_data(self, metrics: Sequence[str]) -> list[int]:
         """Sorted candidate ids holding at least one round for every metric."""
         metrics = tuple(metrics)
-        with self._lock:
-            ids = {cid for cid, _ in self._series}
-            return sorted(
-                cid
-                for cid in ids
-                if all(
-                    (cid, m) in self._series and self._series[(cid, m)].by_round
-                    for m in metrics
-                )
+        ids = {cid for cid, _ in self._series}
+        return sorted(
+            cid
+            for cid in ids
+            if all(
+                (cid, m) in self._series and self._series[(cid, m)].by_round
+                for m in metrics
             )
+        )
 
     def rounds_absorbed(self, candidate_id: int, metric: str) -> int:
-        with self._lock:
-            series = self._series.get((int(candidate_id), str(metric)))
-            return len(series.by_round) if series else 0
+        series = self._series.get((int(candidate_id), str(metric)))
+        return len(series.by_round) if series else 0
 
     def __len__(self) -> int:
         """Number of absorbed (candidate, metric, round) rows."""
-        with self._lock:
-            return sum(len(series.by_round) for series in self._series.values())
+        return sum(len(series.by_round) for series in self._series.values())

@@ -373,9 +373,6 @@ class SingleRun:
         self.base_violation = self.env.true_gain_violation(self.env.spec.base_theta)[1]
         self._last: tuple[int, float, float] | None = None
 
-    def _bucket_thetas(self) -> dict[int, tuple[float, ...]]:
-        return {hp.id: hp.theta for hp in self.sched.bucket}
-
     def _step_round(self, r: int) -> None:
         decided = False
         if r == 0:
@@ -389,13 +386,14 @@ class SingleRun:
             else:
                 plan = self.sched.run_round(arrived)
                 decided = self.sched.last_selection is not None
-        if plan is not None and plan.assignments:
-            self.pending.extend(self.env.step(plan, r, self._bucket_thetas()))
-        if decided:
-            winner = self.sched.last_selection.modal_winner()
-            theta = self._bucket_thetas()[winner]
-            g, v = self.env.true_gain_violation(theta)
-            self._last = (winner, g, v)
+        if plan is not None:
+            thetas = {hp.id: hp.theta for hp in self.sched.bucket}
+            if plan.assignments:
+                self.pending.extend(self.env.step(plan, r, thetas))
+            if decided:
+                winner = self.sched.last_selection.modal_winner()
+                g, v = self.env.true_gain_violation(thetas[winner])
+                self._last = (winner, g, v)
         if self._last is None:
             self.rows.append(
                 RoundRow(round=r, winner_id=None, gain=0.0, violation=self.base_violation)

@@ -127,8 +127,13 @@ def select(
     draws *= sd
     draws += mu
 
-    fvals = problem.objective_batch(draws)          # (K, n)
+    # Slack, objective, then drop the draws: the peak stays at two
+    # draw-sized arrays, under glibc's dynamic trim threshold (twice the
+    # largest freed mapped block), so these temporaries are not handed back
+    # to the OS and faulted in again every round.
     slack = problem.constraint_slack_batch(draws)   # (m, K, n)
+    fvals = problem.objective_batch(draws)          # (K, n)
+    del draws
     winner_cols, infeasible = _winner_indices(fvals, slack)
     ids = np.array(eligible)
     return SelectionResult(

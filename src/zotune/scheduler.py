@@ -281,8 +281,8 @@ METRICS_HEADER = [
 def _hourly_stat(
     config: SchedulerConfig, test: GroupReading, ctrl: GroupReading
 ) -> DeltaStat | None:
-    """The hour's stat under ``config``'s normalization, or None when a
-    control mean at zero admits no lift estimate."""
+    """The hour's stat under ``config``'s normalization, or None when the
+    hour admits no finite lift estimate (``DegenerateBaseError``)."""
     if config.normalization == "raw":
         return DeltaStat(
             mean=test.sample_mean,
@@ -639,7 +639,7 @@ class Scheduler:
                     test, ctrl = _reading_pair(row, problem.base.id)
                     stat = _hourly_stat(config, test, ctrl)
                     if stat is None:
-                        raise ValueError("control mean admits no lift estimate")
+                        raise ValueError("hour admits no finite lift estimate")
                     record.absorb(test.candidate_id, test.metric, test.round, stat)
                 except ValueError as exc:
                     raise RestoreError(

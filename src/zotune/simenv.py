@@ -14,12 +14,20 @@ stays put.  Per-user readings are Gaussian around the hourly mean.  Feedback
 for a scheduled round is packaged per candidate and arrives ``fixed_delay``
 rounds later plus a random nonnegative integer extra delay, drawn once per
 batch.
+
+Each ``step`` with M metrics, D draws per reading and n assigned candidates
+takes one block of M*D + n*(M*D + 1) standard normals from the noise
+stream, in this order: D normals for each of the control's M readings;
+then, for each candidate in plan order, D normals for each of its M
+readings followed by the one normal of its extra delay.  A step with no
+assignments draws nothing.  Landscape generation uses its own stream, so
+overrides and sampling never change the landscape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +69,27 @@ DEFAULT_BASE_THETA = (0.011, 0.985)
 ENV_FORMAT_VERSION = 1
 
 
+def _bump_terms(
+    x: np.ndarray,
+    y: np.ndarray,
+    centers: Sequence[Sequence[float]],
+    widths: Sequence[float],
+    amps: Sequence[float],
+) -> np.ndarray:
+    """Each bump's ``amp * exp(-|p - c|^2 / (2 w^2))`` at points ``(x, y)``.
+
+    Returns a fresh C-contiguous array of shape ``x.shape + (b,)``.  The
+    squared distance is ``dx*dx + dy*dy``, which is exactly numpy's sum over
+    a two-element last axis; summing the result over its last axis gives a
+    field's raw value.
+    """
+    centers = np.asarray(centers, dtype=float)                  # (b, 2)
+    dx = x[..., None] - centers[:, 0]                           # (..., b)
+    dy = y[..., None] - centers[:, 1]
+    sq = dx * dx + dy * dy
+    return np.asarray(amps) * np.exp(-sq / (2.0 * np.asarray(widths) ** 2))
+
+
 @dataclass(frozen=True)
 class RadialBumpField:
     """Signed sum of Gaussian bumps, affinely rescaled and clipped into [0, 1].
@@ -100,12 +129,10 @@ class RadialBumpField:
         thetas = np.asarray(thetas, dtype=float)
         if not self.centers:
             return np.zeros(thetas.shape[:-1])
-        centers = np.asarray(self.centers)                      # (b, 2)
-        widths = np.asarray(self.widths)                        # (b,)
-        amps = np.asarray(self.amps)                            # (b,)
-        diff = thetas[..., None, :] - centers                   # (..., b, 2)
-        sq = np.sum(diff * diff, axis=-1)                       # (..., b)
-        return np.sum(amps * np.exp(-sq / (2.0 * widths**2)), axis=-1)
+        terms = _bump_terms(
+            thetas[..., 0], thetas[..., 1], self.centers, self.widths, self.amps
+        )
+        return np.sum(terms, axis=-1)
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         return np.clip((self.raw(thetas) - self.lo) / self.span, 0.0, 1.0)
@@ -269,17 +296,24 @@ class EnvSpec:
         )
 
 
-def _norm_grid() -> np.ndarray:
+def _norm_grid() -> tuple[np.ndarray, np.ndarray]:
     axis = np.linspace(0.0, 1.0, NORM_GRID_NODES)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    gx, gy = gx.ravel(), gy.ravel()
+    gx.flags.writeable = gy.flags.writeable = False
+    return gx, gy
+
+
+# Node coordinates of the grid that normalizes every generated field.
+_GRID_X, _GRID_Y = _norm_grid()
 
 
 def _make_field(
     gen: np.random.Generator,
     counter_to: RadialBumpField | None = None,
     counter_weight: float = 0.0,
-) -> RadialBumpField:
+) -> tuple[RadialBumpField, np.ndarray]:
+    """Draw one normalized field; also return its raw values on the grid."""
     # Broad centers may fall slightly outside the box so its corners and
     # edges get the same bump coverage as the interior.  The last bump is
     # a narrow summit planted near the top of the rolling structure: it
@@ -297,53 +331,54 @@ def _make_field(
         centers += list(counter_to.centers[:N_COUNTER_BUMPS])
         widths += list(counter_to.widths[:N_COUNTER_BUMPS])
         amps += [-counter_weight * a for a in counter_to.amps[:N_COUNTER_BUMPS]]
-    grid = _norm_grid()
-    rolling = RadialBumpField(
-        centers=tuple(centers),
-        widths=tuple(widths),
-        amps=tuple(amps),
-        lo=0.0,
-        span=1.0,
-    )
-    top = grid[int(np.argmax(rolling.raw(grid)))]
+    rolling = _bump_terms(_GRID_X, _GRID_Y, centers, widths, amps)
+    top = int(np.argmax(np.sum(rolling, axis=-1)))
     jitter = gen.uniform(-PEAK_JITTER, PEAK_JITTER, size=2)
-    centers.append(tuple(np.clip(top + jitter, 0.0, 1.0)))
+    centers.append(tuple(np.clip((_GRID_X[top], _GRID_Y[top]) + jitter, 0.0, 1.0)))
     widths.append(float(gen.uniform(*PEAK_WIDTH_RANGE)))
     amps.append(float(gen.uniform(*PEAK_AMP_RANGE)))
-    probe = RadialBumpField(
-        centers=tuple(centers),
-        widths=tuple(widths),
-        amps=tuple(amps),
-        lo=0.0,
-        span=1.0,
+    # One contiguous (N, b) block, so the sum over bumps runs in the same
+    # order as a field's own ``raw``.
+    terms = np.concatenate(
+        (rolling, _bump_terms(_GRID_X, _GRID_Y, centers[-1:], widths[-1:], amps[-1:])),
+        axis=1,
     )
-    raw = probe.raw(grid)
+    raw = np.sum(terms, axis=-1)
     lo = float(raw.min())
     span = float(raw.max()) - lo
     if span <= 0.0:
         span = 1.0
-    return replace(probe, lo=lo, span=span)
+    normalized = RadialBumpField(
+        centers=tuple(centers), widths=tuple(widths), amps=tuple(amps), lo=lo, span=span
+    )
+    return normalized, raw
 
 
 def _base_typicality(
-    delta1: RadialBumpField, delta2: RadialBumpField
+    delta1: RadialBumpField,
+    raw1: np.ndarray,
+    delta2: RadialBumpField,
+    raw2: np.ndarray,
 ) -> float:
     """Gap between the box-average objective and the base's, as a gain.
 
-    Uses the stock weights and base configuration (landscape generation
-    never depends on overrides) and treats the two daily patterns as
-    equal-scale, which holds up to the small flooring lift.
+    ``raw1`` and ``raw2`` are the two fields' raw values on the
+    normalization grid.  Uses the stock weights and base configuration
+    (landscape generation never depends on overrides) and treats the two
+    daily patterns as equal-scale, which holds up to the small flooring
+    lift.
     """
     w1, w2 = DEFAULT_WEIGHTS[0], DEFAULT_WEIGHTS[1]
-    grid = _norm_grid()
-    base = np.asarray(DEFAULT_BASE_THETA)
+    base = np.asarray(DEFAULT_BASE_THETA)[None, :]
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        return w1 * (1.0 + LIFT_SCALE * delta1(thetas)) + w2 * (
-            1.0 + LIFT_SCALE * delta2(thetas)
-        )
+    def objective(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        return w1 * (1.0 + LIFT_SCALE * d1) + w2 * (1.0 + LIFT_SCALE * d2)
 
-    return float(np.mean(objective(grid)) / objective(base[None, :])[0] - 1.0)
+    on_grid = objective(
+        np.clip((raw1 - delta1.lo) / delta1.span, 0.0, 1.0),
+        np.clip((raw2 - delta2.lo) / delta2.span, 0.0, 1.0),
+    )
+    return float(np.mean(on_grid) / objective(delta1(base), delta2(base))[0] - 1.0)
 
 
 def _draw_landscape(
@@ -361,10 +396,10 @@ def _draw_landscape(
     best: tuple[RadialBumpField, RadialBumpField] | None = None
     best_gap = np.inf
     for _ in range(MAX_LANDSCAPE_TRIES):
-        delta1 = _make_field(gen)
+        delta1, raw1 = _make_field(gen)
         tradeoff = float(gen.uniform(*TRADEOFF_RANGE))
-        delta2 = _make_field(gen, counter_to=delta1, counter_weight=tradeoff)
-        gap = abs(_base_typicality(delta1, delta2))
+        delta2, raw2 = _make_field(gen, counter_to=delta1, counter_weight=tradeoff)
+        gap = abs(_base_typicality(delta1, raw1, delta2, raw2))
         if gap < best_gap:
             best, best_gap = (delta1, delta2), gap
         if gap <= BASE_TYPICALITY_BAND:
@@ -441,7 +476,8 @@ class SimEnv:
         )
 
     def hourly_means(self, theta: Sequence[float], t: int) -> np.ndarray:
-        """Per-metric means ``(1 + 0.1 delta_k) * W_k(t)`` at hour ``t``."""
+        """Per-metric means ``(1 + 0.1 delta_k) * W_k(t)`` at hour ``t``,
+        shape ``(..., 2)`` for one vector or a stack of them."""
         d = self.delta(np.asarray(theta, dtype=float))
         w = np.array([self._w1[t % PERIOD], self._w2[t % PERIOD]])
         return (1.0 + LIFT_SCALE * d) * w
@@ -495,27 +531,6 @@ class SimEnv:
 
     # Sampling
 
-    def _group_reading(
-        self, candidate_id: int, metric_index: int, round_no: int,
-        mu: float, group_size: int,
-    ) -> GroupReading:
-        # Draws are mu + sigma*z with standard-normal z, so the sample
-        # statistics reduce to affine transforms of z's statistics; the
-        # zero-noise limit then returns mu and 0 exactly.  The per-user
-        # variance is estimated from the simulated draws, while the mean
-        # is drawn at the full group's sampling scale sigma^2/group_size
-        # so that reported precisions match how the mean actually moves.
-        z = self._rng.standard_normal(self.spec.draws_per_step)
-        mean_scale = np.sqrt(self.spec.draws_per_step / group_size)
-        return GroupReading(
-            candidate_id=candidate_id,
-            metric=self.spec.metrics[metric_index],
-            round=round_no,
-            sample_mean=float(mu + self.spec.sigma * mean_scale * np.mean(z)),
-            sample_var=float(self.spec.sigma**2 * np.var(z, ddof=1)),
-            group_size=group_size,
-        )
-
     def step(
         self,
         plan: RoundPlan,
@@ -532,33 +547,58 @@ class SimEnv:
         t = int(t)
         if not plan.assignments:
             return []
-        ctrl_size = max(int(round(plan.control_fraction * self.spec.users)), 1)
-        base = np.asarray(self.spec.base_theta)
-        base_mu = self.hourly_means(base, t)
-        ctrl_readings = [
-            self._group_reading(CONTROL_ID, k, t, float(base_mu[k]), ctrl_size)
-            for k in range(len(self.spec.metrics))
+        spec = self.spec
+        n_metrics, draws = len(spec.metrics), spec.draws_per_step
+        ids = [cid for cid, _ in plan.assignments]
+        sizes = [max(int(round(plan.control_fraction * spec.users)), 1)] + [
+            max(int(round(frac * spec.users)), 1) for _, frac in plan.assignments
         ]
-        batches = []
-        for cid, frac in plan.assignments:
-            size = max(int(round(frac * self.spec.users)), 1)
-            mu = self.hourly_means(np.asarray(thetas[cid], dtype=float), t)
-            readings = tuple(
-                (
-                    self._group_reading(cid, k, t, float(mu[k]), size),
-                    ctrl_readings[k],
+        # One block in stream order: the control's readings, then per
+        # candidate its readings followed by its extra-delay normal.
+        block = self._rng.standard_normal(
+            n_metrics * draws + len(ids) * (n_metrics * draws + 1)
+        )
+        per_cand = block[n_metrics * draws:].reshape(len(ids), n_metrics * draws + 1)
+        z = np.concatenate(
+            (block[: n_metrics * draws], per_cand[:, :-1].ravel())
+        ).reshape(-1, draws)                                    # (groups * M, D)
+        mu = self.hourly_means(
+            np.array([spec.base_theta] + [thetas[cid] for cid in ids], dtype=float), t
+        ).ravel()
+        # Draws are mu + sigma*z with standard-normal z, so the sample
+        # statistics reduce to affine transforms of z's statistics; the
+        # zero-noise limit then returns mu and 0 exactly.  The per-user
+        # variance is estimated from the simulated draws, while the mean
+        # is drawn at the full group's sampling scale sigma^2/group_size
+        # so that reported precisions match how the mean actually moves.
+        mean_scale = np.sqrt(draws / np.repeat(sizes, n_metrics))
+        means = (mu + (spec.sigma * mean_scale) * np.mean(z, axis=1)).tolist()
+        variances = (spec.sigma**2 * np.var(z, axis=1, ddof=1)).tolist()
+        # Generator.normal(loc, scale) is loc + scale * standard normal.
+        xis = np.abs(spec.xi_mean + spec.xi_sd * per_cand[:, -1]).tolist()
+
+        def readings(group: int, cid: int) -> list[GroupReading]:
+            return [
+                GroupReading(
+                    candidate_id=cid,
+                    metric=metric,
+                    round=t,
+                    sample_mean=means[group * n_metrics + k],
+                    sample_var=variances[group * n_metrics + k],
+                    group_size=sizes[group],
                 )
-                for k in range(len(self.spec.metrics))
+                for k, metric in enumerate(spec.metrics)
+            ]
+
+        ctrl = readings(0, CONTROL_ID)
+        return [
+            InboundBatch(
+                origin_round=t,
+                arrival_round=t + spec.fixed_delay + int(round(xi)),
+                readings=tuple(zip(readings(i, cid), ctrl)),
             )
-            xi = int(round(abs(self._rng.normal(self.spec.xi_mean, self.spec.xi_sd))))
-            batches.append(
-                InboundBatch(
-                    origin_round=t,
-                    arrival_round=t + self.spec.fixed_delay + xi,
-                    readings=readings,
-                )
-            )
-        return batches
+            for i, (cid, xi) in enumerate(zip(ids, xis), start=1)
+        ]
 
     # Persistence
 

@@ -69,6 +69,12 @@ class TestDeltaStat:
         with pytest.raises(ValueError):
             DeltaStat(mean=0.0, var=0.0, weight=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for fields in ((bad, 0.0, 1.0), (0.0, bad, 1.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError):
+                DeltaStat(*fields)
+
 
 class TestHourlyDeltaStat:
     """Frozen hand-derived values for both estimator modes."""
@@ -114,6 +120,16 @@ class TestHourlyDeltaStat:
         control = reading(cid=0, mean=0.0)
         with pytest.raises(DegenerateBaseError):
             hourly_delta_stat(test, control)
+
+    @pytest.mark.parametrize("mode", list(TaylorMode))
+    def test_overflowing_estimate_is_degenerate(self, mode):
+        # m**2 overflows (Python raises); the tiny control's products give inf.
+        for test, control in (
+            (reading(mean=1e200), reading(cid=0, mean=1.0)),
+            (reading(mean=100.0), reading(cid=0, mean=1e-5, var=1e300)),
+        ):
+            with pytest.raises(DegenerateBaseError, match="finite"):
+                hourly_delta_stat(test, control, mode)
 
     def test_metric_mismatch_rejected(self):
         with pytest.raises(ValueError, match="metric"):

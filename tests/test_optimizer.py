@@ -6,6 +6,8 @@ infeasible ones, take the argmax with lowest-id ties, fall back to the
 best worst-constraint slack when nothing is feasible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,32 @@ class TestSelect:
         assert len(res.winners) == 500
         assert set(res.winners) <= set(deltas)
         assert sum(res.multiplicity().values()) == 500
+
+    def test_peak_memory_is_two_draw_arrays(self):
+        """The draws and one array of their size are the most selection holds
+        at once: slack, then objective, then the draws are dropped."""
+        rng = np.random.default_rng(5)
+        n, k = 150, 1000
+        rec = EstimateRecord()
+        for cid in range(1, n + 1):
+            for metric in ("x1", "x2"):
+                rec.absorb(
+                    cid, metric, 0,
+                    DeltaStat(mean=rng.normal(0, 0.05), var=1e-4, weight=10),
+                )
+        problem = make_problem(
+            LinearExpr((1.0, 0.5)),
+            (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
+        )
+        bucket = [hp(c) for c in range(1, n + 1)]
+        tracemalloc.start()
+        try:
+            select(bucket, rec, problem, k, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        draw_bytes = k * n * 2 * 8
+        assert peak < 2.25 * draw_bytes
 
     def test_deterministic_given_seed(self):
         rng_deltas = np.random.default_rng(8)

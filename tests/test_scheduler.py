@@ -290,6 +290,38 @@ class TestIngest:
         agg = sched.record.aggregate(1, "x1")
         assert agg.mean == pytest.approx(0.02, rel=1e-9)
 
+    def test_non_finite_lifts_dropped_and_loop_continues(self):
+        """Finite readings whose lift overflows are dropped like a zero
+        control; the batch is not aborted and the next round selects."""
+        sched = make_sched(seed=3, select_count=10, proposal_samples=8)
+        sched.initial_plan()
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+
+        def row(cid, metric, mean, ctrl_mean=100.0, ctrl_var=4.0):
+            return (
+                GroupReading(candidate_id=cid, metric=metric, round=1,
+                             sample_mean=mean, sample_var=4.0, group_size=1000),
+                GroupReading(candidate_id=0, metric=metric, round=1,
+                             sample_mean=ctrl_mean, sample_var=ctrl_var,
+                             group_size=1000),
+            )
+
+        batches = [
+            InboundBatch(origin_round=1, arrival_round=2, readings=(
+                row(1, "x1", 102.0),                                # valid
+                row(1, "x2", 1e200),                                # m**2 overflows
+            )),
+            InboundBatch(origin_round=1, arrival_round=2, readings=(
+                row(2, "x1", 102.0, ctrl_mean=1e-5, ctrl_var=1e300),  # inf lift
+                row(2, "x2", 101.0),                                # valid
+            )),
+        ]
+        assert sched.ingest(batches) == 2
+        assert sched.record.rounds_absorbed(1, "x2") == 1
+        assert sched.record.rounds_absorbed(2, "x1") == 1
+        sched.run_round([])
+        assert sched.last_selection is not None
+
 
 class TestPersistence:
     def run_some_rounds(self, store_dir=None, rounds=4, seed=3):
@@ -380,11 +412,14 @@ class TestPersistence:
             (1, lambda f: f[:4] + ["-1.0"] + f[5:]),             # negative var
             (1, lambda f: f[:5] + ["0"] + f[6:]),                # empty group
             (1, lambda f: f[:6] + ["0.0"] + f[7:]),              # degenerate control
+            (1, lambda f: f[:3] + ["1e200"] + f[4:]),            # lift overflows
+            (1, lambda f: f[:6] + ["1e-05", "1e300"] + f[8:]),   # infinite lift
             (None, None),                                        # duplicate key
         ],
         ids=[
             "header", "truncated", "extra", "unparseable", "nan", "inf",
-            "negative-var", "empty-group", "degenerate", "duplicate",
+            "negative-var", "empty-group", "degenerate", "overflow",
+            "infinite-lift", "duplicate",
         ],
     )
     def test_malformed_metrics_row_fails(self, tmp_path, line, edit):

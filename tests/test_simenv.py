@@ -1,14 +1,16 @@
 """Tests for the synthetic environment: landscape, sampling, delays, snapshots."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from zotune.deltastats import TaylorMode, hourly_delta_stat
-from zotune.scheduler import RoundPlan
-from zotune.simenv import CONTROL_ID, PERIOD, EnvSpec, SimEnv
+import zotune.simenv as simenv
+from zotune.deltastats import GroupReading, TaylorMode, hourly_delta_stat
+from zotune.scheduler import InboundBatch, RoundPlan
+from zotune.simenv import CONTROL_ID, LIFT_SCALE, PERIOD, EnvSpec, SimEnv
 
 SEEDS = (0, 1, 7, 42, 131)
 
@@ -250,3 +252,149 @@ class TestSnapshot:
     def test_draws_per_step_floor(self):
         with pytest.raises(ValueError):
             SimEnv.build(1, draws_per_step=1)
+
+
+# SHA-256 of sorted-key ``EnvSpec.to_dict()`` JSON, recorded before the
+# landscape build shared its grid terms.  Seeds 1-3 are the bench's set-up
+# seeds and 42, 40 the frozen trajectory's; 40, 12 and 36 redraw the
+# landscape 5, 7 and 12 times.
+FROZEN_SPEC_DIGESTS = {
+    1: "37478de3d94047e8dc803ba0f8da8a4ddd97932ba3e2ba745978324bb3e124c0",
+    2: "dd3ef84cd6b75678b5d98003b7d7ae753ee0950e8b9f90a580ace656e3b20f1a",
+    3: "4b044ad8a957b14f42a0b5a449fe220350afca31f3f5831b2d68e62529168a09",
+    12: "7f9188c7deed784ea40ee8706a8162783395ce9d9549424ddfd92c0ffc6b54ff",
+    36: "fcc4b0a4862e5fea177a6024606d91de847bd0be24d01c01ae972f07277c6641",
+    40: "0cc057389875b4c653bc3962c74e38cbf19ea4dd91e7f7eae085841a21c4e6b5",
+    42: "3f537908c34a4e425f391f24708f387916c807c00e7e51e0587ed1b960f5eaa0",
+}
+
+
+class TestFrozenLandscape:
+    """Generated landscapes keep every bit, including after redraws."""
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_SPEC_DIGESTS))
+    def test_spec_digest(self, seed):
+        spec = SimEnv.build(seed).spec.to_dict()
+        digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
+        assert digest == FROZEN_SPEC_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed, tries", [(12, 7), (36, 12), (40, 5)])
+    def test_redraw_seeds_redraw(self, seed, tries, monkeypatch):
+        calls = []
+        typicality = simenv._base_typicality
+        monkeypatch.setattr(
+            simenv, "_base_typicality", lambda *a: calls.append(1) or typicality(*a)
+        )
+        SimEnv.build(seed)
+        assert len(calls) == tries
+
+
+def _reference_raw(field, thetas):
+    """``RadialBumpField.raw`` in its ``(..., b, 2)`` difference form."""
+    thetas = np.asarray(thetas, dtype=float)
+    centers = np.asarray(field.centers)
+    widths = np.asarray(field.widths)
+    amps = np.asarray(field.amps)
+    diff = thetas[..., None, :] - centers
+    sq = np.sum(diff * diff, axis=-1)
+    return np.sum(amps * np.exp(-sq / (2.0 * widths**2)), axis=-1)
+
+
+def _reference_hourly_means(env, theta, t):
+    fields = (env.spec.delta1, env.spec.delta2)
+    d = np.stack(
+        [np.clip((_reference_raw(f, theta) - f.lo) / f.span, 0.0, 1.0) for f in fields],
+        axis=-1,
+    )
+    w = np.array([env.w1_values[t % PERIOD], env.w2_values[t % PERIOD]])
+    return (1.0 + LIFT_SCALE * d) * w
+
+
+def _reference_step(env, rng, plan, t, thetas):
+    """``SimEnv.step`` sampling one reading at a time from ``rng``."""
+    spec = env.spec
+
+    def group_reading(cid, k, mu, size):
+        z = rng.standard_normal(spec.draws_per_step)
+        mean_scale = np.sqrt(spec.draws_per_step / size)
+        return GroupReading(
+            candidate_id=cid,
+            metric=spec.metrics[k],
+            round=t,
+            sample_mean=float(mu + spec.sigma * mean_scale * np.mean(z)),
+            sample_var=float(spec.sigma**2 * np.var(z, ddof=1)),
+            group_size=size,
+        )
+
+    if not plan.assignments:
+        return []
+    ctrl_size = max(int(round(plan.control_fraction * spec.users)), 1)
+    base_mu = _reference_hourly_means(env, np.asarray(spec.base_theta), t)
+    ctrl = [
+        group_reading(CONTROL_ID, k, float(base_mu[k]), ctrl_size)
+        for k in range(len(spec.metrics))
+    ]
+    batches = []
+    for cid, frac in plan.assignments:
+        size = max(int(round(frac * spec.users)), 1)
+        mu = _reference_hourly_means(env, np.asarray(thetas[cid], dtype=float), t)
+        readings = tuple(
+            (group_reading(cid, k, float(mu[k]), size), ctrl[k])
+            for k in range(len(spec.metrics))
+        )
+        xi = int(round(abs(rng.normal(spec.xi_mean, spec.xi_sd))))
+        batches.append(
+            InboundBatch(
+                origin_round=t,
+                arrival_round=t + spec.fixed_delay + xi,
+                readings=readings,
+            )
+        )
+    return batches
+
+
+class TestStepReference:
+    """One draw block per step reproduces per-reading sampling exactly."""
+
+    @pytest.mark.parametrize("seed", [1, 42, 131])
+    def test_raw_matches_difference_form(self, seed):
+        env = SimEnv.build(seed)
+        rng = np.random.default_rng(seed)
+        for field in (env.spec.delta1, env.spec.delta2):
+            for shape in [(2,), (1, 2), (257, 2), (3, 5, 2)]:
+                thetas = rng.uniform(-0.2, 1.2, size=shape)
+                assert np.array_equal(field.raw(thetas), _reference_raw(field, thetas))
+
+    @pytest.mark.parametrize(
+        "n_cands, overrides",
+        [
+            (1, {}),
+            (130, {}),
+            (0, {}),
+            (130, {"users": 100}),
+            (5, {"sigma": 0.0}),
+            (5, {"xi_sd": 0.0}),
+            (5, {"xi_mean": 1.5, "xi_sd": 2.0}),
+            (5, {"draws_per_step": 2}),
+            (5, {"fixed_delay": 0}),
+        ],
+    )
+    def test_batches_and_stream_match(self, n_cands, overrides):
+        env = SimEnv.build(7, **overrides)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = env.rng_state
+        pick = np.random.default_rng(n_cands)
+        thetas = {cid: tuple(pick.uniform(0.0, 1.0, size=2)) for cid in range(1, n_cands + 1)}
+        if thetas:
+            thetas[1] = env.spec.base_theta
+        share = 0.8 / max(n_cands, 1)
+        plan = RoundPlan(
+            round=0,
+            control_fraction=0.2,
+            assignments=tuple((cid, share) for cid in thetas),
+        )
+        for t in (0, 1, 23, 30):
+            got = env.step(plan, t, thetas)
+            assert got == _reference_step(env, rng, plan, t, thetas)
+            assert len(got) == n_cands
+            assert env.rng_state == rng.bit_generator.state
