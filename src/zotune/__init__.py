@@ -24,7 +24,6 @@ from .gp import (
     FitFailureError,
     GpSurrogate,
     RejectedInputError,
-    sample_delta,
 )
 from .harness import (
     DEFAULT_SEED_POOL,
@@ -126,7 +125,6 @@ __all__ = [
     "propose",
     "run_experiment",
     "run_single",
-    "sample_delta",
     "save_problem",
     "select",
     "violation",

@@ -28,8 +28,8 @@ class DegenerateBaseError(ValueError):
     """This hour admits no finite lift estimate.
 
     Raised when the control-group mean is too close to zero to divide by,
-    or when the lift's mean or variance would overflow to a non-finite
-    value.
+    when the lift's mean or variance would overflow to a non-finite value,
+    or when absorbing the hour would overflow its key's running sums.
     """
 
 
@@ -186,7 +186,9 @@ class EstimateRecord:
 
     ``absorb`` accepts rows in any arrival order; each (candidate, metric,
     round) key is accepted exactly once and a retry raises
-    ``DuplicateRoundError`` leaving the record unchanged.
+    ``DuplicateRoundError`` leaving the record unchanged.  A row whose
+    weighted terms would overflow the running sums raises
+    ``DegenerateBaseError`` and leaves the record unchanged too.
     """
 
     def __init__(self) -> None:
@@ -199,16 +201,24 @@ class EstimateRecord:
         series = self._series.get(key)
         if series is None:
             series = _Series(by_round={})
-            self._series[key] = series
-        if round_no in series.by_round:
+        elif round_no in series.by_round:
             raise DuplicateRoundError(
                 f"candidate {key[0]} metric {key[1]!r} round {round_no} "
                 "was already absorbed"
             )
+        sums = (
+            series.sum_w + stat.weight,
+            series.sum_wm + stat.weight * stat.mean,
+            series.sum_w2v + stat.weight * stat.weight * stat.var,
+        )
+        if not all(map(math.isfinite, sums)):
+            raise DegenerateBaseError(
+                f"candidate {key[0]} metric {key[1]!r} round {round_no} "
+                "would overflow the running sums"
+            )
+        self._series[key] = series
         series.by_round[round_no] = stat
-        series.sum_w += stat.weight
-        series.sum_wm += stat.weight * stat.mean
-        series.sum_w2v += stat.weight * stat.weight * stat.var
+        series.sum_w, series.sum_wm, series.sum_w2v = sums
 
     def hourly(self, candidate_id: int, metric: str) -> list[tuple[int, DeltaStat]]:
         """Hourly stats for one key, sorted by round (ascending)."""

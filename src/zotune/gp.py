@@ -1,10 +1,10 @@
 """Gaussian beliefs over candidates and GP interpolation between them.
 
-Two layers share one vocabulary.  A ``CandidateBelief`` is the per-metric
-Gaussian summary of a measured candidate, built directly from aggregated
-lift statistics.  A ``GpSurrogate`` is a set of independent per-metric
-Gaussian-process regressors fitted through those beliefs, used to predict a
-belief at configurations that have never been measured.
+A ``GpSurrogate`` is a set of independent per-metric Gaussian-process
+regressors fitted through the beliefs of measured candidates, given as
+``(n, M)`` arrays of lift means and variances, and used to predict a belief
+at configurations that have never been measured.  ``predict`` returns one
+such belief as a ``CandidateBelief``.
 
 Each metric's regressor uses a squared-exponential kernel on inputs
 normalized to the unit box, a zero prior mean, signal variance from the
@@ -19,6 +19,13 @@ in signal variance, noise and targets.  The unit kernel
 ``exp(-0.5 * sum_k ((x1_k - x2_k) / l_k)**2)`` is therefore computed once
 per fit and once per prediction, and each metric scales it by its signal
 variance (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1).
+
+Each length scale is an exact order statistic of a sorted matrix: the
+pairwise gaps of a dimension's sorted coordinates grow along rows and
+shrink down columns, so the median is selected from the gaps inside a
+bracket without building all ``n(n-1)/2`` of them (Frederickson & Johnson,
+"Generalized Selection and Ranking: Sorted Matrices", SIAM J. Comput.,
+1984).  It equals ``np.median`` of the condensed distances bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .problem import HyperParam
 BASE_JITTER = 1e-8
 MAX_JITTER = 1e-4
 SIGNAL_VAR_FLOOR = 1e-8
+_MEDIAN_SUBSAMPLE = 64      # sorted points whose gaps bracket the median
+_MEDIAN_MARGIN = 1.0 / 64   # first bracket's half-width, as a share of their gaps
 
 
 class FitFailureError(RuntimeError):
@@ -46,7 +55,7 @@ class RejectedInputError(ValueError):
 
 @dataclass(frozen=True)
 class CandidateBelief:
-    """Independent per-metric Gaussian summary of one candidate's lifts."""
+    """Independent per-metric Gaussian summary of one configuration's lifts."""
 
     candidate_id: int | None
     mu: np.ndarray
@@ -63,36 +72,94 @@ class CandidateBelief:
             raise ValueError("belief variances must be nonnegative")
 
 
-def sample_delta(belief: CandidateBelief, rng: np.random.Generator) -> np.ndarray:
-    """One joint draw of the lift vector; metrics are independent."""
-    return belief.mu + np.sqrt(belief.sigma2) * rng.standard_normal(belief.mu.shape)
-
-
 def _normalize(thetas: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     return (thetas - lo) / span
+
+
+def _gap_row_ends(s: np.ndarray, t: float) -> np.ndarray:
+    """Per row ``i`` of sorted ``s``, the first ``j > i`` with ``fl(s[j] - s[i]) >= t``.
+
+    ``y -> fl(y - s[i])`` is monotone, so row ``i``'s gaps reach ``t`` exactly
+    at the columns with ``s[j] >= u_i``, the least float whose difference
+    reaches it.  ``s[i] + t`` lands next to ``u_i``; one-ulp steps that
+    recompute the difference settle on it exactly, and ``searchsorted``
+    places it.
+    """
+    first = np.arange(1, s.shape[0] + 1)
+    if t <= 0.0:
+        return first
+    u = s + t
+    while True:
+        low = (u - s) < t
+        if not low.any():
+            break
+        u[low] = np.nextafter(u[low], np.inf)
+    while True:
+        prev = np.nextafter(u, -np.inf)
+        high = (prev - s) >= t
+        if not high.any():
+            break
+        u[high] = prev[high]
+    return np.maximum(np.searchsorted(s, u), first)
+
+
+def _median_gap(s: np.ndarray) -> float:
+    """``np.median`` of the gaps ``fl(s[j] - s[i])``, ``i < j``, of sorted ``s``.
+
+    IEEE subtraction is sign-symmetric, so these are exactly the pairwise
+    ``|x_i - x_j|``, and they grow along rows and shrink down columns.  The
+    order statistics ``np.median`` averages are selected without the
+    ``n(n-1)/2`` array: a strided subsample's gaps give a bracket of values,
+    exact row bounds count the gaps below and inside it (the bracket widens
+    until it holds the ranks), and only the gaps inside are partitioned.
+    """
+    n = s.shape[0]
+    total = n * (n - 1) // 2
+    ranks = np.unique([(total - 1) // 2, total // 2])
+    sub = s[:: max(1, n // _MEDIAN_SUBSAMPLE)]
+    sub_gaps = np.sort((sub[None, :] - sub[:, None])[np.triu_indices(sub.shape[0], 1)])
+    if sub.shape[0] == n:  # the subsample is every point: all gaps are sorted
+        return float(np.mean(sub_gaps[ranks]))
+    first = np.arange(1, n + 1)
+    half = sub_gaps.shape[0] // 2
+    w_lo = w_hi = max(1, int(_MEDIAN_MARGIN * sub_gaps.shape[0]))
+    while True:
+        lo = sub_gaps[half - w_lo] if w_lo <= half else 0.0
+        hi = sub_gaps[half + w_hi] if half + w_hi < sub_gaps.shape[0] else s[-1] - s[0]
+        left = _gap_row_ends(s, lo)                           # gaps >= lo start here
+        right = _gap_row_ends(s, np.nextafter(hi, np.inf))    # gaps > hi start here
+        below = int(np.sum(left - first))
+        upto = int(np.sum(right - first))
+        if below <= ranks[0] and upto > ranks[-1]:
+            break
+        if below > ranks[0]:
+            w_lo *= 2
+        if upto <= ranks[-1]:
+            w_hi *= 2
+    lens = right - left
+    rows = np.repeat(np.arange(n), lens)
+    cols = np.arange(upto - below) + np.repeat(left - (np.cumsum(lens) - lens), lens)
+    gaps = s[cols] - s[rows]
+    gaps.partition(ranks - below)
+    return float(np.mean(gaps[ranks - below]))
 
 
 def _median_lengthscales(x: np.ndarray) -> np.ndarray:
     """Per-dimension median pairwise distance, with positive fallbacks.
 
-    Each dimension's distances ``|x_i - x_j|``, ``i < j``, are laid out in
-    row-major upper-triangle order, so the mean fallback sums them in the
-    order of a condensed distance vector.
+    A zero median falls back to the mean distance, a pairwise sum whose last
+    bit depends on its order, so that dimension's distances ``|x_i - x_j|``,
+    ``i < j``, are laid out in row-major upper-triangle order, as in a
+    condensed distance vector.
     """
     n, d = x.shape
     if n < 2:
         return np.ones(d)
-    xt = x.T
-    dists = np.empty((d, n * (n - 1) // 2))
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.subtract(xt[:, i, None], xt[:, i + 1 :], out=dists[:, start:stop])
-        start = stop
-    np.abs(dists, out=dists)
-    scales = np.median(dists, axis=1)
+    scales = np.array([_median_gap(np.sort(x[:, k])) for k in range(d)])
     for k in np.flatnonzero(scales <= 0.0):
-        m = float(np.mean(dists[k]))
+        col = x[:, k]
+        dists = np.concatenate([np.abs(col[i] - col[i + 1 :]) for i in range(n - 1)])
+        m = float(np.mean(dists))
         scales[k] = m if m > 0.0 else 1.0
     return scales
 
@@ -182,7 +249,8 @@ class GpSurrogate:
     def fit(
         cls,
         bucket: Sequence[HyperParam],
-        beliefs: Sequence[CandidateBelief],
+        mu: np.ndarray,
+        var: np.ndarray,
         *,
         lengthscales: np.ndarray | None = None,
         signal_var: float | Sequence[float] | None = None,
@@ -190,26 +258,31 @@ class GpSurrogate:
     ) -> "GpSurrogate":
         """Fit per-metric regressors through the beliefs of measured candidates.
 
-        ``bucket`` and ``beliefs`` must align one-to-one.  ``lengthscales``
-        and ``signal_var`` override the data-driven heuristics when given
-        (length scales apply in normalized coordinates).
+        ``mu`` and ``var`` are ``(n, M)`` arrays of lift means and variances,
+        row ``i`` belonging to ``bucket[i]``.  ``lengthscales`` and
+        ``signal_var`` override the data-driven heuristics when given (length
+        scales apply in normalized coordinates).
         """
         if len(bucket) == 0:
             raise ValueError("cannot fit on an empty bucket")
-        if len(bucket) != len(beliefs):
-            raise ValueError("bucket and beliefs must align one-to-one")
+        # C order keeps the second moment's reduction order, and its bits.
+        mus = np.ascontiguousarray(mu, dtype=float)
+        noises = np.ascontiguousarray(var, dtype=float)
+        if mus.ndim != 2 or mus.shape != noises.shape or mus.shape[0] != len(bucket):
+            raise ValueError("mu and var must be (n, M) arrays aligned with the bucket")
+        if np.any(noises < 0):
+            raise ValueError("belief variances must be nonnegative")
         bounds = bucket[0].bounds
         for hp in bucket:
             if hp.bounds != bounds:
                 raise ValueError("all candidates must share one bounds box")
-        n_metrics = beliefs[0].mu.shape[0]
-        for b in beliefs:
-            if b.mu.shape[0] != n_metrics:
-                raise ValueError("all beliefs must cover the same metrics")
+        n_metrics = mus.shape[1]
 
         thetas = np.array([hp.theta for hp in bucket], dtype=float)
         lo, _, span = _box(bounds)
         x = _normalize(thetas, lo, span)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mus)) and np.all(np.isfinite(noises))):
+            raise FitFailureError("training inputs, targets, and noise must be finite")
 
         if lengthscales is None:
             ls = _median_lengthscales(x)
@@ -217,11 +290,6 @@ class GpSurrogate:
             ls = np.array(lengthscales, dtype=float)
             if ls.shape != (x.shape[1],) or np.any(ls <= 0):
                 raise ValueError("lengthscales must be positive, one per dimension")
-
-        mus = np.array([b.mu for b in beliefs], dtype=float)        # (n, M)
-        noises = np.array([b.sigma2 for b in beliefs], dtype=float)  # (n, M)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mus)) and np.all(np.isfinite(noises))):
-            raise FitFailureError("training inputs, targets, and noise must be finite")
 
         if signal_var is None:
             # Huge finite targets overflow the second moment; that is a

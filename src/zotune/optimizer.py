@@ -9,6 +9,12 @@ draw has the largest worst-constraint slack, and is counted separately.
 Winners form a multiset: a candidate picked in several repetitions later
 earns proportionally more traffic.
 
+The draws are one ``(K, n, M)`` standard-normal stream in C order:
+repetition, then candidate in id order, then metric.  Selection draws and
+scores it in blocks of whole repetitions, about 1 MiB each, so memory stays
+flat in K while the draws, winners and generator state stay those of a
+single ``(K, n, M)`` draw.
+
 Proposal explores the continuous box instead of the bucket: it scores N
 uniformly sampled configurations through a fitted surrogate with one
 Thompson draw each and returns the feasible argmax (same fallback) as a
@@ -24,26 +30,32 @@ from typing import Sequence
 import numpy as np
 
 from .deltastats import EstimateRecord, NoDataError
-from .gp import CandidateBelief, GpSurrogate
+from .gp import GpSurrogate
 from .problem import HyperParam, TuningProblem
+
+_DRAW_BLOCK = 1 << 17  # doubles in one block of Thompson draws (1 MiB)
 
 
 class RejectedSurrogateError(ValueError):
     """Proposal was attempted without a fitted surrogate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Outcome of one K-repetition selection pass.
 
     ``winners`` holds one candidate id per repetition (a multiset of size
-    K); ``beliefs_used`` are the aggregated beliefs the draws came from, in
-    candidate-id order; ``infeasible_rounds`` counts the repetitions that
-    were decided by the fallback rule.
+    K).  ``candidate_ids`` are the candidates the draws came from, in id
+    order, and row ``i`` of the read-only ``(n, M)`` arrays ``mu`` and
+    ``var`` is candidate ``candidate_ids[i]``'s aggregated belief.
+    ``infeasible_rounds`` counts the repetitions that were decided by the
+    fallback rule.
     """
 
     winners: tuple[int, ...]
-    beliefs_used: tuple[CandidateBelief, ...]
+    candidate_ids: tuple[int, ...]
+    mu: np.ndarray
+    var: np.ndarray
     infeasible_rounds: int
 
     def multiplicity(self) -> dict[int, int]:
@@ -104,41 +116,51 @@ def select(
     """
     if k_repetitions < 1:
         raise ValueError("selection needs at least one repetition")
-    measured = record.candidates_with_data(problem.metrics)
-    by_id = {hp.id: hp for hp in bucket}
-    eligible = [cid for cid in measured if cid in by_id]
+    bucket_ids = sorted({hp.id for hp in bucket})
+    mu = np.empty((len(bucket_ids), len(problem.metrics)))
+    var = np.empty_like(mu)
+    eligible = []
+    for cid in bucket_ids:
+        n = len(eligible)
+        for j, metric in enumerate(problem.metrics):
+            agg = record.aggregate(cid, metric)
+            if agg is None:
+                break
+            mu[n, j] = agg.mean
+            var[n, j] = agg.var
+        else:
+            eligible.append(cid)
     if not eligible:
         raise NoDataError("no candidate in the bucket has absorbed data")
+    n = len(eligible)
+    ids, mu, var = np.array(eligible), mu[:n], var[:n]
+    if np.any(var < 0):
+        raise ValueError("belief variances must be nonnegative")
+    mu.flags.writeable = False
+    var.flags.writeable = False
 
-    beliefs = []
-    for cid in eligible:
-        aggs = [record.aggregate(cid, m) for m in problem.metrics]
-        beliefs.append(
-            CandidateBelief(
-                candidate_id=cid,
-                mu=np.array([a.mean for a in aggs]),
-                sigma2=np.array([a.var for a in aggs]),
-            )
-        )
-
-    mu = np.array([b.mu for b in beliefs])          # (n, M)
-    sd = np.sqrt(np.array([b.sigma2 for b in beliefs]))
-    draws = rng.standard_normal((k_repetitions,) + mu.shape)  # (K, n, M)
-    draws *= sd
-    draws += mu
-
-    # Slack, objective, then drop the draws: the peak stays at two
-    # draw-sized arrays, under glibc's dynamic trim threshold (twice the
-    # largest freed mapped block), so these temporaries are not handed back
-    # to the OS and faulted in again every round.
-    slack = problem.constraint_slack_batch(draws)   # (m, K, n)
-    fvals = problem.objective_batch(draws)          # (K, n)
-    del draws
-    winner_cols, infeasible = _winner_indices(fvals, slack)
-    ids = np.array(eligible)
+    # The generator fills draws in C order, and each repetition's objective
+    # and slacks are one product per repetition, so drawing and scoring the
+    # repetitions block by block gives the draws, winners and generator
+    # state of one (K, n, M) array in a fixed, small amount of memory.
+    sd = np.sqrt(var)
+    block = np.empty((min(k_repetitions, max(1, _DRAW_BLOCK // mu.size)),) + mu.shape)
+    winner_cols = np.empty(k_repetitions, dtype=np.intp)
+    infeasible = 0
+    for k0 in range(0, k_repetitions, block.shape[0]):
+        k1 = min(k0 + block.shape[0], k_repetitions)
+        draws = rng.standard_normal(out=block[: k1 - k0])   # (k1 - k0, n, M)
+        draws *= sd
+        draws += mu
+        slack = problem.constraint_slack_batch(draws)        # (m, k1 - k0, n)
+        fvals = problem.objective_batch(draws)               # (k1 - k0, n)
+        winner_cols[k0:k1], block_infeasible = _winner_indices(fvals, slack)
+        infeasible += block_infeasible
     return SelectionResult(
-        winners=tuple(int(i) for i in ids[winner_cols]),
-        beliefs_used=tuple(beliefs),
+        winners=tuple(ids[winner_cols].tolist()),
+        candidate_ids=tuple(ids.tolist()),
+        mu=mu,
+        var=var,
         infeasible_rounds=infeasible,
     )
 

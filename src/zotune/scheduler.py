@@ -456,8 +456,10 @@ class Scheduler:
     def ingest(self, batches: Iterable[InboundBatch]) -> int:
         """Absorb feedback rows; duplicates are skipped (first write wins).
 
-        Returns the number of rows newly absorbed.  Batches may arrive in
-        any order and for any origin round.
+        Hours that admit no finite lift estimate, or whose weighted terms
+        would overflow their key's running sums, are dropped.  Returns the
+        number of rows newly absorbed.  Batches may arrive in any order and
+        for any origin round.
         """
         absorbed = 0
         for batch in batches:
@@ -468,7 +470,9 @@ class Scheduler:
                     continue
                 try:
                     self.record.absorb(test.candidate_id, test.metric, test.round, stat)
-                except DuplicateRoundError:
+                except (DuplicateRoundError, DegenerateBaseError):
+                    # A repeated key (first write wins), or an hour whose
+                    # weight would overflow the key's running sums.
                     continue
                 self._raw_log.append((test, ctrl))
                 absorbed += 1
@@ -483,8 +487,11 @@ class Scheduler:
         """
         round_no = self._round + 1
         self.ingest(inbound)
-        measured = set(self.record.candidates_with_data(self.problem.metrics))
-        eligible = [cid for cid in sorted(self._bucket) if cid in measured]
+        eligible = [
+            self._bucket[cid]
+            for cid in self.record.candidates_with_data(self.problem.metrics)
+            if cid in self._bucket
+        ]
 
         if not eligible:
             if not self._exposed:
@@ -496,7 +503,7 @@ class Scheduler:
             self.last_selection = None
         else:
             sel = select(
-                [self._bucket[cid] for cid in eligible],
+                eligible,
                 self.record,
                 self.problem,
                 self.config.select_count,
@@ -506,9 +513,7 @@ class Scheduler:
             units = Counter(sel.winners)
             u = self.rng.random()
             if u < self.config.proposal_prob:
-                surrogate = GpSurrogate.fit(
-                    [self._bucket[cid] for cid in eligible], sel.beliefs_used
-                )
+                surrogate = GpSurrogate.fit(eligible, sel.mu, sel.var)
                 prop = propose(
                     surrogate,
                     self.problem,

@@ -20,7 +20,7 @@ from zotune.deltastats import (
     TaylorMode,
     hourly_delta_stat,
 )
-from zotune.gp import BASE_JITTER, CandidateBelief, GpSurrogate
+from zotune.gp import BASE_JITTER, GpSurrogate
 from zotune.harness import (
     ExperimentConfig,
     SingleRun,
@@ -192,11 +192,8 @@ def test_criterion_4_surrogate_identities(verdict):
     pts = [(a, b) for a in (0.1, 0.5, 0.9) for b in (0.1, 0.5, 0.9)]
     bucket = [HyperParam(id=i + 1, theta=p, bounds=BOUNDS) for i, p in enumerate(pts)]
     targets = [0.02 * (i - 4) for i in range(len(pts))]
-    beliefs = [
-        CandidateBelief(candidate_id=i + 1, mu=np.array([t]), sigma2=np.array([0.0]))
-        for i, t in enumerate(targets)
-    ]
-    gp = GpSurrogate.fit(bucket, beliefs)
+    mu = np.array(targets)[:, None]
+    gp = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
     mu, var = gp.predict_batch(np.array(pts))
     interp_err = float(np.max(np.abs(mu[:, 0] - np.array(targets))))
 
@@ -213,11 +210,7 @@ def test_criterion_4_surrogate_identities(verdict):
         HyperParam(id=1, theta=(1.0, 1.0), bounds=big),
         HyperParam(id=2, theta=(2.0, 2.0), bounds=big),
     ]
-    far_beliefs = [
-        CandidateBelief(candidate_id=1, mu=np.array([0.04]), sigma2=np.array([0.0])),
-        CandidateBelief(candidate_id=2, mu=np.array([0.06]), sigma2=np.array([0.0])),
-    ]
-    far_gp = GpSurrogate.fit(far_bucket, far_beliefs)
+    far_gp = GpSurrogate.fit(far_bucket, np.array([[0.04], [0.06]]), np.zeros((2, 1)))
     out = far_gp.predict((900.0, 900.0))
     far_mu = abs(float(out.mu[0]))
     far_var_gap = abs(float(out.sigma2[0]) - far_gp.signal_var(0))

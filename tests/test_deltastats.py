@@ -225,6 +225,24 @@ class TestEstimateRecord:
         assert agg.mean == stat.mean
         assert agg.var == stat.var
 
+    def test_running_sum_overflow_refused_and_record_unchanged(self):
+        """A finite hour whose weighted variance overflows its running sum
+        (n**2 * var = 1e6 * 4e303) is refused; nothing is absorbed."""
+        rec = EstimateRecord()
+        first = DeltaStat(mean=0.01, var=1e-4, weight=1000)
+        rec.absorb(1, "x1", 0, first)
+        huge = DeltaStat(mean=1e153, var=4e303, weight=1000)
+        for cid in (1, 2):
+            with pytest.raises(DegenerateBaseError, match="running sums"):
+                rec.absorb(cid, "x1", 1, huge)
+        assert rec.aggregate(1, "x1") == rec.aggregate(1, "x1") == first
+        assert rec.hourly(1, "x1") == [(0, first)]
+        assert rec.aggregate(2, "x1") is None
+        assert rec.candidates_with_data(["x1"]) == [1]
+        assert len(rec) == 1
+        rec.absorb(1, "x1", 1, first)  # the round is still free
+        assert rec.rounds_absorbed(1, "x1") == 2
+
     def test_gaps_are_fine(self):
         rec = EstimateRecord()
         stats = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from zotune import gp as gp_module
 from zotune.gp import (
     BASE_JITTER,
     MAX_JITTER,
@@ -12,7 +13,6 @@ from zotune.gp import (
     FitFailureError,
     GpSurrogate,
     RejectedInputError,
-    sample_delta,
 )
 from zotune.problem import HyperParam
 
@@ -23,11 +23,9 @@ def hp(i, theta, bounds=BOUNDS):
     return HyperParam(id=i, theta=theta, bounds=bounds)
 
 
-def belief(i, mu, sigma2=None):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if sigma2 is None:
-        sigma2 = np.zeros_like(mu)
-    return CandidateBelief(candidate_id=i, mu=mu, sigma2=sigma2)
+def column(values):
+    """One metric's values as an ``(n, 1)`` array."""
+    return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
 class TestCandidateBelief:
@@ -40,40 +38,10 @@ class TestCandidateBelief:
             CandidateBelief(candidate_id=1, mu=[0.0, 1.0], sigma2=[0.0])
 
 
-class TestSampleDelta:
-    def test_zero_variance_returns_mu_exactly(self):
-        b = belief(1, [0.03, -0.01], [0.0, 0.0])
-        draw = sample_delta(b, np.random.default_rng(0))
-        np.testing.assert_array_equal(draw, b.mu)
-
-    def test_standard_normal_moments(self):
-        b = belief(1, [0.0], [1.0])
-        rng = np.random.default_rng(123)
-        draws = np.array([sample_delta(b, rng)[0] for _ in range(100_000)])
-        assert abs(draws.mean()) < 0.02
-        assert 0.97 < draws.var() < 1.03
-
-    def test_fixed_seed_reproducible(self):
-        b = belief(1, [0.1, 0.2], [0.5, 0.25])
-        a = sample_delta(b, np.random.default_rng(42))
-        c = sample_delta(b, np.random.default_rng(42))
-        np.testing.assert_array_equal(a, c)
-
-    def test_independent_metrics(self):
-        """Per-metric draws use exactly one normal each, in metric order."""
-        b = belief(1, [1.0, 2.0], [4.0, 9.0])
-        rng = np.random.default_rng(7)
-        expect = np.array([1.0, 2.0]) + np.array([2.0, 3.0]) * np.random.default_rng(
-            7
-        ).standard_normal(2)
-        np.testing.assert_allclose(sample_delta(b, rng), expect)
-
-
 class TestFitAndPredict:
     def test_single_noiseless_point_interpolates(self):
         bucket = [hp(1, (0.3, 0.7))]
-        beliefs = [belief(1, [0.05], [0.0])]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column([0.05]), column([0.0]))
         out = gp.predict((0.3, 0.7))
         assert out.mu[0] == pytest.approx(0.05, abs=1e-6)
         assert out.sigma2[0] <= BASE_JITTER * 1.01
@@ -82,8 +50,7 @@ class TestFitAndPredict:
         pts = [(a, b) for a in (0.1, 0.5, 0.9) for b in (0.1, 0.5, 0.9)]
         bucket = [hp(i + 1, p) for i, p in enumerate(pts)]
         targets = [0.02 * (i - 4) for i in range(len(pts))]
-        beliefs = [belief(i + 1, [t], [0.0]) for i, t in enumerate(targets)]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column(targets), column([0.0] * len(targets)))
         mu, var = gp.predict_batch(np.array(pts))
         np.testing.assert_allclose(mu[:, 0], targets, atol=1e-6)
         assert np.all(var >= 0.0)
@@ -91,8 +58,7 @@ class TestFitAndPredict:
     def test_far_field_reverts_to_prior(self):
         big = ((0.0, 1000.0), (0.0, 1000.0))
         bucket = [hp(1, (1.0, 1.0), big), hp(2, (2.0, 2.0), big)]
-        beliefs = [belief(1, [0.04], [0.0]), belief(2, [0.06], [0.0])]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column([0.04, 0.06]), column([0.0, 0.0]))
         s2 = gp.signal_var(0)
         out = gp.predict((900.0, 900.0))
         assert abs(out.mu[0]) < 1e-6
@@ -100,8 +66,7 @@ class TestFitAndPredict:
 
     def test_symmetric_targets_cancel_at_midpoint(self):
         bucket = [hp(1, (0.2, 0.5)), hp(2, (0.8, 0.5))]
-        beliefs = [belief(1, [0.03], [0.0]), belief(2, [-0.03], [0.0])]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column([0.03, -0.03]), column([0.0, 0.0]))
         out = gp.predict((0.5, 0.5))
         assert abs(out.mu[0]) < 1e-9
 
@@ -110,8 +75,8 @@ class TestFitAndPredict:
         pts = rng.uniform(0.0, 1.0, size=(20, 2))
         truth = lambda p: 0.1 + 0.05 * p[0] + 0.03 * p[1]
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
-        beliefs = [belief(i + 1, [truth(p)], [0.0]) for i, p in enumerate(pts)]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        mu = column([truth(p) for p in pts])
+        gp = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
         centroid = pts.mean(axis=0)
         queries = [centroid] + [0.5 * centroid + 0.5 * p for p in pts[:5]]
         for q in queries:
@@ -122,11 +87,9 @@ class TestFitAndPredict:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.0, 1.0, size=(15, 2))
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
-        beliefs = [
-            belief(i + 1, [rng.normal(0, 0.05)], [rng.uniform(0, 1e-4)])
-            for i in range(len(pts))
-        ]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        draws = [(rng.normal(0, 0.05), rng.uniform(0, 1e-4)) for _ in range(len(pts))]
+        mu, var = (column(v) for v in zip(*draws))
+        gp = GpSurrogate.fit(bucket, mu, var)
         queries = rng.uniform(0.0, 1.0, size=(1000, 2))
         _, var = gp.predict_batch(queries)
         assert np.all(var >= 0.0)
@@ -138,9 +101,10 @@ class TestFitAndPredict:
         pts = rng.uniform(0.0, 1.0, size=(10, 2))
         kw = dict(lengthscales=np.array([0.3, 0.3]), signal_var=0.01)
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
-        beliefs = [belief(i + 1, [rng.normal(0, 0.05)], [0.0]) for i in range(10)]
-        small = GpSurrogate.fit(bucket[:9], beliefs[:9], **kw)
-        full = GpSurrogate.fit(bucket, beliefs, **kw)
+        mu = column([rng.normal(0, 0.05) for _ in range(10)])
+        var = np.zeros_like(mu)
+        small = GpSurrogate.fit(bucket[:9], mu[:9], var[:9], **kw)
+        full = GpSurrogate.fit(bucket, mu, var, **kw)
         queries = rng.uniform(0.0, 1.0, size=(100, 2))
         _, var_small = small.predict_batch(queries)
         _, var_full = full.predict_batch(queries)
@@ -152,11 +116,9 @@ class TestFitAndPredict:
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
         y1 = rng.normal(0, 0.05, size=8)
         y2 = rng.normal(0, 0.05, size=8)
-        mk = lambda second: [
-            belief(i + 1, [y1[i], second[i]], [1e-5, 1e-5]) for i in range(8)
-        ]
-        gp_a = GpSurrogate.fit(bucket, mk(y2))
-        gp_b = GpSurrogate.fit(bucket, mk(y2[::-1].copy()))
+        var = np.full((8, 2), 1e-5)
+        gp_a = GpSurrogate.fit(bucket, np.column_stack([y1, y2]), var)
+        gp_b = GpSurrogate.fit(bucket, np.column_stack([y1, y2[::-1]]), var)
         queries = rng.uniform(0.0, 1.0, size=(50, 2))
         mu_a, var_a = gp_a.predict_batch(queries)
         mu_b, var_b = gp_b.predict_batch(queries)
@@ -167,60 +129,74 @@ class TestFitAndPredict:
         rng = np.random.default_rng(13)
         pts = rng.uniform(0.0, 1.0, size=(12, 2))
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
-        beliefs = [
-            belief(i + 1, [rng.normal(0, 0.05), rng.normal(0, 0.02)], [1e-5, 1e-5])
-            for i in range(12)
-        ]
+        mu = np.array([[rng.normal(0, 0.05), rng.normal(0, 0.02)] for _ in range(12)])
+        var = np.full((12, 2), 1e-5)
         queries = rng.uniform(0.0, 1.0, size=(20, 2))
-        a = GpSurrogate.fit(bucket, beliefs).predict_batch(queries)
-        b = GpSurrogate.fit(bucket, beliefs).predict_batch(queries)
+        a = GpSurrogate.fit(bucket, mu, var).predict_batch(queries)
+        b = GpSurrogate.fit(bucket, mu, var).predict_batch(queries)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_contradictory_duplicates_absorbed(self):
         bucket = [hp(1, (0.5, 0.5)), hp(2, (0.5, 0.5))]
-        beliefs = [belief(1, [0.1], [1e-4]), belief(2, [-0.1], [1e-4])]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column([0.1, -0.1]), column([1e-4, 1e-4]))
         out = gp.predict((0.5, 0.5))
         assert np.isfinite(out.mu[0])
         assert abs(out.mu[0]) < 0.1  # shrinks toward the prior between the two
 
     def test_out_of_bounds_query_rejected(self):
-        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
+        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
             gp.predict((1.5, 0.5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
-        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
+        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
             gp.predict((bad, 0.5))
         with pytest.raises(RejectedInputError):
             gp.predict_batch(np.array([[0.5, 0.5], [0.5, bad]]))
 
     def test_wrong_dimension_query_rejected(self):
-        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
+        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
             gp.predict_batch(np.zeros((3, 5)))
 
     def test_empty_bucket_rejected(self):
         with pytest.raises(ValueError):
-            GpSurrogate.fit([], [])
+            GpSurrogate.fit([], np.empty((0, 1)), np.empty((0, 1)))
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
-            GpSurrogate.fit([hp(1, (0.5, 0.5))], [])
+            GpSurrogate.fit([hp(1, (0.5, 0.5))], np.empty((0, 1)), np.empty((0, 1)))
+
+    @pytest.mark.parametrize(
+        "mu, var",
+        [
+            (np.zeros((1, 2)), np.zeros((1, 1))),     # mu and var disagree
+            (np.zeros(1), np.zeros(1)),               # not (n, M)
+        ],
+        ids=["shapes-differ", "one-dimensional"],
+    )
+    def test_malformed_belief_arrays_rejected(self, mu, var):
+        with pytest.raises(ValueError):
+            GpSurrogate.fit([hp(1, (0.5, 0.5))], mu, var)
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([-1e-9]))
 
     def test_mixed_bounds_rejected(self):
         other = ((0.0, 2.0), (0.0, 2.0))
         with pytest.raises(ValueError):
             GpSurrogate.fit(
                 [hp(1, (0.5, 0.5)), hp(2, (0.5, 0.5), other)],
-                [belief(1, [0.0], [0.0]), belief(2, [0.0], [0.0])],
+                column([0.0, 0.0]),
+                column([0.0, 0.0]),
             )
 
     def test_predict_returns_belief_without_id(self):
-        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], [belief(1, [0.05], [0.0])])
+        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         out = gp.predict((0.4, 0.4))
         assert isinstance(out, CandidateBelief)
         assert out.candidate_id is None
@@ -228,24 +204,21 @@ class TestFitAndPredict:
     def test_jitter_escalation_fits_hard_duplicates(self):
         """Many exact duplicates with zero noise still factorize."""
         bucket = [hp(i + 1, (0.5, 0.5)) for i in range(30)]
-        beliefs = [belief(i + 1, [0.05], [0.0]) for i in range(30)]
-        gp = GpSurrogate.fit(bucket, beliefs)
+        gp = GpSurrogate.fit(bucket, column([0.05] * 30), column([0.0] * 30))
         out = gp.predict((0.5, 0.5))
         assert out.mu[0] == pytest.approx(0.05, rel=1e-3)
 
     def test_fit_failure_raised_beyond_max_jitter(self):
         """A kernel poisoned by non-finite targets cannot be factorized."""
         bucket = [hp(1, (0.2, 0.2)), hp(2, (0.8, 0.8))]
-        bad = CandidateBelief(candidate_id=1, mu=[np.nan], sigma2=[0.0])
         with pytest.raises(FitFailureError):
-            GpSurrogate.fit(bucket, [bad, belief(2, [0.05], [0.0])])
+            GpSurrogate.fit(bucket, column([np.nan, 0.05]), column([0.0, 0.0]))
 
     def test_overflowing_targets_raise_fit_failure(self):
         """Finite targets whose square overflows give no signal variance."""
         bucket = [hp(1, (0.2, 0.2)), hp(2, (0.8, 0.8))]
-        beliefs = [belief(1, [1e200], [0.0]), belief(2, [-1e200], [0.0])]
         with pytest.raises(FitFailureError, match="signal variance"):
-            GpSurrogate.fit(bucket, beliefs)
+            GpSurrogate.fit(bucket, column([1e200, -1e200]), column([0.0, 0.0]))
 
 
 def _reference_fit_predict(thetas, bounds, mus, noises, queries):
@@ -300,8 +273,7 @@ def _reference_fit_predict(thetas, bounds, mus, noises, queries):
 
 def _assert_matches_reference(thetas, bounds, mus, noises, queries):
     bucket = [hp(i + 1, tuple(t), bounds) for i, t in enumerate(thetas)]
-    beliefs = [belief(i + 1, mus[i], noises[i]) for i in range(len(thetas))]
-    gp = GpSurrogate.fit(bucket, beliefs)
+    gp = GpSurrogate.fit(bucket, mus, noises)
     mu, var = gp.predict_batch(queries)
     ref_mu, ref_var, ref_s2, ref_ls, ref_jit = _reference_fit_predict(
         thetas, bounds, mus, noises, queries
@@ -315,6 +287,7 @@ def _assert_matches_reference(thetas, bounds, mus, noises, queries):
     return gp
 
 
+@pytest.mark.bitwise
 class TestBitwiseReference:
     """Shared unit kernel, in-place diagonal and streamed median change no bit."""
 
@@ -346,3 +319,103 @@ class TestBitwiseReference:
         gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
         assert gp.jitter(0) > BASE_JITTER
         assert gp.jitter(1) == BASE_JITTER
+
+
+def _reference_median_lengthscales(x):
+    """The median heuristic before selection: every dimension's condensed
+    distance vector, built row by row, and ``np.median`` over it."""
+    n, d = x.shape
+    if n < 2:
+        return np.ones(d)
+    xt = x.T
+    dists = np.empty((d, n * (n - 1) // 2))
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.subtract(xt[:, i, None], xt[:, i + 1 :], out=dists[:, start:stop])
+        start = stop
+    np.abs(dists, out=dists)
+    scales = np.median(dists, axis=1)
+    for k in np.flatnonzero(scales <= 0.0):
+        m = float(np.mean(dists[k]))
+        scales[k] = m if m > 0.0 else 1.0
+    return scales
+
+
+def _median_inputs(kind, n, d, rng):
+    u = rng.uniform(0.0, 1.0, size=(n, d))
+    if kind == "ties":
+        return np.round(u, 1)
+    if kind == "clustered":
+        return 0.5 + 2e-3 * (u - 0.5)
+    if kind == "skewed":
+        return u**6
+    if kind == "duplicates":   # over half the gaps are zero: the mean fallback
+        u[: (3 * n + 3) // 4] = 0.5
+    return u
+
+
+def _count_row_end_calls(monkeypatch):
+    calls = []
+    row_ends = gp_module._gap_row_ends
+    monkeypatch.setattr(
+        gp_module, "_gap_row_ends", lambda s, t: calls.append(t) or row_ends(s, t)
+    )
+    return calls
+
+
+@pytest.mark.bitwise
+class TestMedianReference:
+    """Selecting the median gap from sorted coordinates changes no bit."""
+
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "ties", "clustered", "skewed", "duplicates"]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 101, 300, 1009])
+    def test_matches_condensed_median(self, kind, n):
+        for d in (1, 2, 3):
+            x = _median_inputs(kind, n, d, np.random.default_rng(1000 * d + n))
+            ref = _reference_median_lengthscales(x)
+            assert np.array_equal(gp_module._median_lengthscales(x), ref)
+            if kind == "duplicates" and n >= 50:  # the mean fallback ran
+                gaps = np.abs(x[:, None, :] - x[None, :, :])[np.triu_indices(n, 1)]
+                assert np.all(np.median(gaps, axis=0) == 0.0)
+
+    def test_row_bounds_match_brute_force(self):
+        """Each row's first gap at or above a threshold, exactly: thresholds
+        are gaps and their float neighbours, over mixed magnitudes and
+        decimal grids where ``s[i] + t`` rounds away from the boundary."""
+        rng = np.random.default_rng(5)
+        s = np.sort(np.concatenate([
+            rng.uniform(size=40), 1e-9 * rng.uniform(size=20),
+            np.round(rng.uniform(size=40), 1), 0.1 * np.arange(11),
+            [0.1 + 0.2, 1 / 3, 2 / 3],
+        ]))
+        n = s.shape[0]
+        gaps = s[None, :] - s[:, None]
+        ts = rng.choice(gaps[np.triu_indices(n, 1)], size=300)
+        for t in np.concatenate([ts, np.nextafter(ts, np.inf), np.nextafter(ts, -np.inf), [0.0]]):
+            later = np.triu(gaps >= t, 1)
+            expected = np.where(later.any(axis=1), later.argmax(axis=1), n)
+            assert np.array_equal(gp_module._gap_row_ends(s, t), expected)
+
+    def test_bracket_that_misses_widens(self, monkeypatch):
+        """Half the points coincide: the strided subsample's bracket misses
+        the median's rank (more than one pair of row-bound passes)."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.full(506, 0.25), rng.uniform(0.0, 1.0, size=503)])[:, None]
+        calls = _count_row_end_calls(monkeypatch)
+        assert np.array_equal(gp_module._median_lengthscales(x), _reference_median_lengthscales(x))
+        assert len(calls) > 2
+
+    @pytest.mark.parametrize("kind", ["uniform", "skewed"])
+    @pytest.mark.parametrize("n", [300, 1009])
+    def test_narrowest_bracket_widens_to_match(self, monkeypatch, kind, n):
+        """With no margin the first bracket spans three subsample gaps; on
+        inputs without tied gaps it misses and widens until it holds the
+        median's ranks."""
+        monkeypatch.setattr(gp_module, "_MEDIAN_MARGIN", 0.0)
+        calls = _count_row_end_calls(monkeypatch)
+        x = _median_inputs(kind, n, 3, np.random.default_rng(n))
+        assert np.array_equal(gp_module._median_lengthscales(x), _reference_median_lengthscales(x))
+        assert len(calls) > 6

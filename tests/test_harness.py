@@ -278,6 +278,7 @@ class TestCampaignRuns:
         assert report.seeds == TINY["seeds"]
 
 
+@pytest.mark.bitwise
 class TestFrozenTrajectory:
     # Recorded before the GP kernel-sharing rework, with Python 3.11.7,
     # numpy 2.4.6 and scipy 1.17.1; identical with OPENBLAS_NUM_THREADS=1

@@ -11,12 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zotune import optimizer
 from zotune.deltastats import DeltaStat, EstimateRecord, NoDataError
 from zotune.gp import CandidateBelief, GpSurrogate
 from zotune.optimizer import (
     ProposalResult,
     RejectedSurrogateError,
     SelectionResult,
+    _winner_indices,
     propose,
     select,
 )
@@ -183,7 +185,8 @@ class TestSelect:
         bucket = [hp(1), hp(2), hp(3)]  # 2 and 3 unmeasured
         res = select(bucket, rec, problem, 4, np.random.default_rng(0))
         assert set(res.winners) == {1}
-        assert {b.candidate_id for b in res.beliefs_used} == {1}
+        assert res.candidate_ids == (1,)
+        assert res.mu.shape == res.var.shape == (1, 2)
 
     def test_partial_metric_data_not_eligible(self):
         rec = record_with({1: (0.01, 0.01)})
@@ -239,6 +242,20 @@ class TestSelect:
         draw_bytes = k * n * 2 * 8
         assert peak < 2.25 * draw_bytes
 
+    def test_peak_memory_is_set_by_the_block(self):
+        """A 1000 x 1000 x 2 selection with one constraint holds a few blocks
+        of draws at most; all its draws at once would be 16 MB."""
+        bucket, record, problem = random_selection_case(1000, 2, 1)
+        k = 1000
+        tracemalloc.start()
+        try:
+            select(bucket, record, problem, k, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = optimizer._DRAW_BLOCK * 8
+        assert peak < 4 * block_bytes
+
     def test_deterministic_given_seed(self):
         rng_deltas = np.random.default_rng(8)
         rec = EstimateRecord()
@@ -256,9 +273,98 @@ class TestSelect:
 
     def test_modal_winner_tie_breaks_low_id(self):
         res = SelectionResult(
-            winners=(5, 2, 5, 2), beliefs_used=(), infeasible_rounds=0
+            winners=(5, 2, 5, 2), candidate_ids=(2, 5), mu=np.zeros((2, 1)),
+            var=np.zeros((2, 1)), infeasible_rounds=0,
         )
         assert res.modal_winner() == 2
+
+
+def _reference_select(bucket, record, problem, k_repetitions, rng):
+    """Selection as one array: a belief per candidate, then all K
+    repetitions drawn and scored at once."""
+    measured = record.candidates_with_data(problem.metrics)
+    by_id = {hp.id: hp for hp in bucket}
+    eligible = [cid for cid in measured if cid in by_id]
+    beliefs = []
+    for cid in eligible:
+        aggs = [record.aggregate(cid, m) for m in problem.metrics]
+        beliefs.append(
+            CandidateBelief(
+                candidate_id=cid,
+                mu=np.array([a.mean for a in aggs]),
+                sigma2=np.array([a.var for a in aggs]),
+            )
+        )
+    mu = np.array([b.mu for b in beliefs])
+    var = np.array([b.sigma2 for b in beliefs])
+    draws = rng.standard_normal((k_repetitions,) + mu.shape)
+    draws *= np.sqrt(var)
+    draws += mu
+    slack = problem.constraint_slack_batch(draws)
+    fvals = problem.objective_batch(draws)
+    winner_cols, infeasible = _winner_indices(fvals, slack)
+    ids = np.array(eligible)
+    return tuple(int(i) for i in ids[winner_cols]), infeasible, mu, var
+
+
+def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0):
+    """Bucket, record and problem with noisy beliefs over ``n_metrics``."""
+    rng = np.random.default_rng(seed)
+    metrics = tuple(f"x{j + 1}" for j in range(n_metrics))
+    problem = TuningProblem(
+        metrics=metrics,
+        objective=LinearExpr(tuple(rng.normal(0, 1, size=n_metrics))),
+        constraints=tuple(
+            ConstraintSpec(
+                g=LinearExpr(tuple(rng.normal(0, 1, size=n_metrics))),
+                threshold=1e6 if infeasible else float(rng.normal(0, 0.02)),
+                direction=AT_LEAST,
+            )
+            for _ in range(n_constraints)
+        ),
+        base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
+    )
+    ids = sorted(int(i) for i in rng.choice(5 * n, size=n, replace=False) + 1)
+    record = EstimateRecord()
+    for cid in ids:
+        for metric in metrics:
+            record.absorb(
+                cid, metric, 0,
+                DeltaStat(mean=rng.normal(0, 0.05), var=rng.uniform(0, 1e-3), weight=10),
+            )
+    bucket = [hp(cid) for cid in ids] + [hp(5 * n + 1)]  # one unmeasured
+    return bucket, record, problem
+
+
+@pytest.mark.bitwise
+class TestBlockedSelectionReference:
+    """Drawing and scoring in blocks of repetitions changes no bit."""
+
+    CASES = {
+        "one-candidate": dict(n=1, n_metrics=1, n_constraints=0),
+        "three-metrics": dict(n=37, n_metrics=3, n_constraints=2),
+        "unconstrained": dict(n=120, n_metrics=3, n_constraints=0),
+        "all-infeasible": dict(n=20, n_metrics=3, n_constraints=1, infeasible=True),
+        "wide": dict(n=250, n_metrics=1, n_constraints=1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("k", [3, 1001])
+    @pytest.mark.parametrize("block", [None, 4096, 7777])
+    def test_matches_single_array(self, monkeypatch, case, k, block):
+        if block is not None:
+            monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
+        bucket, record, problem = random_selection_case(**self.CASES[case])
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        res = select(bucket, record, problem, k, rng)
+        winners, infeasible, mu, var = _reference_select(bucket, record, problem, k, ref_rng)
+        assert res.winners == winners
+        assert res.infeasible_rounds == infeasible
+        assert np.array_equal(res.mu, mu) and np.array_equal(res.var, var)
+        assert res.candidate_ids == tuple(hp.id for hp in bucket[:-1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if case == "all-infeasible":
+            assert infeasible == k
 
 
 def fit_linear_surrogate(rng, grid=12):
@@ -267,11 +373,8 @@ def fit_linear_surrogate(rng, grid=12):
     pts = np.array([(a, b) for a in axis for b in axis])
     truth = lambda p: (0.1 * p[0] + 0.05 * p[1], 0.2 - 0.1 * p[0])
     bucket = [HyperParam(id=i + 1, theta=tuple(p), bounds=BOUNDS) for i, p in enumerate(pts)]
-    beliefs = [
-        CandidateBelief(candidate_id=i + 1, mu=np.array(truth(p)), sigma2=np.zeros(2))
-        for i, p in enumerate(pts)
-    ]
-    return GpSurrogate.fit(bucket, beliefs), truth
+    mu = np.array([truth(p) for p in pts])
+    return GpSurrogate.fit(bucket, mu, np.zeros_like(mu)), truth
 
 
 class TestPropose:

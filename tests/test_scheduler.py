@@ -323,6 +323,21 @@ class TestIngest:
         assert sched.last_selection is not None
 
 
+    def test_running_sum_overflow_dropped_and_loop_continues(self):
+        """A finite lift whose weighted variance overflows the running sum
+        (test mean 1e153 over a control of 1.0) is dropped, and the next
+        round still selects."""
+        sched = make_sched(seed=3, select_count=10, proposal_samples=8)
+        sched.initial_plan()
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+        overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
+        assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
+        assert sched.record.rounds_absorbed(1, "x1") == 1
+        assert sched.record.rounds_absorbed(1, "x2") == 2
+        sched.run_round([])
+        assert sched.last_selection is not None
+
+
 class TestPersistence:
     def run_some_rounds(self, store_dir=None, rounds=4, seed=3):
         sched = make_sched(
@@ -414,12 +429,13 @@ class TestPersistence:
             (1, lambda f: f[:6] + ["0.0"] + f[7:]),              # degenerate control
             (1, lambda f: f[:3] + ["1e200"] + f[4:]),            # lift overflows
             (1, lambda f: f[:6] + ["1e-05", "1e300"] + f[8:]),   # infinite lift
+            (1, lambda f: f[:3] + ["1e153"] + f[4:6] + ["1.0"] + f[7:]),  # sum overflows
             (None, None),                                        # duplicate key
         ],
         ids=[
             "header", "truncated", "extra", "unparseable", "nan", "inf",
             "negative-var", "empty-group", "degenerate", "overflow",
-            "infinite-lift", "duplicate",
+            "infinite-lift", "sum-overflow", "duplicate",
         ],
     )
     def test_malformed_metrics_row_fails(self, tmp_path, line, edit):
@@ -516,6 +532,7 @@ class TestRawReplay:
         assert restored.rng.bit_generator.state == live.rng.bit_generator.state
 
 
+@pytest.mark.bitwise
 class TestFrozenStore:
     # SHA-256 of manifest.json, hyperparams.csv and metrics.csv, concatenated
     # in that order, after SingleRun(42, ...) runs 20 rounds and persists.

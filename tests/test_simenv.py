@@ -269,6 +269,7 @@ FROZEN_SPEC_DIGESTS = {
 }
 
 
+@pytest.mark.bitwise
 class TestFrozenLandscape:
     """Generated landscapes keep every bit, including after redraws."""
 
@@ -353,6 +354,7 @@ def _reference_step(env, rng, plan, t, thetas):
     return batches
 
 
+@pytest.mark.bitwise
 class TestStepReference:
     """One draw block per step reproduces per-reading sampling exactly."""
 
