@@ -11,7 +11,9 @@ then combined across rounds by group-size weighting:
     var  = sum_t N_t**2 * v_t / (sum_t N_t)**2
 
 Aggregation is streaming and order-insensitive up to float rounding; rows
-for a (candidate, metric, round) key are write-once.
+for a (candidate, metric, round) key are write-once.  ``EstimateRecord``
+forms a key's aggregate once, when a row for it is absorbed, so reading it
+is a lookup; a row whose sums or aggregate would not be finite is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class DegenerateBaseError(ValueError):
 
     Raised when the control-group mean is too close to zero to divide by,
     when the lift's mean or variance would overflow to a non-finite value,
-    or when absorbing the hour would overflow its key's running sums.
+    or when absorbing the hour would overflow its key's running sums or
+    their aggregate.
     """
 
 
@@ -173,12 +176,14 @@ def aggregate(pairs: Iterable[tuple[DeltaStat, float]]) -> DeltaStat:
 
 @dataclass
 class _Series:
-    """Hourly history and running sums for one (candidate, metric) key."""
+    """Hourly history, running sums and their aggregate for one
+    (candidate, metric) key."""
 
     by_round: dict[int, DeltaStat]
     sum_w: float = 0.0
     sum_wm: float = 0.0
     sum_w2v: float = 0.0
+    agg: DeltaStat | None = None
 
 
 class EstimateRecord:
@@ -187,12 +192,14 @@ class EstimateRecord:
     ``absorb`` accepts rows in any arrival order; each (candidate, metric,
     round) key is accepted exactly once and a retry raises
     ``DuplicateRoundError`` leaving the record unchanged.  A row whose
-    weighted terms would overflow the running sums raises
-    ``DegenerateBaseError`` and leaves the record unchanged too.
+    weighted terms would overflow the running sums, or whose new aggregate
+    would not be finite, raises ``DegenerateBaseError`` and leaves the
+    record unchanged too.
     """
 
     def __init__(self) -> None:
         self._series: dict[tuple[int, str], _Series] = {}
+        self._metrics_of: dict[int, set[str]] = {}  # metrics with data, per candidate
 
     def absorb(self, candidate_id: int, metric: str, round_no: int, stat: DeltaStat) -> None:
         """Add one hourly stat; its ``weight`` is the aggregation weight N_t."""
@@ -206,19 +213,23 @@ class EstimateRecord:
                 f"candidate {key[0]} metric {key[1]!r} round {round_no} "
                 "was already absorbed"
             )
-        sums = (
-            series.sum_w + stat.weight,
-            series.sum_wm + stat.weight * stat.mean,
-            series.sum_w2v + stat.weight * stat.weight * stat.var,
-        )
-        if not all(map(math.isfinite, sums)):
+        sum_w = series.sum_w + stat.weight
+        sum_wm = series.sum_wm + stat.weight * stat.mean
+        sum_w2v = series.sum_w2v + stat.weight * stat.weight * stat.var
+        try:
+            # A non-finite sum gives a non-finite field, which DeltaStat
+            # refuses; float ** raises where * gives inf.
+            agg = DeltaStat(mean=sum_wm / sum_w, var=sum_w2v / sum_w**2, weight=sum_w)
+        except (ArithmeticError, ValueError):
             raise DegenerateBaseError(
                 f"candidate {key[0]} metric {key[1]!r} round {round_no} "
-                "would overflow the running sums"
-            )
+                "would overflow the running sums or their aggregate"
+            ) from None
         self._series[key] = series
+        self._metrics_of.setdefault(key[0], set()).add(key[1])
         series.by_round[round_no] = stat
-        series.sum_w, series.sum_wm, series.sum_w2v = sums
+        series.sum_w, series.sum_wm, series.sum_w2v = sum_w, sum_wm, sum_w2v
+        series.agg = agg
 
     def hourly(self, candidate_id: int, metric: str) -> list[tuple[int, DeltaStat]]:
         """Hourly stats for one key, sorted by round (ascending)."""
@@ -230,26 +241,12 @@ class EstimateRecord:
     def aggregate(self, candidate_id: int, metric: str) -> DeltaStat | None:
         """Running weighted aggregate for one key, or None if no data."""
         series = self._series.get((int(candidate_id), str(metric)))
-        if series is None or series.sum_w == 0.0:
-            return None
-        return DeltaStat(
-            mean=series.sum_wm / series.sum_w,
-            var=series.sum_w2v / series.sum_w**2,
-            weight=series.sum_w,
-        )
+        return None if series is None else series.agg
 
     def candidates_with_data(self, metrics: Sequence[str]) -> list[int]:
         """Sorted candidate ids holding at least one round for every metric."""
-        metrics = tuple(metrics)
-        ids = {cid for cid, _ in self._series}
-        return sorted(
-            cid
-            for cid in ids
-            if all(
-                (cid, m) in self._series and self._series[(cid, m)].by_round
-                for m in metrics
-            )
-        )
+        metrics = set(metrics)
+        return sorted(cid for cid, have in self._metrics_of.items() if metrics <= have)
 
     def rounds_absorbed(self, candidate_id: int, metric: str) -> int:
         series = self._series.get((int(candidate_id), str(metric)))

@@ -17,8 +17,13 @@ The metrics share one input normalization and one set of per-dimension
 length scales (the median pairwise-distance heuristic), so they differ only
 in signal variance, noise and targets.  The unit kernel
 ``exp(-0.5 * sum_k ((x1_k - x2_k) / l_k)**2)`` is therefore computed once
-per fit and once per prediction, and each metric scales it by its signal
-variance (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1).
+per fit and once per prediction, one cache-sized row tile at a time, and
+each tile is scaled by every metric's signal variance straight into that
+metric's matrix (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1).  A fit
+builds only the triangle the Cholesky factorization reads.  Off the
+diagonal each entry is at most the finite signal variance, so checking the
+diagonal after the noise is added stands for a scan of the whole matrix: a
+diagonal that overflows is a ``FitFailureError``.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -43,6 +48,7 @@ MAX_JITTER = 1e-4
 SIGNAL_VAR_FLOOR = 1e-8
 _MEDIAN_SUBSAMPLE = 64      # sorted points whose gaps bracket the median
 _MEDIAN_MARGIN = 1.0 / 64   # first bracket's half-width, as a share of their gaps
+_KERNEL_TILE = 2**15        # doubles per row tile of a kernel (256 KiB)
 
 
 class FitFailureError(RuntimeError):
@@ -164,25 +170,50 @@ def _median_lengthscales(x: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _unit_kernel(x1: np.ndarray, x2: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """``exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)``, shape ``(len(x1), len(x2))``.
+def _scaled_kernels(
+    x1: np.ndarray,
+    x2: np.ndarray,
+    ls: np.ndarray,
+    scales: Sequence[float],
+    outs: Sequence[np.ndarray],
+    *,
+    upper: bool = False,
+) -> None:
+    """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
 
-    Squared scaled distances are accumulated in place one dimension at a
-    time, in dimension order.  ``np.sum`` adds a last axis of up to seven
-    elements in that order too, so for d <= 7 the result equals the summed
-    ``(q, n, d)`` form bit for bit.  A metric's kernel is ``s2 * unit``.
+    The unit kernel is built in row tiles of about ``_KERNEL_TILE`` doubles,
+    each taken through every pass while it is in cache.  Squared scaled
+    distances are accumulated in place one dimension at a time, in dimension
+    order.  ``np.sum`` adds a last axis of up to seven elements in that order
+    too, so for d <= 7 each entry equals the summed ``(q, n, d)`` form bit
+    for bit.  With ``upper`` a tile of rows ``r0:r1`` gets only the columns
+    ``j >= r0``: every ``j >= i``, which is the triangle a Cholesky
+    factorization of the transpose reads, and the rest of ``outs`` is left
+    unwritten.
     """
-    out = np.empty((x1.shape[0], x2.shape[0]))
-    term = np.empty_like(out) if x1.shape[1] > 1 else out
-    for k in range(x1.shape[1]):
-        buf = out if k == 0 else term
-        np.subtract(x1[:, k, None], x2[None, :, k], out=buf)
-        buf /= ls[k]
-        np.square(buf, out=buf)
-        if k > 0:
-            out += term
-    out *= -0.5
-    return np.exp(out, out=out)
+    n1, n2 = x1.shape[0], x2.shape[0]
+    size = max(_KERNEL_TILE, n2)  # a tile holds at least one row
+    tile_buf = np.empty(size)
+    term_buf = np.empty(size) if x1.shape[1] > 1 else tile_buf
+    r0 = 0
+    while r0 < n1:
+        c0 = r0 if upper else 0
+        r1 = min(n1, r0 + max(1, _KERNEL_TILE // (n2 - c0)))
+        shape = (r1 - r0, n2 - c0)
+        tile = tile_buf[: shape[0] * shape[1]].reshape(shape)
+        term = term_buf[: tile.size].reshape(shape)
+        for k in range(x1.shape[1]):
+            buf = tile if k == 0 else term
+            np.subtract(x1[r0:r1, k, None], x2[None, c0:, k], out=buf)
+            buf /= ls[k]
+            np.square(buf, out=buf)
+            if k > 0:
+                tile += term
+        tile *= -0.5
+        np.exp(tile, out=tile)
+        for scale, out in zip(scales, outs):
+            np.multiply(scale, tile, out=out[r0:r1, c0:])
+        r0 = r1
 
 
 @dataclass(frozen=True)
@@ -288,7 +319,7 @@ class GpSurrogate:
             ls = _median_lengthscales(x)
         else:
             ls = np.array(lengthscales, dtype=float)
-            if ls.shape != (x.shape[1],) or np.any(ls <= 0):
+            if ls.shape != (x.shape[1],) or not np.all(ls > 0):
                 raise ValueError("lengthscales must be positive, one per dimension")
 
         if signal_var is None:
@@ -306,19 +337,28 @@ class GpSurrogate:
         if not np.all(np.isfinite(s2_all)):
             raise FitFailureError("signal variance must be finite")
 
-        unit = _unit_kernel(x, x, ls)
+        # Each metric's matrix gets only the triangle LAPACK reads: kmat is
+        # symmetric, so its transpose is the same matrix in Fortran order
+        # and LAPACK factorizes it in place, zeroing the unwritten half.
         n = x.shape[0]
+        s2s = [float(s2) for s2 in s2_all]
+        kmats = [np.empty((n, n)) for _ in s2s]
+        _scaled_kernels(x, x, ls, s2s, kmats, upper=True)
         gps = []
-        for k in range(n_metrics):
-            s2 = float(s2_all[k])
+        for k, (s2, kmat) in enumerate(zip(s2s, kmats)):
             jit = float(jitter)
             while True:
-                kmat = s2 * unit
-                kmat.reshape(-1)[:: n + 1] += noises[:, k] + jit  # the diagonal
+                diag = kmat.reshape(-1)[:: n + 1]
+                with np.errstate(over="ignore"):
+                    diag += noises[:, k] + jit
+                # Off the diagonal every entry is s2 * unit, with unit <= 1
+                # and s2 finite, so a finite diagonal makes kmat finite.
+                if not np.all(np.isfinite(diag)):
+                    raise FitFailureError(
+                        f"kernel diagonal of metric {k} overflows"
+                    )
                 try:
-                    # kmat is symmetric, so its transpose is the same matrix
-                    # in Fortran order and LAPACK factorizes it in place.
-                    chol = cholesky(kmat.T, lower=True, overwrite_a=True)
+                    chol = cholesky(kmat.T, lower=True, overwrite_a=True, check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     jit *= 10.0
@@ -327,6 +367,7 @@ class GpSurrogate:
                             f"kernel factorization failed for metric {k} "
                             f"even at jitter {MAX_JITTER}"
                         ) from None
+                    _scaled_kernels(x, x, ls, (s2,), (kmat,), upper=True)
             alpha = cho_solve((chol, True), mus[:, k], check_finite=False)
             gps.append(_MetricGp(signal_var=s2, chol=chol, alpha=alpha, jitter=jit))
         return cls(bounds=bounds, x=x, lengthscales=ls, metrics_gps=tuple(gps))
@@ -351,14 +392,13 @@ class GpSurrogate:
             )
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
-        unit = _unit_kernel(xq, self._x, self._ls)                   # (q, n)
-        kq = np.empty_like(unit)
+        kqs = [np.empty((xq.shape[0], self._x.shape[0])) for _ in self._gps]   # (q, n)
+        _scaled_kernels(xq, self._x, self._ls, [gk.signal_var for gk in self._gps], kqs)
         mu = np.empty((xq.shape[0], self.n_metrics))
         var = np.empty_like(mu)
         # Queries are checked finite and every factor came from a finite
         # matrix, so the solves skip scipy's finiteness scans.
-        for k, gk in enumerate(self._gps):
-            np.multiply(gk.signal_var, unit, out=kq)
+        for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
             mu[:, k] = kq @ gk.alpha
             w = solve_triangular(                                     # (n, q), in kq's buffer
                 gk.chol, kq.T, lower=True, overwrite_b=True, check_finite=False

@@ -5,6 +5,7 @@ hand-derived from the closed-form estimator definitions and double-checked
 against a Monte-Carlo simulation of the group-mean ratio.
 """
 
+import copy
 import itertools
 import math
 
@@ -216,6 +217,122 @@ class TestAggregate:
             aggregate([(DeltaStat(mean=0.0, var=0.0, weight=1.0), 0)])
 
 
+class _LazyEstimateRecord:
+    """The record as it was before aggregates were formed at absorb: running
+    sums only, each aggregate built when read, and ``candidates_with_data``
+    scanning every series."""
+
+    def __init__(self):
+        self._series = {}
+
+    def absorb(self, candidate_id, metric, round_no, stat):
+        key = (int(candidate_id), str(metric))
+        round_no = int(round_no)
+        series = self._series.get(key)
+        if series is None:
+            series = {"by_round": {}, "sum_w": 0.0, "sum_wm": 0.0, "sum_w2v": 0.0}
+        elif round_no in series["by_round"]:
+            raise DuplicateRoundError("already absorbed")
+        sums = (
+            series["sum_w"] + stat.weight,
+            series["sum_wm"] + stat.weight * stat.mean,
+            series["sum_w2v"] + stat.weight * stat.weight * stat.var,
+        )
+        if not all(map(math.isfinite, sums)):
+            raise DegenerateBaseError("would overflow the running sums")
+        self._series[key] = series
+        series["by_round"][round_no] = stat
+        series["sum_w"], series["sum_wm"], series["sum_w2v"] = sums
+
+    def aggregate(self, candidate_id, metric):
+        series = self._series.get((int(candidate_id), str(metric)))
+        if series is None or series["sum_w"] == 0.0:
+            return None
+        return DeltaStat(
+            mean=series["sum_wm"] / series["sum_w"],
+            var=series["sum_w2v"] / series["sum_w"] ** 2,
+            weight=series["sum_w"],
+        )
+
+    def candidates_with_data(self, metrics):
+        metrics = tuple(metrics)
+        ids = {cid for cid, _ in self._series}
+        return sorted(
+            cid
+            for cid in ids
+            if all(
+                (cid, m) in self._series and self._series[(cid, m)]["by_round"]
+                for m in metrics
+            )
+        )
+
+
+_METRIC_SETS = ((), ("x1",), ("x2",), ("x1", "x2"), ("x2", "x1", "x3"))
+
+_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(["x1", "x2"]),
+        st.integers(min_value=0, max_value=4),
+        st.one_of(
+            st.floats(min_value=-0.5, max_value=0.5),
+            st.sampled_from([1e150, -1e300, 1e-300]),
+        ),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1e-2),
+            st.sampled_from([0.0, 1e-300, 1e300]),
+        ),
+        st.one_of(
+            st.integers(min_value=1, max_value=100_000).map(float),
+            st.sampled_from([1e154, 7e153, 1e-170, 1e-200, 1e300]),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.bitwise
+class TestAbsorbTimeAggregateReference:
+    """Forming each aggregate at absorb changes no bit of what is read."""
+
+    @given(rows=_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lazy_record(self, rows):
+        """Any absorb sequence, duplicates and refused rows included, gives
+        the aggregates and eligible ids of the lazy record; a row is refused
+        exactly when the lazy record refuses it or could not read its key's
+        aggregate afterwards."""
+        new, lazy = EstimateRecord(), _LazyEstimateRecord()
+        keys = set()
+        for cid, metric, rnd, m, v, w in rows:
+            stat = DeltaStat(mean=m, var=v, weight=w)
+            keys.add((cid, metric))
+            try:
+                new.absorb(cid, metric, rnd, stat)
+            except DuplicateRoundError:
+                with pytest.raises(DuplicateRoundError):
+                    lazy.absorb(cid, metric, rnd, stat)
+            except DegenerateBaseError:
+                trial = copy.deepcopy(lazy)
+                try:
+                    trial.absorb(cid, metric, rnd, stat)
+                except DegenerateBaseError:
+                    pass  # a running sum overflows
+                else:
+                    with pytest.raises((ArithmeticError, ValueError)):
+                        trial.aggregate(cid, metric)
+            else:
+                lazy.absorb(cid, metric, rnd, stat)
+            for key in keys:
+                got, want = new.aggregate(*key), lazy.aggregate(*key)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.mean, got.var, got.weight) == (want.mean, want.var, want.weight)
+            for metrics in _METRIC_SETS:
+                assert new.candidates_with_data(metrics) == lazy.candidates_with_data(metrics)
+
+
 class TestEstimateRecord:
     def test_absorb_into_empty_equals_stat(self):
         rec = EstimateRecord()
@@ -242,6 +359,29 @@ class TestEstimateRecord:
         assert len(rec) == 1
         rec.absorb(1, "x1", 1, first)  # the round is still free
         assert rec.rounds_absorbed(1, "x1") == 2
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1e154, 1e154), (1e-200,)],
+        ids=["squared-weight-overflows", "squared-weight-underflows"],
+    )
+    def test_unformable_aggregate_refused_and_record_unchanged(self, weights):
+        """Every running sum stays finite, but the aggregate's ``sum_w**2``
+        does not: two hours of weight 1e154 square to 4e308 (Python's
+        ``float ** 2`` raises), and 1e-200 squares to zero.  The last hour is
+        refused and nothing of it is absorbed."""
+        rec = EstimateRecord()
+        kept = [DeltaStat(mean=0.01, var=1e-4, weight=w) for w in weights[:-1]]
+        for rnd, stat in enumerate(kept):
+            rec.absorb(1, "x1", rnd, stat)
+        last = DeltaStat(mean=0.01, var=1e-4, weight=weights[-1])
+        with pytest.raises(DegenerateBaseError, match="aggregate"):
+            rec.absorb(1, "x1", len(kept), last)
+        expected = aggregate([(s, s.weight) for s in kept]) if kept else None
+        assert rec.aggregate(1, "x1") == expected
+        assert rec.hourly(1, "x1") == list(enumerate(kept))
+        assert rec.candidates_with_data(["x1"]) == ([1] if kept else [])
+        assert len(rec) == len(kept)
 
     def test_gaps_are_fine(self):
         rec = EstimateRecord()

@@ -1,5 +1,7 @@
 """Tests for candidate beliefs and the per-metric GP surrogate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -220,6 +222,42 @@ class TestFitAndPredict:
         with pytest.raises(FitFailureError, match="signal variance"):
             GpSurrogate.fit(bucket, column([1e200, -1e200]), column([0.0, 0.0]))
 
+    def test_overflowing_diagonal_raises_fit_failure(self):
+        """A finite signal variance (4.9e307) plus a finite noise (1.5e308)
+        overflows the kernel diagonal: a failed fit, not a numpy warning or
+        scipy's finiteness error."""
+        bucket = [hp(1, (0.2, 0.2)), hp(2, (0.5, 0.5)), hp(3, (0.8, 0.8))]
+        mu = column([7e153, 7e153, -7e153])
+        var = column([1.5e308, 0.0, 0.0])
+        with pytest.raises(FitFailureError, match="diagonal"):
+            GpSurrogate.fit(bucket, mu, var)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_invalid_lengthscales_rejected(self, bad):
+        bucket = [hp(1, (0.2, 0.2)), hp(2, (0.8, 0.8))]
+        with pytest.raises(ValueError, match="lengthscales"):
+            GpSurrogate.fit(
+                bucket, column([0.01, 0.02]), column([0.0, 0.0]),
+                lengthscales=np.array([0.3, bad]),
+            )
+
+    def test_fit_peak_is_one_matrix_per_metric(self):
+        """The kernel is built in tiles straight into each metric's matrix,
+        which LAPACK factorizes in place: no ``n x n`` unit kernel and no
+        copy exists beside the two matrices."""
+        rng = np.random.default_rng(17)
+        n = 800
+        bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(rng.uniform(size=(n, 2)))]
+        mu = rng.normal(0.0, 0.05, size=(n, 2))
+        var = rng.uniform(0.0, 1e-4, size=(n, 2))
+        tracemalloc.start()
+        try:
+            GpSurrogate.fit(bucket, mu, var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * n * n * 8
+
 
 def _reference_fit_predict(thetas, bounds, mus, noises, queries):
     """The surrogate as first written: per-metric 3-D broadcast kernels, a
@@ -289,10 +327,12 @@ def _assert_matches_reference(thetas, bounds, mus, noises, queries):
 
 @pytest.mark.bitwise
 class TestBitwiseReference:
-    """Shared unit kernel, in-place diagonal and streamed median change no bit."""
+    """Shared tiled unit kernel, triangle-only fit, in-place diagonal and
+    streamed median change no bit; n = 777 and 1030 span several kernel
+    tiles with a ragged last one."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    @pytest.mark.parametrize("n", [1, 2, 50, 300, 777, 1030])
     def test_matches_reference(self, d, n):
         rng = np.random.default_rng(100 * d + n)
         bounds = tuple((-1.0 + k, 2.0 + 3.0 * k) for k in range(d))
@@ -318,6 +358,22 @@ class TestBitwiseReference:
         queries = rng.uniform(0.0, 1.0, size=(50, 2))
         gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
         assert gp.jitter(0) > BASE_JITTER
+        assert gp.jitter(1) == BASE_JITTER
+
+    def test_multi_tile_duplicates_rebuild_the_triangle_identically(self):
+        """300 exact duplicates among 800 points, noiseless: each of metric
+        0's failed factorizations (signal variance ~1e8) overwrites its
+        multi-tile triangle, which is rebuilt up to the jitter cap."""
+        rng = np.random.default_rng(7)
+        thetas = np.full((800, 2), 0.5)
+        thetas[300:] = rng.uniform(0.0, 1.0, size=(500, 2))
+        mus = np.column_stack(
+            [1e4 * (1.0 + 0.01 * rng.standard_normal(800)), np.full(800, 0.05)]
+        )
+        noises = np.zeros((800, 2))
+        queries = rng.uniform(0.0, 1.0, size=(50, 2))
+        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
+        assert gp.jitter(0) == pytest.approx(MAX_JITTER)
         assert gp.jitter(1) == BASE_JITTER
 
 

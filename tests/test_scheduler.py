@@ -337,6 +337,22 @@ class TestIngest:
         sched.run_round([])
         assert sched.last_selection is not None
 
+    def test_aggregate_overflow_dropped_and_loop_continues(self):
+        """Two hours of 10**154 users keep every running sum finite, but
+        their squared weight sum overflows the aggregate: the second hour is
+        dropped, and every later round still selects."""
+        sched = make_sched(seed=3, select_count=10, proposal_samples=8)
+        sched.initial_plan()
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+        huge = [batch_for(1, rnd, 3, n=10**154) for rnd in (1, 2)]
+        assert sched.ingest(huge) == 2  # round 1's rows, one per metric
+        for metric in METRICS:
+            assert sched.record.rounds_absorbed(1, metric) == 2
+            assert sched.record.aggregate(1, metric).weight == 1e154 + 1000.0
+        for _ in range(3):
+            sched.run_round([])
+            assert sched.last_selection is not None
+
 
 class TestPersistence:
     def run_some_rounds(self, store_dir=None, rounds=4, seed=3):
@@ -430,15 +446,18 @@ class TestPersistence:
             (1, lambda f: f[:3] + ["1e200"] + f[4:]),            # lift overflows
             (1, lambda f: f[:6] + ["1e-05", "1e300"] + f[8:]),   # infinite lift
             (1, lambda f: f[:3] + ["1e153"] + f[4:6] + ["1.0"] + f[7:]),  # sum overflows
+            ((1, 5), lambda f: f[:5] + [str(10**154)] + f[6:]),  # aggregate overflows
             (None, None),                                        # duplicate key
         ],
         ids=[
             "header", "truncated", "extra", "unparseable", "nan", "inf",
             "negative-var", "empty-group", "degenerate", "overflow",
-            "infinite-lift", "sum-overflow", "duplicate",
+            "infinite-lift", "sum-overflow", "weight-overflow", "duplicate",
         ],
     )
     def test_malformed_metrics_row_fails(self, tmp_path, line, edit):
+        """``line`` is one line to edit, a tuple of lines (rows 1 and 5 are
+        candidate 1's ``x1`` in rounds 0 and 1), or None to repeat row 1."""
         store = tmp_path / "s"
         self.run_some_rounds().persist(str(store))
         path = store / "metrics.csv"
@@ -446,7 +465,8 @@ class TestPersistence:
         if line is None:
             lines.append(lines[1])
         else:
-            lines[line] = ",".join(edit(lines[line].split(",")))
+            for i in line if isinstance(line, tuple) else (line,):
+                lines[i] = ",".join(edit(lines[i].split(",")))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RestoreError, match="metrics.csv"):
             Scheduler.restore(str(store))
