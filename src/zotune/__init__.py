@@ -20,7 +20,6 @@ from .deltastats import (
     hourly_delta_stat,
 )
 from .gp import (
-    CandidateBelief,
     FitFailureError,
     GpSurrogate,
     RejectedInputError,
@@ -57,9 +56,6 @@ from .problem import (
     TuningProblem,
     UndefinedGainError,
     gain,
-    load_problem,
-    save_problem,
-    violation,
 )
 from .scheduler import (
     BucketInit,
@@ -79,7 +75,6 @@ __all__ = [
     "AT_MOST",
     "BucketInit",
     "CONTROL_ID",
-    "CandidateBelief",
     "ColdStartError",
     "Comparison",
     "ConfigError",
@@ -121,12 +116,9 @@ __all__ = [
     "emit_series",
     "gain",
     "hourly_delta_stat",
-    "load_problem",
     "propose",
     "run_experiment",
     "run_single",
-    "save_problem",
     "select",
-    "violation",
     "__version__",
 ]

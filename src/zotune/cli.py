@@ -6,9 +6,10 @@ Usage sketch:
     zotune ablate --rounds 30 --out ablation/
     zotune compare ablation/report_full.json ablation/report_raw-metric.json
 
-A JSON config file (--config) supplies experiment fields by name and takes
-precedence over individual flags.  The process exits 0 only when every
-requested run completed.
+Experiment flags set the ``ExperimentConfig`` field of the same name; a
+JSON config file (--config) supplies fields by name and takes precedence
+over individual flags.  Unknown or wrongly typed fields are refused.  The
+process exits 0 only when every requested run completed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from .deltastats import TaylorMode
 from .harness import (
     DEFAULT_SEED_POOL,
-    DEFAULT_SEEDS,
     VARIANTS,
     Comparison,
     ExperimentConfig,
@@ -32,13 +32,11 @@ from .harness import (
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that set ``ExperimentConfig`` fields; a flag left out leaves its
+    field at the default (``parser`` suppresses unset flags)."""
     seeds = parser.add_mutually_exclusive_group()
     seeds.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        metavar="SEED",
-        help="explicit seed list (default: first 10 of the built-in pool)",
+        "--seeds", type=int, nargs="+", metavar="SEED", help="explicit seed list"
     )
     seeds.add_argument(
         "--n-seeds",
@@ -46,97 +44,71 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="use the first N seeds of the built-in pool",
     )
-    parser.add_argument("--rounds", "-T", type=int, default=30, help="wall rounds per seed")
+    parser.add_argument("--rounds", "-T", type=int, help="wall rounds per seed")
     parser.add_argument(
-        "--select-count", "-K", type=int, default=1000,
-        help="Thompson repetitions per decision",
+        "--select-count", "-K", type=int, help="Thompson repetitions per decision"
     )
     parser.add_argument(
-        "--proposal-samples", "-N", type=int, default=600,
+        "--proposal-samples", "-N", type=int,
         help="random box samples scored per proposal",
     )
     parser.add_argument(
-        "--proposal-prob", "-p", type=float, default=1.0,
+        "--proposal-prob", "-p", type=float,
         help="per-round probability of proposing a new candidate",
     )
     parser.add_argument(
-        "--control-fraction", type=float, default=0.2,
-        help="traffic share held by the control group",
+        "--control-fraction", type=float, help="traffic share held by the control group"
     )
     parser.add_argument(
         "--taylor-mode", choices=[m.value for m in TaylorMode],
-        default=TaylorMode.DELTA_METHOD.value,
         help="hourly lift estimator variant",
     )
     parser.add_argument(
-        "--tau", "--fixed-delay", dest="fixed_delay", type=int, default=3,
+        "--tau", "--fixed-delay", dest="fixed_delay", type=int,
         help="fixed feedback delay in rounds",
     )
-    parser.add_argument("--xi-mean", type=float, default=0.0, help="extra-delay location")
-    parser.add_argument("--xi-sd", type=float, default=1.0, help="extra-delay spread")
+    parser.add_argument("--xi-mean", type=float, help="extra-delay location")
+    parser.add_argument("--xi-sd", type=float, help="extra-delay spread")
     parser.add_argument(
-        "--init", choices=("random", "grid"), default="random",
+        "--init", dest="bucket_init", choices=("random", "grid"),
         help="initial candidate bucket layout",
     )
-    parser.add_argument("--bucket-size", type=int, default=100, help="random init size")
-    parser.add_argument("--grid-nodes", type=int, default=10, help="grid init nodes per axis")
-    parser.add_argument("--sigma", type=float, default=None, help="per-user reward spread")
-    parser.add_argument("--users", type=int, default=None, help="users per round")
+    parser.add_argument("--bucket-size", type=int, help="random init size")
+    parser.add_argument("--grid-nodes", type=int, help="grid init nodes per axis")
+    parser.add_argument("--sigma", type=float, help="per-user reward spread")
+    parser.add_argument("--users", type=int, help="users per round")
     parser.add_argument(
-        "--draws", dest="draws_per_step", type=int, default=None,
+        "--draws", dest="draws_per_step", type=int,
         help="observation draws per group per round",
     )
-    parser.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    parser.add_argument(
-        "--config", default=None,
-        help="JSON config file; its fields override flags",
-    )
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--config", help="JSON config file; its fields override flags")
 
 
-def _resolve_seeds(args: argparse.Namespace) -> tuple[int, ...]:
-    if args.seeds is not None:
-        return tuple(args.seeds)
-    if args.n_seeds is not None:
+def _config_from_args(args: argparse.Namespace, **fixed: object) -> ExperimentConfig:
+    """``ExperimentConfig()`` overridden by the flags given, then by
+    ``fixed``, then by the ``--config`` file."""
+    given = vars(args)
+    d = ExperimentConfig().to_dict()
+    d.update((name, value) for name, value in given.items() if name in d)
+    if "n_seeds" in given:
         if not 1 <= args.n_seeds <= len(DEFAULT_SEED_POOL):
             raise HarnessConfigError(
                 f"--n-seeds must lie in 1..{len(DEFAULT_SEED_POOL)}"
             )
-        return DEFAULT_SEED_POOL[: args.n_seeds]
-    return DEFAULT_SEEDS
-
-
-def _config_from_args(args: argparse.Namespace, variant: str) -> ExperimentConfig:
-    base = {
-        "variant": variant,
-        "seeds": _resolve_seeds(args),
-        "rounds": args.rounds,
-        "select_count": args.select_count,
-        "proposal_samples": args.proposal_samples,
-        "proposal_prob": args.proposal_prob,
-        "control_fraction": args.control_fraction,
-        "taylor_mode": args.taylor_mode,
-        "fixed_delay": args.fixed_delay,
-        "xi_mean": args.xi_mean,
-        "xi_sd": args.xi_sd,
-        "bucket_init": args.init,
-        "bucket_size": args.bucket_size,
-        "grid_nodes": args.grid_nodes,
-        "sigma": args.sigma,
-        "users": args.users,
-        "draws_per_step": args.draws_per_step,
-        "out_dir": args.out_dir,
-    }
-    if args.config:
+        d["seeds"] = list(DEFAULT_SEED_POOL[: args.n_seeds])
+    d.update(fixed)
+    if "config" in given:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise HarnessConfigError("config file must hold a JSON object")
-        base.update(overrides)
-    return ExperimentConfig.from_dict(base)
+        d.update(overrides)
+    return ExperimentConfig.from_dict(d)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, args.variant)
+    cfg = _config_from_args(args)
     report = run_experiment(cfg)
     gm, gs = report.final_gain_summary()
     vm, _ = report.final_violation_summary()
@@ -152,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     reports = []
     for variant in args.variants:
-        cfg = _config_from_args(args, variant)
+        cfg = _config_from_args(args, variant=variant)
         report = run_experiment(cfg)
         gm, gs = report.final_gain_summary()
         print(
@@ -162,8 +134,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     if len(reports) >= 2:
         comparison = compare_variants(reports, reference=args.reference)
         print(comparison.to_text())
-        if args.out_dir:
-            comparison.to_csv(f"{args.out_dir}/comparison.csv")
+        if cfg.out_dir:
+            comparison.to_csv(f"{cfg.out_dir}/comparison.csv")
     return 0
 
 
@@ -188,14 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one variant across seeds")
-    run.add_argument(
-        "--variant", choices=VARIANTS, default="full", help="study variant"
+    run = sub.add_parser(
+        "run", help="run one variant across seeds", argument_default=argparse.SUPPRESS
     )
+    run.add_argument("--variant", choices=VARIANTS, help="study variant")
     _add_experiment_flags(run)
     run.set_defaults(fn=_cmd_run)
 
-    ablate = sub.add_parser("ablate", help="run several variants and compare")
+    ablate = sub.add_parser(
+        "ablate", help="run several variants and compare",
+        argument_default=argparse.SUPPRESS,
+    )
     ablate.add_argument(
         "--variants", nargs="+", choices=VARIANTS, default=list(VARIANTS),
         help="variants to run",

@@ -1,0 +1,109 @@
+"""JSON-ready dicts from frozen dataclasses, and back, driven by their fields.
+
+Encoding turns a dataclass into a dict of its fields, a tuple (named or not)
+into a list and an enum into its value; everything else passes through.
+Decoding reads the field types with ``typing.get_type_hints`` and accepts
+exactly what encoding writes: nested dataclasses, ``NamedTuple`` rows,
+``tuple[X, ...]``, fixed-length tuples, ``X | None``, enums, ``bool``,
+``int``, ``float`` (an int is widened), ``str`` and plain ``dict``.  An
+unknown, missing or wrongly typed key raises ``DecodeError``, naming where
+it sits; values of the right types then meet each constructor's own checks.
+A stored file also carries a ``format_version`` key beside the fields: its
+writer adds it, and ``split_version`` takes it off before decoding.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
+from enum import Enum
+from reprlib import repr as brief    # a long value shows in part
+
+T = typing.TypeVar("T")
+
+
+class DecodeError(ValueError):
+    """Stored data does not match the fields it is decoded into."""
+
+
+def _encode(value: object) -> object:
+    """``value`` as JSON-ready data."""
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def to_dict(obj: object) -> dict:
+    """A dataclass instance as a dict of its encoded fields."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def from_dict(cls: type[T], data: object) -> T:
+    """Build ``cls`` from what ``to_dict`` wrote; DecodeError on any mismatch."""
+    return _decode(cls, data, cls.__name__)
+
+
+def split_version(data: object) -> tuple[object, object]:
+    """A stored file's ``format_version`` and the rest of it; ``None`` and
+    ``data`` itself when ``data`` is not an object."""
+    if not isinstance(data, dict):
+        return None, data
+    body = dict(data)
+    return body.pop("format_version", None), body
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def _decode(tp: object, value: object, where: str) -> object:
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in typing.get_args(tp) if a is not type(None)]
+        return None if value is None else _decode(inner, value, where)
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, list):
+            raise DecodeError(f"{where}: expected a list, got {brief(value)}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise DecodeError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(
+            _decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise DecodeError(f"{where}: expected an object, got {brief(value)}")
+        names = [f.name for f in dataclasses.fields(tp)]
+        unknown = sorted(set(value) - set(names))
+        if unknown:
+            raise DecodeError(f"{where}: unknown keys {unknown}")
+        missing = [n for n in names if n not in value]
+        if missing:
+            raise DecodeError(f"{where}: missing keys {missing}")
+        hints = _field_types(tp)
+        return tp(**{n: _decode(hints[n], value[n], f"{where}.{n}") for n in names})
+    if isinstance(tp, type) and issubclass(tp, tuple):    # a NamedTuple row
+        hints = _field_types(tp)
+        if not isinstance(value, list) or len(value) != len(tp._fields):
+            raise DecodeError(f"{where}: expected a list of {len(tp._fields)}, got {brief(value)}")
+        return tp(*(_decode(hints[n], v, f"{where}.{n}") for n, v in zip(tp._fields, value)))
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise DecodeError(f"{where}: {brief(value)} is not a {tp.__name__}") from None
+    if isinstance(value, bool) == (tp is bool):        # bool is an int, but not here
+        if tp is float and isinstance(value, int):
+            return float(value)
+        if tp in (bool, int, float, str, dict) and isinstance(value, tp):
+            return value
+    raise DecodeError(f"{where}: expected {getattr(tp, '__name__', tp)}, got {brief(value)}")

@@ -248,10 +248,6 @@ class EstimateRecord:
         metrics = set(metrics)
         return sorted(cid for cid, have in self._metrics_of.items() if metrics <= have)
 
-    def rounds_absorbed(self, candidate_id: int, metric: str) -> int:
-        series = self._series.get((int(candidate_id), str(metric)))
-        return len(series.by_round) if series else 0
-
     def __len__(self) -> int:
         """Number of absorbed (candidate, metric, round) rows."""
         return sum(len(series.by_round) for series in self._series.values())

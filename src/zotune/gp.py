@@ -3,8 +3,8 @@
 A ``GpSurrogate`` is a set of independent per-metric Gaussian-process
 regressors fitted through the beliefs of measured candidates, given as
 ``(n, M)`` arrays of lift means and variances, and used to predict a belief
-at configurations that have never been measured.  ``predict`` returns one
-such belief as a ``CandidateBelief``.
+at configurations that have never been measured, as ``(q, M)`` arrays
+from ``predict_batch``.
 
 Each metric's regressor uses a squared-exponential kernel on inputs
 normalized to the unit box, a zero prior mean, signal variance from the
@@ -57,25 +57,6 @@ class FitFailureError(RuntimeError):
 
 class RejectedInputError(ValueError):
     """A prediction was requested outside the fitted bounds box."""
-
-
-@dataclass(frozen=True)
-class CandidateBelief:
-    """Independent per-metric Gaussian summary of one configuration's lifts."""
-
-    candidate_id: int | None
-    mu: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
-        if mu.shape != sigma2.shape or mu.ndim != 1:
-            raise ValueError("mu and sigma2 must be 1-d arrays of equal length")
-        if np.any(sigma2 < 0):
-            raise ValueError("belief variances must be nonnegative")
 
 
 def _normalize(thetas: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -406,8 +387,3 @@ class GpSurrogate:
             np.square(w, out=w)
             var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
         return mu, var
-
-    def predict(self, theta: Sequence[float]) -> CandidateBelief:
-        """Posterior belief at one configuration inside the bounds box."""
-        mu, var = self.predict_batch(np.asarray(theta, dtype=float)[None, :])
-        return CandidateBelief(candidate_id=None, mu=mu[0], sigma2=var[0])

@@ -21,11 +21,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import codec
 from .deltastats import TaylorMode
 from .problem import (
     AT_LEAST,
@@ -41,10 +42,17 @@ from .scheduler import (
     SchedulerConfig,
     _fmt,
 )
-from .simenv import BOX, CONTROL_ID, SimEnv
+from .simenv import (
+    BOX,
+    CONTROL_ID,
+    DEFAULT_FIXED_DELAY,
+    DEFAULT_XI_MEAN,
+    DEFAULT_XI_SD,
+    SimEnv,
+)
 
 REPORT_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 VARIANTS = ("full", "raw-metric", "synchronous", "no-proposal")
 
@@ -65,22 +73,26 @@ class HarnessConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one campaign needs: variant, seeds, loop and env knobs."""
+    """Everything one campaign needs: variant, seeds, loop and env knobs.
+
+    Loop and env defaults are read from ``SchedulerConfig``, ``BucketInit``
+    and the environment's own defaults; ``None`` keeps the environment's.
+    """
 
     variant: str = "full"
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     rounds: int = 30
-    select_count: int = 1000
-    proposal_samples: int = 600
-    proposal_prob: float = 1.0
-    control_fraction: float = 0.2
-    taylor_mode: str = "delta-method"
-    fixed_delay: int = 3
-    xi_mean: float = 0.0
-    xi_sd: float = 1.0
-    bucket_init: str = "random"
-    bucket_size: int = 100
-    grid_nodes: int = 10
+    select_count: int = SchedulerConfig.select_count
+    proposal_samples: int = SchedulerConfig.proposal_samples
+    proposal_prob: float = SchedulerConfig.proposal_prob
+    control_fraction: float = SchedulerConfig.control_fraction
+    taylor_mode: str = SchedulerConfig.taylor_mode.value
+    fixed_delay: int = DEFAULT_FIXED_DELAY
+    xi_mean: float = DEFAULT_XI_MEAN
+    xi_sd: float = DEFAULT_XI_SD
+    bucket_init: str = BucketInit.mode
+    bucket_size: int = BucketInit.size
+    grid_nodes: int = BucketInit.nodes_per_dim
     sigma: float | None = None
     users: int | None = None
     draws_per_step: int | None = None
@@ -113,46 +125,14 @@ class ExperimentConfig:
             raise HarnessConfigError("threshold_fraction must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        d = {
-            "variant": self.variant,
-            "seeds": list(self.seeds),
-            "rounds": self.rounds,
-            "select_count": self.select_count,
-            "proposal_samples": self.proposal_samples,
-            "proposal_prob": self.proposal_prob,
-            "control_fraction": self.control_fraction,
-            "taylor_mode": self.taylor_mode,
-            "fixed_delay": self.fixed_delay,
-            "xi_mean": self.xi_mean,
-            "xi_sd": self.xi_sd,
-            "bucket_init": self.bucket_init,
-            "bucket_size": self.bucket_size,
-            "grid_nodes": self.grid_nodes,
-            "sigma": self.sigma,
-            "users": self.users,
-            "draws_per_step": self.draws_per_step,
-            "env_weights": list(self.env_weights) if self.env_weights else None,
-            "env_threshold": self.env_threshold,
-            "base_theta": list(self.base_theta) if self.base_theta else None,
-            "out_dir": self.out_dir,
-            "threshold_fraction": self.threshold_fraction,
-        }
-        return d
+        return codec.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        if kwargs.get("seeds") is not None:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if kwargs.get("env_weights") is not None:
-            kwargs["env_weights"] = tuple(kwargs["env_weights"])
-        if kwargs.get("base_theta") is not None:
-            kwargs["base_theta"] = tuple(kwargs["base_theta"])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(kwargs) - known
-        if unknown:
-            raise HarnessConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        try:
+            return codec.from_dict(cls, d)
+        except codec.DecodeError as exc:
+            raise HarnessConfigError(str(exc)) from None
 
 
 def variant_toggles(cfg: ExperimentConfig) -> tuple[str, bool, float]:
@@ -191,8 +171,7 @@ def delta_problem_from_env(env: SimEnv) -> TuningProblem:
     )
 
 
-@dataclass(frozen=True)
-class RoundRow:
+class RoundRow(NamedTuple):
     """One reported round: the modal winner and its ground-truth quality."""
 
     round: int
@@ -261,50 +240,14 @@ class RunReport:
         return _mean_se(self.final_violations())
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "variant": self.variant,
-            "rounds": self.rounds,
-            "config": self.config,
-            "trajectories": [
-                {
-                    "seed": t.seed,
-                    "base_violation": t.base_violation,
-                    "rows": [
-                        [r.round, r.winner_id, r.gain, r.violation] for r in t.rows
-                    ],
-                }
-                for t in self.trajectories
-            ],
-        }
+        return {"format_version": REPORT_FORMAT_VERSION, **codec.to_dict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        if d.get("format_version") != REPORT_FORMAT_VERSION:
-            raise HarnessConfigError(
-                f"unsupported report version {d.get('format_version')!r}"
-            )
-        return cls(
-            variant=d["variant"],
-            rounds=int(d["rounds"]),
-            config=d["config"],
-            trajectories=tuple(
-                SeedTrajectory(
-                    seed=int(t["seed"]),
-                    base_violation=float(t["base_violation"]),
-                    rows=tuple(
-                        RoundRow(
-                            round=int(row[0]),
-                            winner_id=None if row[1] is None else int(row[1]),
-                            gain=float(row[2]),
-                            violation=float(row[3]),
-                        )
-                        for row in t["rows"]
-                    ),
-                )
-                for t in d["trajectories"]
-            ),
-        )
+        version, body = codec.split_version(d)
+        if version != REPORT_FORMAT_VERSION:
+            raise HarnessConfigError(f"unsupported report version {version!r}")
+        return codec.from_dict(cls, body)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -315,6 +258,18 @@ class RunReport:
     def load(cls, path: str) -> "RunReport":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """``run.json`` after its ``format_version`` key: what a run holds
+    besides its scheduler store and ``env.json``."""
+
+    seed: int
+    next_round: int
+    config: ExperimentConfig
+    pending: tuple[InboundBatch, ...]
+    rows: tuple[RoundRow, ...]
 
 
 class SingleRun:
@@ -370,10 +325,17 @@ class SingleRun:
         self.pending: list[InboundBatch] = []
         self.rows: list[RoundRow] = []
         self.next_round = 0
-        self.base_violation = self.env.true_gain_violation(self.env.spec.base_theta)[1]
-        self._last: tuple[int, float, float] | None = None
+
+    @property
+    def base_violation(self) -> float:
+        """Ground-truth guardrail shortfall of the base configuration."""
+        return self.env.true_gain_violation(self.env.spec.base_theta)[1]
 
     def _step_round(self, r: int) -> None:
+        if self.rows:
+            row = self.rows[-1]._replace(round=r)
+        else:
+            row = RoundRow(round=r, winner_id=None, gain=0.0, violation=self.base_violation)
         decided = False
         if r == 0:
             plan = self.sched.initial_plan()
@@ -393,14 +355,8 @@ class SingleRun:
             if decided:
                 winner = self.sched.last_selection.modal_winner()
                 g, v = self.env.true_gain_violation(thetas[winner])
-                self._last = (winner, g, v)
-        if self._last is None:
-            self.rows.append(
-                RoundRow(round=r, winner_id=None, gain=0.0, violation=self.base_violation)
-            )
-        else:
-            wid, g, v = self._last
-            self.rows.append(RoundRow(round=r, winner_id=wid, gain=g, violation=v))
+                row = RoundRow(round=r, winner_id=winner, gain=g, violation=v)
+        self.rows.append(row)
 
     def run_to(self, upto: int) -> None:
         """Advance wall rounds [next_round, upto)."""
@@ -421,51 +377,47 @@ class SingleRun:
         os.makedirs(directory, exist_ok=True)
         self.sched.persist(os.path.join(directory, "scheduler"))
         self.env.save(os.path.join(directory, "env.json"))
-        state = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "seed": self.seed,
-            "next_round": self.next_round,
-            "config": self.cfg.to_dict(),
-            "pending": [b.to_dict() for b in self.pending],
-            "rows": [[r.round, r.winner_id, r.gain, r.violation] for r in self.rows],
-            "last": list(self._last) if self._last else None,
-            "base_violation": self.base_violation,
-        }
+        state = Checkpoint(
+            seed=self.seed,
+            next_round=self.next_round,
+            config=self.cfg,
+            pending=tuple(self.pending),
+            rows=tuple(self.rows),
+        )
         with open(os.path.join(directory, "run.json"), "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
+            json.dump(
+                {"format_version": CHECKPOINT_FORMAT_VERSION, **codec.to_dict(state)},
+                fh, indent=2, sort_keys=True,
+            )
             fh.write("\n")
 
     @classmethod
     def resume(cls, directory: str) -> "SingleRun":
-        with open(os.path.join(directory, "run.json"), "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise HarnessConfigError(
-                f"unsupported checkpoint version {state.get('format_version')!r}"
-            )
-        cfg = ExperimentConfig.from_dict(state["config"])
+        """Rebuild a run from ``save_checkpoint``'s directory.
+
+        A malformed ``run.json`` or ``env.json`` raises HarnessConfigError;
+        the scheduler store raises ``RestoreError``.
+        """
+        try:
+            with open(os.path.join(directory, "run.json"), "r", encoding="utf-8") as fh:
+                body = json.load(fh)
+            version, body = codec.split_version(body)
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise HarnessConfigError(f"unsupported checkpoint version {version!r}")
+            state = codec.from_dict(Checkpoint, body)
+            env = SimEnv.load(os.path.join(directory, "env.json"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HarnessConfigError(f"malformed checkpoint in {directory}: {exc}") from exc
         run = cls.__new__(cls)
-        run.seed = int(state["seed"])
-        run.cfg = cfg
-        _, run.synchronous, _ = variant_toggles(cfg)
-        run.env = SimEnv.load(os.path.join(directory, "env.json"))
+        run.seed = state.seed
+        run.cfg = state.config
+        _, run.synchronous, _ = variant_toggles(state.config)
+        run.env = env
         run.sched = Scheduler.restore(os.path.join(directory, "scheduler"))
         run.sched.store_dir = None
-        run.pending = [InboundBatch.from_dict(b) for b in state["pending"]]
-        run.rows = [
-            RoundRow(
-                round=int(r[0]),
-                winner_id=None if r[1] is None else int(r[1]),
-                gain=float(r[2]),
-                violation=float(r[3]),
-            )
-            for r in state["rows"]
-        ]
-        run.next_round = int(state["next_round"])
-        run.base_violation = float(state["base_violation"])
-        run._last = tuple(state["last"]) if state["last"] else None
-        if run._last is not None:
-            run._last = (int(run._last[0]), float(run._last[1]), float(run._last[2]))
+        run.pending = list(state.pending)
+        run.rows = list(state.rows)
+        run.next_round = state.next_round
         return run
 
 

@@ -58,10 +58,6 @@ class SelectionResult:
     var: np.ndarray
     infeasible_rounds: int
 
-    def multiplicity(self) -> dict[int, int]:
-        """Winner multiset as ``{candidate_id: count}``."""
-        return dict(Counter(self.winners))
-
     def modal_winner(self) -> int:
         """Highest-multiplicity winner; ties broken by lowest id."""
         counts = Counter(self.winners)

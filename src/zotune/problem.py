@@ -11,9 +11,7 @@ direction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -66,10 +64,6 @@ class HyperParam:
             if not lo <= x <= hi:
                 raise ValueError(f"coordinate {x} outside bounds ({lo}, {hi})")
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.theta, dtype=float)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HyperParam):
             return NotImplemented
@@ -94,14 +88,6 @@ class LinearExpr:
     @property
     def arity(self) -> int:
         return len(self.weights)
-
-    def __call__(self, delta: Sequence[float]) -> float:
-        arr = np.asarray(delta, dtype=float)
-        if arr.shape != (self.arity,):
-            raise DimensionMismatchError(
-                f"linear form of arity {self.arity} got shape {arr.shape}"
-            )
-        return float(np.dot(np.asarray(self.weights), arr))
 
     def batch(self, deltas: np.ndarray) -> np.ndarray:
         """Evaluate on an array whose last axis is the metric axis."""
@@ -174,32 +160,6 @@ class TuningProblem:
     def n_metrics(self) -> int:
         return len(self.metrics)
 
-    def _check_delta(self, delta: Sequence[float]) -> np.ndarray:
-        arr = np.asarray(delta, dtype=float)
-        if arr.shape != (self.n_metrics,):
-            raise DimensionMismatchError(
-                f"lift vector of length {arr.shape} does not match "
-                f"{self.n_metrics} metrics"
-            )
-        return arr
-
-    def evaluate_objective(self, delta: Sequence[float]) -> float:
-        """Scalar objective value of one lift vector."""
-        return float(self.objective(self._check_delta(delta)))
-
-    def evaluate_constraints(self, delta: Sequence[float]) -> list[tuple[float, bool]]:
-        """Per-constraint ``(normalized value, satisfied)`` pairs.
-
-        Values are reported after direction normalization, so ``satisfied``
-        is always ``value >= normalized threshold`` (boundary inclusive).
-        """
-        arr = self._check_delta(delta)
-        out = []
-        for g, c in self._normalized:
-            v = float(g(arr))
-            out.append((v, v >= c))
-        return out
-
     def objective_batch(self, deltas: np.ndarray) -> np.ndarray:
         """Objective over an array whose last axis holds the M lifts."""
         deltas = np.asarray(deltas, dtype=float)
@@ -234,13 +194,8 @@ def gain(f_theta: float, f_base: float) -> float:
     return f_theta / f_base - 1.0
 
 
-def violation(g_theta: float, threshold: float) -> float:
-    """Constraint shortfall ``max(threshold - g, 0)`` in normalized form."""
-    return max(threshold - g_theta, 0.0)
-
-
-# Configuration file round-trip.  The on-disk form is JSON; floats survive
-# exactly because JSON serialization uses the shortest round-trip repr.
+# The problem's form in the scheduler manifest: the one codec not derived from
+# fields, because an expression's stored ``"form": "linear"`` tag is not a field.
 
 
 def _expr_to_dict(expr: LinearExpr) -> dict:
@@ -297,17 +252,3 @@ def problem_from_dict(d: dict) -> TuningProblem:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed problem configuration: {exc}") from exc
 
-
-def save_problem(problem: TuningProblem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
-        fh.write("\n")
-
-
-def load_problem(path: str) -> TuningProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid problem file {path}: {exc}") from exc
-    return problem_from_dict(data)

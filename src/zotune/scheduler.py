@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import codec
 from .deltastats import (
     DegenerateBaseError,
     DeltaStat,
@@ -86,29 +87,12 @@ class RoundPlan:
         if assignments and abs(total - 1.0) > PLAN_SUM_TOL:
             raise ValueError(f"fractions sum to {total}, not 1")
 
-    def fraction_of(self, candidate_id: int) -> float:
-        for cid, frac in self.assignments:
-            if cid == candidate_id:
-                return frac
-        return 0.0
-
-    def candidate_ids(self) -> tuple[int, ...]:
-        return tuple(cid for cid, _ in self.assignments)
-
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "control_fraction": self.control_fraction,
-            "assignments": [[cid, frac] for cid, frac in self.assignments],
-        }
+        return codec.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RoundPlan":
-        return cls(
-            round=d["round"],
-            control_fraction=d["control_fraction"],
-            assignments=tuple((int(c), float(f)) for c, f in d["assignments"]),
-        )
+        return codec.from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -134,41 +118,11 @@ class InboundBatch:
                 raise ValueError("readings must carry the batch origin round")
 
     def to_dict(self) -> dict:
-        def reading(r: GroupReading) -> list:
-            return [
-                r.candidate_id,
-                r.metric,
-                r.round,
-                r.sample_mean,
-                r.sample_var,
-                r.group_size,
-            ]
-
-        return {
-            "origin_round": self.origin_round,
-            "arrival_round": self.arrival_round,
-            "readings": [[reading(t), reading(c)] for t, c in self.readings],
-        }
+        return codec.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "InboundBatch":
-        def reading(row: list) -> GroupReading:
-            return GroupReading(
-                candidate_id=int(row[0]),
-                metric=str(row[1]),
-                round=int(row[2]),
-                sample_mean=float(row[3]),
-                sample_var=float(row[4]),
-                group_size=int(row[5]),
-            )
-
-        return cls(
-            origin_round=d["origin_round"],
-            arrival_round=d["arrival_round"],
-            readings=tuple(
-                (reading(t), reading(c)) for t, c in d["readings"]
-            ),
-        )
+        return codec.from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -177,44 +131,20 @@ class BucketInit:
 
     ``random`` draws ``size`` configurations uniformly from the bounds box;
     ``grid`` lays ``nodes_per_dim`` nodes per dimension (endpoints
-    included); ``explicit`` takes the given vectors verbatim.
+    included).
     """
 
     mode: str = "random"
     size: int = 100
     nodes_per_dim: int = 10
-    vectors: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("random", "grid", "explicit"):
+        if self.mode not in ("random", "grid"):
             raise ValueError(f"unknown bucket init mode {self.mode!r}")
         if self.mode == "random" and self.size < 1:
             raise ValueError("random init needs a positive size")
         if self.mode == "grid" and self.nodes_per_dim < 1:
             raise ValueError("grid init needs at least one node per dimension")
-        if self.mode == "explicit":
-            if not self.vectors:
-                raise ValueError("explicit init needs at least one vector")
-            object.__setattr__(
-                self,
-                "vectors",
-                tuple(tuple(float(x) for x in v) for v in self.vectors),
-            )
-
-    def to_dict(self) -> dict:
-        d = {"mode": self.mode, "size": self.size, "nodes_per_dim": self.nodes_per_dim}
-        if self.vectors is not None:
-            d["vectors"] = [list(v) for v in self.vectors]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BucketInit":
-        return cls(
-            mode=d.get("mode", "random"),
-            size=int(d.get("size", 100)),
-            nodes_per_dim=int(d.get("nodes_per_dim", 10)),
-            vectors=tuple(tuple(v) for v in d["vectors"]) if "vectors" in d else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -243,27 +173,24 @@ class SchedulerConfig:
             raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
 
     def to_dict(self) -> dict:
-        return {
-            "select_count": self.select_count,
-            "proposal_samples": self.proposal_samples,
-            "proposal_prob": self.proposal_prob,
-            "control_fraction": self.control_fraction,
-            "taylor_mode": self.taylor_mode.value,
-            "normalization": self.normalization,
-            "init": self.init.to_dict(),
-        }
+        return codec.to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchedulerConfig":
-        return cls(
-            select_count=int(d["select_count"]),
-            proposal_samples=int(d["proposal_samples"]),
-            proposal_prob=float(d["proposal_prob"]),
-            control_fraction=float(d["control_fraction"]),
-            taylor_mode=TaylorMode(d["taylor_mode"]),
-            normalization=d["normalization"],
-            init=BucketInit.from_dict(d["init"]),
-        )
+        return codec.from_dict(cls, d)
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """``manifest.json`` after its ``format_version`` key."""
+
+    round: int
+    next_id: int
+    exposed: bool
+    rng_state: dict
+    config: SchedulerConfig
+    problem: dict               # problem_to_dict's form
+    last_plan: RoundPlan | None
 
 
 def _fmt(x: float) -> str:
@@ -358,9 +285,7 @@ class Scheduler:
         rng = np.random.default_rng(rng)
         bounds = problem.base.bounds
         init = config.init
-        if init.mode == "explicit":
-            vectors = list(init.vectors)
-        elif init.mode == "grid":
+        if init.mode == "grid":
             axes = [
                 np.linspace(lo, hi, init.nodes_per_dim) for lo, hi in bounds
             ]
@@ -375,8 +300,6 @@ class Scheduler:
             vectors = [
                 tuple(v) for v in rng.uniform(lo, hi, size=(init.size, len(bounds)))
             ]
-        if not vectors:
-            raise ValueError("initial bucket must not be empty")
         bucket = {}
         created = {}
         for i, vec in enumerate(vectors, start=1):
@@ -546,18 +469,20 @@ class Scheduler:
             raise ValueError("no storage directory configured")
         os.makedirs(store_dir, exist_ok=True)
 
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "round": self._round,
-            "next_id": self._next_id,
-            "exposed": self._exposed,
-            "rng_state": self.rng.bit_generator.state,
-            "config": self.config.to_dict(),
-            "problem": problem_to_dict(self.problem),
-            "last_plan": self._last_plan.to_dict() if self._last_plan else None,
-        }
+        manifest = Manifest(
+            round=self._round,
+            next_id=self._next_id,
+            exposed=self._exposed,
+            rng_state=self.rng.bit_generator.state,
+            config=self.config,
+            problem=problem_to_dict(self.problem),
+            last_plan=self._last_plan,
+        )
         with open(os.path.join(store_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(
+                {"format_version": FORMAT_VERSION, **codec.to_dict(manifest)},
+                fh, indent=2, sort_keys=True,
+            )
             fh.write("\n")
 
         dim = len(self.problem.base.theta)
@@ -599,18 +524,20 @@ class Scheduler:
 
         try:
             with open(_path("manifest.json"), "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+                body = json.load(fh)
         except json.JSONDecodeError as exc:
             raise RestoreError(f"corrupt manifest: {exc}") from exc
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise RestoreError(
-                f"unsupported storage version {manifest.get('format_version')!r}"
-            )
-
-        problem = problem_from_dict(manifest["problem"])
-        config = SchedulerConfig.from_dict(manifest["config"])
-        rng = np.random.default_rng()
-        rng.bit_generator.state = manifest["rng_state"]
+        version, body = codec.split_version(body)
+        if version != FORMAT_VERSION:
+            raise RestoreError(f"unsupported storage version {version!r}")
+        try:
+            manifest = codec.from_dict(Manifest, body)
+            problem = problem_from_dict(manifest.problem)
+            rng = np.random.default_rng()
+            rng.bit_generator.state = manifest.rng_state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RestoreError(f"malformed manifest: {exc}") from exc
+        config = manifest.config
 
         bucket: dict[int, HyperParam] = {}
         created: dict[int, int] = {}
@@ -652,11 +579,6 @@ class Scheduler:
                     ) from None
                 raw_log.append((test, ctrl))
 
-        last_plan = (
-            RoundPlan.from_dict(manifest["last_plan"])
-            if manifest.get("last_plan")
-            else None
-        )
         return cls(
             problem,
             config,
@@ -665,9 +587,9 @@ class Scheduler:
             created_round=created,
             record=record,
             raw_log=raw_log,
-            round_no=int(manifest["round"]),
-            next_id=int(manifest["next_id"]),
-            exposed=bool(manifest["exposed"]),
-            last_plan=last_plan,
+            round_no=manifest.round,
+            next_id=manifest.next_id,
+            exposed=manifest.exposed,
+            last_plan=manifest.last_plan,
             store_dir=new_store_dir or store_dir,
         )

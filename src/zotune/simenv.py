@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import codec
 from .deltastats import GroupReading
 from .problem import gain as relative_gain
 from .scheduler import InboundBatch, RoundPlan
@@ -137,25 +138,6 @@ class RadialBumpField:
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         return np.clip((self.raw(thetas) - self.lo) / self.span, 0.0, 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "centers": [list(c) for c in self.centers],
-            "widths": list(self.widths),
-            "amps": list(self.amps),
-            "lo": self.lo,
-            "span": self.span,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadialBumpField":
-        return cls(
-            centers=tuple(tuple(c) for c in d["centers"]),
-            widths=tuple(d["widths"]),
-            lo=d["lo"],
-            span=d["span"],
-            amps=tuple(d["amps"]) if d.get("amps") is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class PatternCoeffs:
@@ -163,13 +145,6 @@ class PatternCoeffs:
 
     amplitudes: tuple[float, ...]
     phases: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"amplitudes": list(self.amplitudes), "phases": list(self.phases)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PatternCoeffs":
-        return cls(amplitudes=tuple(d["amplitudes"]), phases=tuple(d["phases"]))
 
 
 @dataclass(frozen=True)
@@ -179,21 +154,6 @@ class CounterCoeffs:
     amplitude: float
     phase: float
     harmonic: int
-
-    def to_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "phase": self.phase,
-            "harmonic": self.harmonic,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CounterCoeffs":
-        return cls(
-            amplitude=float(d["amplitude"]),
-            phase=float(d["phase"]),
-            harmonic=int(d["harmonic"]),
-        )
 
 
 def _realize_w1(coeffs: PatternCoeffs) -> np.ndarray:
@@ -254,46 +214,14 @@ class EnvSpec:
                 raise ValueError("base configuration must lie in the box")
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": ENV_FORMAT_VERSION,
-            "seed": self.seed,
-            "delta1": self.delta1.to_dict(),
-            "delta2": self.delta2.to_dict(),
-            "w1_coeffs": self.w1_coeffs.to_dict(),
-            "w2_coeffs": self.w2_coeffs.to_dict(),
-            "sigma": self.sigma,
-            "weights": list(self.weights),
-            "threshold": self.threshold,
-            "users": self.users,
-            "draws_per_step": self.draws_per_step,
-            "fixed_delay": self.fixed_delay,
-            "xi_mean": self.xi_mean,
-            "xi_sd": self.xi_sd,
-            "base_theta": list(self.base_theta),
-            "metrics": list(self.metrics),
-        }
+        return {"format_version": ENV_FORMAT_VERSION, **codec.to_dict(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvSpec":
-        if d.get("format_version") != ENV_FORMAT_VERSION:
-            raise ValueError(f"unsupported snapshot version {d.get('format_version')!r}")
-        return cls(
-            seed=int(d["seed"]),
-            delta1=RadialBumpField.from_dict(d["delta1"]),
-            delta2=RadialBumpField.from_dict(d["delta2"]),
-            w1_coeffs=PatternCoeffs.from_dict(d["w1_coeffs"]),
-            w2_coeffs=CounterCoeffs.from_dict(d["w2_coeffs"]),
-            sigma=float(d["sigma"]),
-            weights=tuple(d["weights"]),
-            threshold=float(d["threshold"]),
-            users=int(d["users"]),
-            draws_per_step=int(d["draws_per_step"]),
-            fixed_delay=int(d["fixed_delay"]),
-            xi_mean=float(d["xi_mean"]),
-            xi_sd=float(d["xi_sd"]),
-            base_theta=tuple(d["base_theta"]),
-            metrics=tuple(d["metrics"]),
-        )
+        version, body = codec.split_version(d)
+        if version != ENV_FORMAT_VERSION:
+            raise ValueError(f"unsupported snapshot version {version!r}")
+        return codec.from_dict(cls, body)
 
 
 def _norm_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -621,7 +549,8 @@ class SimEnv:
     def load(cls, path: str) -> "SimEnv":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        rng_state = data.pop("rng_state", None) if isinstance(data, dict) else None
         env = cls(EnvSpec.from_dict(data))
-        if "rng_state" in data:
-            env.rng_state = data["rng_state"]
+        if rng_state is not None:
+            env.rng_state = rng_state
         return env

@@ -211,9 +211,9 @@ def test_criterion_4_surrogate_identities(verdict):
         HyperParam(id=2, theta=(2.0, 2.0), bounds=big),
     ]
     far_gp = GpSurrogate.fit(far_bucket, np.array([[0.04], [0.06]]), np.zeros((2, 1)))
-    out = far_gp.predict((900.0, 900.0))
-    far_mu = abs(float(out.mu[0]))
-    far_var_gap = abs(float(out.sigma2[0]) - far_gp.signal_var(0))
+    out_mu, out_var = far_gp.predict_batch(np.array([(900.0, 900.0)]))
+    far_mu = abs(float(out_mu[0, 0]))
+    far_var_gap = abs(float(out_var[0, 0]) - far_gp.signal_var(0))
 
     ok = (
         interp_err <= 1e-6

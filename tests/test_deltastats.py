@@ -358,7 +358,7 @@ class TestEstimateRecord:
         assert rec.candidates_with_data(["x1"]) == [1]
         assert len(rec) == 1
         rec.absorb(1, "x1", 1, first)  # the round is still free
-        assert rec.rounds_absorbed(1, "x1") == 2
+        assert len(rec.hourly(1, "x1")) == 2
 
     @pytest.mark.parametrize(
         "weights",
@@ -396,7 +396,7 @@ class TestEstimateRecord:
         agg = rec.aggregate(7, "x1")
         assert agg.mean == pytest.approx(batch.mean, rel=REL)
         assert agg.var == pytest.approx(batch.var, rel=REL)
-        assert rec.rounds_absorbed(7, "x1") == 3
+        assert len(rec.hourly(7, "x1")) == 3
 
     def test_duplicate_round_is_conflict_and_no_op(self):
         rec = EstimateRecord()

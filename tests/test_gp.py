@@ -1,4 +1,4 @@
-"""Tests for candidate beliefs and the per-metric GP surrogate."""
+"""Tests for the per-metric GP surrogate."""
 
 import tracemalloc
 
@@ -11,7 +11,6 @@ from zotune.gp import (
     BASE_JITTER,
     MAX_JITTER,
     SIGNAL_VAR_FLOOR,
-    CandidateBelief,
     FitFailureError,
     GpSurrogate,
     RejectedInputError,
@@ -30,23 +29,13 @@ def column(values):
     return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
-class TestCandidateBelief:
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateBelief(candidate_id=1, mu=[0.0], sigma2=[-1e-9])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateBelief(candidate_id=1, mu=[0.0, 1.0], sigma2=[0.0])
-
-
 class TestFitAndPredict:
     def test_single_noiseless_point_interpolates(self):
         bucket = [hp(1, (0.3, 0.7))]
         gp = GpSurrogate.fit(bucket, column([0.05]), column([0.0]))
-        out = gp.predict((0.3, 0.7))
-        assert out.mu[0] == pytest.approx(0.05, abs=1e-6)
-        assert out.sigma2[0] <= BASE_JITTER * 1.01
+        mu, var = gp.predict_batch(np.array([(0.3, 0.7)]))
+        assert mu[0, 0] == pytest.approx(0.05, abs=1e-6)
+        assert var[0, 0] <= BASE_JITTER * 1.01
 
     def test_interpolation_on_well_separated_grid(self):
         pts = [(a, b) for a in (0.1, 0.5, 0.9) for b in (0.1, 0.5, 0.9)]
@@ -62,15 +51,15 @@ class TestFitAndPredict:
         bucket = [hp(1, (1.0, 1.0), big), hp(2, (2.0, 2.0), big)]
         gp = GpSurrogate.fit(bucket, column([0.04, 0.06]), column([0.0, 0.0]))
         s2 = gp.signal_var(0)
-        out = gp.predict((900.0, 900.0))
-        assert abs(out.mu[0]) < 1e-6
-        assert abs(out.sigma2[0] - s2) < 1e-6
+        mu, var = gp.predict_batch(np.array([(900.0, 900.0)]))
+        assert abs(mu[0, 0]) < 1e-6
+        assert abs(var[0, 0] - s2) < 1e-6
 
     def test_symmetric_targets_cancel_at_midpoint(self):
         bucket = [hp(1, (0.2, 0.5)), hp(2, (0.8, 0.5))]
         gp = GpSurrogate.fit(bucket, column([0.03, -0.03]), column([0.0, 0.0]))
-        out = gp.predict((0.5, 0.5))
-        assert abs(out.mu[0]) < 1e-9
+        mu, _ = gp.predict_batch(np.array([(0.5, 0.5)]))
+        assert abs(mu[0, 0]) < 1e-9
 
     def test_linear_ground_truth_within_hull(self):
         rng = np.random.default_rng(11)
@@ -82,8 +71,8 @@ class TestFitAndPredict:
         centroid = pts.mean(axis=0)
         queries = [centroid] + [0.5 * centroid + 0.5 * p for p in pts[:5]]
         for q in queries:
-            out = gp.predict(tuple(q))
-            assert out.mu[0] == pytest.approx(truth(q), rel=0.02)
+            mu, _ = gp.predict_batch(np.array([q]))
+            assert mu[0, 0] == pytest.approx(truth(q), rel=0.02)
 
     def test_variance_bounds_at_random_queries(self):
         rng = np.random.default_rng(3)
@@ -142,20 +131,20 @@ class TestFitAndPredict:
     def test_contradictory_duplicates_absorbed(self):
         bucket = [hp(1, (0.5, 0.5)), hp(2, (0.5, 0.5))]
         gp = GpSurrogate.fit(bucket, column([0.1, -0.1]), column([1e-4, 1e-4]))
-        out = gp.predict((0.5, 0.5))
-        assert np.isfinite(out.mu[0])
-        assert abs(out.mu[0]) < 0.1  # shrinks toward the prior between the two
+        mu, _ = gp.predict_batch(np.array([(0.5, 0.5)]))
+        assert np.isfinite(mu[0, 0])
+        assert abs(mu[0, 0]) < 0.1  # shrinks toward the prior between the two
 
     def test_out_of_bounds_query_rejected(self):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
-            gp.predict((1.5, 0.5))
+            gp.predict_batch(np.array([(1.5, 0.5)]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
-            gp.predict((bad, 0.5))
+            gp.predict_batch(np.array([(bad, 0.5)]))
         with pytest.raises(RejectedInputError):
             gp.predict_batch(np.array([[0.5, 0.5], [0.5, bad]]))
 
@@ -197,18 +186,12 @@ class TestFitAndPredict:
                 column([0.0, 0.0]),
             )
 
-    def test_predict_returns_belief_without_id(self):
-        gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
-        out = gp.predict((0.4, 0.4))
-        assert isinstance(out, CandidateBelief)
-        assert out.candidate_id is None
-
     def test_jitter_escalation_fits_hard_duplicates(self):
         """Many exact duplicates with zero noise still factorize."""
         bucket = [hp(i + 1, (0.5, 0.5)) for i in range(30)]
         gp = GpSurrogate.fit(bucket, column([0.05] * 30), column([0.0] * 30))
-        out = gp.predict((0.5, 0.5))
-        assert out.mu[0] == pytest.approx(0.05, rel=1e-3)
+        mu, _ = gp.predict_batch(np.array([(0.5, 0.5)]))
+        assert mu[0, 0] == pytest.approx(0.05, rel=1e-3)
 
     def test_fit_failure_raised_beyond_max_jitter(self):
         """A kernel poisoned by non-finite targets cannot be factorized."""

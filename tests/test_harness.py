@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from zotune import cli
 from zotune.cli import build_parser, main
 from zotune.deltastats import TaylorMode
 from zotune.harness import (
@@ -29,6 +31,7 @@ from zotune.harness import (
     variant_toggles,
 )
 from zotune.problem import AT_LEAST
+from zotune.scheduler import SchedulerConfig
 from zotune.simenv import CONTROL_ID, SimEnv
 
 # Small-but-live loop settings so campaign tests stay fast.
@@ -114,6 +117,9 @@ class TestExperimentConfig:
         tiny = tiny_config(taylor_mode=TaylorMode.CROSSED)
         run = SingleRun(3, ExperimentConfig.from_dict(tiny.to_dict()))
         assert run.sched.config.taylor_mode is TaylorMode.CROSSED
+
+    def test_default_loop_is_the_scheduler_default(self):
+        assert SingleRun(1, ExperimentConfig()).sched.config == SchedulerConfig()
 
     def test_unknown_taylor_mode_rejected(self):
         with pytest.raises(HarnessConfigError, match="taylor_mode"):
@@ -273,6 +279,19 @@ class TestCampaignRuns:
         undecided = lambda t: sum(1 for r in t.rows if r.winner_id is None)
         assert undecided(sync) > undecided(full)
 
+    def test_idle_rounds_repeat_the_last_row(self):
+        """Synchronous rounds that only ingest carry the previous row forward."""
+        run = SingleRun(3, tiny_config(variant="synchronous", rounds=12))
+        idle = []
+        for r in range(12):
+            before = run.sched.round
+            run.run_to(r + 1)
+            if r > 0 and run.sched.round == before:
+                idle.append(r)
+        assert any(run.rows[r - 1].winner_id is not None for r in idle)
+        for r in idle:
+            assert run.rows[r] == run.rows[r - 1]._replace(round=r)
+
     def test_report_carries_seed_order(self):
         report = run_experiment(tiny_config())
         assert report.seeds == TINY["seeds"]
@@ -334,6 +353,27 @@ class TestCheckpointResume:
         state_path.write_text(json.dumps(state))
         with pytest.raises(HarnessConfigError):
             SingleRun.resume(str(tmp_path / "ckpt"))
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("run.json", lambda d: d.pop("rows")),
+            ("run.json", lambda d: d["pending"][0].pop("arrival_round")),
+            ("run.json", lambda d: d["config"].update(rounds="x")),
+            ("env.json", lambda d: d.pop("sigma")),
+        ],
+        ids=["no-rows", "pending-without-arrival", "rounds-not-int", "env-without-sigma"],
+    )
+    def test_malformed_checkpoint_fails(self, tmp_path, name, edit):
+        run = SingleRun(3, tiny_config(seeds=(3,), rounds=4))
+        run.run_to(2)
+        run.save_checkpoint(str(tmp_path))
+        path = tmp_path / name
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(HarnessConfigError, match="checkpoint"):
+            SingleRun.resume(str(tmp_path))
 
 
 class TestEmitSeries:
@@ -526,6 +566,16 @@ class TestCli:
         assert rc == 1
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields", [{"rounds": "x"}, {"seeds": 5}], ids=["rounds-str", "seeds-int"]
+    )
+    def test_mistyped_config_value_exits_nonzero(self, tmp_path, capsys, fields):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(fields))
+        rc = main(["run", "--rounds", "1", "--config", str(cfg_path)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_n_seeds_out_of_range_exits_nonzero(self):
         assert main(["run", "--n-seeds", "99"]) == 1
 
@@ -544,3 +594,63 @@ class TestCli:
         assert rc == 0
         assert (out / "comparison.csv").exists()
         assert "reference=full" in capsys.readouterr().out
+
+
+class TestCliConfig:
+    """Flags set ``ExperimentConfig`` fields and default to its defaults."""
+
+    def run_configs(self, monkeypatch, argv):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return synthetic_report(cfg.variant)
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert main(argv) == 0
+        return seen
+
+    def test_no_flags_build_the_default_config(self, monkeypatch):
+        assert self.run_configs(monkeypatch, ["run"]) == [ExperimentConfig()]
+
+    @pytest.mark.parametrize(
+        "flags, field, value",
+        [
+            (["--variant", "raw-metric"], "variant", "raw-metric"),
+            (["--seeds", "4", "2"], "seeds", (4, 2)),
+            (["--n-seeds", "3"], "seeds", DEFAULT_SEED_POOL[:3]),
+            (["--rounds", "7"], "rounds", 7),
+            (["-T", "7"], "rounds", 7),
+            (["--select-count", "9"], "select_count", 9),
+            (["-K", "9"], "select_count", 9),
+            (["--proposal-samples", "11"], "proposal_samples", 11),
+            (["-N", "11"], "proposal_samples", 11),
+            (["--proposal-prob", "0.5"], "proposal_prob", 0.5),
+            (["-p", "0.5"], "proposal_prob", 0.5),
+            (["--control-fraction", "0.3"], "control_fraction", 0.3),
+            (["--taylor-mode", "crossed"], "taylor_mode", "crossed"),
+            (["--tau", "5"], "fixed_delay", 5),
+            (["--fixed-delay", "5"], "fixed_delay", 5),
+            (["--xi-mean", "0.5"], "xi_mean", 0.5),
+            (["--xi-sd", "2.5"], "xi_sd", 2.5),
+            (["--init", "grid"], "bucket_init", "grid"),
+            (["--bucket-size", "12"], "bucket_size", 12),
+            (["--grid-nodes", "4"], "grid_nodes", 4),
+            (["--sigma", "0.3"], "sigma", 0.3),
+            (["--users", "5000"], "users", 5000),
+            (["--draws", "20"], "draws_per_step", 20),
+            (["--out", "results"], "out_dir", "results"),
+        ],
+    )
+    def test_each_flag_sets_its_field(self, monkeypatch, flags, field, value):
+        (cfg,) = self.run_configs(monkeypatch, ["run"] + flags)
+        assert cfg == replace(ExperimentConfig(), **{field: value})
+
+    def test_ablate_sets_each_variant(self, monkeypatch):
+        configs = self.run_configs(
+            monkeypatch, ["ablate", "--variants", "full", "no-proposal", "-T", "4"]
+        )
+        assert configs == [
+            ExperimentConfig(variant="full", rounds=4),
+            ExperimentConfig(variant="no-proposal", rounds=4),
+        ]

@@ -17,11 +17,8 @@ from zotune.problem import (
     TuningProblem,
     UndefinedGainError,
     gain,
-    load_problem,
     problem_from_dict,
     problem_to_dict,
-    save_problem,
-    violation,
 )
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
@@ -56,10 +53,6 @@ class TestHyperParam:
         with pytest.raises(DimensionMismatchError):
             HyperParam(id=1, theta=(0.5,), bounds=BOUNDS)
 
-    def test_vector(self):
-        hp = HyperParam(id=1, theta=(0.25, 0.75), bounds=BOUNDS)
-        np.testing.assert_array_equal(hp.vector, [0.25, 0.75])
-
     def test_boundary_points_allowed(self):
         HyperParam(id=1, theta=(0.0, 1.0), bounds=BOUNDS)
 
@@ -67,7 +60,7 @@ class TestHyperParam:
 class TestExpressions:
     def test_linear_value(self):
         f = LinearExpr((1.0, 2.0, 3.0))
-        assert f((1.0, 1.0, 1.0)) == pytest.approx(6.0)
+        assert f.batch(np.array([1.0, 1.0, 1.0])) == pytest.approx(6.0)
         assert f.arity == 3
 
     def test_linear_batch(self):
@@ -80,23 +73,19 @@ class TestExpressions:
         batch = np.ones((4, 5, 2))
         assert f.batch(batch).shape == (4, 5)
 
-    def test_linear_arity_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            LinearExpr((1.0, 2.0))((1.0, 2.0, 3.0))
-
 
 class TestConstraintSpec:
     def test_at_least_normalization_is_identity(self):
         c = ConstraintSpec(g=LinearExpr((1.0, 0.0)), threshold=0.5, direction=AT_LEAST)
         g_n, thr = c.normalized()
-        assert g_n((0.7, 0.0)) == pytest.approx(0.7)
+        assert g_n.batch(np.array([0.7, 0.0])) == pytest.approx(0.7)
         assert thr == pytest.approx(0.5)
 
     def test_at_most_flips_sign(self):
         c = ConstraintSpec(g=LinearExpr((1.0, 0.0)), threshold=0.5, direction=AT_MOST)
         g_n, thr = c.normalized()
         # g <= c becomes -g >= -c
-        assert g_n((0.7, 0.0)) == pytest.approx(-0.7)
+        assert g_n.batch(np.array([0.7, 0.0])) == pytest.approx(-0.7)
         assert thr == pytest.approx(-0.5)
 
 
@@ -121,20 +110,7 @@ class TestTuningProblem:
 
     def test_evaluate_objective(self):
         p = make_problem()
-        assert p.evaluate_objective((1.0, 1.0)) == pytest.approx(3.0)
-
-    def test_evaluate_constraints_includes_boundary(self):
-        p = make_problem()
-        results = p.evaluate_constraints((0.1, 0.1))
-        assert len(results) == 1
-        value, ok = results[0]
-        assert value == pytest.approx(0.1)
-        assert ok  # boundary counts as satisfied
-
-    def test_evaluate_constraints_violated(self):
-        p = make_problem()
-        (_, ok), = p.evaluate_constraints((0.0, 0.0))
-        assert not ok
+        assert p.objective_batch(np.array([1.0, 1.0])) == pytest.approx(3.0)
 
     def test_constraint_slack_batch_shape(self):
         p = make_problem(n_constraints=2)
@@ -185,27 +161,24 @@ class TestGainViolation:
         with pytest.raises(UndefinedGainError):
             gain(1.0, 0.0)
 
-    def test_violation(self):
-        assert violation(0.4, 0.5) == pytest.approx(0.1)
-        assert violation(0.6, 0.5) == 0.0
-        assert violation(0.5, 0.5) == 0.0
+
+def json_roundtrip(problem):
+    return problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         p = make_problem(n_constraints=2)
-        path = tmp_path / "problem.json"
-        save_problem(p, path)
-        q = load_problem(path)
+        q = json_roundtrip(p)
         assert q.metrics == p.metrics
         assert q.base.id == p.base.id
         assert q.base.theta == p.base.theta
-        assert q.evaluate_objective((0.3, 0.4)) == pytest.approx(
-            p.evaluate_objective((0.3, 0.4))
+        assert q.objective_batch(np.array([0.3, 0.4])) == pytest.approx(
+            p.objective_batch(np.array([0.3, 0.4]))
         )
         assert len(q.constraints) == 2
 
-    def test_roundtrip_exact_floats(self, tmp_path):
+    def test_roundtrip_exact_floats(self):
         w = (0.1 + 0.2, 1.0 / 3.0)
         p = TuningProblem(
             metrics=("x1", "x2"),
@@ -213,9 +186,7 @@ class TestSerialization:
             constraints=(),
             base=HyperParam(id=0, theta=(1.0 / 7.0, 2.0 / 7.0), bounds=BOUNDS),
         )
-        path = tmp_path / "p.json"
-        save_problem(p, path)
-        q = load_problem(path)
+        q = json_roundtrip(p)
         assert q.objective.weights == w
         assert q.base.theta == p.base.theta
 

@@ -74,9 +74,10 @@ class TestRoundPlan:
 
     def test_valid_plan(self):
         plan = RoundPlan(round=1, control_fraction=0.2, assignments=((1, 0.5), (2, 0.3)))
-        assert plan.fraction_of(1) == 0.5
-        assert plan.fraction_of(99) == 0.0
-        assert plan.candidate_ids() == (1, 2)
+        fractions = dict(plan.assignments)
+        assert fractions[1] == 0.5
+        assert fractions.get(99, 0.0) == 0.0
+        assert tuple(fractions) == (1, 2)
 
     def test_unsorted_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -123,19 +124,10 @@ class TestBootstrap:
         assert all(hp.id >= 1 for hp in bucket)
         assert sched.next_id == 101
 
-    def test_explicit_init_verbatim(self):
-        vectors = ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))
-        sched = make_sched(init=BucketInit(mode="explicit", vectors=vectors))
-        assert tuple(hp.theta for hp in sched.bucket) == vectors
-
     def test_random_init_deterministic_by_seed(self):
         a = make_sched(seed=5, init=BucketInit(mode="random", size=8))
         b = make_sched(seed=5, init=BucketInit(mode="random", size=8))
         assert tuple(hp.theta for hp in a.bucket) == tuple(hp.theta for hp in b.bucket)
-
-    def test_empty_explicit_rejected(self):
-        with pytest.raises(ValueError):
-            BucketInit(mode="explicit", vectors=())
 
     def test_base_is_not_in_bucket(self):
         sched = make_sched()
@@ -187,14 +179,15 @@ class TestRunRound:
         plan = sched.run_round(batches)
         assert sched.last_selection is not None
         assert sched.last_selection.winners == (1,) * 50
-        assert plan.fraction_of(1) == pytest.approx(0.8)
+        assert dict(plan.assignments)[1] == pytest.approx(0.8)
 
     def test_traffic_split_two_to_one(self):
         """Units {a: 2, b: 1} at control 0.2 give 0.5333... and 0.2666..."""
         sched = make_sched()
         plan = sched._plan_from_units(1, Counter({1: 2, 2: 1}))
-        assert plan.fraction_of(1) == pytest.approx(0.8 * 2 / 3, rel=1e-12)
-        assert plan.fraction_of(2) == pytest.approx(0.8 / 3, rel=1e-12)
+        fractions = dict(plan.assignments)
+        assert fractions[1] == pytest.approx(0.8 * 2 / 3, rel=1e-12)
+        assert fractions[2] == pytest.approx(0.8 / 3, rel=1e-12)
 
     def test_proposal_grows_bucket_with_unit_traffic(self):
         sched = make_sched(proposal_prob=1.0, select_count=3, proposal_samples=16)
@@ -205,8 +198,9 @@ class TestRunRound:
         assert len(sched.bucket) == before + 1
         assert sched.created_round(new_id) == 1
         # zero-variance winners all land on candidate 1: units {1: 3, new: 1}
-        assert plan.fraction_of(1) == pytest.approx(0.8 * 3 / 4)
-        assert plan.fraction_of(new_id) == pytest.approx(0.8 / 4)
+        fractions = dict(plan.assignments)
+        assert fractions[1] == pytest.approx(0.8 * 3 / 4)
+        assert fractions[new_id] == pytest.approx(0.8 / 4)
 
     def test_p_zero_keeps_bucket_constant(self):
         sched = make_sched(proposal_prob=0.0, select_count=10)
@@ -317,8 +311,8 @@ class TestIngest:
             )),
         ]
         assert sched.ingest(batches) == 2
-        assert sched.record.rounds_absorbed(1, "x2") == 1
-        assert sched.record.rounds_absorbed(2, "x1") == 1
+        assert len(sched.record.hourly(1, "x2")) == 1
+        assert len(sched.record.hourly(2, "x1")) == 1
         sched.run_round([])
         assert sched.last_selection is not None
 
@@ -332,8 +326,8 @@ class TestIngest:
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
         overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
         assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
-        assert sched.record.rounds_absorbed(1, "x1") == 1
-        assert sched.record.rounds_absorbed(1, "x2") == 2
+        assert len(sched.record.hourly(1, "x1")) == 1
+        assert len(sched.record.hourly(1, "x2")) == 2
         sched.run_round([])
         assert sched.last_selection is not None
 
@@ -347,7 +341,7 @@ class TestIngest:
         huge = [batch_for(1, rnd, 3, n=10**154) for rnd in (1, 2)]
         assert sched.ingest(huge) == 2  # round 1's rows, one per metric
         for metric in METRICS:
-            assert sched.record.rounds_absorbed(1, metric) == 2
+            assert len(sched.record.hourly(1, metric)) == 2
             assert sched.record.aggregate(1, metric).weight == 1e154 + 1000.0
         for _ in range(3):
             sched.run_round([])
@@ -429,6 +423,31 @@ class TestPersistence:
         manifest["format_version"] = 999
         (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(RestoreError):
+            Scheduler.restore(str(store))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("config"),
+            lambda m: m["config"].pop("init"),
+            lambda m: m.update(round="abc"),
+            lambda m: m["config"].update(select_count="x"),
+            lambda m: m["problem"].pop("base"),
+            lambda m: m.update(last_plan={"round": 1}),
+        ],
+        ids=[
+            "no-config", "config-key-missing", "round-not-int",
+            "select-count-not-int", "problem-without-base", "partial-last-plan",
+        ],
+    )
+    def test_malformed_manifest_fails(self, tmp_path, edit):
+        store = tmp_path / "s"
+        self.run_some_rounds().persist(str(store))
+        path = store / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(RestoreError, match="manifest"):
             Scheduler.restore(str(store))
 
     @pytest.mark.parametrize(
@@ -533,7 +552,7 @@ class TestRawReplay:
         assert ("0.0" in control_means) == (normalization == "raw")
         restored = Scheduler.restore(str(tmp_path))
         self.assert_same_record(live, restored)
-        assert restored.record.rounds_absorbed(4, "x1") == (1 if normalization == "raw" else 0)
+        assert len(restored.record.hourly(4, "x1")) == (1 if normalization == "raw" else 0)
 
     def test_legacy_derived_tables_are_ignored(self, tmp_path):
         live = self.run_with_degenerate_row("delta")
