@@ -42,6 +42,7 @@ from .optimizer import (
     ProposalResult,
     RejectedSurrogateError,
     SelectionResult,
+    beliefs,
     propose,
     select,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "UndefinedGainError",
     "VARIANTS",
     "aggregate",
+    "beliefs",
     "compare_variants",
     "delta_problem_from_env",
     "emit_series",

@@ -8,7 +8,8 @@ Usage sketch:
 
 Experiment flags set the ``ExperimentConfig`` field of the same name; a
 JSON config file (--config) supplies fields by name and takes precedence
-over individual flags.  Unknown or wrongly typed fields are refused.  The
+over individual flags.  Unknown or wrongly typed fields are refused, and so
+is a ``variant`` in the config of ``ablate``, which sets it per run.  The
 process exits 0 only when every requested run completed.
 """
 
@@ -87,7 +88,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace, **fixed: object) -> ExperimentConfig:
     """``ExperimentConfig()`` overridden by the flags given, then by
-    ``fixed``, then by the ``--config`` file."""
+    ``fixed``, then by the ``--config`` file, which may not set a field of
+    ``fixed``."""
     given = vars(args)
     d = ExperimentConfig().to_dict()
     d.update((name, value) for name, value in given.items() if name in d)
@@ -103,6 +105,11 @@ def _config_from_args(args: argparse.Namespace, **fixed: object) -> ExperimentCo
             overrides = json.load(fh)
         if not isinstance(overrides, dict):
             raise HarnessConfigError("config file must hold a JSON object")
+        clash = sorted(set(fixed) & set(overrides))
+        if clash:
+            raise HarnessConfigError(
+                f"config file sets {', '.join(clash)}, which this command sets itself"
+            )
         d.update(overrides)
     return ExperimentConfig.from_dict(d)
 
@@ -122,9 +129,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    configs = [_config_from_args(args, variant=variant) for variant in args.variants]
     reports = []
-    for variant in args.variants:
-        cfg = _config_from_args(args, variant=variant)
+    for variant, cfg in zip(args.variants, configs):
         report = run_experiment(cfg)
         gm, gs = report.final_gain_summary()
         print(

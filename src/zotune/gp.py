@@ -25,6 +25,14 @@ diagonal each entry is at most the finite signal variance, so checking the
 diagonal after the noise is added stands for a scan of the whole matrix: a
 diagonal that overflows is a ``FitFailureError``.
 
+The factorizations and solves call LAPACK's ``dpotrf``, ``dpotrs`` and
+BLAS's ``dtrsm`` through the function pointers scipy exports in
+``scipy.linalg.cython_lapack`` and ``cython_blas``.  These are the routines
+``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` reach, in
+the same library, so the bits are theirs; but ctypes releases the GIL for
+the call, where scipy's wrappers hold it, so a fit can run on one thread
+while another draws random numbers.
+
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
 shrink down columns, so the median is selected from the gaps inside a
@@ -35,11 +43,13 @@ bracket without building all ``n(n-1)/2`` of them (Frederickson & Johnson,
 
 from __future__ import annotations
 
+import ctypes
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cython_blas, cython_lapack
 
 from .problem import HyperParam
 
@@ -57,6 +67,116 @@ class FitFailureError(RuntimeError):
 
 class RejectedInputError(ValueError):
     """A prediction was requested outside the fitted bounds box."""
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _bind(module, name: str, params: str):
+    """A ctypes function calling ``module``'s exported ``name``, which runs
+    without the GIL.  Its capsule must carry the C signature ``void
+    (params)``, with scipy's ``double`` typedef spelled ``double``."""
+    capsule = module.__pyx_capi__[name]
+    tag = _capsule_name(capsule)
+    signature = re.sub(r"__pyx_t_\w+_d\b", "double", tag.decode("ascii"))
+    if signature != f"void ({params})":
+        raise ImportError(f"scipy's {name} has signature {signature!r}, not void ({params})")
+    n_args = params.count(",") + 1
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(_capsule_pointer(capsule, tag))
+
+
+_dpotrf = _bind(cython_lapack, "dpotrf", "char *, int *, double *, int *, int *")
+_dpotrs = _bind(
+    cython_lapack, "dpotrs",
+    "char *, int *, int *, double *, int *, double *, int *, int *",
+)
+_dlaset = _bind(
+    cython_lapack, "dlaset",
+    "char *, int *, int *, double *, double *, double *, int *",
+)
+_dtrsm = _bind(
+    cython_blas, "dtrsm",
+    "char *, char *, char *, char *, int *, int *, double *, double *, int *, double *, int *",
+)
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int(value))
+
+
+_ZERO = ctypes.byref(ctypes.c_double(0.0))
+_ONE = ctypes.byref(ctypes.c_double(1.0))
+
+
+def _operand(a: np.ndarray, shape: tuple[int, ...], *, written: bool = True) -> int:
+    """Address of ``a``, which LAPACK may read as a column-major ``shape``
+    array (and write, with ``written``); ValueError for anything else."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.shape == shape
+        and a.flags.f_contiguous
+        and a.flags.aligned
+        and (a.flags.writeable or not written)
+    ):
+        kind = "writeable " if written else ""
+        raise ValueError(f"expected a {kind}Fortran-ordered float64 array of shape {shape}")
+    return a.ctypes.data
+
+
+def _order(c: np.ndarray) -> int:
+    """Order of the square matrix ``c``; ValueError if it is not square."""
+    if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.shape[0] == c.shape[1] >= 1):
+        raise ValueError("expected a square matrix")
+    return c.shape[0]
+
+
+def _potrf(a: np.ndarray) -> int:
+    """Factor ``a = L L^T`` in place, ``L`` lower and the strict upper
+    triangle zeroed, as ``scipy.linalg.cholesky(a, lower=True)`` returns it.
+
+    Only the lower triangle of ``a`` is read.  Returns LAPACK's ``info``: 0,
+    or the order of the leading minor that is not positive definite.
+    """
+    n = _order(a)
+    ptr = _operand(a, (n, n))
+    info = ctypes.c_int(0)
+    _dpotrf(b"L", _int(n), ptr, _int(n), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpotrf rejected argument {-info.value}")
+    # The strict upper triangle of a is the upper triangle of its
+    # (n-1) x (n-1) block at a[0, 1], diagonal included.
+    _dlaset(b"U", _int(n - 1), _int(n - 1), _ZERO, _ZERO, ptr + 8 * n, _int(n))
+    return info.value
+
+
+def _potrs(chol: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` with ``(L L^T)^-1 b`` for the lower factor ``chol``."""
+    n = _order(chol)
+    info = ctypes.c_int(0)
+    _dpotrs(
+        b"L", _int(n), _int(1), _operand(chol, (n, n), written=False), _int(n),
+        _operand(b, (n,)), _int(n), ctypes.byref(info),
+    )
+    if info.value < 0:
+        raise ValueError(f"dpotrs rejected argument {-info.value}")
+
+
+def _trsm(chol: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite the ``(n, q)`` array ``b`` with ``L^-1 b`` for the lower factor ``chol``."""
+    n = _order(chol)
+    if not (isinstance(b, np.ndarray) and b.ndim == 2):
+        raise ValueError("expected an (n, q) right-hand side")
+    q = b.shape[1]
+    _dtrsm(
+        b"L", b"L", b"N", b"N", _int(n), _int(q), _ONE,
+        _operand(chol, (n, n), written=False), _int(n), _operand(b, (n, q)), _int(n),
+    )
 
 
 def _normalize(thetas: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -221,7 +341,8 @@ class GpSurrogate:
 
     Build one with :meth:`fit`; instances are immutable and prediction is a
     pure function of the fitted state, so repeated calls are bitwise
-    reproducible.
+    reproducible.  Neither touches shared state, so a fit may run on a
+    thread of its own.
     """
 
     def __init__(
@@ -338,18 +459,18 @@ class GpSurrogate:
                     raise FitFailureError(
                         f"kernel diagonal of metric {k} overflows"
                     )
-                try:
-                    chol = cholesky(kmat.T, lower=True, overwrite_a=True, check_finite=False)
+                chol = kmat.T
+                if _potrf(chol) == 0:
                     break
-                except np.linalg.LinAlgError:
-                    jit *= 10.0
-                    if jit > MAX_JITTER * (1 + 1e-12):
-                        raise FitFailureError(
-                            f"kernel factorization failed for metric {k} "
-                            f"even at jitter {MAX_JITTER}"
-                        ) from None
-                    _scaled_kernels(x, x, ls, (s2,), (kmat,), upper=True)
-            alpha = cho_solve((chol, True), mus[:, k], check_finite=False)
+                jit *= 10.0
+                if jit > MAX_JITTER * (1 + 1e-12):
+                    raise FitFailureError(
+                        f"kernel factorization failed for metric {k} "
+                        f"even at jitter {MAX_JITTER}"
+                    )
+                _scaled_kernels(x, x, ls, (s2,), (kmat,), upper=True)
+            alpha = mus[:, k].copy()
+            _potrs(chol, alpha)
             gps.append(_MetricGp(signal_var=s2, chol=chol, alpha=alpha, jitter=jit))
         return cls(bounds=bounds, x=x, lengthscales=ls, metrics_gps=tuple(gps))
 
@@ -377,13 +498,10 @@ class GpSurrogate:
         _scaled_kernels(xq, self._x, self._ls, [gk.signal_var for gk in self._gps], kqs)
         mu = np.empty((xq.shape[0], self.n_metrics))
         var = np.empty_like(mu)
-        # Queries are checked finite and every factor came from a finite
-        # matrix, so the solves skip scipy's finiteness scans.
         for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
             mu[:, k] = kq @ gk.alpha
-            w = solve_triangular(                                     # (n, q), in kq's buffer
-                gk.chol, kq.T, lower=True, overwrite_b=True, check_finite=False
-            )
+            w = kq.T                                                  # (n, q)
+            _trsm(gk.chol, w)
             np.square(w, out=w)
             var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
         return mu, var

@@ -9,6 +9,10 @@ draw has the largest worst-constraint slack, and is counted separately.
 Winners form a multiset: a candidate picked in several repetitions later
 earns proportionally more traffic.
 
+``beliefs`` reads the measured candidates' aggregates into ``(n, M)``
+arrays once per decision; ``select`` draws and scores them, so a caller can
+hand the same read-only beliefs to the GP fit while the draws run.
+
 The draws are one ``(K, n, M)`` standard-normal stream in C order:
 repetition, then candidate in id order, then metric.  Selection draws and
 scores it in blocks of whole repetitions, about 1 MiB each, so memory stays
@@ -46,8 +50,9 @@ class SelectionResult:
 
     ``winners`` holds one candidate id per repetition (a multiset of size
     K).  ``candidate_ids`` are the candidates the draws came from, in id
-    order, and row ``i`` of the read-only ``(n, M)`` arrays ``mu`` and
-    ``var`` is candidate ``candidate_ids[i]``'s aggregated belief.
+    order, and row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` (the
+    read-only arrays of ``beliefs``) is candidate ``candidate_ids[i]``'s
+    aggregated belief.
     ``infeasible_rounds`` counts the repetitions that were decided by the
     fallback rule.
     """
@@ -97,21 +102,18 @@ def _winner_indices(
     return winners, infeasible
 
 
-def select(
+def beliefs(
     bucket: Sequence[HyperParam],
     record: EstimateRecord,
     problem: TuningProblem,
-    k_repetitions: int,
-    rng: np.random.Generator,
-) -> SelectionResult:
-    """Run K Thompson repetitions over the measured candidates in the bucket.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregated beliefs of the bucket's measured candidates, in id order.
 
-    Candidates without aggregated data for every metric are skipped.  If no
-    candidate has data the selection cannot run and ``NoDataError`` is
-    raised.
+    Returns read-only ``(ids, mu, var)``: ``ids`` of shape ``(n,)`` and
+    ``mu``, ``var`` of shape ``(n, M)``, row ``i`` belonging to candidate
+    ``ids[i]``.  Candidates without aggregated data for every metric are
+    skipped; if none has data, ``NoDataError`` is raised.
     """
-    if k_repetitions < 1:
-        raise ValueError("selection needs at least one repetition")
     bucket_ids = sorted({hp.id for hp in bucket})
     mu = np.empty((len(bucket_ids), len(problem.metrics)))
     var = np.empty_like(mu)
@@ -129,11 +131,33 @@ def select(
     if not eligible:
         raise NoDataError("no candidate in the bucket has absorbed data")
     n = len(eligible)
-    ids, mu, var = np.array(eligible), mu[:n], var[:n]
+    out = (np.array(eligible), mu[:n], var[:n])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def select(
+    candidate_ids: Sequence[int] | np.ndarray,
+    mu: np.ndarray,
+    var: np.ndarray,
+    problem: TuningProblem,
+    k_repetitions: int,
+    rng: np.random.Generator,
+) -> SelectionResult:
+    """Run K Thompson repetitions over candidates' beliefs, as ``beliefs`` returns them.
+
+    Row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` belongs to
+    ``candidate_ids[i]``, and the ids must be increasing, so that ties go to
+    the lowest id.  The result holds ``mu`` and ``var`` themselves.
+    """
+    if k_repetitions < 1:
+        raise ValueError("selection needs at least one repetition")
+    ids = np.asarray(candidate_ids)
+    if mu.ndim != 2 or mu.shape != var.shape or mu.shape[0] != ids.shape[0] or mu.size == 0:
+        raise ValueError("mu and var must be nonempty (n, M) arrays aligned with the ids")
     if np.any(var < 0):
         raise ValueError("belief variances must be nonnegative")
-    mu.flags.writeable = False
-    var.flags.writeable = False
 
     # The generator fills draws in C order, and each repetition's objective
     # and slacks are one product per repetition, so drawing and scoring the

@@ -7,6 +7,13 @@ the GP surrogate, and emits a traffic plan: a reserved control slice plus
 the remainder split across winners in proportion to how many repetitions
 each one won.
 
+The GP fit needs only the beliefs the selection reads, not its draws, so
+``run_round`` starts the fit on one short-lived helper thread and draws the
+selection meanwhile; the fit's LAPACK calls release the GIL.  The random
+stream and every result are those of the one-thread order (select, draw
+``u``, then fit and propose), and the fit's error is raised only in a round
+that proposes.
+
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly.  The store holds each fact once: ``manifest.json`` (round
 counter, rng stream, config, problem, last plan), ``hyperparams.csv`` (the
@@ -21,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -38,7 +46,7 @@ from .deltastats import (
     hourly_delta_stat,
 )
 from .gp import GpSurrogate
-from .optimizer import SelectionResult, propose, select
+from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem, problem_from_dict, problem_to_dict
 
 FORMAT_VERSION = 1
@@ -238,8 +246,21 @@ def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupR
     return test, ctrl
 
 
+def _fit_into(out: list, bucket: Sequence[HyperParam], mu: np.ndarray, var: np.ndarray) -> None:
+    """Append ``GpSurrogate.fit(bucket, mu, var)`` to ``out``, or the error it raised."""
+    try:
+        out.append(GpSurrogate.fit(bucket, mu, var))
+    except Exception as exc:  # raised by the thread that reads ``out``
+        out.append(exc)
+
+
 class Scheduler:
-    """Owns the bucket, the estimate record, the rng stream, and the round loop."""
+    """Owns the bucket, the estimate record, the rng stream, and the round loop.
+
+    A scheduler is driven from one thread.  ``run_round`` starts one
+    short-lived helper thread for the GP fit and joins it before returning
+    or raising, so no thread outlives a call.
+    """
 
     def __init__(
         self,
@@ -425,18 +446,28 @@ class Scheduler:
             plan = self._uniform_plan(round_no)
             self.last_selection = None
         else:
-            sel = select(
-                eligible,
-                self.record,
-                self.problem,
-                self.config.select_count,
-                self.rng,
-            )
+            ids, mu, var = beliefs(eligible, self.record, self.problem)
+            # The fit runs beside the draws; its result, or its error, is
+            # used only if the round proposes.
+            fitted: list[GpSurrogate | Exception] = []
+            helper = None
+            if self.config.proposal_prob > 0.0:
+                helper = threading.Thread(
+                    target=_fit_into, args=(fitted, eligible, mu, var), name="zotune-gp-fit"
+                )
+                helper.start()
+            try:
+                sel = select(ids, mu, var, self.problem, self.config.select_count, self.rng)
+                u = self.rng.random()
+            finally:
+                if helper is not None:
+                    helper.join()
             self.last_selection = sel
             units = Counter(sel.winners)
-            u = self.rng.random()
             if u < self.config.proposal_prob:
-                surrogate = GpSurrogate.fit(eligible, sel.mu, sel.var)
+                surrogate = fitted[0]
+                if isinstance(surrogate, Exception):
+                    raise surrogate
                 prop = propose(
                     surrogate,
                     self.problem,

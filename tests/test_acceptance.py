@@ -27,7 +27,7 @@ from zotune.harness import (
     rounds_to_threshold,
     run_experiment,
 )
-from zotune.optimizer import select
+from zotune.optimizer import beliefs, select
 from zotune.problem import (
     AT_LEAST,
     ConstraintSpec,
@@ -172,7 +172,7 @@ def test_criterion_3_selection_matches_exhaustive_search(verdict):
             base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
         )
         bucket = [HyperParam(id=cid, theta=(0.5, 0.5), bounds=BOUNDS) for cid in ids]
-        res = select(bucket, rec, problem, 5, np.random.default_rng(1))
+        res = select(*beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(1))
         expected = _brute_force_winner(deltas, weights_f, cons)
         if res.winners == (expected,) * 5:
             agree += 1

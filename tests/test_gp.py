@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from zotune import gp as gp_module
 from zotune.gp import (
@@ -358,6 +358,112 @@ class TestBitwiseReference:
         gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
         assert gp.jitter(0) == pytest.approx(MAX_JITTER)
         assert gp.jitter(1) == BASE_JITTER
+
+
+def _spd_with_garbage_above(n, rng):
+    """A Fortran-ordered SPD matrix whose strict upper triangle holds NaN,
+    which a lower factorization must neither read nor leave behind."""
+    x = rng.uniform(size=(n, 3))
+    a = np.exp(-np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1) / 0.1)
+    a = np.asfortranarray(a + 1e-3 * np.eye(n))
+    a.T[np.tril_indices(n, -1)] = np.nan
+    return a
+
+
+@pytest.mark.bitwise
+class TestLapackBinding:
+    """The GIL-free LAPACK calls give scipy's bits, and refuse operands
+    LAPACK would misread."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = _spd_with_garbage_above(n, rng)
+        ref = cholesky(a.copy(order="F"), lower=True, check_finite=False)
+        chol = a.copy(order="F")
+        assert gp_module._potrf(chol) == 0
+        assert np.array_equal(chol, ref)
+        assert not np.any(chol[np.triu_indices(n, 1)])
+
+        b = rng.normal(size=n)
+        alpha = b.copy()
+        gp_module._potrs(chol, alpha)
+        assert np.array_equal(alpha, cho_solve((ref, True), b))
+
+        rhs = rng.normal(size=(200, n))
+        w = rhs.copy().T
+        gp_module._trsm(chol, w)
+        assert np.array_equal(w, solve_triangular(ref, rhs.T, lower=True))
+
+    def test_info_names_the_failing_minor(self):
+        a = np.asfortranarray(np.diag([1.0, 2.0, -1.0, 4.0]))
+        with pytest.raises(np.linalg.LinAlgError, match="3-th leading minor"):
+            cholesky(a, lower=True)
+        assert gp_module._potrf(a.copy(order="F")) == 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: np.ascontiguousarray(a),
+            lambda a: a.astype(np.float32, order="F"),
+            lambda a: np.asfortranarray(a[:, :3]),
+            lambda a: a[0].copy(),
+            lambda a: a.tolist(),
+            lambda a: np.asfortranarray(a.astype(np.int64)),
+        ],
+        ids=["c-order", "float32", "not-square", "1-d", "list", "int64"],
+    )
+    def test_bad_factor_operand_refused(self, make):
+        a = np.asfortranarray(np.eye(4) + 0.5)
+        bad = make(a)
+        with pytest.raises(ValueError):
+            gp_module._potrf(bad)
+        with pytest.raises(ValueError):
+            gp_module._potrs(bad, np.ones(4))
+        with pytest.raises(ValueError):
+            gp_module._trsm(bad, np.ones((4, 2), order="F"))
+
+    def test_read_only_factor_refused_only_where_written(self):
+        chol = np.asfortranarray(np.eye(3))
+        chol.flags.writeable = False
+        with pytest.raises(ValueError):
+            gp_module._potrf(chol)
+        b = np.ones(3)
+        gp_module._potrs(chol, b)
+        assert np.array_equal(b, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: np.ascontiguousarray(b),
+            lambda b: b.astype(np.float32, order="F"),
+            lambda b: np.asfortranarray(b[:3]),
+            lambda b: b[:, 0].copy(),
+            lambda b: np.asfortranarray(b)[:, ::2],
+        ],
+        ids=["c-order", "float32", "short", "1-d", "strided"],
+    )
+    def test_bad_right_hand_side_refused(self, make):
+        chol = np.asfortranarray(np.eye(4))
+        bad = make(np.ones((4, 6), order="F"))
+        with pytest.raises(ValueError):
+            gp_module._trsm(chol, bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.ones(3), np.ones(4, dtype=np.float32), np.ones((4, 1)), np.ones(8)[::2]],
+        ids=["short", "float32", "2-d", "strided"],
+    )
+    def test_bad_potrs_vector_refused(self, bad):
+        with pytest.raises(ValueError):
+            gp_module._potrs(np.asfortranarray(np.eye(4)), bad)
+
+    def test_read_only_right_hand_side_refused(self):
+        chol = np.asfortranarray(np.eye(2))
+        b = np.ones((2, 3), order="F")
+        b.flags.writeable = False
+        with pytest.raises(ValueError):
+            gp_module._trsm(chol, b)
 
 
 def _reference_median_lengthscales(x):

@@ -576,6 +576,19 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_ablate_refuses_config_setting_variant(self, tmp_path, monkeypatch, capsys):
+        """A config file's ``variant`` would replace every ablated variant."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"variant": "full", "rounds": 1}))
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        rc = main(
+            ["ablate", "--variants", "full", "no-proposal", "--config", str(cfg_path)]
+        )
+        assert rc == 1
+        assert ran == []
+        assert "error:" in capsys.readouterr().err
+
     def test_n_seeds_out_of_range_exits_nonzero(self):
         assert main(["run", "--n-seeds", "99"]) == 1
 

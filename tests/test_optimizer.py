@@ -20,6 +20,7 @@ from zotune.optimizer import (
     RejectedSurrogateError,
     SelectionResult,
     _winner_indices,
+    beliefs,
     propose,
     select,
 )
@@ -88,14 +89,14 @@ class TestSelect:
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
         )
         bucket = [hp(i) for i in deltas]
-        res = select(bucket, rec, problem, 5, np.random.default_rng(0))
+        res = select(*beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(0))
         assert res.winners == (1,) * 5
         assert res.infeasible_rounds == 0
 
     def test_single_candidate_no_constraints(self):
         rec = record_with({7: (0.01, 0.02)})
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = select([hp(7)], rec, problem, 9, np.random.default_rng(0))
+        res = select(*beliefs([hp(7)], rec, problem), problem, 9, np.random.default_rng(0))
         assert res.winners == (7,) * 9
 
     def test_all_infeasible_falls_back_to_best_slack(self):
@@ -105,7 +106,9 @@ class TestSelect:
             LinearExpr((1.0, 0.0)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
         )
-        res = select([hp(1), hp(2)], rec, problem, 6, np.random.default_rng(0))
+        res = select(
+            *beliefs([hp(1), hp(2)], rec, problem), problem, 6, np.random.default_rng(0),
+        )
         assert res.winners == (1,) * 6
         assert res.infeasible_rounds == 6
 
@@ -113,7 +116,9 @@ class TestSelect:
         deltas = {4: (0.05, 0.01), 9: (0.05, 0.01)}
         rec = record_with(deltas)
         problem = make_problem(LinearExpr((1.0, 0.0)))
-        res = select([hp(9), hp(4)], rec, problem, 8, np.random.default_rng(0))
+        res = select(
+            *beliefs([hp(9), hp(4)], rec, problem), problem, 8, np.random.default_rng(0),
+        )
         assert res.winners == (4,) * 8
 
     def test_brute_force_equivalence_randomized(self):
@@ -142,7 +147,7 @@ class TestSelect:
                 ),
             )
             bucket = [hp(cid) for cid in ids]
-            res = select(bucket, rec, problem, 3, np.random.default_rng(1))
+            res = select(*beliefs(bucket, rec, problem), problem, 3, np.random.default_rng(1))
             expected = brute_force_winner(deltas, weights_f, cons)
             assert res.winners == (expected,) * 3
 
@@ -157,7 +162,7 @@ class TestSelect:
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.5, direction=AT_LEAST),),
         )
         bucket = [hp(1), hp(2), hp(3)]
-        res = select(bucket, rec, problem, 200, np.random.default_rng(5))
+        res = select(*beliefs(bucket, rec, problem), problem, 200, np.random.default_rng(5))
         assert res.winners == (3,) * 200
         assert res.infeasible_rounds == 0
 
@@ -174,7 +179,8 @@ class TestSelect:
                 (ConstraintSpec(g=LinearExpr(cons[0]), threshold=cons[1], direction=AT_LEAST),),
             )
             res = select(
-                [hp(c) for c in deltas], rec, problem, 1, np.random.default_rng(1)
+                *beliefs([hp(c) for c in deltas], rec, problem), problem, 1,
+                np.random.default_rng(1),
             )
             if res.infeasible_rounds == 0:
                 d2 = deltas[res.winners[0]][1]
@@ -184,7 +190,7 @@ class TestSelect:
         rec = record_with({1: (0.01, 0.01)})
         problem = make_problem(LinearExpr((1.0, 1.0)))
         bucket = [hp(1), hp(2), hp(3)]  # 2 and 3 unmeasured
-        res = select(bucket, rec, problem, 4, np.random.default_rng(0))
+        res = select(*beliefs(bucket, rec, problem), problem, 4, np.random.default_rng(0))
         assert set(res.winners) == {1}
         assert res.candidate_ids == (1,)
         assert res.mu.shape == res.var.shape == (1, 2)
@@ -193,13 +199,17 @@ class TestSelect:
         rec = record_with({1: (0.01, 0.01)})
         rec.absorb(2, "x1", 0, DeltaStat(mean=9.0, var=0.0, weight=10))
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = select([hp(1), hp(2)], rec, problem, 3, np.random.default_rng(0))
+        res = select(
+            *beliefs([hp(1), hp(2)], rec, problem), problem, 3, np.random.default_rng(0),
+        )
         assert set(res.winners) == {1}
 
     def test_no_data_raises(self):
         problem = make_problem(LinearExpr((1.0, 1.0)))
         with pytest.raises(NoDataError):
-            select([hp(1)], EstimateRecord(), problem, 5, np.random.default_rng(0))
+            select(
+                *beliefs([hp(1)], EstimateRecord(), problem), problem, 5, np.random.default_rng(0),
+            )
 
     def test_winners_always_within_bucket(self):
         rng = np.random.default_rng(3)
@@ -212,7 +222,7 @@ class TestSelect:
             LinearExpr((1.0, 0.5)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
         )
-        res = select([hp(c) for c in deltas], rec, problem, 500, rng)
+        res = select(*beliefs([hp(c) for c in deltas], rec, problem), problem, 500, rng)
         assert len(res.winners) == 500
         assert set(res.winners) <= set(deltas)
         assert sum(Counter(res.winners).values()) == 500
@@ -236,7 +246,7 @@ class TestSelect:
         bucket = [hp(c) for c in range(1, n + 1)]
         tracemalloc.start()
         try:
-            select(bucket, rec, problem, k, rng)
+            select(*beliefs(bucket, rec, problem), problem, k, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,7 +260,9 @@ class TestSelect:
         k = 1000
         tracemalloc.start()
         try:
-            select(bucket, record, problem, k, np.random.default_rng(3))
+            select(
+                *beliefs(bucket, record, problem), problem, k, np.random.default_rng(3),
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,8 +280,8 @@ class TestSelect:
                 )
         problem = make_problem(LinearExpr((1.0, 1.0)))
         bucket = [hp(c) for c in range(1, 6)]
-        a = select(bucket, rec, problem, 50, np.random.default_rng(99))
-        b = select(bucket, rec, problem, 50, np.random.default_rng(99))
+        a = select(*beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99))
+        b = select(*beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99))
         assert a.winners == b.winners
 
     def test_modal_winner_tie_breaks_low_id(self):
@@ -348,7 +360,7 @@ class TestBlockedSelectionReference:
             monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
         bucket, record, problem = random_selection_case(**self.CASES[case])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        res = select(bucket, record, problem, k, rng)
+        res = select(*beliefs(bucket, record, problem), problem, k, rng)
         winners, infeasible, mu, var = _reference_select(bucket, record, problem, k, ref_rng)
         assert res.winners == winners
         assert res.infeasible_rounds == infeasible

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -25,8 +27,11 @@ from zotune.scheduler import (
     Scheduler,
     SchedulerConfig,
 )
+from zotune import scheduler as scheduler_module
 from zotune.deltastats import GroupReading
+from zotune.gp import FitFailureError, GpSurrogate
 from zotune.harness import ExperimentConfig, SingleRun
+from zotune.optimizer import beliefs, propose, select
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 METRICS = ("x1", "x2")
@@ -239,6 +244,150 @@ class TestRunRound:
         b_plans, b_bucket = run(11)
         assert a_plans == b_plans
         assert a_bucket == b_bucket
+
+
+def _sequential_round(sched, inbound=()):
+    """``run_round`` in the one-thread order: select, draw ``u``, and only
+    then fit and propose."""
+    round_no = sched.round + 1
+    sched.ingest(inbound)
+    eligible = [
+        sched._bucket[cid]
+        for cid in sched.record.candidates_with_data(sched.problem.metrics)
+        if cid in sched._bucket
+    ]
+    if not eligible:
+        plan = sched._uniform_plan(round_no)
+        sched.last_selection = None
+    else:
+        cfg = sched.config
+        sel = select(
+            *beliefs(eligible, sched.record, sched.problem), sched.problem,
+            cfg.select_count, sched.rng,
+        )
+        sched.last_selection = sel
+        units = Counter(sel.winners)
+        if sched.rng.random() < cfg.proposal_prob:
+            surrogate = GpSurrogate.fit(eligible, sel.mu, sel.var)
+            newcomer = propose(
+                surrogate, sched.problem, cfg.proposal_samples,
+                sched.problem.base.bounds, sched.rng, new_id=sched.next_id,
+            ).proposed
+            sched._bucket[newcomer.id] = newcomer
+            sched._created_round[newcomer.id] = round_no
+            sched._next_id += 1
+            units[newcomer.id] += 1
+        plan = sched._plan_from_units(round_no, units)
+    sched._round = round_no
+    sched._last_plan = plan
+    return plan
+
+
+def _feedback(plan, rng, mean=None):
+    """Feedback for every candidate of ``plan``, arriving the next round:
+    random lifts, or raw test means of ``mean``."""
+    batches = []
+    for cid, _ in plan.assignments:
+        if mean is None:
+            lifts, base = tuple(rng.normal(0.0, 0.02, size=2)), 100.0
+        else:
+            lifts, base = (0.0, 0.0), mean
+        batches.append(batch_for(cid, plan.round, plan.round + 1, lifts=lifts, base=base))
+    return batches
+
+
+@pytest.mark.bitwise
+class TestFitBesideSelection:
+    """``run_round`` fits the GP on a helper thread while it draws the
+    selection; every result, and the stream, equal the one-thread order."""
+
+    def assert_same_state(self, live, ref):
+        assert live.bucket == ref.bucket
+        assert live.next_id == ref.next_id
+        assert live.round == ref.round
+        assert live.last_plan == ref.last_plan
+        assert live.rng.bit_generator.state == ref.rng.bit_generator.state
+        a, b = live.last_selection, ref.last_selection
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.winners == b.winners
+            assert a.candidate_ids == b.candidate_ids
+            assert a.infeasible_rounds == b.infeasible_rounds
+            assert np.array_equal(a.mu, b.mu) and np.array_equal(a.var, b.var)
+
+    def run_beside_reference(self, p, rounds):
+        """Drive ``run_round`` and the one-thread reference side by side on
+        200 candidates; returns the number of rounds that proposed."""
+        init = BucketInit(mode="random", size=200)
+        live = make_sched(seed=21, init=init, proposal_prob=p, proposal_samples=200)
+        ref = make_sched(seed=21, init=init, proposal_prob=p, proposal_samples=200)
+        live_plan, ref_plan = live.initial_plan(), ref.initial_plan()
+        live_fb, ref_fb = np.random.default_rng(5), np.random.default_rng(5)
+        threads = threading.active_count()
+        proposals = 0
+        for _ in range(rounds):
+            next_id = ref.next_id
+            live_plan = live.run_round(_feedback(live_plan, live_fb))
+            assert threading.active_count() == threads
+            ref_plan = _sequential_round(ref, _feedback(ref_plan, ref_fb))
+            assert live_plan == ref_plan
+            self.assert_same_state(live, ref)
+            proposals += ref.next_id - next_id
+        return proposals
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.0])
+    def test_matches_sequential_reference(self, p):
+        low, high = {1.0: (6, 6), 0.5: (1, 5), 0.0: (0, 0)}[p]
+        assert low <= self.run_beside_reference(p, 6) <= high
+
+    def test_matches_sequential_reference_under_frequent_switches(self):
+        """A 10 us switch interval hands the GIL back and forth between the
+        fit and the draws many times per round; nothing changes."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert self.run_beside_reference(1.0, 3) == 3
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fit_failure_raised_exactly_when_the_round_proposes(self):
+        """Raw targets of 1e200 overflow the signal variance: the fit fails
+        every round, and the round raises only when ``u < p``."""
+        init = BucketInit(mode="random", size=200)
+        kw = dict(init=init, proposal_prob=0.5, normalization="raw", proposal_samples=50)
+        live, ref = make_sched(seed=8, **kw), make_sched(seed=8, **kw)
+        feedback = _feedback(live.initial_plan(), None, mean=1e200)
+        assert _feedback(ref.initial_plan(), None, mean=1e200) == feedback
+        threads = threading.active_count()
+        outcomes = []
+        for _ in range(8):
+            try:
+                plan = live.run_round(feedback)
+            except FitFailureError as exc:
+                assert threading.active_count() == threads
+                assert "signal variance" in str(exc)
+                with pytest.raises(FitFailureError, match="signal variance"):
+                    _sequential_round(ref, feedback)
+                outcomes.append("raised")
+            else:
+                assert threading.active_count() == threads
+                assert plan == _sequential_round(ref, feedback)
+                outcomes.append("planned")
+            self.assert_same_state(live, ref)
+            feedback = []
+        assert set(outcomes) == {"raised", "planned"}
+
+    def test_selection_error_joins_the_fit(self, monkeypatch):
+        def failing_select(*args, **kwargs):
+            raise RuntimeError("selection failed")
+
+        sched = make_sched(proposal_prob=1.0, select_count=5, proposal_samples=8)
+        sched.initial_plan()
+        monkeypatch.setattr(scheduler_module, "select", failing_select)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="selection failed"):
+            sched.run_round([batch_for(1, 0, 1)])
+        assert threading.active_count() == threads
 
 
 class TestIngest:
