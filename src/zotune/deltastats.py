@@ -12,16 +12,19 @@ then combined across rounds by group-size weighting:
 
 Aggregation is streaming and order-insensitive up to float rounding; rows
 for a (candidate, metric, round) key are write-once.  ``EstimateRecord``
-forms a key's aggregate once, when a row for it is absorbed, so reading it
-is a lookup; a row whose sums or aggregate would not be finite is refused.
+keeps, per (candidate, metric) key, the rounds absorbed, the running sums
+and their aggregate, formed once when a row is absorbed so reading it is a
+lookup.  It keeps no per-hour stats: those derive from the raw readings,
+which the scheduler stores.  A row whose sums or aggregate would not be
+finite is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DEGENERATE_MEAN_TOL = 1e-9
 
@@ -176,10 +179,10 @@ def aggregate(pairs: Iterable[tuple[DeltaStat, float]]) -> DeltaStat:
 
 @dataclass
 class _Series:
-    """Hourly history, running sums and their aggregate for one
+    """Absorbed rounds, running sums and their aggregate for one
     (candidate, metric) key."""
 
-    by_round: dict[int, DeltaStat]
+    rounds: set[int] = field(default_factory=set)
     sum_w: float = 0.0
     sum_wm: float = 0.0
     sum_w2v: float = 0.0
@@ -187,7 +190,7 @@ class _Series:
 
 
 class EstimateRecord:
-    """Write-once-per-round store of hourly lift stats with running aggregates.
+    """Write-once-per-round running aggregates of hourly lift stats.
 
     ``absorb`` accepts rows in any arrival order; each (candidate, metric,
     round) key is accepted exactly once and a retry raises
@@ -199,7 +202,6 @@ class EstimateRecord:
 
     def __init__(self) -> None:
         self._series: dict[tuple[int, str], _Series] = {}
-        self._metrics_of: dict[int, set[str]] = {}  # metrics with data, per candidate
 
     def absorb(self, candidate_id: int, metric: str, round_no: int, stat: DeltaStat) -> None:
         """Add one hourly stat; its ``weight`` is the aggregation weight N_t."""
@@ -207,8 +209,8 @@ class EstimateRecord:
         round_no = int(round_no)
         series = self._series.get(key)
         if series is None:
-            series = _Series(by_round={})
-        elif round_no in series.by_round:
+            series = _Series()
+        elif round_no in series.rounds:
             raise DuplicateRoundError(
                 f"candidate {key[0]} metric {key[1]!r} round {round_no} "
                 "was already absorbed"
@@ -226,28 +228,11 @@ class EstimateRecord:
                 "would overflow the running sums or their aggregate"
             ) from None
         self._series[key] = series
-        self._metrics_of.setdefault(key[0], set()).add(key[1])
-        series.by_round[round_no] = stat
+        series.rounds.add(round_no)
         series.sum_w, series.sum_wm, series.sum_w2v = sum_w, sum_wm, sum_w2v
         series.agg = agg
-
-    def hourly(self, candidate_id: int, metric: str) -> list[tuple[int, DeltaStat]]:
-        """Hourly stats for one key, sorted by round (ascending)."""
-        series = self._series.get((int(candidate_id), str(metric)))
-        if series is None:
-            return []
-        return sorted(series.by_round.items())
 
     def aggregate(self, candidate_id: int, metric: str) -> DeltaStat | None:
         """Running weighted aggregate for one key, or None if no data."""
         series = self._series.get((int(candidate_id), str(metric)))
         return None if series is None else series.agg
-
-    def candidates_with_data(self, metrics: Sequence[str]) -> list[int]:
-        """Sorted candidate ids holding at least one round for every metric."""
-        metrics = set(metrics)
-        return sorted(cid for cid, have in self._metrics_of.items() if metrics <= have)
-
-    def __len__(self) -> int:
-        """Number of absorbed (candidate, metric, round) rows."""
-        return sum(len(series.by_round) for series in self._series.values())

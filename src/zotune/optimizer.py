@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def _winner_indices(
 
 
 def beliefs(
-    bucket: Sequence[HyperParam],
+    bucket: Iterable[HyperParam],
     record: EstimateRecord,
     problem: TuningProblem,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,10 +2,10 @@
 
 Each round the scheduler absorbs whatever delayed feedback has arrived
 (rounds never block on missing data), reruns Thompson selection over the
-measured candidates, optionally proposes one brand-new candidate through
-the GP surrogate, and emits a traffic plan: a reserved control slice plus
-the remainder split across winners in proportion to how many repetitions
-each one won.
+candidates that ``optimizer.beliefs`` finds measured on every metric,
+optionally proposes one brand-new candidate through the GP surrogate, and
+emits a traffic plan: a reserved control slice plus the remainder split
+across winners in proportion to how many repetitions each one won.
 
 The GP fit needs only the beliefs the selection reads, not its draws, so
 ``run_round`` starts the fit on one short-lived helper thread and draws the
@@ -19,8 +19,10 @@ resumed exactly.  The store holds each fact once: ``manifest.json`` (round
 counter, rng stream, config, problem, last plan), ``hyperparams.csv`` (the
 candidate bucket) and ``metrics.csv`` (the raw test/control readings, in
 ingestion order).  Hourly lifts and their aggregates are derived from the
-raw readings, so restore rebuilds them by replaying ``metrics.csv`` through
-the same stat code that ``ingest`` runs.
+raw readings.  ``ingest`` and ``restore`` pass every reading pair through
+one absorb step, which refuses a pair for an unknown candidate or metric,
+with no finite lift, or for a key already absorbed, and changes nothing when
+it does: ``ingest`` drops a refused pair, ``restore`` refuses the store.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .deltastats import (
     DuplicateRoundError,
     EstimateRecord,
     GroupReading,
+    NoDataError,
     TaylorMode,
     hourly_delta_stat,
 )
@@ -62,6 +65,11 @@ class ColdStartError(RuntimeError):
 
 class RestoreError(RuntimeError):
     """Stored state is missing, inconsistent, or from an unknown version."""
+
+
+class UnknownKeyError(ValueError):
+    """A reading names a candidate outside the bucket or a metric outside
+    the problem."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,8 @@ class InboundBatch:
     """Delayed feedback for one candidate and one origin round.
 
     ``readings`` pairs the candidate's test-group reading with the shared
-    control-group reading, one pair per metric.
+    control-group reading, one pair per metric; both readings of a pair name
+    the same metric and carry the origin round.
     """
 
     origin_round: int
@@ -124,6 +133,10 @@ class InboundBatch:
         for test, ctrl in self.readings:
             if test.round != self.origin_round or ctrl.round != self.origin_round:
                 raise ValueError("readings must carry the batch origin round")
+            if test.metric != ctrl.metric:
+                raise ValueError(
+                    f"metric mismatch: test {test.metric!r} vs control {ctrl.metric!r}"
+                )
 
     def to_dict(self) -> dict:
         return codec.to_dict(self)
@@ -215,19 +228,16 @@ METRICS_HEADER = [
 
 def _hourly_stat(
     config: SchedulerConfig, test: GroupReading, ctrl: GroupReading
-) -> DeltaStat | None:
-    """The hour's stat under ``config``'s normalization, or None when the
-    hour admits no finite lift estimate (``DegenerateBaseError``)."""
+) -> DeltaStat:
+    """The hour's stat under ``config``'s normalization; raises
+    ``DegenerateBaseError`` when the hour admits no finite lift estimate."""
     if config.normalization == "raw":
         return DeltaStat(
             mean=test.sample_mean,
             var=test.sample_var / test.group_size,
             weight=test.group_size,
         )
-    try:
-        return hourly_delta_stat(test, ctrl, config.taylor_mode)
-    except DegenerateBaseError:
-        return None
+    return hourly_delta_stat(test, ctrl, config.taylor_mode)
 
 
 def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupReading]:
@@ -270,8 +280,6 @@ class Scheduler:
         *,
         bucket: dict[int, HyperParam],
         created_round: dict[int, int],
-        record: EstimateRecord,
-        raw_log: list[tuple[GroupReading, GroupReading]],
         round_no: int,
         next_id: int,
         exposed: bool,
@@ -283,8 +291,8 @@ class Scheduler:
         self.rng = rng
         self._bucket = bucket
         self._created_round = created_round
-        self.record = record
-        self._raw_log = raw_log
+        self.record = EstimateRecord()
+        self._raw_log: list[tuple[GroupReading, GroupReading]] = []
         self._round = round_no
         self._next_id = next_id
         self._exposed = exposed
@@ -333,8 +341,6 @@ class Scheduler:
             rng,
             bucket=bucket,
             created_round=created,
-            record=EstimateRecord(),
-            raw_log=[],
             round_no=0,
             next_id=len(vectors) + 1,
             exposed=False,
@@ -366,16 +372,6 @@ class Scheduler:
 
     # Round loop
 
-    def _uniform_plan(self, round_no: int) -> RoundPlan:
-        cf = self.config.control_fraction
-        ids = sorted(self._bucket)
-        frac = (1.0 - cf) / len(ids)
-        return RoundPlan(
-            round=round_no,
-            control_fraction=cf,
-            assignments=tuple((cid, frac) for cid in ids),
-        )
-
     def _plan_from_units(self, round_no: int, units: Counter) -> RoundPlan:
         cf = self.config.control_fraction
         total = sum(units.values())
@@ -390,63 +386,69 @@ class Scheduler:
             return self._last_plan
         if self._round != 0:
             raise ValueError("initial plan is only available at round 0")
-        plan = self._uniform_plan(0)
+        plan = self._plan_from_units(0, Counter(self._bucket.keys()))
         self._exposed = True
         self._last_plan = plan
         if self.store_dir:
             self.persist(self.store_dir)
         return plan
 
-    def ingest(self, batches: Iterable[InboundBatch]) -> int:
-        """Absorb feedback rows; duplicates are skipped (first write wins).
+    def _absorb(self, test: GroupReading, ctrl: GroupReading) -> None:
+        """Absorb one reading pair into the record, then the raw log.
 
-        Hours that admit no finite lift estimate, or whose weighted terms
-        would overflow their key's running sums, are dropped.  Returns the
-        number of rows newly absorbed.  Batches may arrive in any order and
-        for any origin round.
+        Raises ``UnknownKeyError`` for a candidate outside the bucket or a
+        metric outside the problem, ``DegenerateBaseError`` for an hour with
+        no finite lift or one that would overflow its key's running sums,
+        and ``DuplicateRoundError`` for a key already absorbed.  A refused
+        pair changes nothing.
+        """
+        if test.candidate_id not in self._bucket or test.metric not in self.problem.metrics:
+            raise UnknownKeyError(
+                f"candidate {test.candidate_id} metric {test.metric!r} is not in the study"
+            )
+        stat = _hourly_stat(self.config, test, ctrl)
+        self.record.absorb(test.candidate_id, test.metric, test.round, stat)
+        self._raw_log.append((test, ctrl))
+
+    def ingest(self, batches: Iterable[InboundBatch]) -> int:
+        """Absorb feedback rows; a refused row is dropped (first write wins).
+
+        Rows for an unknown candidate or metric, hours that admit no finite
+        lift estimate or would overflow their key's running sums, and
+        repeated keys are dropped.  Returns the number of rows newly
+        absorbed.  Batches may arrive in any order and for any origin round.
         """
         absorbed = 0
         for batch in batches:
             for test, ctrl in batch.readings:
-                stat = _hourly_stat(self.config, test, ctrl)
-                if stat is None:
-                    # Drop the hour rather than poison the record.
-                    continue
                 try:
-                    self.record.absorb(test.candidate_id, test.metric, test.round, stat)
-                except (DuplicateRoundError, DegenerateBaseError):
-                    # A repeated key (first write wins), or an hour whose
-                    # weight would overflow the key's running sums.
+                    self._absorb(test, ctrl)
+                except (UnknownKeyError, DegenerateBaseError, DuplicateRoundError):
                     continue
-                self._raw_log.append((test, ctrl))
                 absorbed += 1
         return absorbed
 
     def run_round(self, inbound: Iterable[InboundBatch] = ()) -> RoundPlan:
         """Advance one round: absorb, select, maybe propose, plan, persist.
 
-        Rounds never block on missing feedback.  Before any data has been
-        absorbed the previous uniform exposure is re-emitted, provided the
-        initial bucket was scheduled at least once.
+        Rounds never block on missing feedback.  Until some candidate has
+        data on every metric the uniform exposure is re-emitted, provided
+        the initial bucket was scheduled at least once.
         """
         round_no = self._round + 1
         self.ingest(inbound)
-        eligible = [
-            self._bucket[cid]
-            for cid in self.record.candidates_with_data(self.problem.metrics)
-            if cid in self._bucket
-        ]
-
-        if not eligible:
+        try:
+            ids, mu, var = beliefs(self._bucket.values(), self.record, self.problem)
+        except NoDataError:
             if not self._exposed:
                 raise ColdStartError(
                     "no candidate has data and the initial bucket was never "
                     "scheduled; emit the initial plan first"
-                )
-            plan = self._uniform_plan(round_no)
+                ) from None
+            plan = self._plan_from_units(round_no, Counter(self._bucket.keys()))
             self.last_selection = None
         else:
-            ids, mu, var = beliefs(eligible, self.record, self.problem)
+            eligible = [self._bucket[cid] for cid in ids.tolist()]
             # The fit runs beside the draws; its result, or its error, is
             # used only if the round proposes.
             fitted: list[GpSurrogate | Exception] = []
@@ -589,38 +591,29 @@ class Scheduler:
                         f"hyperparams.csv line {reader.line_num}: {exc}"
                     ) from None
 
-        # Replaying the raw readings in file order, which is ingestion order,
-        # gives bitwise the running sums that ingest built.
-        record = EstimateRecord()
-        raw_log: list[tuple[GroupReading, GroupReading]] = []
-        with open(_path("metrics.csv"), "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != METRICS_HEADER:
-                raise RestoreError("malformed metrics.csv header")
-            for row in reader:
-                try:
-                    test, ctrl = _reading_pair(row, problem.base.id)
-                    stat = _hourly_stat(config, test, ctrl)
-                    if stat is None:
-                        raise ValueError("hour admits no finite lift estimate")
-                    record.absorb(test.candidate_id, test.metric, test.round, stat)
-                except ValueError as exc:
-                    raise RestoreError(
-                        f"metrics.csv line {reader.line_num}: {exc}"
-                    ) from None
-                raw_log.append((test, ctrl))
-
-        return cls(
+        sched = cls(
             problem,
             config,
             rng,
             bucket=bucket,
             created_round=created,
-            record=record,
-            raw_log=raw_log,
             round_no=manifest.round,
             next_id=manifest.next_id,
             exposed=manifest.exposed,
             last_plan=manifest.last_plan,
             store_dir=new_store_dir or store_dir,
         )
+        # Replaying the raw readings in file order, which is ingestion order,
+        # gives bitwise the running sums that ingest built.
+        with open(_path("metrics.csv"), "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != METRICS_HEADER:
+                raise RestoreError("malformed metrics.csv header")
+            for row in reader:
+                try:
+                    sched._absorb(*_reading_pair(row, problem.base.id))
+                except ValueError as exc:
+                    raise RestoreError(
+                        f"metrics.csv line {reader.line_num}: {exc}"
+                    ) from None
+        return sched

@@ -46,22 +46,22 @@ def round_plans(draw):
 def inbound_batches(draw):
     origin = draw(st.integers(0, 10**6))
 
-    def reading(cid):
+    def reading(cid, metric):
         return GroupReading(
             candidate_id=cid,
-            metric=draw(st.text(max_size=8)),
+            metric=metric,
             round=origin,
             sample_mean=draw(finite),
             sample_var=draw(st.floats(min_value=0.0, allow_infinity=False)),
             group_size=draw(st.integers(1, 10**12)),
         )
 
-    n = draw(st.integers(0, 4))
+    metrics = draw(st.lists(st.text(max_size=8), max_size=4))
     cid = draw(st.integers(1, 10**6))
     return InboundBatch(
         origin_round=origin,
         arrival_round=origin + draw(st.integers(0, 100)),
-        readings=tuple((reading(cid), reading(0)) for _ in range(n)),
+        readings=tuple((reading(cid, m), reading(0, m)) for m in metrics),
     )
 
 

@@ -219,8 +219,7 @@ class TestAggregate:
 
 class _LazyEstimateRecord:
     """The record as it was before aggregates were formed at absorb: running
-    sums only, each aggregate built when read, and ``candidates_with_data``
-    scanning every series."""
+    sums only, each aggregate built when read."""
 
     def __init__(self):
         self._series = {}
@@ -254,20 +253,6 @@ class _LazyEstimateRecord:
             weight=series["sum_w"],
         )
 
-    def candidates_with_data(self, metrics):
-        metrics = tuple(metrics)
-        ids = {cid for cid, _ in self._series}
-        return sorted(
-            cid
-            for cid in ids
-            if all(
-                (cid, m) in self._series and self._series[(cid, m)]["by_round"]
-                for m in metrics
-            )
-        )
-
-
-_METRIC_SETS = ((), ("x1",), ("x2",), ("x1", "x2"), ("x2", "x1", "x3"))
 
 _rows = st.lists(
     st.tuples(
@@ -299,7 +284,7 @@ class TestAbsorbTimeAggregateReference:
     @settings(max_examples=300, deadline=None)
     def test_matches_lazy_record(self, rows):
         """Any absorb sequence, duplicates and refused rows included, gives
-        the aggregates and eligible ids of the lazy record; a row is refused
+        the aggregates of the lazy record; a row is refused
         exactly when the lazy record refuses it or could not read its key's
         aggregate afterwards."""
         new, lazy = EstimateRecord(), _LazyEstimateRecord()
@@ -329,8 +314,6 @@ class TestAbsorbTimeAggregateReference:
                     assert got is None
                 else:
                     assert (got.mean, got.var, got.weight) == (want.mean, want.var, want.weight)
-            for metrics in _METRIC_SETS:
-                assert new.candidates_with_data(metrics) == lazy.candidates_with_data(metrics)
 
 
 class TestEstimateRecord:
@@ -352,13 +335,10 @@ class TestEstimateRecord:
         for cid in (1, 2):
             with pytest.raises(DegenerateBaseError, match="running sums"):
                 rec.absorb(cid, "x1", 1, huge)
-        assert rec.aggregate(1, "x1") == rec.aggregate(1, "x1") == first
-        assert rec.hourly(1, "x1") == [(0, first)]
+        assert rec.aggregate(1, "x1") == first
         assert rec.aggregate(2, "x1") is None
-        assert rec.candidates_with_data(["x1"]) == [1]
-        assert len(rec) == 1
         rec.absorb(1, "x1", 1, first)  # the round is still free
-        assert len(rec.hourly(1, "x1")) == 2
+        assert rec.aggregate(1, "x1") == aggregate([(first, 1000), (first, 1000)])
 
     @pytest.mark.parametrize(
         "weights",
@@ -379,9 +359,8 @@ class TestEstimateRecord:
             rec.absorb(1, "x1", len(kept), last)
         expected = aggregate([(s, s.weight) for s in kept]) if kept else None
         assert rec.aggregate(1, "x1") == expected
-        assert rec.hourly(1, "x1") == list(enumerate(kept))
-        assert rec.candidates_with_data(["x1"]) == ([1] if kept else [])
-        assert len(rec) == len(kept)
+        free = DeltaStat(mean=0.01, var=1e-4, weight=1000)
+        rec.absorb(1, "x1", len(kept), free)  # the round is still free
 
     def test_gaps_are_fine(self):
         rec = EstimateRecord()
@@ -396,7 +375,7 @@ class TestEstimateRecord:
         agg = rec.aggregate(7, "x1")
         assert agg.mean == pytest.approx(batch.mean, rel=REL)
         assert agg.var == pytest.approx(batch.var, rel=REL)
-        assert len(rec.hourly(7, "x1")) == 3
+        assert agg.weight == 3500
 
     def test_duplicate_round_is_conflict_and_no_op(self):
         rec = EstimateRecord()
@@ -407,7 +386,6 @@ class TestEstimateRecord:
             rec.absorb(1, "x1", 2, DeltaStat(mean=9.9, var=9.9, weight=9))
         after = rec.aggregate(1, "x1")
         assert after == before
-        assert len(rec) == 1
 
     def test_same_round_different_metric_or_candidate_ok(self):
         rec = EstimateRecord()
@@ -415,23 +393,8 @@ class TestEstimateRecord:
         rec.absorb(1, "x1", 0, stat)
         rec.absorb(1, "x2", 0, stat)
         rec.absorb(2, "x1", 0, stat)
-        assert len(rec) == 3
-
-    def test_hourly_sorted_by_round(self):
-        rec = EstimateRecord()
-        for rnd in (5, 1, 3):
-            rec.absorb(1, "x1", rnd, DeltaStat(mean=rnd, var=0.0, weight=1))
-        rounds = [rnd for rnd, _ in rec.hourly(1, "x1")]
-        assert rounds == [1, 3, 5]
-
-    def test_candidates_with_data_requires_all_metrics(self):
-        rec = EstimateRecord()
-        stat = DeltaStat(mean=0.0, var=0.0, weight=1)
-        rec.absorb(1, "x1", 0, stat)
-        rec.absorb(1, "x2", 0, stat)
-        rec.absorb(2, "x1", 0, stat)
-        assert rec.candidates_with_data(("x1", "x2")) == [1]
-        assert rec.candidates_with_data(("x1",)) == [1, 2]
+        for key in ((1, "x1"), (1, "x2"), (2, "x1")):
+            assert rec.aggregate(*key) == stat
 
     def test_aggregate_missing_key_is_none(self):
         rec = EstimateRecord()

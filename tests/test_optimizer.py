@@ -295,9 +295,10 @@ class TestSelect:
 def _reference_select(bucket, record, problem, k_repetitions, rng):
     """Selection as one array: a belief per candidate, then all K
     repetitions drawn and scored at once."""
-    measured = record.candidates_with_data(problem.metrics)
-    by_id = {hp.id: hp for hp in bucket}
-    eligible = [cid for cid in measured if cid in by_id]
+    eligible = sorted(
+        cid for cid in {hp.id for hp in bucket}
+        if all(record.aggregate(cid, m) is not None for m in problem.metrics)
+    )
     aggs = [[record.aggregate(cid, m) for m in problem.metrics] for cid in eligible]
     mu = np.array([[a.mean for a in row] for row in aggs])
     var = np.array([[a.var for a in row] for row in aggs])

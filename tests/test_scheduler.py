@@ -3,12 +3,16 @@
 import hashlib
 import json
 import sys
+import tempfile
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zotune.deltastats import TaylorMode
 from zotune.problem import (
@@ -112,6 +116,11 @@ class TestInboundBatch:
         good = batch_for(1, origin=2, arrival=5)
         with pytest.raises(ValueError):
             InboundBatch(origin_round=3, arrival_round=5, readings=good.readings)
+
+    def test_pair_must_name_one_metric(self):
+        (test, _), (_, other_ctrl) = batch_for(1, origin=2, arrival=5).readings
+        with pytest.raises(ValueError, match="metric mismatch"):
+            InboundBatch(origin_round=2, arrival_round=5, readings=((test, other_ctrl),))
 
     def test_dict_roundtrip(self):
         batch = batch_for(7, origin=2, arrival=6, lifts=(0.031, -0.004))
@@ -252,12 +261,11 @@ def _sequential_round(sched, inbound=()):
     round_no = sched.round + 1
     sched.ingest(inbound)
     eligible = [
-        sched._bucket[cid]
-        for cid in sched.record.candidates_with_data(sched.problem.metrics)
-        if cid in sched._bucket
+        hp for hp in sched.bucket
+        if all(sched.record.aggregate(hp.id, m) is not None for m in sched.problem.metrics)
     ]
     if not eligible:
-        plan = sched._uniform_plan(round_no)
+        plan = sched._plan_from_units(round_no, Counter(sched._bucket.keys()))
         sched.last_selection = None
     else:
         cfg = sched.config
@@ -401,6 +409,20 @@ class TestIngest:
         assert sched.ingest([changed]) == 0
         assert sched.record.aggregate(1, "x1") == agg_before
 
+    def test_unknown_candidate_or_metric_dropped(self):
+        """Rows for a candidate outside the bucket or a metric outside the
+        problem are dropped: neither the record nor the store sees them."""
+        sched = make_sched()
+        sched.initial_plan()
+        test, ctrl = batch_for(1, 0, 1).readings[0]
+        unknown_metric = InboundBatch(origin_round=0, arrival_round=1, readings=(
+            (replace(test, metric="zz"), replace(ctrl, metric="zz")),
+        ))
+        assert sched.ingest([batch_for(99, 0, 1), unknown_metric, batch_for(2, 0, 1)]) == 2
+        assert sched.record.aggregate(99, "x1") is None
+        assert sched.record.aggregate(1, "zz") is None
+        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log] == [(2, "x1"), (2, "x2")]
+
     def test_order_independence_of_aggregates(self):
         batches = [
             batch_for(1, r, r + 3, lifts=(0.01 * r, 0.005 * r), var=2.0 + r)
@@ -460,8 +482,7 @@ class TestIngest:
             )),
         ]
         assert sched.ingest(batches) == 2
-        assert len(sched.record.hourly(1, "x2")) == 1
-        assert len(sched.record.hourly(2, "x1")) == 1
+        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log[-2:]] == [(1, "x1"), (2, "x2")]
         sched.run_round([])
         assert sched.last_selection is not None
 
@@ -475,8 +496,9 @@ class TestIngest:
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
         overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
         assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
-        assert len(sched.record.hourly(1, "x1")) == 1
-        assert len(sched.record.hourly(1, "x2")) == 2
+        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log[-3:]] == [
+            (1, "x2"), (2, "x1"), (2, "x2"),
+        ]
         sched.run_round([])
         assert sched.last_selection is not None
 
@@ -490,11 +512,85 @@ class TestIngest:
         huge = [batch_for(1, rnd, 3, n=10**154) for rnd in (1, 2)]
         assert sched.ingest(huge) == 2  # round 1's rows, one per metric
         for metric in METRICS:
-            assert len(sched.record.hourly(1, metric)) == 2
             assert sched.record.aggregate(1, metric).weight == 1e154 + 1000.0
         for _ in range(3):
             sched.run_round([])
             assert sched.last_selection is not None
+
+
+# Row kinds offered to ingest: (test mean, control mean, group size).
+_ROW_KINDS = {
+    "valid": (101.0, 100.0, 1000),
+    "zero-control": (101.0, 0.0, 1000),
+    "lift-overflow": (1e200, 100.0, 1000),
+    "sum-overflow": (1e153, 1.0, 1000),
+    "weight-overflow": (101.0, 100.0, 10**154),
+}
+
+
+def _kind_pair(cid, metric, rnd, kind, jitter):
+    test_mean, ctrl_mean, n = _ROW_KINDS[kind]
+    return (
+        GroupReading(candidate_id=cid, metric=metric, round=rnd,
+                     sample_mean=test_mean * (1.0 + jitter), sample_var=4.0, group_size=n),
+        GroupReading(candidate_id=0, metric=metric, round=rnd,
+                     sample_mean=ctrl_mean, sample_var=4.0, group_size=n),
+    )
+
+
+# Candidates 1-3 of a five-candidate bucket and 99 outside it, the problem's
+# metrics and "zz" outside them, three origin rounds: keys repeat often.
+_any_batch = st.builds(
+    lambda origin, delay, rows: InboundBatch(
+        origin_round=origin, arrival_round=origin + delay,
+        readings=tuple(_kind_pair(cid, m, origin, kind, j) for cid, m, kind, j in rows),
+    ),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 3, 99]),
+            st.sampled_from(METRICS + ("zz",)),
+            st.sampled_from(sorted(_ROW_KINDS)),
+            st.floats(min_value=-0.05, max_value=0.05),
+        ),
+        max_size=4,
+    ),
+)
+
+
+class TestOneAbsorbPath:
+    """``ingest`` and ``restore`` share one absorb step."""
+
+    @given(
+        calls=st.lists(st.lists(_any_batch, max_size=6), max_size=4),
+        normalization=st.sampled_from(["delta", "raw"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ingest_keeps_what_restore_replays(self, calls, normalization):
+        """Whatever batches arrive, ``ingest`` never raises, counts exactly
+        the rows it logs and logs none of an unknown key; the store restores
+        to an equal log and equal aggregates, and persists again to the same
+        bytes."""
+        sched = make_sched(normalization=normalization)
+        for batches in calls:
+            logged = len(sched._raw_log)
+            assert sched.ingest(batches) == len(sched._raw_log) - logged
+        bucket_ids = {hp.id for hp in sched.bucket}
+        assert all(t.candidate_id in bucket_ids and t.metric in METRICS for t, _ in sched._raw_log)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a"), Path(tmp, "b")
+            sched.persist(str(first))
+            restored = Scheduler.restore(str(first), new_store_dir=str(second))
+            assert restored._raw_log == sched._raw_log
+            for hp in sched.bucket:
+                for metric in METRICS:
+                    assert restored.record.aggregate(hp.id, metric) == (
+                        sched.record.aggregate(hp.id, metric)
+                    )
+            restored.persist()
+            for name in ("manifest.json", "hyperparams.csv", "metrics.csv"):
+                assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestPersistence:
@@ -616,11 +712,14 @@ class TestPersistence:
             (1, lambda f: f[:3] + ["1e153"] + f[4:6] + ["1.0"] + f[7:]),  # sum overflows
             ((1, 5), lambda f: f[:5] + [str(10**154)] + f[6:]),  # aggregate overflows
             (None, None),                                        # duplicate key
+            (1, lambda f: ["99"] + f[1:]),                       # unknown candidate
+            (1, lambda f: f[:1] + ["zz"] + f[2:]),               # unknown metric
         ],
         ids=[
             "header", "truncated", "extra", "unparseable", "nan", "inf",
             "negative-var", "empty-group", "degenerate", "overflow",
             "infinite-lift", "sum-overflow", "weight-overflow", "duplicate",
+            "unknown-id", "unknown-metric",
         ],
     )
     def test_malformed_metrics_row_fails(self, tmp_path, line, edit):
@@ -677,13 +776,10 @@ class TestRawReplay:
         return sched
 
     def assert_same_record(self, live, restored):
-        assert len(restored.record) == len(live.record)
+        assert restored._raw_log == live._raw_log
         for hp in live.bucket:
             for metric in METRICS:
                 assert restored.record.aggregate(hp.id, metric) == live.record.aggregate(
-                    hp.id, metric
-                )
-                assert restored.record.hourly(hp.id, metric) == live.record.hourly(
                     hp.id, metric
                 )
 
@@ -701,7 +797,7 @@ class TestRawReplay:
         assert ("0.0" in control_means) == (normalization == "raw")
         restored = Scheduler.restore(str(tmp_path))
         self.assert_same_record(live, restored)
-        assert len(restored.record.hourly(4, "x1")) == (1 if normalization == "raw" else 0)
+        assert (restored.record.aggregate(4, "x1") is not None) == (normalization == "raw")
 
     def test_legacy_derived_tables_are_ignored(self, tmp_path):
         live = self.run_with_degenerate_row("delta")
@@ -743,7 +839,7 @@ class TestFrozenStore:
         assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[variant]
 
         restored = Scheduler.restore(str(tmp_path))
-        assert len(restored.record) == len(run.sched.record)
+        assert restored._raw_log == run.sched._raw_log
         for hp in run.sched.bucket:
             for metric in run.sched.problem.metrics:
                 assert restored.record.aggregate(hp.id, metric) == (
