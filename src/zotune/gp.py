@@ -387,7 +387,6 @@ class GpSurrogate:
         *,
         lengthscales: np.ndarray | None = None,
         signal_var: float | Sequence[float] | None = None,
-        jitter: float = BASE_JITTER,
     ) -> "GpSurrogate":
         """Fit per-metric regressors through the beliefs of measured candidates.
 
@@ -448,7 +447,7 @@ class GpSurrogate:
         _scaled_kernels(x, x, ls, s2s, kmats, upper=True)
         gps = []
         for k, (s2, kmat) in enumerate(zip(s2s, kmats)):
-            jit = float(jitter)
+            jit = BASE_JITTER
             while True:
                 diag = kmat.reshape(-1)[:: n + 1]
                 with np.errstate(over="ignore"):

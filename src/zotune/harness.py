@@ -414,7 +414,6 @@ class SingleRun:
         _, run.synchronous, _ = variant_toggles(state.config)
         run.env = env
         run.sched = Scheduler.restore(os.path.join(directory, "scheduler"))
-        run.sched.store_dir = None
         run.pending = list(state.pending)
         run.rows = list(state.rows)
         run.next_round = state.next_round

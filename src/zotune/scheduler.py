@@ -15,14 +15,16 @@ stream and every result are those of the one-thread order (select, draw
 that proposes.
 
 All state round-trips through a store directory so a run can be stopped and
-resumed exactly.  The store holds each fact once: ``manifest.json`` (round
-counter, rng stream, config, problem, last plan), ``hyperparams.csv`` (the
-candidate bucket) and ``metrics.csv`` (the raw test/control readings, in
-ingestion order).  Hourly lifts and their aggregates are derived from the
+resumed exactly; the scheduler writes it only when its caller calls
+``persist(store_dir)``.  The store holds each fact once: ``manifest.json``
+(round counter, rng stream, config, problem, last plan), ``hyperparams.csv``
+(the candidate bucket) and ``metrics.csv`` (the raw test/control readings,
+in ingestion order).  Hourly lifts and their aggregates are derived from the
 raw readings.  ``ingest`` and ``restore`` pass every reading pair through
 one absorb step, which refuses a pair for an unknown candidate or metric,
-with no finite lift, or for a key already absorbed, and changes nothing when
-it does: ``ingest`` drops a refused pair, ``restore`` refuses the store.
+whose control is not the base, with no finite lift, or for a key already
+absorbed, and changes nothing when it does: ``ingest`` drops a refused pair,
+``restore`` refuses the store.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class RestoreError(RuntimeError):
 
 class UnknownKeyError(ValueError):
     """A reading names a candidate outside the bucket or a metric outside
-    the problem."""
+    the problem, or its control reading does not name the base."""
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,9 @@ class Scheduler:
     A scheduler is driven from one thread.  ``run_round`` starts one
     short-lived helper thread for the GP fit and joins it before returning
     or raising, so no thread outlives a call.
+
+    Ids are fresh by construction: the base's and the bucket's are distinct
+    and below ``next_id``, the id the next proposal takes.
     """
 
     def __init__(
@@ -284,8 +289,9 @@ class Scheduler:
         next_id: int,
         exposed: bool,
         last_plan: RoundPlan | None,
-        store_dir: str | None = None,
     ) -> None:
+        if problem.base.id in bucket or max([problem.base.id, *bucket]) >= next_id:
+            raise ValueError(f"base and bucket ids must be distinct and below next id {next_id}")
         self.problem = problem
         self.config = config
         self.rng = rng
@@ -297,7 +303,6 @@ class Scheduler:
         self._next_id = next_id
         self._exposed = exposed
         self._last_plan = last_plan
-        self.store_dir = store_dir
         self.last_selection: SelectionResult | None = None
 
     # Construction
@@ -307,11 +312,9 @@ class Scheduler:
         cls,
         problem: TuningProblem,
         config: SchedulerConfig,
-        rng: np.random.Generator | int,
-        store_dir: str | None = None,
+        rng: np.random.Generator,
     ) -> "Scheduler":
         """Build the initial bucket and stand ready to emit the round-0 plan."""
-        rng = np.random.default_rng(rng)
         bounds = problem.base.bounds
         init = config.init
         if init.mode == "grid":
@@ -329,25 +332,21 @@ class Scheduler:
             vectors = [
                 tuple(v) for v in rng.uniform(lo, hi, size=(init.size, len(bounds)))
             ]
-        bucket = {}
-        created = {}
-        for i, vec in enumerate(vectors, start=1):
-            hp = HyperParam(id=i, theta=vec, bounds=bounds)
-            bucket[hp.id] = hp
-            created[hp.id] = 0
-        sched = cls(
+        bucket = {
+            i: HyperParam(id=i, theta=vec, bounds=bounds)
+            for i, vec in enumerate(vectors, start=1)
+        }
+        return cls(
             problem,
             config,
             rng,
             bucket=bucket,
-            created_round=created,
+            created_round=dict.fromkeys(bucket, 0),
             round_no=0,
             next_id=len(vectors) + 1,
             exposed=False,
             last_plan=None,
-            store_dir=store_dir,
         )
-        return sched
 
     # Views
 
@@ -389,23 +388,23 @@ class Scheduler:
         plan = self._plan_from_units(0, Counter(self._bucket.keys()))
         self._exposed = True
         self._last_plan = plan
-        if self.store_dir:
-            self.persist(self.store_dir)
         return plan
 
     def _absorb(self, test: GroupReading, ctrl: GroupReading) -> None:
         """Absorb one reading pair into the record, then the raw log.
 
-        Raises ``UnknownKeyError`` for a candidate outside the bucket or a
-        metric outside the problem, ``DegenerateBaseError`` for an hour with
-        no finite lift or one that would overflow its key's running sums,
-        and ``DuplicateRoundError`` for a key already absorbed.  A refused
-        pair changes nothing.
+        Raises ``UnknownKeyError`` for a candidate outside the bucket, a
+        metric outside the problem or a control that is not the base,
+        ``DegenerateBaseError`` for an hour with no finite lift or one that
+        would overflow its key's running sums, and ``DuplicateRoundError``
+        for a key already absorbed.  A refused pair changes nothing.
         """
         if test.candidate_id not in self._bucket or test.metric not in self.problem.metrics:
             raise UnknownKeyError(
                 f"candidate {test.candidate_id} metric {test.metric!r} is not in the study"
             )
+        if ctrl.candidate_id != self.problem.base.id:
+            raise UnknownKeyError(f"control reading names candidate {ctrl.candidate_id}")
         stat = _hourly_stat(self.config, test, ctrl)
         self.record.absorb(test.candidate_id, test.metric, test.round, stat)
         self._raw_log.append((test, ctrl))
@@ -413,10 +412,11 @@ class Scheduler:
     def ingest(self, batches: Iterable[InboundBatch]) -> int:
         """Absorb feedback rows; a refused row is dropped (first write wins).
 
-        Rows for an unknown candidate or metric, hours that admit no finite
-        lift estimate or would overflow their key's running sums, and
-        repeated keys are dropped.  Returns the number of rows newly
-        absorbed.  Batches may arrive in any order and for any origin round.
+        Rows for an unknown candidate or metric or whose control is not the
+        base, hours that admit no finite lift estimate or would overflow
+        their key's running sums, and repeated keys are dropped.  Returns
+        the number of rows newly absorbed.  Batches may arrive in any order
+        and for any origin round.
         """
         absorbed = 0
         for batch in batches:
@@ -429,7 +429,7 @@ class Scheduler:
         return absorbed
 
     def run_round(self, inbound: Iterable[InboundBatch] = ()) -> RoundPlan:
-        """Advance one round: absorb, select, maybe propose, plan, persist.
+        """Advance one round: absorb, select, maybe propose, plan.
 
         Rounds never block on missing feedback.  Until some candidate has
         data on every metric the uniform exposure is re-emitted, provided
@@ -479,8 +479,6 @@ class Scheduler:
                     new_id=self._next_id,
                 )
                 newcomer = prop.proposed
-                if newcomer.id in self._bucket or newcomer.id == self.problem.base.id:
-                    raise ValueError(f"proposed id {newcomer.id} is not fresh")
                 self._bucket[newcomer.id] = newcomer
                 self._created_round[newcomer.id] = round_no
                 self._next_id += 1
@@ -489,17 +487,12 @@ class Scheduler:
 
         self._round = round_no
         self._last_plan = plan
-        if self.store_dir:
-            self.persist(self.store_dir)
         return plan
 
     # Persistence
 
-    def persist(self, store_dir: str | None = None) -> None:
-        """Write the manifest, the bucket and the raw readings to disk."""
-        store_dir = store_dir or self.store_dir
-        if not store_dir:
-            raise ValueError("no storage directory configured")
+    def persist(self, store_dir: str) -> None:
+        """Write the manifest, the bucket and the raw readings to ``store_dir``."""
         os.makedirs(store_dir, exist_ok=True)
 
         manifest = Manifest(
@@ -543,12 +536,8 @@ class Scheduler:
                 )
 
     @classmethod
-    def restore(cls, store_dir: str, new_store_dir: str | None = None) -> "Scheduler":
-        """Rebuild a scheduler from storage, byte-for-byte equivalent.
-
-        ``new_store_dir`` (default: the source directory) is where the
-        restored scheduler will keep persisting.
-        """
+    def restore(cls, store_dir: str) -> "Scheduler":
+        """Rebuild a scheduler from storage, byte-for-byte equivalent."""
         def _path(name: str) -> str:
             p = os.path.join(store_dir, name)
             if not os.path.exists(p):
@@ -570,7 +559,6 @@ class Scheduler:
             rng.bit_generator.state = manifest.rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise RestoreError(f"malformed manifest: {exc}") from exc
-        config = manifest.config
 
         bucket: dict[int, HyperParam] = {}
         created: dict[int, int] = {}
@@ -591,18 +579,20 @@ class Scheduler:
                         f"hyperparams.csv line {reader.line_num}: {exc}"
                     ) from None
 
-        sched = cls(
-            problem,
-            config,
-            rng,
-            bucket=bucket,
-            created_round=created,
-            round_no=manifest.round,
-            next_id=manifest.next_id,
-            exposed=manifest.exposed,
-            last_plan=manifest.last_plan,
-            store_dir=new_store_dir or store_dir,
-        )
+        try:
+            sched = cls(
+                problem,
+                manifest.config,
+                rng,
+                bucket=bucket,
+                created_round=created,
+                round_no=manifest.round,
+                next_id=manifest.next_id,
+                exposed=manifest.exposed,
+                last_plan=manifest.last_plan,
+            )
+        except ValueError as exc:
+            raise RestoreError(f"manifest does not fit the bucket: {exc}") from None
         # Replaying the raw readings in file order, which is ingestion order,
         # gives bitwise the running sums that ingest built.
         with open(_path("metrics.csv"), "r", encoding="utf-8", newline="") as fh:

@@ -54,6 +54,7 @@ W1_AMP_RANGES = ((0.35, 0.5), (0.15, 0.35), (0.0, 0.2))
 BASE_TYPICALITY_BAND = 0.01
 MAX_LANDSCAPE_TRIES = 64
 NORM_GRID_NODES = 201
+SCAN_GRID_NODES = 200
 BOX = ((0.0, 1.0), (0.0, 1.0))
 METRICS = ("x1", "x2")
 
@@ -339,11 +340,9 @@ def _draw_landscape(
 class SimEnv:
     """A generated landscape plus the noise stream that samples it."""
 
-    def __init__(self, spec: EnvSpec, rng: np.random.Generator | None = None) -> None:
+    def __init__(self, spec: EnvSpec) -> None:
         self.spec = spec
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1,)))
-        self._rng = rng
+        self._rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1,)))
         self._w1 = _realize_w1(spec.w1_coeffs)
         self._w2 = _realize_w2(self._w1, spec.w2_coeffs)
 
@@ -438,13 +437,13 @@ class SimEnv:
             max(self.spec.threshold - float(g), 0.0),
         )
 
-    def grid_scan(self, nodes: int = 200) -> tuple[np.ndarray, float, float]:
-        """Feasible maximizer of the true objective on an n-by-n grid.
+    def grid_scan(self) -> tuple[np.ndarray, float, float]:
+        """Feasible maximizer of the true objective on a square grid.
 
         Returns ``(theta, gain, violation)``.  Falls back to the largest
         guardrail value if no grid point is feasible.
         """
-        axis = np.linspace(0.0, 1.0, nodes)
+        axis = np.linspace(0.0, 1.0, SCAN_GRID_NODES)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         thetas = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         f, g = self.true_f_g(thetas)

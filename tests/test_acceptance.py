@@ -276,6 +276,14 @@ def test_criterion_6b_synchronous_is_slower(campaigns, verdict):
     assert ratio >= 1.3
 
 
+def test_criterion_6b_synchronous_reaches_threshold(campaigns):
+    """C6b's ratio is inf when the synchronous variant never reaches the
+    threshold, and inf passes; a synchronous run that loses its winners
+    must fail somewhere, so its rounds-to-threshold must be finite."""
+    gm, _ = campaigns["full"].final_gain_summary()
+    assert math.isfinite(rounds_to_threshold(campaigns["synchronous"], 0.8 * gm))
+
+
 def test_criterion_6c_proposals_beat_frozen_bucket(campaigns, verdict):
     """Full beats no-proposal on final gain in at least 8 of 10 paired seeds."""
     full_finals = campaigns["full"].final_gains()

@@ -50,14 +50,12 @@ def make_problem(constraints=()):
     )
 
 
-def make_sched(seed=0, init=None, store_dir=None, **cfg_kwargs):
+def make_sched(seed=0, init=None, **cfg_kwargs):
     config = SchedulerConfig(
         init=init or BucketInit(mode="random", size=5),
         **cfg_kwargs,
     )
-    return Scheduler.bootstrap(
-        make_problem(), config, np.random.default_rng(seed), store_dir=store_dir
-    )
+    return Scheduler.bootstrap(make_problem(), config, np.random.default_rng(seed))
 
 
 def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=100.0):
@@ -146,6 +144,16 @@ class TestBootstrap:
     def test_base_is_not_in_bucket(self):
         sched = make_sched()
         assert all(hp.id != sched.problem.base.id for hp in sched.bucket)
+
+    @pytest.mark.parametrize("base_id", [3, 9])
+    def test_base_id_clashing_with_candidate_ids_refused(self, base_id):
+        """Candidates are numbered 1..size; a base id among them, or at or
+        above the first proposal's id, is refused before any round runs."""
+        base = HyperParam(id=base_id, theta=(0.5, 0.5), bounds=BOUNDS)
+        problem = replace(make_problem(), base=base)
+        config = SchedulerConfig(init=BucketInit(mode="random", size=5))
+        with pytest.raises(ValueError):
+            Scheduler.bootstrap(problem, config, np.random.default_rng(0))
 
 
 class TestInitialPlan:
@@ -411,16 +419,24 @@ class TestIngest:
 
     def test_unknown_candidate_or_metric_dropped(self):
         """Rows for a candidate outside the bucket or a metric outside the
-        problem are dropped: neither the record nor the store sees them."""
+        problem are dropped: neither the record nor the store sees them.
+        So are rows whose control names a candidate other than the base:
+        the store does not keep the control's id, and restore reads it as
+        the base's."""
         sched = make_sched()
         sched.initial_plan()
         test, ctrl = batch_for(1, 0, 1).readings[0]
         unknown_metric = InboundBatch(origin_round=0, arrival_round=1, readings=(
             (replace(test, metric="zz"), replace(ctrl, metric="zz")),
         ))
-        assert sched.ingest([batch_for(99, 0, 1), unknown_metric, batch_for(2, 0, 1)]) == 2
+        relabelled = InboundBatch(origin_round=0, arrival_round=1, readings=(
+            (test, replace(ctrl, candidate_id=3)),
+        ))
+        batches = [batch_for(99, 0, 1), unknown_metric, relabelled, batch_for(2, 0, 1)]
+        assert sched.ingest(batches) == 2
         assert sched.record.aggregate(99, "x1") is None
         assert sched.record.aggregate(1, "zz") is None
+        assert sched.record.aggregate(1, "x1") is None
         assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log] == [(2, "x1"), (2, "x2")]
 
     def test_order_independence_of_aggregates(self):
@@ -528,28 +544,31 @@ _ROW_KINDS = {
 }
 
 
-def _kind_pair(cid, metric, rnd, kind, jitter):
+def _kind_pair(ids, metric, rnd, kind, jitter):
+    cid, ctrl_id = ids
     test_mean, ctrl_mean, n = _ROW_KINDS[kind]
     return (
         GroupReading(candidate_id=cid, metric=metric, round=rnd,
                      sample_mean=test_mean * (1.0 + jitter), sample_var=4.0, group_size=n),
-        GroupReading(candidate_id=0, metric=metric, round=rnd,
+        GroupReading(candidate_id=ctrl_id, metric=metric, round=rnd,
                      sample_mean=ctrl_mean, sample_var=4.0, group_size=n),
     )
 
 
-# Candidates 1-3 of a five-candidate bucket and 99 outside it, the problem's
-# metrics and "zz" outside them, three origin rounds: keys repeat often.
+# (test id, control id): candidates 1-3 of a five-candidate bucket over the
+# base's control, 99 outside the bucket, and a control relabelled as
+# candidate 3; the problem's metrics and "zz" outside them; three origin
+# rounds: keys repeat often.
 _any_batch = st.builds(
     lambda origin, delay, rows: InboundBatch(
         origin_round=origin, arrival_round=origin + delay,
-        readings=tuple(_kind_pair(cid, m, origin, kind, j) for cid, m, kind, j in rows),
+        readings=tuple(_kind_pair(ids, m, origin, kind, j) for ids, m, kind, j in rows),
     ),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=3),
     st.lists(
         st.tuples(
-            st.sampled_from([1, 2, 3, 99]),
+            st.sampled_from([(1, 0), (2, 0), (3, 0), (99, 0), (1, 3)]),
             st.sampled_from(METRICS + ("zz",)),
             st.sampled_from(sorted(_ROW_KINDS)),
             st.floats(min_value=-0.05, max_value=0.05),
@@ -577,28 +596,28 @@ class TestOneAbsorbPath:
             logged = len(sched._raw_log)
             assert sched.ingest(batches) == len(sched._raw_log) - logged
         bucket_ids = {hp.id for hp in sched.bucket}
-        assert all(t.candidate_id in bucket_ids and t.metric in METRICS for t, _ in sched._raw_log)
+        assert all(
+            t.candidate_id in bucket_ids and t.metric in METRICS and c.candidate_id == 0
+            for t, c in sched._raw_log
+        )
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a"), Path(tmp, "b")
             sched.persist(str(first))
-            restored = Scheduler.restore(str(first), new_store_dir=str(second))
+            restored = Scheduler.restore(str(first))
             assert restored._raw_log == sched._raw_log
             for hp in sched.bucket:
                 for metric in METRICS:
                     assert restored.record.aggregate(hp.id, metric) == (
                         sched.record.aggregate(hp.id, metric)
                     )
-            restored.persist()
+            restored.persist(str(second))
             for name in ("manifest.json", "hyperparams.csv", "metrics.csv"):
                 assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestPersistence:
-    def run_some_rounds(self, store_dir=None, rounds=4, seed=3):
-        sched = make_sched(
-            seed=seed, proposal_prob=1.0, select_count=10,
-            proposal_samples=8, store_dir=store_dir,
-        )
+    def run_some_rounds(self, rounds=4, seed=3):
+        sched = make_sched(seed=seed, proposal_prob=1.0, select_count=10, proposal_samples=8)
         sched.initial_plan()
         for r in range(1, rounds + 1):
             sched.run_round(
@@ -619,7 +638,7 @@ class TestPersistence:
         second = tmp_path / "b"
         sched = self.run_some_rounds()
         sched.persist(str(first))
-        restored = Scheduler.restore(str(first), new_store_dir=str(second))
+        restored = Scheduler.restore(str(first))
         restored.persist(str(second))
         assert self.read_all(first) == self.read_all(second)
 
@@ -640,7 +659,6 @@ class TestPersistence:
             half.run_round(batches(r))
         half.persist(str(tmp_path / "ckpt"))
         resumed = Scheduler.restore(str(tmp_path / "ckpt"))
-        resumed.store_dir = None
         resumed_plans = [resumed.run_round(batches(r)) for r in range(5, 9)]
         assert resumed_plans == full_plans[4:]
         assert tuple(hp.theta for hp in resumed.bucket) == tuple(
@@ -679,10 +697,15 @@ class TestPersistence:
             lambda m: m["config"].update(select_count="x"),
             lambda m: m["problem"].pop("base"),
             lambda m: m.update(last_plan={"round": 1}),
+            # next_id must be above every id in use, or a proposal takes one
+            lambda m: m.update(next_id=0),   # the base's
+            lambda m: m.update(next_id=5),   # an initial candidate's
+            lambda m: m.update(next_id=9),   # a proposed candidate's
         ],
         ids=[
             "no-config", "config-key-missing", "round-not-int",
             "select-count-not-int", "problem-without-base", "partial-last-plan",
+            "next-id-is-base", "next-id-initial", "next-id-proposed",
         ],
     )
     def test_malformed_manifest_fails(self, tmp_path, edit):
@@ -747,12 +770,6 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RestoreError, match="hyperparams.csv"):
             Scheduler.restore(str(store))
-
-    def test_store_dir_autopersists_each_round(self, tmp_path):
-        store = tmp_path / "live"
-        sched = self.run_some_rounds(store_dir=str(store), rounds=2)
-        manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["round"] == sched.round == 2
 
 
 class TestRawReplay:

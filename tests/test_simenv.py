@@ -99,7 +99,7 @@ class TestGroundTruth:
 
     def test_grid_scan_dominates_grid_points(self):
         env = SimEnv.build(17)
-        _, best_gain, _ = env.grid_scan(nodes=200)
+        _, best_gain, _ = env.grid_scan()
         axis = np.linspace(0.0, 1.0, 200)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         thetas = np.stack([gx.ravel(), gy.ravel()], axis=-1)
