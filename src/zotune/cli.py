@@ -28,6 +28,7 @@ from .harness import (
     HarnessConfigError,
     RunReport,
     compare_variants,
+    emit_series,
     run_experiment,
 )
 
@@ -138,6 +139,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             f"{variant}: final_gain={gm * 100:.3f}% (se {gs * 100:.3f}%)"
         )
         reports.append(report)
+    if cfg.out_dir:
+        emit_series(reports, cfg.out_dir)    # summary.csv: one row per variant
     if len(reports) >= 2:
         comparison = compare_variants(reports, reference=args.reference)
         print(comparison.to_text())

@@ -8,14 +8,18 @@ exactly what encoding writes: nested dataclasses, ``NamedTuple`` rows,
 ``int``, ``float`` (an int is widened), ``str`` and plain ``dict``.  An
 unknown, missing or wrongly typed key raises ``DecodeError``, naming where
 it sits; values of the right types then meet each constructor's own checks.
-A stored file also carries a ``format_version`` key beside the fields: its
-writer adds it, and ``split_version`` takes it off before decoding.
+``save`` and ``load`` are the one path for every versioned JSON file: a
+file is a ``format_version`` key beside the encoded fields, written with
+sorted keys, two-space indents and a trailing newline; ``load`` refuses
+another version with ``DecodeError`` and lets ``json``'s ``ValueError``
+through.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import types
 import typing
 from enum import Enum
@@ -49,13 +53,22 @@ def from_dict(cls: type[T], data: object) -> T:
     return _decode(cls, data, cls.__name__)
 
 
-def split_version(data: object) -> tuple[object, object]:
-    """A stored file's ``format_version`` and the rest of it; ``None`` and
-    ``data`` itself when ``data`` is not an object."""
-    if not isinstance(data, dict):
-        return None, data
-    body = dict(data)
-    return body.pop("format_version", None), body
+def save(path: str, version: int, obj: object) -> None:
+    """Write ``obj`` to ``path`` as a stored file of format ``version``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": version, **to_dict(obj)}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load(path: str, version: int, cls: type[T]) -> T:
+    """Read what ``save`` wrote; DecodeError for another version or any mismatch."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    body = dict(data) if isinstance(data, dict) else {}
+    found = body.pop("format_version", None)
+    if found != version:
+        raise DecodeError(f"{path}: unsupported version {found!r}, expected {version}")
+    return from_dict(cls, body)
 
 
 @functools.cache

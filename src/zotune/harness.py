@@ -13,12 +13,14 @@ lowest id).  Variants toggle independent pieces of the full loop:
 Reports aggregate trajectories across seeds (mean and standard error per
 round), serialize to JSON, and feed the comparison and series-emission
 helpers.  Single runs can checkpoint to disk mid-campaign and resume to an
-identical trajectory.
+identical trajectory.  A checkpoint is the scheduler store plus ``run.json``,
+which holds what the seed and config do not fix: the environment's noise
+stream, feedback in flight and the rows so far.  The landscape is not
+stored; resume rebuilds it from the seed, bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -52,7 +54,7 @@ from .simenv import (
 )
 
 REPORT_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 VARIANTS = ("full", "raw-metric", "synchronous", "no-proposal")
 
@@ -242,34 +244,32 @@ class RunReport:
     def to_dict(self) -> dict:
         return {"format_version": REPORT_FORMAT_VERSION, **codec.to_dict(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        version, body = codec.split_version(d)
-        if version != REPORT_FORMAT_VERSION:
-            raise HarnessConfigError(f"unsupported report version {version!r}")
-        return codec.from_dict(cls, body)
-
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        codec.save(path, REPORT_FORMAT_VERSION, self)
 
     @classmethod
     def load(cls, path: str) -> "RunReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            return codec.load(path, REPORT_FORMAT_VERSION, cls)
+        except ValueError as exc:
+            raise HarnessConfigError(f"malformed report {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     """``run.json`` after its ``format_version`` key: what a run holds
-    besides its scheduler store and ``env.json``."""
+    besides its scheduler store and what ``seed`` and ``config`` rebuild."""
 
     seed: int
     next_round: int
     config: ExperimentConfig
+    env_rng_state: dict
     pending: tuple[InboundBatch, ...]
     rows: tuple[RoundRow, ...]
+
+    def __post_init__(self) -> None:
+        if [row.round for row in self.rows] != list(range(self.next_round)):
+            raise ValueError(f"rows do not number the {self.next_round} rounds before next_round")
 
 
 class SingleRun:
@@ -376,43 +376,33 @@ class SingleRun:
     def save_checkpoint(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
         self.sched.persist(os.path.join(directory, "scheduler"))
-        self.env.save(os.path.join(directory, "env.json"))
         state = Checkpoint(
             seed=self.seed,
             next_round=self.next_round,
             config=self.cfg,
+            env_rng_state=self.env.rng_state,
             pending=tuple(self.pending),
             rows=tuple(self.rows),
         )
-        with open(os.path.join(directory, "run.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"format_version": CHECKPOINT_FORMAT_VERSION, **codec.to_dict(state)},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        codec.save(os.path.join(directory, "run.json"), CHECKPOINT_FORMAT_VERSION, state)
 
     @classmethod
     def resume(cls, directory: str) -> "SingleRun":
-        """Rebuild a run from ``save_checkpoint``'s directory.
+        """Rebuild a run from ``save_checkpoint``'s directory: the seed and
+        config build it as a fresh run does, then the stored state replaces
+        the environment's noise stream, the scheduler and the run's progress.
 
-        A malformed ``run.json`` or ``env.json`` raises HarnessConfigError;
-        the scheduler store raises ``RestoreError``.
+        A malformed ``run.json`` raises HarnessConfigError; the scheduler
+        store raises ``RestoreError``.
         """
         try:
-            with open(os.path.join(directory, "run.json"), "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-            version, body = codec.split_version(body)
-            if version != CHECKPOINT_FORMAT_VERSION:
-                raise HarnessConfigError(f"unsupported checkpoint version {version!r}")
-            state = codec.from_dict(Checkpoint, body)
-            env = SimEnv.load(os.path.join(directory, "env.json"))
+            state = codec.load(
+                os.path.join(directory, "run.json"), CHECKPOINT_FORMAT_VERSION, Checkpoint
+            )
+            run = cls(state.seed, state.config)
+            run.env.rng_state = state.env_rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise HarnessConfigError(f"malformed checkpoint in {directory}: {exc}") from exc
-        run = cls.__new__(cls)
-        run.seed = state.seed
-        run.cfg = state.config
-        _, run.synchronous, _ = variant_toggles(state.config)
-        run.env = env
         run.sched = Scheduler.restore(os.path.join(directory, "scheduler"))
         run.pending = list(state.pending)
         run.rows = list(state.rows)

@@ -30,7 +30,6 @@ absorbed, and changes nothing when it does: ``ingest`` drops a refused pair,
 from __future__ import annotations
 
 import csv
-import json
 import os
 import threading
 from collections import Counter
@@ -105,13 +104,6 @@ class RoundPlan:
         if assignments and abs(total - 1.0) > PLAN_SUM_TOL:
             raise ValueError(f"fractions sum to {total}, not 1")
 
-    def to_dict(self) -> dict:
-        return codec.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoundPlan":
-        return codec.from_dict(cls, d)
-
 
 @dataclass(frozen=True)
 class InboundBatch:
@@ -139,13 +131,6 @@ class InboundBatch:
                 raise ValueError(
                     f"metric mismatch: test {test.metric!r} vs control {ctrl.metric!r}"
                 )
-
-    def to_dict(self) -> dict:
-        return codec.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InboundBatch":
-        return codec.from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -194,13 +179,6 @@ class SchedulerConfig:
             raise ValueError("control_fraction must be strictly inside (0, 1)")
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
-
-    def to_dict(self) -> dict:
-        return codec.to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchedulerConfig":
-        return codec.from_dict(cls, d)
 
 
 @dataclass(frozen=True)
@@ -504,12 +482,7 @@ class Scheduler:
             problem=problem_to_dict(self.problem),
             last_plan=self._last_plan,
         )
-        with open(os.path.join(store_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"format_version": FORMAT_VERSION, **codec.to_dict(manifest)},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
 
         dim = len(self.problem.base.theta)
         with open(os.path.join(store_dir, "hyperparams.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -545,15 +518,7 @@ class Scheduler:
             return p
 
         try:
-            with open(_path("manifest.json"), "r", encoding="utf-8") as fh:
-                body = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RestoreError(f"corrupt manifest: {exc}") from exc
-        version, body = codec.split_version(body)
-        if version != FORMAT_VERSION:
-            raise RestoreError(f"unsupported storage version {version!r}")
-        try:
-            manifest = codec.from_dict(Manifest, body)
+            manifest = codec.load(_path("manifest.json"), FORMAT_VERSION, Manifest)
             problem = problem_from_dict(manifest.problem)
             rng = np.random.default_rng()
             rng.bit_generator.state = manifest.rng_state
@@ -571,6 +536,8 @@ class Scheduler:
             for row in reader:
                 try:
                     cid = int(row[0])
+                    if cid in bucket:
+                        raise ValueError(f"candidate {cid} is repeated")
                     theta = tuple(float(x) for x in row[2:])
                     bucket[cid] = HyperParam(id=cid, theta=theta, bounds=bounds)
                     created[cid] = int(row[1])

@@ -21,18 +21,18 @@ stream, in this order: D normals for each of the control's M readings;
 then, for each candidate in plan order, D normals for each of its M
 readings followed by the one normal of its extra delay.  A step with no
 assignments draws nothing.  Landscape generation uses its own stream, so
-overrides and sampling never change the landscape.
+overrides and sampling never change the landscape.  The environment writes
+no file: ``SimEnv.build(seed, **overrides)`` regenerates the landscape bit
+for bit, so a run checkpoint keeps only the noise stream's ``rng_state``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import codec
 from .deltastats import GroupReading
 from .problem import gain as relative_gain
 from .scheduler import InboundBatch, RoundPlan
@@ -67,8 +67,6 @@ DEFAULT_FIXED_DELAY = 3
 DEFAULT_XI_MEAN = 0.0
 DEFAULT_XI_SD = 1.0
 DEFAULT_BASE_THETA = (0.011, 0.985)
-
-ENV_FORMAT_VERSION = 1
 
 
 def _bump_terms(
@@ -213,16 +211,6 @@ class EnvSpec:
         for x, (lo, hi) in zip(self.base_theta, BOX):
             if not lo <= x <= hi:
                 raise ValueError("base configuration must lie in the box")
-
-    def to_dict(self) -> dict:
-        return {"format_version": ENV_FORMAT_VERSION, **codec.to_dict(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvSpec":
-        version, body = codec.split_version(d)
-        if version != ENV_FORMAT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version!r}")
-        return codec.from_dict(cls, body)
 
 
 def _norm_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -527,7 +515,7 @@ class SimEnv:
             for i, (cid, xi) in enumerate(zip(ids, xis), start=1)
         ]
 
-    # Persistence
+    # Noise stream state, for run checkpoints
 
     @property
     def rng_state(self) -> dict:
@@ -536,20 +524,3 @@ class SimEnv:
     @rng_state.setter
     def rng_state(self, state: dict) -> None:
         self._rng.bit_generator.state = state
-
-    def save(self, path: str) -> None:
-        data = self.spec.to_dict()
-        data["rng_state"] = self.rng_state
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "SimEnv":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        rng_state = data.pop("rng_state", None) if isinstance(data, dict) else None
-        env = cls(EnvSpec.from_dict(data))
-        if rng_state is not None:
-            env.rng_state = rng_state
-        return env

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zotune import codec
 from zotune.codec import DecodeError, from_dict
 from zotune.deltastats import GroupReading, TaylorMode
 from zotune.harness import (
@@ -21,7 +22,7 @@ from zotune.simenv import SimEnv
 
 def through_json(value):
     """``value`` after a trip through its stored JSON form."""
-    return type(value).from_dict(json.loads(json.dumps(value.to_dict())))
+    return from_dict(type(value), json.loads(json.dumps(codec.to_dict(value))))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -125,6 +126,27 @@ class TestRoundTrip:
         assert report.to_dict()["trajectories"][0]["rows"] == [[3, None, 0.5, 0.25]]
 
 
+class TestStoredFile:
+    PLAN = RoundPlan(round=3, control_fraction=0.2, assignments=((1, 0.5), (4, 0.3)))
+
+    def test_save_writes_sorted_indented_json_with_its_version(self, tmp_path):
+        path = tmp_path / "plan.json"
+        codec.save(str(path), 7, self.PLAN)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            {"format_version": 7, **codec.to_dict(self.PLAN)}, indent=2, sort_keys=True
+        ) + "\n"
+        assert codec.load(str(path), 7, RoundPlan) == self.PLAN
+
+    def test_load_refuses_another_version_and_passes_bad_json_on(self, tmp_path):
+        path = tmp_path / "plan.json"
+        codec.save(str(path), 7, self.PLAN)
+        with pytest.raises(DecodeError, match="version 7, expected 8"):
+            codec.load(str(path), 8, RoundPlan)
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            codec.load(str(path), 7, RoundPlan)
+
+
 class TestDecoder:
     PLAN = {"round": 3, "control_fraction": 0.2, "assignments": [[1, 0.5], [4, 0.3]]}
 
@@ -153,11 +175,11 @@ class TestDecoder:
         assert isinstance(info.value, ValueError)
 
     def test_refuses_nested_and_enum_values(self):
-        d = SchedulerConfig().to_dict()
+        d = codec.to_dict(SchedulerConfig())
         d["init"]["size"] = "x"
         with pytest.raises(DecodeError, match="SchedulerConfig.init.size"):
             from_dict(SchedulerConfig, d)
-        d = SchedulerConfig().to_dict()
+        d = codec.to_dict(SchedulerConfig())
         d["taylor_mode"] = "second-order"
         with pytest.raises(DecodeError, match="taylor_mode"):
             from_dict(SchedulerConfig, d)
@@ -167,6 +189,8 @@ class TestDecoder:
         d["proposal_prob"] = 1
         assert type(ExperimentConfig.from_dict(d).proposal_prob) is float
 
-    def test_a_stored_file_must_be_an_object(self):
+    def test_a_stored_file_must_be_an_object(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps([["format_version", 1]]), encoding="utf-8")
         with pytest.raises(HarnessConfigError, match="version None"):
-            RunReport.from_dict([["format_version", 1]])
+            RunReport.load(str(path))

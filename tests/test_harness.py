@@ -227,22 +227,19 @@ class TestRunReport:
         report = synthetic_report(gains_by_seed={5: (0.01, 0.02)})
         assert report.final_gain_summary() == pytest.approx((0.02, 0.0))
 
-    def test_dict_roundtrip(self):
-        report = synthetic_report()
-        again = RunReport.from_dict(report.to_dict())
-        assert again == report
-
     def test_file_roundtrip(self, tmp_path):
         report = synthetic_report()
         path = tmp_path / "report.json"
         report.save(str(path))
         assert RunReport.load(str(path)) == report
 
-    def test_version_mismatch_rejected(self):
+    def test_version_mismatch_rejected(self, tmp_path):
         d = synthetic_report().to_dict()
         d["format_version"] = 999
-        with pytest.raises(HarnessConfigError):
-            RunReport.from_dict(d)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(HarnessConfigError, match="version 999"):
+            RunReport.load(str(path))
 
 
 class TestCampaignRuns:
@@ -349,26 +346,59 @@ class TestCheckpointResume:
         run.save_checkpoint(str(tmp_path / "ckpt"))
         state_path = tmp_path / "ckpt" / "run.json"
         state = json.loads(state_path.read_text())
-        state["format_version"] = 99
-        state_path.write_text(json.dumps(state))
-        with pytest.raises(HarnessConfigError):
-            SingleRun.resume(str(tmp_path / "ckpt"))
+        for version in (2, 99):    # version 2 stored the landscape in env.json
+            state["format_version"] = version
+            state_path.write_text(json.dumps(state))
+            with pytest.raises(HarnessConfigError, match=f"version {version}"):
+                SingleRun.resume(str(tmp_path / "ckpt"))
+
+    @pytest.mark.bitwise
+    def test_checkpoint_stores_each_fact_once(self, tmp_path):
+        """A checkpoint holds ``run.json`` and the scheduler store, not the
+        landscape; resume rebuilds that from the seed, and saving the
+        resumed run writes every file byte for byte again."""
+        run = SingleRun(3, tiny_config(seeds=(3,), rounds=8))
+        run.run_to(5)
+        first, second = tmp_path / "a", tmp_path / "b"
+        run.save_checkpoint(str(first))
+        assert sorted(p.name for p in first.iterdir()) == ["run.json", "scheduler"]
+        resumed = SingleRun.resume(str(first))
+        resumed.save_checkpoint(str(second))
+
+        def files(root):
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()
+            }
+
+        assert len(files(first)) == 4
+        assert files(second) == files(first)
+        assert resumed.env.spec == run.env.spec
+        assert resumed.env.rng_state == run.env.rng_state
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "edit",
         [
-            ("run.json", lambda d: d.pop("rows")),
-            ("run.json", lambda d: d["pending"][0].pop("arrival_round")),
-            ("run.json", lambda d: d["config"].update(rounds="x")),
-            ("env.json", lambda d: d.pop("sigma")),
+            lambda d: d.pop("rows"),
+            lambda d: d["pending"][0].pop("arrival_round"),
+            lambda d: d["config"].update(rounds="x"),
+            lambda d: d.pop("env_rng_state"),
+            lambda d: d["env_rng_state"].update(bit_generator="MT19937"),
+            # the rows would resume as rounds [0, 1, 6, 7]
+            lambda d: d.update(next_round=6),
+            lambda d: d["rows"].reverse(),
         ],
-        ids=["no-rows", "pending-without-arrival", "rounds-not-int", "env-without-sigma"],
+        ids=[
+            "no-rows", "pending-without-arrival", "rounds-not-int",
+            "no-env-rng-state", "env-rng-state-of-another-generator",
+            "rows-short-of-next-round", "rows-misnumbered",
+        ],
     )
-    def test_malformed_checkpoint_fails(self, tmp_path, name, edit):
+    def test_malformed_checkpoint_fails(self, tmp_path, edit):
         run = SingleRun(3, tiny_config(seeds=(3,), rounds=4))
         run.run_to(2)
         run.save_checkpoint(str(tmp_path))
-        path = tmp_path / name
+        path = tmp_path / "run.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         edit(data)
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -607,6 +637,8 @@ class TestCli:
         assert rc == 0
         assert (out / "comparison.csv").exists()
         assert "reference=full" in capsys.readouterr().out
+        summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["full", "no-proposal"]
 
 
 class TestCliConfig:

@@ -1,4 +1,4 @@
-"""Tests for the synthetic environment: landscape, sampling, delays, snapshots."""
+"""Tests for the synthetic environment: landscape, sampling, delays, stream state."""
 
 import hashlib
 import json
@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import zotune.simenv as simenv
+from zotune import codec
 from zotune.deltastats import GroupReading, TaylorMode, hourly_delta_stat
 from zotune.scheduler import InboundBatch, RoundPlan
-from zotune.simenv import CONTROL_ID, LIFT_SCALE, PERIOD, EnvSpec, SimEnv
+from zotune.simenv import CONTROL_ID, LIFT_SCALE, PERIOD, SimEnv
 
 SEEDS = (0, 1, 7, 42, 131)
 
@@ -82,7 +83,7 @@ class TestLandscape:
     def test_same_seed_bitwise_identical(self):
         a = SimEnv.build(77)
         b = SimEnv.build(77)
-        assert a.spec.to_dict() == b.spec.to_dict()
+        assert a.spec == b.spec
         plan = single_candidate_plan()
         thetas = {1: (0.25, 0.5)}
         batch_a = a.step(plan, 0, thetas)[0]
@@ -222,42 +223,29 @@ class TestStep:
 
 
 class TestSnapshot:
-    def test_roundtrip_spec_and_stream(self, tmp_path):
+    def test_roundtrip_spec_and_stream(self):
+        """The seed rebuilds the landscape and ``rng_state`` carries the
+        noise stream, which is all a run checkpoint stores of the env."""
         env = SimEnv.build(29, users=1000)
         plan = single_candidate_plan()
         env.step(plan, 0, {1: (0.3, 0.3)})  # advance the stream first
-        path = tmp_path / "env.json"
-        env.save(str(path))
-        clone = SimEnv.load(str(path))
-        assert clone.spec.to_dict() == env.spec.to_dict()
+        clone = SimEnv.build(29, users=1000)
+        clone.rng_state = json.loads(json.dumps(env.rng_state))
+        assert clone.spec == env.spec
         a = env.step(plan, 1, {1: (0.3, 0.3)})
         b = clone.step(plan, 1, {1: (0.3, 0.3)})
         assert a == b
-
-    def test_snapshot_is_json(self, tmp_path):
-        env = SimEnv.build(2)
-        path = tmp_path / "env.json"
-        env.save(str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["seed"] == 2
-        assert "rng_state" in data
-
-    def test_version_check(self, tmp_path):
-        env = SimEnv.build(2)
-        d = env.spec.to_dict()
-        d["format_version"] = 999
-        with pytest.raises(ValueError):
-            EnvSpec.from_dict(d)
 
     def test_draws_per_step_floor(self):
         with pytest.raises(ValueError):
             SimEnv.build(1, draws_per_step=1)
 
 
-# SHA-256 of sorted-key ``EnvSpec.to_dict()`` JSON, recorded before the
-# landscape build shared its grid terms.  Seeds 1-3 are the bench's set-up
-# seeds and 42, 40 the frozen trajectory's; 40, 12 and 36 redraw the
-# landscape 5, 7 and 12 times.
+# SHA-256 of the sorted-key JSON of ``EnvSpec``'s fields beside a
+# ``format_version`` of 1 (the former ``env.json`` without its noise stream),
+# recorded before the landscape build shared its grid terms.  Seeds 1-3 are
+# the bench's set-up seeds and 42, 40 the frozen trajectory's; 40, 12 and 36
+# redraw the landscape 5, 7 and 12 times.
 FROZEN_SPEC_DIGESTS = {
     1: "37478de3d94047e8dc803ba0f8da8a4ddd97932ba3e2ba745978324bb3e124c0",
     2: "dd3ef84cd6b75678b5d98003b7d7ae753ee0950e8b9f90a580ace656e3b20f1a",
@@ -275,7 +263,7 @@ class TestFrozenLandscape:
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_SPEC_DIGESTS))
     def test_spec_digest(self, seed):
-        spec = SimEnv.build(seed).spec.to_dict()
+        spec = {"format_version": 1, **codec.to_dict(SimEnv.build(seed).spec)}
         digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
         assert digest == FROZEN_SPEC_DIGESTS[seed]
 
