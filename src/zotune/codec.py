@@ -4,15 +4,15 @@ Encoding turns a dataclass into a dict of its fields, a tuple (named or not)
 into a list and an enum into its value; everything else passes through.
 Decoding reads the field types with ``typing.get_type_hints`` and accepts
 exactly what encoding writes: nested dataclasses, ``NamedTuple`` rows,
-``tuple[X, ...]``, fixed-length tuples, ``X | None``, enums, ``bool``,
-``int``, ``float`` (an int is widened), ``str`` and plain ``dict``.  An
-unknown, missing or wrongly typed key raises ``DecodeError``, naming where
-it sits; values of the right types then meet each constructor's own checks.
-``save`` and ``load`` are the one path for every versioned JSON file: a
-file is a ``format_version`` key beside the encoded fields, written with
-sorted keys, two-space indents and a trailing newline; ``load`` refuses
-another version with ``DecodeError`` and lets ``json``'s ``ValueError``
-through.
+``tuple[X, ...]``, fixed-length tuples, ``X | None``, ``Literal`` tags,
+enums, ``bool``, ``int``, ``float`` (an int is widened), ``str`` and plain
+``dict``.  An unknown, missing or wrongly typed key, or a tag outside its
+``Literal``, raises ``DecodeError``, naming where it sits; values of the
+right types then meet each constructor's own checks.  ``save`` and ``load``
+are the one path for every versioned JSON file: a file is a
+``format_version`` key beside the encoded fields, written with sorted keys,
+two-space indents and a trailing newline; ``load`` refuses another version
+with ``DecodeError`` and lets ``json``'s ``ValueError`` through.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ def _field_types(cls: type) -> dict[str, object]:
 
 def _decode(tp: object, value: object, where: str) -> object:
     origin = typing.get_origin(tp)
+    if origin is typing.Literal:
+        for allowed in typing.get_args(tp):
+            if type(value) is type(allowed) and value == allowed:
+                return value
+        raise DecodeError(f"{where}: {brief(value)} is not one of {list(typing.get_args(tp))}")
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in typing.get_args(tp) if a is not type(None)]
         return None if value is None else _decode(inner, value, where)

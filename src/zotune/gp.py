@@ -384,16 +384,11 @@ class GpSurrogate:
         bucket: Sequence[HyperParam],
         mu: np.ndarray,
         var: np.ndarray,
-        *,
-        lengthscales: np.ndarray | None = None,
-        signal_var: float | Sequence[float] | None = None,
     ) -> "GpSurrogate":
         """Fit per-metric regressors through the beliefs of measured candidates.
 
         ``mu`` and ``var`` are ``(n, M)`` arrays of lift means and variances,
-        row ``i`` belonging to ``bucket[i]``.  ``lengthscales`` and
-        ``signal_var`` override the data-driven heuristics when given (length
-        scales apply in normalized coordinates).
+        row ``i`` belonging to ``bucket[i]``.
         """
         if len(bucket) == 0:
             raise ValueError("cannot fit on an empty bucket")
@@ -408,7 +403,6 @@ class GpSurrogate:
         for hp in bucket:
             if hp.bounds != bounds:
                 raise ValueError("all candidates must share one bounds box")
-        n_metrics = mus.shape[1]
 
         thetas = np.array([hp.theta for hp in bucket], dtype=float)
         lo, _, span = _box(bounds)
@@ -416,25 +410,11 @@ class GpSurrogate:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mus)) and np.all(np.isfinite(noises))):
             raise FitFailureError("training inputs, targets, and noise must be finite")
 
-        if lengthscales is None:
-            ls = _median_lengthscales(x)
-        else:
-            ls = np.array(lengthscales, dtype=float)
-            if ls.shape != (x.shape[1],) or not np.all(ls > 0):
-                raise ValueError("lengthscales must be positive, one per dimension")
-
-        if signal_var is None:
-            # Huge finite targets overflow the second moment; that is a
-            # failed fit, caught below, not a numpy warning.
-            with np.errstate(over="ignore"):
-                s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
-        else:
-            s2_arr = np.atleast_1d(np.asarray(signal_var, dtype=float))
-            if s2_arr.shape == (1,):
-                s2_arr = np.repeat(s2_arr, n_metrics)
-            if s2_arr.shape != (n_metrics,) or np.any(s2_arr <= 0):
-                raise ValueError("signal_var must be positive, one per metric")
-            s2_all = s2_arr
+        ls = _median_lengthscales(x)
+        # Huge finite targets overflow the second moment; that is a failed
+        # fit, caught below, not a numpy warning.
+        with np.errstate(over="ignore"):
+            s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
         if not np.all(np.isfinite(s2_all)):
             raise FitFailureError("signal variance must be finite")
 

@@ -359,10 +359,14 @@ class SingleRun:
         self.rows.append(row)
 
     def run_to(self, upto: int) -> None:
-        """Advance wall rounds [next_round, upto)."""
-        for r in range(self.next_round, int(upto)):
+        """Advance wall rounds [next_round, upto); a round never runs twice,
+        so an ``upto`` below ``next_round`` raises ValueError."""
+        upto = int(upto)
+        if upto < self.next_round:
+            raise ValueError(f"run is at round {self.next_round}; cannot run to {upto}")
+        for r in range(self.next_round, upto):
             self._step_round(r)
-        self.next_round = int(upto)
+        self.next_round = upto
 
     def trajectory(self) -> SeedTrajectory:
         return SeedTrajectory(
@@ -392,8 +396,9 @@ class SingleRun:
         config build it as a fresh run does, then the stored state replaces
         the environment's noise stream, the scheduler and the run's progress.
 
-        A malformed ``run.json`` raises HarnessConfigError; the scheduler
-        store raises ``RestoreError``.
+        A malformed ``run.json``, or a scheduler store whose problem or
+        config is not the one the seed and config build, raises
+        HarnessConfigError; a malformed scheduler store raises ``RestoreError``.
         """
         try:
             state = codec.load(
@@ -403,7 +408,13 @@ class SingleRun:
             run.env.rng_state = state.env_rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise HarnessConfigError(f"malformed checkpoint in {directory}: {exc}") from exc
-        run.sched = Scheduler.restore(os.path.join(directory, "scheduler"))
+        sched = Scheduler.restore(os.path.join(directory, "scheduler"))
+        # Encoded, since candidates compare by id alone.
+        if (codec.to_dict(sched.problem), codec.to_dict(sched.config)) != (
+            codec.to_dict(run.sched.problem), codec.to_dict(run.sched.config)
+        ):
+            raise HarnessConfigError(f"the scheduler store in {directory} is another run's")
+        run.sched = sched
         run.pending = list(state.pending)
         run.rows = list(state.rows)
         run.next_round = state.next_round

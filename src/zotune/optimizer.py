@@ -19,8 +19,8 @@ scores it in blocks of whole repetitions, about 1 MiB each, so memory stays
 flat in K while the draws, winners and generator state stay those of a
 single ``(K, n, M)`` draw.
 
-Proposal explores the continuous box instead of the bucket: it scores N
-uniformly sampled configurations through a fitted surrogate with one
+Proposal explores the surrogate's continuous box instead of the bucket: it
+scores N uniformly sampled configurations through a fitted surrogate with one
 Thompson draw each and returns the feasible argmax (same fallback) as a
 brand-new candidate.
 """
@@ -49,18 +49,11 @@ class SelectionResult:
     """Outcome of one K-repetition selection pass.
 
     ``winners`` holds one candidate id per repetition (a multiset of size
-    K).  ``candidate_ids`` are the candidates the draws came from, in id
-    order, and row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` (the
-    read-only arrays of ``beliefs``) is candidate ``candidate_ids[i]``'s
-    aggregated belief.
-    ``infeasible_rounds`` counts the repetitions that were decided by the
-    fallback rule.
+    K).  ``infeasible_rounds`` counts the repetitions that were decided by
+    the fallback rule.
     """
 
     winners: tuple[int, ...]
-    candidate_ids: tuple[int, ...]
-    mu: np.ndarray
-    var: np.ndarray
     infeasible_rounds: int
 
     def modal_winner(self) -> int:
@@ -149,7 +142,7 @@ def select(
 
     Row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` belongs to
     ``candidate_ids[i]``, and the ids must be increasing, so that ties go to
-    the lowest id.  The result holds ``mu`` and ``var`` themselves.
+    the lowest id.
     """
     if k_repetitions < 1:
         raise ValueError("selection needs at least one repetition")
@@ -178,9 +171,6 @@ def select(
         infeasible += block_infeasible
     return SelectionResult(
         winners=tuple(ids[winner_cols].tolist()),
-        candidate_ids=tuple(ids.tolist()),
-        mu=mu,
-        var=var,
         infeasible_rounds=infeasible,
     )
 
@@ -189,26 +179,23 @@ def propose(
     surrogate: GpSurrogate,
     problem: TuningProblem,
     n_samples: int,
-    bounds: Sequence[tuple[float, float]],
     rng: np.random.Generator,
     new_id: int,
 ) -> ProposalResult:
     """Pick one new configuration from N uniform samples scored by the surrogate.
 
-    Each sample gets a predicted belief and a single Thompson draw; the
-    feasible draw with the highest objective wins (fallback: largest
-    worst-constraint slack).  The returned candidate carries ``new_id``,
-    which must be unused.
+    The samples are drawn from the surrogate's box.  Each sample gets a
+    predicted belief and a single Thompson draw; the feasible draw with the
+    highest objective wins (fallback: largest worst-constraint slack).  The
+    returned candidate carries ``new_id``, which must be unused.
     """
     if not isinstance(surrogate, GpSurrogate):
         raise RejectedSurrogateError("proposal requires a fitted surrogate")
     if n_samples < 1:
         raise ValueError("proposal needs at least one sample")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    bounds = surrogate.bounds
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    if np.any(hi < lo):
-        raise ValueError("empty bounds box")
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
     mu, var = surrogate.predict_batch(thetas)

@@ -12,6 +12,7 @@ direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class UndefinedGainError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A problem configuration file is malformed or incomplete."""
+    """A problem has no metrics, or names one twice."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +77,10 @@ class HyperParam:
 @dataclass(frozen=True)
 class LinearExpr:
     """Exact weighted sum of the lift vector; objectives and guardrails are
-    all of this form."""
+    all of this form.  ``form`` is the tag a stored expression carries."""
 
     weights: tuple[float, ...]
+    form: Literal["linear"] = "linear"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -182,8 +184,8 @@ class TuningProblem:
             )
         if not self._normalized:
             return np.zeros((0,) + deltas.shape[:-1])
-        # One product per constraint: a single (m, M) matmul may take another
-        # BLAS path and change the last bit.
+        # One product per constraint: a single (..., M) @ (M, m) matmul takes
+        # another BLAS path and changes the last bit (measured).
         return np.stack([g.batch(deltas) - c for g, c in self._normalized])
 
 
@@ -192,63 +194,4 @@ def gain(f_theta: float, f_base: float) -> float:
     if f_base == 0.0:
         raise UndefinedGainError("base objective value is zero")
     return f_theta / f_base - 1.0
-
-
-# The problem's form in the scheduler manifest: the one codec not derived from
-# fields, because an expression's stored ``"form": "linear"`` tag is not a field.
-
-
-def _expr_to_dict(expr: LinearExpr) -> dict:
-    return {"form": "linear", "weights": list(expr.weights)}
-
-
-def _expr_from_dict(d: dict) -> LinearExpr:
-    form = d.get("form")
-    if form != "linear":
-        raise ConfigError(f"unknown expression form {form!r}")
-    return LinearExpr(tuple(d["weights"]))
-
-
-def problem_to_dict(problem: TuningProblem) -> dict:
-    return {
-        "metrics": list(problem.metrics),
-        "objective": _expr_to_dict(problem.objective),
-        "constraints": [
-            {
-                "g": _expr_to_dict(c.g),
-                "threshold": c.threshold,
-                "direction": c.direction,
-            }
-            for c in problem.constraints
-        ],
-        "base": {
-            "id": problem.base.id,
-            "theta": list(problem.base.theta),
-            "bounds": [list(b) for b in problem.base.bounds],
-        },
-    }
-
-
-def problem_from_dict(d: dict) -> TuningProblem:
-    try:
-        base = d["base"]
-        return TuningProblem(
-            metrics=tuple(d["metrics"]),
-            objective=_expr_from_dict(d["objective"]),
-            constraints=tuple(
-                ConstraintSpec(
-                    g=_expr_from_dict(c["g"]),
-                    threshold=c["threshold"],
-                    direction=c.get("direction", AT_LEAST),
-                )
-                for c in d.get("constraints", ())
-            ),
-            base=HyperParam(
-                id=int(base["id"]),
-                theta=tuple(base["theta"]),
-                bounds=tuple(tuple(b) for b in base["bounds"]),
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed problem configuration: {exc}") from exc
 

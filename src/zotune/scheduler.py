@@ -51,7 +51,7 @@ from .deltastats import (
 )
 from .gp import GpSurrogate
 from .optimizer import SelectionResult, beliefs, propose, select
-from .problem import HyperParam, TuningProblem, problem_from_dict, problem_to_dict
+from .problem import HyperParam, TuningProblem
 
 FORMAT_VERSION = 1
 
@@ -190,7 +190,7 @@ class Manifest:
     exposed: bool
     rng_state: dict
     config: SchedulerConfig
-    problem: dict               # problem_to_dict's form
+    problem: TuningProblem
     last_plan: RoundPlan | None
 
 
@@ -452,7 +452,6 @@ class Scheduler:
                     surrogate,
                     self.problem,
                     self.config.proposal_samples,
-                    self.problem.base.bounds,
                     self.rng,
                     new_id=self._next_id,
                 )
@@ -479,7 +478,7 @@ class Scheduler:
             exposed=self._exposed,
             rng_state=self.rng.bit_generator.state,
             config=self.config,
-            problem=problem_to_dict(self.problem),
+            problem=self.problem,
             last_plan=self._last_plan,
         )
         codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
@@ -519,12 +518,12 @@ class Scheduler:
 
         try:
             manifest = codec.load(_path("manifest.json"), FORMAT_VERSION, Manifest)
-            problem = problem_from_dict(manifest.problem)
             rng = np.random.default_rng()
             rng.bit_generator.state = manifest.rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise RestoreError(f"malformed manifest: {exc}") from exc
 
+        problem = manifest.problem
         bucket: dict[int, HyperParam] = {}
         created: dict[int, int] = {}
         bounds = problem.base.bounds

@@ -16,6 +16,7 @@ from zotune.harness import (
     RunReport,
     SeedTrajectory,
 )
+from zotune.problem import LinearExpr
 from zotune.scheduler import BucketInit, InboundBatch, RoundPlan, SchedulerConfig
 from zotune.simenv import SimEnv
 
@@ -183,6 +184,14 @@ class TestDecoder:
         d["taylor_mode"] = "second-order"
         with pytest.raises(DecodeError, match="taylor_mode"):
             from_dict(SchedulerConfig, d)
+
+    def test_a_literal_tag_round_trips_and_refuses_any_other_value(self):
+        expr = LinearExpr((0.5, 2.0))
+        assert codec.to_dict(expr) == {"weights": [0.5, 2.0], "form": "linear"}
+        assert through_json(expr) == expr
+        for bad in ("quadratic", "Linear", 1, None, ["linear"]):
+            with pytest.raises(DecodeError, match="LinearExpr.form"):
+                from_dict(LinearExpr, {"weights": [0.5, 2.0], "form": bad})
 
     def test_widens_an_int_to_float(self):
         d = ExperimentConfig().to_dict()

@@ -289,6 +289,16 @@ class TestCampaignRuns:
         for r in idle:
             assert run.rows[r] == run.rows[r - 1]._replace(round=r)
 
+    def test_run_to_never_runs_backwards(self):
+        run = SingleRun(3, tiny_config(seeds=(3,)))
+        run.run_to(5)
+        rows = list(run.rows)
+        with pytest.raises(ValueError, match="round 5"):
+            run.run_to(2)
+        assert run.rows == rows and run.next_round == 5
+        run.run_to(5)
+        assert [r.round for r in run.rows] == [0, 1, 2, 3, 4]
+
     def test_report_carries_seed_order(self):
         report = run_experiment(tiny_config())
         assert report.seeds == TINY["seeds"]
@@ -375,6 +385,29 @@ class TestCheckpointResume:
         assert files(second) == files(first)
         assert resumed.env.spec == run.env.spec
         assert resumed.env.rng_state == run.env.rng_state
+
+    @pytest.mark.parametrize(
+        "other_seed, other_overrides",
+        [(7, {}), (3, {"select_count": 40})],
+        ids=["another-seed", "another-config"],
+    )
+    def test_resume_refuses_another_runs_scheduler_store(
+        self, tmp_path, other_seed, other_overrides
+    ):
+        """With the two checkpoints' ``scheduler/`` directories swapped,
+        neither resumes: each store's problem or config is not the one its
+        ``run.json`` builds."""
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        for seed, overrides, directory in ((3, {}, ours), (other_seed, other_overrides, theirs)):
+            run = SingleRun(seed, tiny_config(seeds=(seed,), rounds=4, **overrides))
+            run.run_to(2)
+            run.save_checkpoint(str(directory))
+        (ours / "scheduler").rename(tmp_path / "swap")
+        (theirs / "scheduler").rename(ours / "scheduler")
+        (tmp_path / "swap").rename(theirs / "scheduler")
+        for directory in (ours, theirs):
+            with pytest.raises(HarnessConfigError, match="another run"):
+                SingleRun.resume(str(directory))
 
     @pytest.mark.parametrize(
         "edit",

@@ -190,10 +190,11 @@ class TestSelect:
         rec = record_with({1: (0.01, 0.01)})
         problem = make_problem(LinearExpr((1.0, 1.0)))
         bucket = [hp(1), hp(2), hp(3)]  # 2 and 3 unmeasured
-        res = select(*beliefs(bucket, rec, problem), problem, 4, np.random.default_rng(0))
+        ids, mu, var = beliefs(bucket, rec, problem)
+        assert ids.tolist() == [1]
+        assert mu.shape == var.shape == (1, 2)
+        res = select(ids, mu, var, problem, 4, np.random.default_rng(0))
         assert set(res.winners) == {1}
-        assert res.candidate_ids == (1,)
-        assert res.mu.shape == res.var.shape == (1, 2)
 
     def test_partial_metric_data_not_eligible(self):
         rec = record_with({1: (0.01, 0.01)})
@@ -286,8 +287,7 @@ class TestSelect:
 
     def test_modal_winner_tie_breaks_low_id(self):
         res = SelectionResult(
-            winners=(5, 2, 5, 2), candidate_ids=(2, 5), mu=np.zeros((2, 1)),
-            var=np.zeros((2, 1)), infeasible_rounds=0,
+            winners=(5, 2, 5, 2), infeasible_rounds=0,
         )
         assert res.modal_winner() == 2
 
@@ -361,12 +361,15 @@ class TestBlockedSelectionReference:
             monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
         bucket, record, problem = random_selection_case(**self.CASES[case])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        res = select(*beliefs(bucket, record, problem), problem, k, rng)
-        winners, infeasible, mu, var = _reference_select(bucket, record, problem, k, ref_rng)
+        ids, mu, var = beliefs(bucket, record, problem)
+        res = select(ids, mu, var, problem, k, rng)
+        winners, infeasible, ref_mu, ref_var = _reference_select(
+            bucket, record, problem, k, ref_rng
+        )
         assert res.winners == winners
         assert res.infeasible_rounds == infeasible
-        assert np.array_equal(res.mu, mu) and np.array_equal(res.var, var)
-        assert res.candidate_ids == tuple(hp.id for hp in bucket[:-1])
+        assert np.array_equal(mu, ref_mu) and np.array_equal(var, ref_var)
+        assert tuple(ids.tolist()) == tuple(hp.id for hp in bucket[:-1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if case == "all-infeasible":
             assert infeasible == k
@@ -390,7 +393,7 @@ class TestPropose:
             LinearExpr((1.0, 0.0)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=99.0, direction=AT_LEAST),),
         )
-        res = propose(surrogate, problem, 1, BOUNDS, np.random.default_rng(4), new_id=500)
+        res = propose(surrogate, problem, 1, np.random.default_rng(4), new_id=500)
         assert isinstance(res, ProposalResult)
         assert res.proposed.id == 500
         assert res.sampled_count == 1
@@ -403,7 +406,7 @@ class TestPropose:
         problem = make_problem(LinearExpr((1.0, 0.0)))
         n = 10_000
         seed = 31
-        res = propose(surrogate, problem, n, BOUNDS, np.random.default_rng(seed), new_id=900)
+        res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900)
         # replay the same uniform samples to rank the pick
         replay = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
         mu, _ = surrogate.predict_batch(replay)
@@ -416,8 +419,8 @@ class TestPropose:
         rng = np.random.default_rng(21)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        a = propose(surrogate, problem, 64, BOUNDS, np.random.default_rng(7), new_id=900)
-        b = propose(surrogate, problem, 64, BOUNDS, np.random.default_rng(7), new_id=900)
+        a = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
+        b = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
         assert a.proposed.theta == b.proposed.theta
 
     def test_proposed_always_in_bounds(self):
@@ -426,19 +429,32 @@ class TestPropose:
         problem = make_problem(LinearExpr((1.0, 1.0)))
         for seed in range(10):
             res = propose(
-                surrogate, problem, 32, BOUNDS, np.random.default_rng(seed), new_id=900
+                surrogate, problem, 32, np.random.default_rng(seed), new_id=900
             )
             for x, (lo, hi) in zip(res.proposed.theta, BOUNDS):
                 assert lo <= x <= hi
 
+    def test_samples_the_surrogates_box(self):
+        box = ((-2.0, 4.0), (10.0, 10.5))
+        pts = np.random.default_rng(3).uniform([-2.0, 10.0], [4.0, 10.5], size=(12, 2))
+        bucket = [HyperParam(id=i + 1, theta=tuple(p), bounds=box) for i, p in enumerate(pts)]
+        mu = np.random.default_rng(4).normal(0.0, 0.05, size=(12, 2))
+        surrogate = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
+        problem = make_problem(LinearExpr((1.0, 1.0)))
+        for seed in range(5):
+            res = propose(surrogate, problem, 32, np.random.default_rng(seed), new_id=900)
+            assert res.proposed.bounds == box
+            replay = np.random.default_rng(seed).uniform([-2.0, 10.0], [4.0, 10.5], size=(32, 2))
+            assert res.proposed.theta in {tuple(row) for row in replay}
+
     def test_unfitted_surrogate_rejected(self):
         problem = make_problem(LinearExpr((1.0, 1.0)))
         with pytest.raises(RejectedSurrogateError):
-            propose(None, problem, 8, BOUNDS, np.random.default_rng(0), new_id=1)
+            propose(None, problem, 8, np.random.default_rng(0), new_id=1)
 
     def test_feasible_count_unconstrained(self):
         rng = np.random.default_rng(23)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = propose(surrogate, problem, 40, BOUNDS, np.random.default_rng(2), new_id=900)
+        res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900)
         assert res.feasible_count == 40

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from zotune import codec
+from zotune.codec import DecodeError
 from zotune.problem import (
     AT_LEAST,
     AT_MOST,
@@ -17,8 +19,6 @@ from zotune.problem import (
     TuningProblem,
     UndefinedGainError,
     gain,
-    problem_from_dict,
-    problem_to_dict,
 )
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
@@ -163,7 +163,7 @@ class TestGainViolation:
 
 
 def json_roundtrip(problem):
-    return problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+    return codec.from_dict(TuningProblem, json.loads(json.dumps(codec.to_dict(problem))))
 
 
 class TestSerialization:
@@ -190,9 +190,27 @@ class TestSerialization:
         assert q.objective.weights == w
         assert q.base.theta == p.base.theta
 
+    def test_at_most_keeps_its_authored_direction(self):
+        g = LinearExpr((0.3, 0.7))
+        p = TuningProblem(
+            metrics=("x1", "x2"),
+            objective=LinearExpr((1.0, 2.0)),
+            constraints=(ConstraintSpec(g=g, threshold=0.01, direction=AT_MOST),),
+            base=HyperParam(id=0, theta=(0.5, 0.5), bounds=BOUNDS),
+        )
+        assert codec.to_dict(p)["constraints"][0] == {
+            "g": {"weights": [0.3, 0.7], "form": "linear"},
+            "threshold": 0.01,
+            "direction": AT_MOST,
+        }
+        q = json_roundtrip(p)
+        assert q == p
+        deltas = np.random.default_rng(1).normal(scale=0.1, size=(20, 2))
+        assert np.array_equal(q.constraint_slack_batch(deltas), p.constraint_slack_batch(deltas))
+
     def test_unknown_expression_kind(self, tmp_path):
         for form in ("mystery", "composed"):
-            d = problem_to_dict(make_problem())
+            d = codec.to_dict(make_problem())
             d["objective"]["form"] = form
-            with pytest.raises(ConfigError):
-                problem_from_dict(d)
+            with pytest.raises(DecodeError, match="TuningProblem.objective.form"):
+                codec.from_dict(TuningProblem, d)
