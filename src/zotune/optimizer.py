@@ -73,12 +73,14 @@ class ProposalResult:
 
 def _winner_indices(
     fvals: np.ndarray, slack: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Per-repetition winner column given objective values and slacks.
 
     ``fvals`` is (K, n); ``slack`` is (m, K, n) of normalized constraint
     slacks.  Rows are assumed sorted by candidate id so ``argmax`` ties
-    resolve to the lowest id.
+    resolve to the lowest id.  Returns the winner columns, the number of
+    repetitions with no feasible draw, and the (K, n) feasibility mask: a
+    draw is feasible when every slack is nonnegative.
     """
     if slack.shape[0] == 0:
         feasible = np.ones(fvals.shape, dtype=bool)
@@ -92,7 +94,7 @@ def _winner_indices(
     win_fallback = np.argmax(min_slack, axis=1)
     winners = np.where(any_feasible, win_feasible, win_fallback)
     infeasible = int(fvals.shape[0] - np.count_nonzero(any_feasible))
-    return winners, infeasible
+    return winners, infeasible, feasible
 
 
 def beliefs(
@@ -167,7 +169,7 @@ def select(
         draws += mu
         slack = problem.constraint_slack_batch(draws)        # (m, k1 - k0, n)
         fvals = problem.objective_batch(draws)               # (k1 - k0, n)
-        winner_cols[k0:k1], block_infeasible = _winner_indices(fvals, slack)
+        winner_cols[k0:k1], block_infeasible, _ = _winner_indices(fvals, slack)
         infeasible += block_infeasible
     return SelectionResult(
         winners=tuple(ids[winner_cols].tolist()),
@@ -205,17 +207,12 @@ def propose(
 
     fvals = problem.objective_batch(draws)                      # (N,)
     slack = problem.constraint_slack_batch(draws)               # (m, N)
-    winner_rows, _ = _winner_indices(fvals[None, :], slack[:, None, :])
-    idx = int(winner_rows[0])
-    if slack.shape[0] == 0:
-        feasible_count = n_samples
-    else:
-        feasible_count = int(np.count_nonzero(np.all(slack >= 0.0, axis=0)))
+    winner_rows, _, feasible = _winner_indices(fvals[None, :], slack[:, None, :])
     proposed = HyperParam(
-        id=int(new_id), theta=tuple(thetas[idx]), bounds=bounds
+        id=int(new_id), theta=tuple(thetas[winner_rows[0]]), bounds=bounds
     )
     return ProposalResult(
         proposed=proposed,
         sampled_count=int(n_samples),
-        feasible_count=feasible_count,
+        feasible_count=int(np.count_nonzero(feasible)),
     )

@@ -375,14 +375,6 @@ class SimEnv:
 
     # Landscape views
 
-    @property
-    def w1_values(self) -> np.ndarray:
-        return self._w1.copy()
-
-    @property
-    def w2_values(self) -> np.ndarray:
-        return self._w2.copy()
-
     def delta(self, thetas: np.ndarray) -> np.ndarray:
         """Configuration effects, shape ``(..., 2)`` with values in [0, 1]."""
         thetas = np.asarray(thetas, dtype=float)

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import spec
 from zotune.deltastats import (
     DeltaStat,
     EstimateRecord,
@@ -28,13 +29,7 @@ from zotune.harness import (
     run_experiment,
 )
 from zotune.optimizer import beliefs, select
-from zotune.problem import (
-    AT_LEAST,
-    ConstraintSpec,
-    HyperParam,
-    LinearExpr,
-    TuningProblem,
-)
+from zotune.problem import ConstraintSpec, HyperParam, LinearExpr, TuningProblem
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
@@ -123,25 +118,6 @@ def test_criterion_2_reference_values_exact(verdict):
     assert var_rel <= 1e-12
 
 
-def _brute_force_winner(deltas, weights_f, constraints):
-    """One repetition as plain loops: feasible argmax, slack fallback."""
-    best_id, best_f = None, None
-    fb_id, fb_slack = None, None
-    for cid in sorted(deltas):
-        vec = deltas[cid]
-        f = sum(w * d for w, d in zip(weights_f, vec))
-        slacks = [
-            sum(w * d for w, d in zip(ws, vec)) - thr for ws, thr in constraints
-        ]
-        if all(s >= 0.0 for s in slacks):
-            if best_f is None or f > best_f:
-                best_id, best_f = cid, f
-        min_slack = min(slacks) if slacks else 0.0
-        if fb_slack is None or min_slack > fb_slack:
-            fb_id, fb_slack = cid, min_slack
-    return best_id if best_id is not None else fb_id
-
-
 def test_criterion_3_selection_matches_exhaustive_search(verdict):
     """Zero-variance Thompson selection equals brute force, 100/100 times."""
     t0 = time.perf_counter()
@@ -153,28 +129,22 @@ def test_criterion_3_selection_matches_exhaustive_search(verdict):
         m = int(rng.integers(0, 4))
         ids = sorted(int(i) for i in rng.choice(900, size=n, replace=False) + 1)
         deltas = {cid: tuple(rng.normal(0, 0.05, size=2)) for cid in ids}
-        weights_f = tuple(rng.normal(0, 1, size=2))
-        cons = [
-            (tuple(rng.normal(0, 1, size=2)), float(rng.normal(0, 0.02)))
-            for _ in range(m)
-        ]
+        problem = TuningProblem(
+            metrics=("x1", "x2"),
+            objective=LinearExpr(tuple(rng.normal(0, 1, size=2))),
+            constraints=tuple(
+                ConstraintSpec(LinearExpr(tuple(rng.normal(0, 1, size=2))), rng.normal(0, 0.02))
+                for _ in range(m)
+            ),
+            base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
+        )
         rec = EstimateRecord()
         for cid, (d1, d2) in deltas.items():
             rec.absorb(cid, "x1", 0, DeltaStat(mean=d1, var=0.0, weight=100))
             rec.absorb(cid, "x2", 0, DeltaStat(mean=d2, var=0.0, weight=100))
-        problem = TuningProblem(
-            metrics=("x1", "x2"),
-            objective=LinearExpr(weights_f),
-            constraints=tuple(
-                ConstraintSpec(g=LinearExpr(ws), threshold=thr, direction=AT_LEAST)
-                for ws, thr in cons
-            ),
-            base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
-        )
         bucket = [HyperParam(id=cid, theta=(0.5, 0.5), bounds=BOUNDS) for cid in ids]
         res = select(*beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(1))
-        expected = _brute_force_winner(deltas, weights_f, cons)
-        if res.winners == (expected,) * 5:
+        if res.winners == (spec.exhaustive_winner(deltas, problem),) * 5:
             agree += 1
     elapsed = time.perf_counter() - t0
     ok = agree == n_instances and elapsed < 10.0

@@ -5,7 +5,6 @@ hand-derived from the closed-form estimator definitions and double-checked
 against a Monte-Carlo simulation of the group-mean ratio.
 """
 
-import copy
 import itertools
 import math
 
@@ -13,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import spec
 
 from zotune.deltastats import (
     DegenerateBaseError,
@@ -217,43 +218,6 @@ class TestAggregate:
             aggregate([(DeltaStat(mean=0.0, var=0.0, weight=1.0), 0)])
 
 
-class _LazyEstimateRecord:
-    """The record as it was before aggregates were formed at absorb: running
-    sums only, each aggregate built when read."""
-
-    def __init__(self):
-        self._series = {}
-
-    def absorb(self, candidate_id, metric, round_no, stat):
-        key = (int(candidate_id), str(metric))
-        round_no = int(round_no)
-        series = self._series.get(key)
-        if series is None:
-            series = {"by_round": {}, "sum_w": 0.0, "sum_wm": 0.0, "sum_w2v": 0.0}
-        elif round_no in series["by_round"]:
-            raise DuplicateRoundError("already absorbed")
-        sums = (
-            series["sum_w"] + stat.weight,
-            series["sum_wm"] + stat.weight * stat.mean,
-            series["sum_w2v"] + stat.weight * stat.weight * stat.var,
-        )
-        if not all(map(math.isfinite, sums)):
-            raise DegenerateBaseError("would overflow the running sums")
-        self._series[key] = series
-        series["by_round"][round_no] = stat
-        series["sum_w"], series["sum_wm"], series["sum_w2v"] = sums
-
-    def aggregate(self, candidate_id, metric):
-        series = self._series.get((int(candidate_id), str(metric)))
-        if series is None or series["sum_w"] == 0.0:
-            return None
-        return DeltaStat(
-            mean=series["sum_wm"] / series["sum_w"],
-            var=series["sum_w2v"] / series["sum_w"] ** 2,
-            weight=series["sum_w"],
-        )
-
-
 _rows = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=3),
@@ -282,38 +246,24 @@ class TestAbsorbTimeAggregateReference:
 
     @given(rows=_rows)
     @settings(max_examples=300, deadline=None)
-    def test_matches_lazy_record(self, rows):
-        """Any absorb sequence, duplicates and refused rows included, gives
-        the aggregates of the lazy record; a row is refused
-        exactly when the lazy record refuses it or could not read its key's
-        aggregate afterwards."""
-        new, lazy = EstimateRecord(), _LazyEstimateRecord()
+    def test_matches_spec_record(self, rows):
+        """Any absorb sequence, duplicates and refused rows included, is
+        refused and read as by the spec's record, which keeps every hour and
+        aggregates them when read."""
+        new, ref = EstimateRecord(), spec.Record()
         keys = set()
         for cid, metric, rnd, m, v, w in rows:
             stat = DeltaStat(mean=m, var=v, weight=w)
             keys.add((cid, metric))
             try:
                 new.absorb(cid, metric, rnd, stat)
-            except DuplicateRoundError:
-                with pytest.raises(DuplicateRoundError):
-                    lazy.absorb(cid, metric, rnd, stat)
-            except DegenerateBaseError:
-                trial = copy.deepcopy(lazy)
-                try:
-                    trial.absorb(cid, metric, rnd, stat)
-                except DegenerateBaseError:
-                    pass  # a running sum overflows
-                else:
-                    with pytest.raises((ArithmeticError, ValueError)):
-                        trial.aggregate(cid, metric)
+            except (DuplicateRoundError, DegenerateBaseError) as exc:
+                with pytest.raises(type(exc)):
+                    ref.absorb(cid, metric, rnd, stat)
             else:
-                lazy.absorb(cid, metric, rnd, stat)
+                ref.absorb(cid, metric, rnd, stat)
             for key in keys:
-                got, want = new.aggregate(*key), lazy.aggregate(*key)
-                if want is None:
-                    assert got is None
-                else:
-                    assert (got.mean, got.var, got.weight) == (want.mean, want.var, want.weight)
+                assert new.aggregate(*key) == ref.aggregate(*key)
 
 
 class TestEstimateRecord:

@@ -4,17 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+import spec
 from zotune import gp as gp_module
-from zotune.gp import (
-    BASE_JITTER,
-    MAX_JITTER,
-    SIGNAL_VAR_FLOOR,
-    FitFailureError,
-    GpSurrogate,
-    RejectedInputError,
-)
+from zotune.gp import BASE_JITTER, MAX_JITTER, FitFailureError, GpSurrogate, RejectedInputError
 from zotune.problem import HyperParam
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
@@ -239,77 +233,26 @@ class TestFitAndPredict:
         assert peak < 2.25 * n * n * 8
 
 
-def _reference_fit_predict(thetas, bounds, mus, noises, queries):
-    """The surrogate as first written: per-metric 3-D broadcast kernels, a
-    dense ``np.diag`` noise matrix and the ``triu_indices`` median."""
-    lo = np.array([b[0] for b in bounds])
-    span = np.array([b[1] - b[0] for b in bounds])
-    span[span == 0.0] = 1.0
-    x = (thetas - lo) / span
-    n, d = x.shape
-    ls = np.ones(d)
-    if n >= 2:
-        iu = np.triu_indices(n, k=1)
-        for k in range(d):
-            dists = np.abs(x[:, k][:, None] - x[:, k][None, :])[iu]
-            m = float(np.median(dists))
-            if m <= 0.0:
-                m = float(np.mean(dists))
-            if m <= 0.0:
-                m = 1.0
-            ls[k] = m
-
-    def kernel(x1, x2, s2):
-        sq = ((x1[:, None, :] - x2[None, :, :]) / ls) ** 2
-        return s2 * np.exp(-0.5 * sq.sum(axis=-1))
-
-    xq = (queries - lo) / span
-    s2_all = np.maximum(np.mean(mus**2, axis=0), SIGNAL_VAR_FLOOR)
-    mu = np.empty((len(queries), mus.shape[1]))
-    var = np.empty_like(mu)
-    jitters = []
-    for k in range(mus.shape[1]):
-        s2 = float(s2_all[k])
-        kmat = kernel(x, x, s2)
-        jit = BASE_JITTER
-        while True:
-            try:
-                chol, _ = cho_factor(kmat + np.diag(noises[:, k] + jit), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                jit *= 10.0
-                assert jit <= MAX_JITTER * (1 + 1e-12)
-        chol = np.tril(chol)
-        alpha = cho_solve((chol, True), mus[:, k])
-        kq = kernel(xq, x, s2)
-        mu[:, k] = kq @ alpha
-        w = solve_triangular(chol, kq.T, lower=True)
-        var[:, k] = np.maximum(s2 - np.sum(w * w, axis=0), 0.0)
-        jitters.append(jit)
-    return mu, var, s2_all, ls, jitters
-
-
 def _assert_matches_reference(thetas, bounds, mus, noises, queries):
     bucket = [hp(i + 1, tuple(t), bounds) for i, t in enumerate(thetas)]
     gp = GpSurrogate.fit(bucket, mus, noises)
     mu, var = gp.predict_batch(queries)
-    ref_mu, ref_var, ref_s2, ref_ls, ref_jit = _reference_fit_predict(
-        thetas, bounds, mus, noises, queries
-    )
+    ref = spec.Surrogate(bucket, mus, noises)
+    ref_mu, ref_var = ref.predict(queries)
     assert np.array_equal(mu, ref_mu)
     assert np.array_equal(var, ref_var)
     for k in range(mus.shape[1]):
-        assert gp.signal_var(k) == ref_s2[k]
-        assert np.array_equal(gp.lengthscales(k), ref_ls)
-        assert gp.jitter(k) == ref_jit[k]
+        assert gp.signal_var(k) == ref.signal_var[k]
+        assert np.array_equal(gp.lengthscales(k), ref.ls)
+        assert gp.jitter(k) == ref.jitter[k]
     return gp
 
 
 @pytest.mark.bitwise
 class TestBitwiseReference:
     """Shared tiled unit kernel, triangle-only fit, in-place diagonal and
-    streamed median change no bit; n = 777 and 1030 span several kernel
-    tiles with a ragged last one."""
+    streamed median give the spec's surrogate bit for bit; n = 777 and 1030
+    span several kernel tiles with a ragged last one."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 777, 1030])
@@ -463,27 +406,6 @@ class TestLapackBinding:
             gp_module._trsm(chol, b)
 
 
-def _reference_median_lengthscales(x):
-    """The median heuristic before selection: every dimension's condensed
-    distance vector, built row by row, and ``np.median`` over it."""
-    n, d = x.shape
-    if n < 2:
-        return np.ones(d)
-    xt = x.T
-    dists = np.empty((d, n * (n - 1) // 2))
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.subtract(xt[:, i, None], xt[:, i + 1 :], out=dists[:, start:stop])
-        start = stop
-    np.abs(dists, out=dists)
-    scales = np.median(dists, axis=1)
-    for k in np.flatnonzero(scales <= 0.0):
-        m = float(np.mean(dists[k]))
-        scales[k] = m if m > 0.0 else 1.0
-    return scales
-
-
 def _median_inputs(kind, n, d, rng):
     u = rng.uniform(0.0, 1.0, size=(n, d))
     if kind == "ties":
@@ -517,7 +439,7 @@ class TestMedianReference:
     def test_matches_condensed_median(self, kind, n):
         for d in (1, 2, 3):
             x = _median_inputs(kind, n, d, np.random.default_rng(1000 * d + n))
-            ref = _reference_median_lengthscales(x)
+            ref = spec.median_lengthscales(x)
             assert np.array_equal(gp_module._median_lengthscales(x), ref)
             if kind == "duplicates" and n >= 50:  # the mean fallback ran
                 gaps = np.abs(x[:, None, :] - x[None, :, :])[np.triu_indices(n, 1)]
@@ -547,7 +469,7 @@ class TestMedianReference:
         rng = np.random.default_rng(0)
         x = np.concatenate([np.full(506, 0.25), rng.uniform(0.0, 1.0, size=503)])[:, None]
         calls = _count_row_end_calls(monkeypatch)
-        assert np.array_equal(gp_module._median_lengthscales(x), _reference_median_lengthscales(x))
+        assert np.array_equal(gp_module._median_lengthscales(x), spec.median_lengthscales(x))
         assert len(calls) > 2
 
     @pytest.mark.parametrize("kind", ["uniform", "skewed"])
@@ -559,5 +481,5 @@ class TestMedianReference:
         monkeypatch.setattr(gp_module, "_MEDIAN_MARGIN", 0.0)
         calls = _count_row_end_calls(monkeypatch)
         x = _median_inputs(kind, n, 3, np.random.default_rng(n))
-        assert np.array_equal(gp_module._median_lengthscales(x), _reference_median_lengthscales(x))
+        assert np.array_equal(gp_module._median_lengthscales(x), spec.median_lengthscales(x))
         assert len(calls) > 6

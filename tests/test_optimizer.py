@@ -1,9 +1,8 @@
 """Tests for Thompson selection and surrogate-guided proposal.
 
-The brute-force oracle reimplements one selection repetition as plain
-loops: evaluate every candidate's (deterministic) lift vector, drop the
-infeasible ones, take the argmax with lowest-id ties, fall back to the
-best worst-constraint slack when nothing is feasible.
+The oracles live in ``spec.py``: ``exhaustive_winner`` is one selection
+repetition over deterministic lift vectors, and ``select`` draws and scores
+all K repetitions as one array.
 """
 
 import tracemalloc
@@ -12,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spec
 from zotune import optimizer
 from zotune.deltastats import DeltaStat, EstimateRecord, NoDataError
 from zotune.gp import GpSurrogate
@@ -19,13 +19,13 @@ from zotune.optimizer import (
     ProposalResult,
     RejectedSurrogateError,
     SelectionResult,
-    _winner_indices,
     beliefs,
     propose,
     select,
 )
 from zotune.problem import (
     AT_LEAST,
+    AT_MOST,
     ConstraintSpec,
     HyperParam,
     LinearExpr,
@@ -55,29 +55,6 @@ def record_with(deltas):
         rec.absorb(cid, "x1", 0, DeltaStat(mean=d1, var=0.0, weight=100))
         rec.absorb(cid, "x2", 0, DeltaStat(mean=d2, var=0.0, weight=100))
     return rec
-
-
-def brute_force_winner(deltas, weights_f, constraints):
-    """Oracle: one repetition over deterministic lift vectors.
-
-    ``constraints`` is a list of (weights, threshold) in at-least form.
-    Returns the winning candidate id.
-    """
-    best_id, best_f = None, None
-    fb_id, fb_slack = None, None
-    for cid in sorted(deltas):
-        vec = deltas[cid]
-        f = sum(w * d for w, d in zip(weights_f, vec))
-        slacks = [
-            sum(w * d for w, d in zip(ws, vec)) - thr for ws, thr in constraints
-        ]
-        min_slack = min(slacks) if slacks else 0.0
-        if all(s >= 0.0 for s in slacks):
-            if best_f is None or f > best_f:
-                best_id, best_f = cid, f
-        if fb_slack is None or min_slack > fb_slack:
-            fb_id, fb_slack = cid, min_slack
-    return best_id if best_id is not None else fb_id
 
 
 class TestSelect:
@@ -127,29 +104,29 @@ class TestSelect:
         for _ in range(50):
             n = int(rng.integers(1, 51))
             m = int(rng.integers(0, 4))
-            ids = sorted(
-                int(i) for i in rng.choice(1000, size=n, replace=False) + 1
-            )
-            deltas = {
-                cid: tuple(rng.normal(0, 0.05, size=2)) for cid in ids
-            }
-            weights_f = tuple(rng.normal(0, 1, size=2))
-            cons = [
-                (tuple(rng.normal(0, 1, size=2)), float(rng.normal(0, 0.02)))
+            ids = sorted(int(i) for i in rng.choice(1000, size=n, replace=False) + 1)
+            deltas = {cid: tuple(rng.normal(0, 0.05, size=2)) for cid in ids}
+            objective = LinearExpr(tuple(rng.normal(0, 1, size=2)))
+            problem = make_problem(objective, tuple(
+                ConstraintSpec(LinearExpr(tuple(rng.normal(0, 1, size=2))), rng.normal(0, 0.02))
                 for _ in range(m)
-            ]
-            rec = record_with(deltas)
-            problem = make_problem(
-                LinearExpr(weights_f),
-                tuple(
-                    ConstraintSpec(g=LinearExpr(ws), threshold=thr, direction=AT_LEAST)
-                    for ws, thr in cons
-                ),
-            )
-            bucket = [hp(cid) for cid in ids]
-            res = select(*beliefs(bucket, rec, problem), problem, 3, np.random.default_rng(1))
-            expected = brute_force_winner(deltas, weights_f, cons)
-            assert res.winners == (expected,) * 3
+            ))
+            measured = beliefs([hp(cid) for cid in ids], record_with(deltas), problem)
+            res = select(*measured, problem, 3, np.random.default_rng(1))
+            assert res.winners == (spec.exhaustive_winner(deltas, problem),) * 3
+
+    @pytest.mark.parametrize("direction", [AT_LEAST, AT_MOST])
+    def test_guardrail_met_with_zero_slack_holds(self, direction):
+        """Zero-variance candidate 1 sits on the guardrail x2 = 0.01 with zero
+        slack and the higher objective: it wins every repetition, none infeasible."""
+        deltas = {1: (0.05, 0.01), 2: (0.02, 0.03 if direction == AT_LEAST else -0.03)}
+        guardrail = ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.01, direction=direction)
+        problem = make_problem(LinearExpr((1.0, 0.0)), (guardrail,))
+        assert problem.constraint_slack_batch(np.array(deltas[1]))[0] == 0.0
+        ids, mu, var = beliefs([hp(1), hp(2)], record_with(deltas), problem)
+        res = select(ids, mu, var, problem, 7, np.random.default_rng(0))
+        assert res.winners == (1,) * 7
+        assert res.infeasible_rounds == 0
 
     def test_monotone_focus_dominant_candidate(self):
         """A 6-sigma dominant feasible candidate takes every repetition."""
@@ -257,7 +234,7 @@ class TestSelect:
     def test_peak_memory_is_set_by_the_block(self):
         """A 1000 x 1000 x 2 selection with one constraint holds a few blocks
         of draws at most; all its draws at once would be 16 MB."""
-        bucket, record, problem = random_selection_case(1000, 2, 1)
+        bucket, (record, _), problem = random_selection_case(1000, 2, 1)
         k = 1000
         tracemalloc.start()
         try:
@@ -292,28 +269,9 @@ class TestSelect:
         assert res.modal_winner() == 2
 
 
-def _reference_select(bucket, record, problem, k_repetitions, rng):
-    """Selection as one array: a belief per candidate, then all K
-    repetitions drawn and scored at once."""
-    eligible = sorted(
-        cid for cid in {hp.id for hp in bucket}
-        if all(record.aggregate(cid, m) is not None for m in problem.metrics)
-    )
-    aggs = [[record.aggregate(cid, m) for m in problem.metrics] for cid in eligible]
-    mu = np.array([[a.mean for a in row] for row in aggs])
-    var = np.array([[a.var for a in row] for row in aggs])
-    draws = rng.standard_normal((k_repetitions,) + mu.shape)
-    draws *= np.sqrt(var)
-    draws += mu
-    slack = problem.constraint_slack_batch(draws)
-    fvals = problem.objective_batch(draws)
-    winner_cols, infeasible = _winner_indices(fvals, slack)
-    ids = np.array(eligible)
-    return tuple(int(i) for i in ids[winner_cols]), infeasible, mu, var
-
-
 def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0):
-    """Bucket, record and problem with noisy beliefs over ``n_metrics``."""
+    """Bucket, the package's and the spec's records, and problem, with noisy
+    beliefs over ``n_metrics``."""
     rng = np.random.default_rng(seed)
     metrics = tuple(f"x{j + 1}" for j in range(n_metrics))
     problem = TuningProblem(
@@ -330,15 +288,14 @@ def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0)
         base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
     )
     ids = sorted(int(i) for i in rng.choice(5 * n, size=n, replace=False) + 1)
-    record = EstimateRecord()
+    records = (EstimateRecord(), spec.Record())
     for cid in ids:
         for metric in metrics:
-            record.absorb(
-                cid, metric, 0,
-                DeltaStat(mean=rng.normal(0, 0.05), var=rng.uniform(0, 1e-3), weight=10),
-            )
+            stat = DeltaStat(mean=rng.normal(0, 0.05), var=rng.uniform(0, 1e-3), weight=10)
+            for record in records:
+                record.absorb(cid, metric, 0, stat)
     bucket = [hp(cid) for cid in ids] + [hp(5 * n + 1)]  # one unmeasured
-    return bucket, record, problem
+    return bucket, records, problem
 
 
 @pytest.mark.bitwise
@@ -359,20 +316,20 @@ class TestBlockedSelectionReference:
     def test_matches_single_array(self, monkeypatch, case, k, block):
         if block is not None:
             monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
-        bucket, record, problem = random_selection_case(**self.CASES[case])
+        bucket, (record, ref_record), problem = random_selection_case(**self.CASES[case])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         ids, mu, var = beliefs(bucket, record, problem)
         res = select(ids, mu, var, problem, k, rng)
-        winners, infeasible, ref_mu, ref_var = _reference_select(
-            bucket, record, problem, k, ref_rng
+        ref_ids, ref_mu, ref_var = spec.beliefs(
+            [hp.id for hp in bucket], ref_record, problem.metrics
         )
-        assert res.winners == winners
-        assert res.infeasible_rounds == infeasible
+        ref = spec.select(ref_ids, ref_mu, ref_var, problem, k, ref_rng)
+        assert (res.winners, res.infeasible_rounds) == ref
+        assert ids.tolist() == ref_ids == [hp.id for hp in bucket[:-1]]
         assert np.array_equal(mu, ref_mu) and np.array_equal(var, ref_var)
-        assert tuple(ids.tolist()) == tuple(hp.id for hp in bucket[:-1])
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if case == "all-infeasible":
-            assert infeasible == k
+            assert res.infeasible_rounds == k
 
 
 def fit_linear_surrogate(rng, grid=12):

@@ -14,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec
 from zotune.deltastats import TaylorMode
-from zotune.problem import (
-    AT_LEAST,
-    ConstraintSpec,
-    HyperParam,
-    LinearExpr,
-    TuningProblem,
-)
+from zotune.problem import HyperParam, LinearExpr, TuningProblem
 from zotune.scheduler import (
     BucketInit,
     ColdStartError,
@@ -33,9 +28,8 @@ from zotune.scheduler import (
 )
 from zotune import scheduler as scheduler_module
 from zotune.deltastats import GroupReading
-from zotune.gp import FitFailureError, GpSurrogate
+from zotune.gp import FitFailureError
 from zotune.harness import ExperimentConfig, SingleRun
-from zotune.optimizer import beliefs, propose, select
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 METRICS = ("x1", "x2")
@@ -254,40 +248,6 @@ class TestRunRound:
         assert a_bucket == b_bucket
 
 
-def _sequential_round(sched, inbound=()):
-    """``run_round`` in the one-thread order: select, draw ``u``, and only
-    then fit and propose."""
-    round_no = sched.round + 1
-    sched.ingest(inbound)
-    eligible = [
-        hp for hp in sched.bucket
-        if all(sched.record.aggregate(hp.id, m) is not None for m in sched.problem.metrics)
-    ]
-    if not eligible:
-        plan = sched._plan_from_units(round_no, Counter(sched._bucket.keys()))
-        sched.last_selection = None
-    else:
-        cfg = sched.config
-        ids, mu, var = beliefs(eligible, sched.record, sched.problem)
-        sel = select(ids, mu, var, sched.problem, cfg.select_count, sched.rng)
-        sched.last_selection = sel
-        units = Counter(sel.winners)
-        if sched.rng.random() < cfg.proposal_prob:
-            surrogate = GpSurrogate.fit(eligible, mu, var)
-            newcomer = propose(
-                surrogate, sched.problem, cfg.proposal_samples, sched.rng,
-                new_id=sched.next_id,
-            ).proposed
-            sched._bucket[newcomer.id] = newcomer
-            sched._created_round[newcomer.id] = round_no
-            sched._next_id += 1
-            units[newcomer.id] += 1
-        plan = sched._plan_from_units(round_no, units)
-    sched._round = round_no
-    sched._last_plan = plan
-    return plan
-
-
 def _feedback(plan, rng, mean=None):
     """Feedback for every candidate of ``plan``, arriving the next round:
     random lifts, or raw test means of ``mean``."""
@@ -304,26 +264,30 @@ def _feedback(plan, rng, mean=None):
 @pytest.mark.bitwise
 class TestFitBesideSelection:
     """``run_round`` fits the GP on a helper thread while it draws the
-    selection; every result, and the stream, equal the one-thread order."""
+    selection; every result, and the stream, equal the spec's one-thread
+    loop."""
 
     def assert_same_state(self, live, ref):
-        assert live.bucket == ref.bucket
+        assert [(hp.id, hp.theta) for hp in live.bucket] == [
+            (hp.id, hp.theta) for _, hp in sorted(ref.bucket.items())
+        ]
         assert live.next_id == ref.next_id
         assert live.round == ref.round
         assert live.last_plan == ref.last_plan
         assert live.rng.bit_generator.state == ref.rng.bit_generator.state
-        a, b = live.last_selection, ref.last_selection
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.winners == b.winners
-            assert a.infeasible_rounds == b.infeasible_rounds
+        sel = live.last_selection
+        assert (sel and (sel.winners, sel.infeasible_rounds)) == ref.last_selection
+
+    def make_pair(self, seed, **cfg_kwargs):
+        """A scheduler and the spec's loop, from generators seeded alike."""
+        live = make_sched(seed=seed, **cfg_kwargs)
+        return live, spec.Loop(live.problem, live.config, np.random.default_rng(seed))
 
     def run_beside_reference(self, p, rounds):
-        """Drive ``run_round`` and the one-thread reference side by side on
-        200 candidates; returns the number of rounds that proposed."""
+        """Drive ``run_round`` and the spec side by side on 200 candidates;
+        returns the number of rounds that proposed."""
         init = BucketInit(mode="random", size=200)
-        live = make_sched(seed=21, init=init, proposal_prob=p, proposal_samples=200)
-        ref = make_sched(seed=21, init=init, proposal_prob=p, proposal_samples=200)
+        live, ref = self.make_pair(21, init=init, proposal_prob=p, proposal_samples=200)
         live_plan, ref_plan = live.initial_plan(), ref.initial_plan()
         live_fb, ref_fb = np.random.default_rng(5), np.random.default_rng(5)
         threads = threading.active_count()
@@ -332,7 +296,7 @@ class TestFitBesideSelection:
             next_id = ref.next_id
             live_plan = live.run_round(_feedback(live_plan, live_fb))
             assert threading.active_count() == threads
-            ref_plan = _sequential_round(ref, _feedback(ref_plan, ref_fb))
+            ref_plan = ref.run_round(_feedback(ref_plan, ref_fb))
             assert live_plan == ref_plan
             self.assert_same_state(live, ref)
             proposals += ref.next_id - next_id
@@ -358,7 +322,7 @@ class TestFitBesideSelection:
         every round, and the round raises only when ``u < p``."""
         init = BucketInit(mode="random", size=200)
         kw = dict(init=init, proposal_prob=0.5, normalization="raw", proposal_samples=50)
-        live, ref = make_sched(seed=8, **kw), make_sched(seed=8, **kw)
+        live, ref = self.make_pair(8, **kw)
         feedback = _feedback(live.initial_plan(), None, mean=1e200)
         assert _feedback(ref.initial_plan(), None, mean=1e200) == feedback
         threads = threading.active_count()
@@ -370,11 +334,11 @@ class TestFitBesideSelection:
                 assert threading.active_count() == threads
                 assert "signal variance" in str(exc)
                 with pytest.raises(FitFailureError, match="signal variance"):
-                    _sequential_round(ref, feedback)
+                    ref.run_round(feedback)
                 outcomes.append("raised")
             else:
                 assert threading.active_count() == threads
-                assert plan == _sequential_round(ref, feedback)
+                assert plan == ref.run_round(feedback)
                 outcomes.append("planned")
             self.assert_same_state(live, ref)
             feedback = []

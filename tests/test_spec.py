@@ -1,0 +1,97 @@
+"""The loop in lock step with its executable specification, ``spec.py``."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spec
+from zotune.gp import GpSurrogate
+from zotune.harness import ExperimentConfig, SingleRun
+
+
+def lock_step(seed, rounds, monkeypatch):
+    """Run the ``full`` variant and the spec on the same inbound batches;
+    yield each round's number, the spec's proposal, and ``(field, loop's
+    value, spec's value)`` triples in the order the round computes them."""
+    predicted, inbound = [], []
+    predict = GpSurrogate.predict_batch
+
+    def spy_predict(self, thetas):
+        predicted.append(predict(self, thetas))
+        return predicted[-1]
+
+    monkeypatch.setattr(GpSurrogate, "predict_batch", spy_predict)
+    run = SingleRun(seed, ExperimentConfig(variant="full", seeds=(seed,), rounds=rounds))
+    sched = run.sched
+    run_round = sched.run_round
+
+    def spy_run_round(batches):
+        inbound.append(list(batches))
+        return run_round(inbound[-1])
+
+    sched.run_round = spy_run_round
+    loop = spec.Loop(
+        sched.problem, sched.config,
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,))),
+    )
+    for r in range(rounds):
+        inbound.clear()
+        predicted.clear()
+        next_id = sched.next_id
+        run.run_to(r + 1)
+        plan = loop.run_round(*inbound) if r else loop.initial_plan()
+        sel, (proposed, prediction) = sched.last_selection, loop.last_proposal or (None, None)
+        newcomer = sched.bucket[-1] if sched.next_id > next_id else None
+        yield r, proposed, [
+            ("winners", sel and sel.winners, loop.last_selection and loop.last_selection[0]),
+            ("infeasible count", sel and sel.infeasible_rounds,
+             loop.last_selection and loop.last_selection[1]),
+            ("predicted (mu, var)", [a.tolist() for a in predicted[0]] if predicted else None,
+             prediction and [a.tolist() for a in prediction]),
+            ("proposed theta", newcomer and (newcomer.id, newcomer.theta),
+             proposed and (proposed.id, proposed.theta)),
+            ("plan", sched.last_plan, plan),
+            ("generator state", sched.rng.bit_generator.state, loop.rng.bit_generator.state),
+        ]
+
+
+@pytest.mark.bitwise
+def test_full_runs_match_the_spec_round_by_round(monkeypatch):
+    """Seeds 42 and 40 over 30 rounds: every decision equals the spec's,
+    bit for bit; the first field that differs is named with its round."""
+    for seed in (42, 40):
+        proposals = 0
+        for r, proposed, fields in lock_step(seed, 30, monkeypatch):
+            for name, got, expected in fields:
+                if got != expected:
+                    pytest.fail(f"seed {seed} round {r}: {name} differs from the spec")
+            proposals += proposed is not None
+        assert proposals >= 20  # the fit, the prediction and the proposal ran
+
+
+# What the spec may import from zotune: data types, exceptions, constants,
+# and the two estimator functions it builds on.  Nothing that decides.
+SPEC_IMPORTS = {
+    "zotune.deltastats": {
+        "DegenerateBaseError", "DeltaStat", "DuplicateRoundError", "GroupReading",
+        "aggregate", "hourly_delta_stat",
+    },
+    "zotune.gp": {"BASE_JITTER", "MAX_JITTER", "SIGNAL_VAR_FLOOR", "FitFailureError"},
+    "zotune.problem": {"AT_LEAST", "HyperParam"},
+    "zotune.scheduler": {"RoundPlan"},
+}
+
+
+def test_spec_never_imports_the_code_it_checks():
+    tree = ast.parse(Path(spec.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] not in ("zotune", "importlib"), alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "zotune":
+            names = {alias.name for alias in node.names}
+            assert names <= SPEC_IMPORTS.get(node.module, set()), (node.module, names)
+        elif isinstance(node, ast.Name):
+            assert node.id != "__import__"
