@@ -23,11 +23,11 @@ from .deltastats import TaylorMode
 from .harness import (
     DEFAULT_SEED_POOL,
     VARIANTS,
-    Comparison,
     ExperimentConfig,
     HarnessConfigError,
     RunReport,
     compare_variants,
+    comparison_reference,
     emit_series,
     run_experiment,
 )
@@ -130,6 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    comparison_reference(args.variants, args.reference)    # refused before any run
     configs = [_config_from_args(args, variant=variant) for variant in args.variants]
     reports = []
     for variant, cfg in zip(args.variants, configs):
@@ -151,11 +152,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     reports = [RunReport.load(path) for path in args.reports]
-    comparison: Comparison = compare_variants(
-        reports,
-        reference=args.reference,
-        threshold_fraction=args.threshold_fraction,
-    )
+    comparison = compare_variants(reports, args.reference, args.threshold_fraction)
     print(comparison.to_text())
     if args.out:
         comparison.to_csv(args.out)
@@ -185,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants", nargs="+", choices=VARIANTS, default=list(VARIANTS),
         help="variants to run",
     )
-    ablate.add_argument("--reference", default="full", help="comparison reference")
+    ablate.add_argument("--reference", default=None, help="comparison reference")
     _add_experiment_flags(ablate)
     ablate.set_defaults(fn=_cmd_ablate)
 
     compare = sub.add_parser("compare", help="compare saved report files")
     compare.add_argument("reports", nargs="+", help="report JSON paths")
-    compare.add_argument("--reference", default="full", help="reference variant")
+    compare.add_argument("--reference", default=None, help="reference variant")
     compare.add_argument(
         "--threshold-fraction", type=float, default=None,
         help="fraction of the reference final gain used as speed target",

@@ -13,10 +13,13 @@ are the one path for every versioned JSON file: a file is a
 ``format_version`` key beside the encoded fields, written with sorted keys,
 two-space indents and a trailing newline; ``load`` refuses another version
 with ``DecodeError`` and lets ``json``'s ``ValueError`` through.
+``save_table`` and ``load_table`` are the one path for every CSV table: a
+header line, then one line per row.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import json
@@ -69,6 +72,32 @@ def load(path: str, version: int, cls: type[T]) -> T:
     if found != version:
         raise DecodeError(f"{path}: unsupported version {found!r}, expected {version}")
     return from_dict(cls, body)
+
+
+def save_table(path: str, header: typing.Sequence[str], rows: typing.Iterable) -> None:
+    """Write ``header``, then ``rows``, cell by cell as the csv module does: a float
+    as its shortest round-trip decimal, ``None`` empty, and a cell with a comma,
+    quote, CR or LF quoted.  Rows leave the writer ending in CRLF, so that a lone
+    CR is quoted too, and reach the file ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        lines = types.SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_table(path: str, header: typing.Sequence[str]) -> typing.Iterator[tuple[int, list]]:
+    """Yield ``(line number, cells)`` for each row of what ``save_table``
+    wrote; DecodeError naming ``path`` for another header or unreadable text."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if (found := next(reader, None)) != list(header):
+                raise DecodeError(f"{path}: header {brief(found)}, expected {list(header)}")
+            for cells in reader:
+                yield reader.line_num, cells
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DecodeError(f"{path}: {exc}") from None
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .scheduler import (
     InboundBatch,
     Scheduler,
     SchedulerConfig,
-    _fmt,
 )
 from .simenv import (
     BOX,
@@ -378,7 +377,6 @@ class SingleRun:
     # Checkpointing
 
     def save_checkpoint(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
         self.sched.persist(os.path.join(directory, "scheduler"))
         state = Checkpoint(
             seed=self.seed,
@@ -438,42 +436,35 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         trajectories=trajectories,
     )
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        emit_series([report], cfg.out_dir)    # makes out_dir
         report.save(os.path.join(cfg.out_dir, f"report_{cfg.variant}.json"))
-        emit_series([report], cfg.out_dir)
     return report
 
 
 def emit_series(reports: Sequence[RunReport], out_dir: str) -> list[str]:
-    """Write per-variant time series plus one cross-variant summary table.
-
-    Series rows are ``round, mean_gain, se_gain, mean_violation,
-    se_violation`` (gains as fractions); the summary reports final gains in
-    percent.  Returns the written paths.
-    """
+    """Write a ``series_<variant>.csv`` per report (gains as fractions) and one
+    ``summary.csv`` (final gains in percent); return the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for report in reports:
         path = os.path.join(out_dir, f"series_{report.variant}.csv")
-        gains = report.gain_series()
-        violations = report.violation_series()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("round,mean_gain,se_gain,mean_violation,se_violation\n")
-            for r in range(report.rounds):
-                gm, gs = gains[r]
-                vm, vs = violations[r]
-                fh.write(f"{r},{_fmt(gm)},{_fmt(gs)},{_fmt(vm)},{_fmt(vs)}\n")
+        series = zip(report.gain_series(), report.violation_series())
+        codec.save_table(
+            path,
+            ["round", "mean_gain", "se_gain", "mean_violation", "se_violation"],
+            ([r, *gain, *violation] for r, (gain, violation) in enumerate(series)),
+        )
         paths.append(path)
     summary = os.path.join(out_dir, "summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write("variant,gain_pct_mean,gain_pct_se,violation_mean,violation_se,n_seeds\n")
-        for report in reports:
-            gm, gs = report.final_gain_summary()
-            vm, vs = report.final_violation_summary()
-            fh.write(
-                f"{report.variant},{_fmt(gm * 100.0)},{_fmt(gs * 100.0)},"
-                f"{_fmt(vm)},{_fmt(vs)},{len(report.seeds)}\n"
-            )
+    codec.save_table(
+        summary,
+        ["variant", "gain_pct_mean", "gain_pct_se", "violation_mean", "violation_se", "n_seeds"],
+        (
+            [r.variant, *(x * 100.0 for x in r.final_gain_summary()),
+             *r.final_violation_summary(), len(r.seeds)]
+            for r in reports
+        ),
+    )
     paths.append(summary)
     return paths
 
@@ -503,18 +494,11 @@ class Comparison:
         raise KeyError(variant)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                "variant,final_gain_mean,final_gain_se,final_violation_mean,"
-                "final_violation_se,rounds_to_threshold,paired_wins_by_reference\n"
-            )
-            for row in self.rows:
-                wins = "" if row.paired_wins_by_reference is None else row.paired_wins_by_reference
-                fh.write(
-                    f"{row.variant},{_fmt(row.final_gain_mean)},{_fmt(row.final_gain_se)},"
-                    f"{_fmt(row.final_violation_mean)},{_fmt(row.final_violation_se)},"
-                    f"{_fmt(row.rounds_to_threshold)},{wins}\n"
-                )
+        codec.save_table(
+            path,
+            [f.name for f in fields(ComparisonRow)],
+            (astuple(row) for row in self.rows),
+        )
 
     def to_text(self) -> str:
         lines = [
@@ -543,9 +527,21 @@ def rounds_to_threshold(report: RunReport, target_gain: float) -> float:
     return float("inf")
 
 
+def comparison_reference(variants: Sequence[str], reference: str | None = None) -> str:
+    """``reference``, or by default ``full`` if present, else the first of
+    ``variants``; HarnessConfigError for a repeat or a reference not among them."""
+    if len(set(variants)) != len(variants):
+        raise HarnessConfigError("duplicate variants in comparison")
+    if reference is None:
+        return "full" if "full" in variants else variants[0]
+    if reference not in variants:
+        raise HarnessConfigError(f"reference {reference!r} is not one of {list(variants)}")
+    return reference
+
+
 def compare_variants(
     reports: Sequence[RunReport],
-    reference: str = "full",
+    reference: str | None = None,
     threshold_fraction: float | None = None,
 ) -> Comparison:
     """Cross-variant table: final quality, speed to threshold, paired wins.
@@ -557,11 +553,7 @@ def compare_variants(
     """
     if len(reports) < 2:
         raise HarnessConfigError("comparison needs at least two reports")
-    names = [r.variant for r in reports]
-    if len(set(names)) != len(names):
-        raise HarnessConfigError("duplicate variants in comparison")
-    if reference not in names:
-        reference = names[0]
+    reference = comparison_reference([r.variant for r in reports], reference)
     ref = next(r for r in reports if r.variant == reference)
     for r in reports:
         if r.seeds != ref.seeds:

@@ -29,12 +29,11 @@ absorbed, and changes nothing when it does: ``ingest`` drops a refused pair,
 
 from __future__ import annotations
 
-import csv
 import os
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -194,9 +193,9 @@ class Manifest:
     last_plan: RoundPlan | None
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal string that parses back to the exact float."""
-    return repr(float(x))
+def _bucket_header(problem: TuningProblem) -> list[str]:
+    """``hyperparams.csv``'s header for ``problem``'s candidates."""
+    return ["candidate_id", "created_round", *(f"theta{i}" for i in range(len(problem.base.theta)))]
 
 
 METRICS_HEADER = [
@@ -224,16 +223,20 @@ def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupR
     """Parse one ``metrics.csv`` row; ValueError when it is malformed."""
     if len(row) != len(METRICS_HEADER):
         raise ValueError(f"expected {len(METRICS_HEADER)} fields, got {len(row)}")
-    cid, metric, round_no = int(row[0]), row[1], int(row[2])
-    test = GroupReading(
-        candidate_id=cid, metric=metric, round=round_no,
-        sample_mean=float(row[3]), sample_var=float(row[4]), group_size=int(row[5]),
-    )
-    ctrl = GroupReading(
-        candidate_id=control_id, metric=metric, round=round_no,
-        sample_mean=float(row[6]), sample_var=float(row[7]), group_size=int(row[8]),
-    )
-    return test, ctrl
+    test = GroupReading(int(row[0]), *row[1:6])    # GroupReading converts the other cells
+    return test, GroupReading(control_id, *row[1:3], *row[6:])
+
+
+def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> None:
+    """Pass each row of the table at ``path`` to ``take``; RestoreError for a
+    header other than ``header`` or a row that ``take`` refuses."""
+    try:
+        for line, row in codec.load_table(path, header):
+            take(row)
+    except (OSError, codec.DecodeError) as exc:
+        raise RestoreError(str(exc)) from None
+    except (ValueError, IndexError) as exc:
+        raise RestoreError(f"{os.path.basename(path)} line {line}: {exc}") from None
 
 
 def _fit_into(out: list, bucket: Sequence[HyperParam], mu: np.ndarray, var: np.ndarray) -> None:
@@ -483,68 +486,51 @@ class Scheduler:
         )
         codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
 
-        dim = len(self.problem.base.theta)
-        with open(os.path.join(store_dir, "hyperparams.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["candidate_id", "created_round"] + [f"theta{i}" for i in range(dim)]
-            )
-            for cid in sorted(self._bucket):
-                hp = self._bucket[cid]
-                writer.writerow(
-                    [cid, self._created_round[cid]] + [_fmt(x) for x in hp.theta]
-                )
-
-        with open(os.path.join(store_dir, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(METRICS_HEADER)
-            for test, ctrl in self._raw_log:
-                writer.writerow(
-                    [
-                        test.candidate_id, test.metric, test.round,
-                        _fmt(test.sample_mean), _fmt(test.sample_var), test.group_size,
-                        _fmt(ctrl.sample_mean), _fmt(ctrl.sample_var), ctrl.group_size,
-                    ]
-                )
+        codec.save_table(
+            os.path.join(store_dir, "hyperparams.csv"),
+            _bucket_header(self.problem),
+            (
+                [cid, self._created_round[cid], *self._bucket[cid].theta]
+                for cid in sorted(self._bucket)
+            ),
+        )
+        codec.save_table(
+            os.path.join(store_dir, "metrics.csv"),
+            METRICS_HEADER,
+            (
+                [
+                    test.candidate_id, test.metric, test.round,
+                    test.sample_mean, test.sample_var, test.group_size,
+                    ctrl.sample_mean, ctrl.sample_var, ctrl.group_size,
+                ]
+                for test, ctrl in self._raw_log
+            ),
+        )
 
     @classmethod
     def restore(cls, store_dir: str) -> "Scheduler":
         """Rebuild a scheduler from storage, byte-for-byte equivalent."""
-        def _path(name: str) -> str:
-            p = os.path.join(store_dir, name)
-            if not os.path.exists(p):
-                raise RestoreError(f"missing storage file {name!r} in {store_dir}")
-            return p
-
         try:
-            manifest = codec.load(_path("manifest.json"), FORMAT_VERSION, Manifest)
+            manifest = codec.load(
+                os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, Manifest
+            )
             rng = np.random.default_rng()
             rng.bit_generator.state = manifest.rng_state
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RestoreError(f"malformed manifest: {exc}") from exc
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise RestoreError(f"manifest.json: {exc}") from exc
 
         problem = manifest.problem
         bucket: dict[int, HyperParam] = {}
         created: dict[int, int] = {}
-        bounds = problem.base.bounds
-        with open(_path("hyperparams.csv"), "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[:2] != ["candidate_id", "created_round"]:
-                raise RestoreError("malformed hyperparams.csv header")
-            for row in reader:
-                try:
-                    cid = int(row[0])
-                    if cid in bucket:
-                        raise ValueError(f"candidate {cid} is repeated")
-                    theta = tuple(float(x) for x in row[2:])
-                    bucket[cid] = HyperParam(id=cid, theta=theta, bounds=bounds)
-                    created[cid] = int(row[1])
-                except (ValueError, IndexError) as exc:
-                    raise RestoreError(
-                        f"hyperparams.csv line {reader.line_num}: {exc}"
-                    ) from None
 
+        def take_candidate(row: list[str]) -> None:
+            cid = int(row[0])
+            if cid in bucket:
+                raise ValueError(f"candidate {cid} is repeated")
+            bucket[cid] = HyperParam(cid, row[2:], problem.base.bounds)    # converts theta
+            created[cid] = int(row[1])
+
+        _replay(os.path.join(store_dir, "hyperparams.csv"), _bucket_header(problem), take_candidate)
         try:
             sched = cls(
                 problem,
@@ -561,15 +547,8 @@ class Scheduler:
             raise RestoreError(f"manifest does not fit the bucket: {exc}") from None
         # Replaying the raw readings in file order, which is ingestion order,
         # gives bitwise the running sums that ingest built.
-        with open(_path("metrics.csv"), "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != METRICS_HEADER:
-                raise RestoreError("malformed metrics.csv header")
-            for row in reader:
-                try:
-                    sched._absorb(*_reading_pair(row, problem.base.id))
-                except ValueError as exc:
-                    raise RestoreError(
-                        f"metrics.csv line {reader.line_num}: {exc}"
-                    ) from None
+        _replay(
+            os.path.join(store_dir, "metrics.csv"), METRICS_HEADER,
+            lambda row: sched._absorb(*_reading_pair(row, problem.base.id)),
+        )
         return sched

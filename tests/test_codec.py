@@ -1,9 +1,14 @@
 """Tests for the field-driven codec of the stored dataclasses."""
 
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zotune import codec
@@ -146,6 +151,67 @@ class TestStoredFile:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(json.JSONDecodeError):
             codec.load(str(path), 7, RoundPlan)
+
+
+class TestStoredTable:
+    HEADER = ["label", "x", "gap", "n"]
+
+    @pytest.mark.bitwise
+    def test_save_table_writes_lf_rows_and_quotes_only_where_needed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            ["x1", np.float64(0.1), None, 3],
+            ['a,"b"', -0.0, None, -1],
+            ["c\rd", math.inf, None, 0],
+            ["e\nf", 5e-324, None, 10**20],
+        ]
+        codec.save_table(str(path), self.HEADER, rows)
+        assert path.read_bytes() == (
+            b"label,x,gap,n\n"
+            b"x1,0.1,,3\n"
+            b'"a,""b""",-0.0,,-1\n'
+            b'"c\rd",inf,,0\n'
+            b'"e\nf",5e-324,,100000000000000000000\n'
+        )
+        # A row is numbered by the line it ends on; a quoted CR or LF ends a line.
+        assert [line for line, _ in codec.load_table(str(path), self.HEADER)] == [2, 3, 5, 7]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(
+                    st.one_of(
+                        st.sampled_from(',"\r\n'),
+                        st.characters(exclude_categories=("Cs",)),
+                    )
+                ),
+                st.floats(allow_nan=False),
+                st.integers(),
+            ),
+            max_size=6,
+        )
+    )
+    @example(rows=[("a\r", -0.0, 0), ('"', 5e-324, -1), ("\r\n,", -math.inf, 2)])
+    @example(rows=[("", math.inf, 1), ("\n", -2.225073858507201e-308, 7)])
+    def test_cells_come_back_as_written(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "t.csv")
+            codec.save_table(path, self.HEADER, ([s, x, None, n] for s, x, n in rows))
+            read = [cells for _, cells in codec.load_table(path, self.HEADER)]
+            assert len(read) == len(rows)
+            for (s, x, n), cells in zip(rows, read):
+                assert cells[0] == s
+                assert float(cells[1]).hex() == x.hex()
+                assert cells[2:] == ["", str(n)]
+            with pytest.raises(DecodeError, match=re.escape(path)):
+                next(codec.load_table(path, self.HEADER[:-1]))
+
+    def test_an_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DecodeError, match="t.csv: header None"):
+            list(codec.load_table(str(path), self.HEADER))
 
 
 class TestDecoder:

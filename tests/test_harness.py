@@ -1,5 +1,6 @@
 """Tests for multi-seed campaigns, reports, comparisons, and the CLI."""
 
+import csv
 import hashlib
 import json
 import math
@@ -482,6 +483,37 @@ class TestEmitSeries:
         assert b",inf," in blob  # no-proposal never reaches the target
         assert hashlib.sha256(blob).hexdigest() == self.CSV_DIGEST
 
+    def test_a_variant_with_a_comma_reads_back_as_one_cell(self, tmp_path):
+        """``RunReport.load`` takes any variant string, so a table cell may
+        hold a comma or a quote; ``csv.reader`` reads back what was written."""
+        full = synthetic_report("full")
+        mine = replace(synthetic_report("raw-metric"), variant='mine, "tuned"')
+        paths = emit_series([full, mine], str(tmp_path))
+        cmp = compare_variants([full, mine])
+        cmp.to_csv(str(tmp_path / "cmp.csv"))
+
+        def read(path):
+            with open(path, encoding="utf-8", newline="") as fh:
+                return list(csv.reader(fh))
+
+        assert read(paths[1])[1:] == [
+            [str(r), *map(repr, gain), *map(repr, violation)]
+            for r, (gain, violation) in enumerate(
+                zip(mine.gain_series(), mine.violation_series())
+            )
+        ]
+        gm, gs = mine.final_gain_summary()
+        vm, vs = mine.final_violation_summary()
+        assert read(paths[2])[2] == [
+            'mine, "tuned"', repr(gm * 100.0), repr(gs * 100.0), repr(vm), repr(vs), "2"
+        ]
+        row = cmp.row('mine, "tuned"')
+        assert read(tmp_path / "cmp.csv")[2] == [
+            'mine, "tuned"', repr(row.final_gain_mean), repr(row.final_gain_se),
+            repr(row.final_violation_mean), repr(row.final_violation_se),
+            repr(row.rounds_to_threshold), str(row.paired_wins_by_reference),
+        ]
+
     def test_empty_report_emits_header_only(self, tmp_path):
         report = RunReport(
             variant="full",
@@ -538,6 +570,19 @@ class TestComparison:
     def test_duplicate_variants_rejected(self):
         with pytest.raises(HarnessConfigError, match="duplicate"):
             compare_variants([synthetic_report("full"), synthetic_report("full")])
+
+    def test_default_reference_is_full_else_the_first(self):
+        reports = [synthetic_report("raw-metric"), synthetic_report("full")]
+        assert compare_variants(reports).reference == "full"
+        assert compare_variants(reports[:1] + [synthetic_report("no-proposal")]).reference == (
+            "raw-metric"
+        )
+
+    def test_unknown_reference_rejected(self):
+        with pytest.raises(HarnessConfigError, match="'fulll' is not one of"):
+            compare_variants(
+                [synthetic_report("full"), synthetic_report("raw-metric")], reference="fulll"
+            )
 
     def test_single_report_rejected(self):
         with pytest.raises(HarnessConfigError, match="two"):
@@ -617,6 +662,17 @@ class TestCli:
         assert out_csv.exists()
         assert "no-proposal" in capsys.readouterr().out
 
+    def test_compare_refuses_an_unknown_reference(self, tmp_path, capsys):
+        paths = []
+        for variant in ("full", "no-proposal"):
+            paths.append(str(tmp_path / f"{variant}.json"))
+            synthetic_report(variant).save(paths[-1])
+        out_csv = tmp_path / "cmp.csv"
+        rc = main(["compare", *paths, "--reference", "typo", "--out", str(out_csv)])
+        assert rc == 1
+        assert "'typo' is not one of" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_missing_report_file_exits_nonzero(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "nope.json"), str(tmp_path / "nah.json")])
         assert rc == 1
@@ -651,6 +707,21 @@ class TestCli:
         assert rc == 1
         assert ran == []
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--variants", "full", "full"], "duplicate variants"),
+            (["--variants", "full", "raw-metric", "--reference", "typo"], "'typo' is not one of"),
+        ],
+        ids=["repeated-variant", "unknown-reference"],
+    )
+    def test_ablate_refuses_before_any_run(self, tmp_path, capsys, flags, error):
+        out = tmp_path / "o"
+        rc = main(["ablate", *flags, "--rounds", "3", "--n-seeds", "1", "--out", str(out)])
+        assert rc == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n_seeds_out_of_range_exits_nonzero(self):
         assert main(["run", "--n-seeds", "99"]) == 1

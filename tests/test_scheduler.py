@@ -724,6 +724,35 @@ class TestPersistence:
         with pytest.raises(RestoreError, match="hyperparams.csv"):
             Scheduler.restore(str(store))
 
+    def test_hyperparams_header_of_another_dimension_fails(self, tmp_path):
+        """Each theta column of the header must be one of the problem's."""
+        store = tmp_path / "s"
+        self.run_some_rounds().persist(str(store))
+        path = store / "hyperparams.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "candidate_id,created_round,theta0,theta1"
+        lines[0] += ",theta2"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RestoreError, match="hyperparams.csv"):
+            Scheduler.restore(str(store))
+
+    @pytest.mark.parametrize("name", ["hyperparams.csv", "metrics.csv"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: b"\xff" + text,
+            lambda text: text + b"1,\xff\n",
+            lambda text: text + b"1," + b"9" * 200_000 + b"\n",   # past csv's field limit
+        ],
+        ids=["not-utf8-header", "not-utf8-row", "oversized-cell"],
+    )
+    def test_unreadable_table_fails(self, tmp_path, name, edit):
+        store = tmp_path / "s"
+        self.run_some_rounds().persist(str(store))
+        (store / name).write_bytes(edit((store / name).read_bytes()))
+        with pytest.raises(RestoreError, match=name):
+            Scheduler.restore(str(store))
+
     def test_repeated_hyperparams_id_fails(self, tmp_path):
         """A second row for one id would silently replace the first's theta."""
         store = tmp_path / "s"

@@ -1,4 +1,5 @@
-"""The loop in lock step with its executable specification, ``spec.py``."""
+"""The loop in lock step with its executable specification, ``spec.py``,
+and source guards that parse the code with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import spec
+import zotune
 from zotune.gp import GpSurrogate
 from zotune.harness import ExperimentConfig, SingleRun
 
@@ -95,3 +97,36 @@ def test_spec_never_imports_the_code_it_checks():
             assert names <= SPEC_IMPORTS.get(node.module, set()), (node.module, names)
         elif isinstance(node, ast.Name):
             assert node.id != "__import__"
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is ``open(...)`` or ``x.open(...)`` with a mode that is
+    not a constant read mode."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        modes = call.args[:1]
+    else:
+        return False
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+        or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def test_only_the_codec_writes_files():
+    """Every stored file goes through ``codec``, so its commit point has one home."""
+    package = Path(zotune.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "codec.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "csv" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "csv", path.name
+            elif isinstance(node, ast.Call):
+                assert not _opens_for_writing(node), (path.name, node.lineno)
