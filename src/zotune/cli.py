@@ -9,14 +9,17 @@ Usage sketch:
 Experiment flags set the ``ExperimentConfig`` field of the same name; a
 JSON config file (--config) supplies fields by name and takes precedence
 over individual flags.  Unknown or wrongly typed fields are refused, and so
-is a ``variant`` in the config of ``ablate``, which sets it per run.  The
-process exits 0 only when every requested run completed.
+is a ``variant`` in the config of ``ablate``, which sets it per run.  ``run``
+is ``ablate`` with one variant: both check the whole request first, save each
+report as its campaign ends and write every file once.  The process exits 0
+only when every requested run completed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .deltastats import TaylorMode
@@ -115,38 +118,35 @@ def _config_from_args(args: argparse.Namespace, **fixed: object) -> ExperimentCo
     return ExperimentConfig.from_dict(d)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    report = run_experiment(cfg)
-    gm, gs = report.final_gain_summary()
-    vm, _ = report.final_violation_summary()
-    print(
-        f"{report.variant}: seeds={len(report.seeds)} rounds={report.rounds} "
-        f"final_gain={gm * 100:.3f}% (se {gs * 100:.3f}%) violation={vm:.5f}"
-    )
-    if cfg.out_dir:
-        print(f"wrote {cfg.out_dir}/report_{cfg.variant}.json")
-    return 0
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    comparison_reference(args.variants, args.reference)    # refused before any run
-    configs = [_config_from_args(args, variant=variant) for variant in args.variants]
+def _cmd_campaigns(args: argparse.Namespace) -> int:
+    if "variants" in args:
+        comparison_reference(args.variants, args.reference)    # refused before any run
+        configs = [_config_from_args(args, variant=variant) for variant in args.variants]
+    else:
+        configs = [_config_from_args(args)]
+    out_dir = configs[0].out_dir    # the configs differ only in variant
     reports = []
-    for variant, cfg in zip(args.variants, configs):
+    for cfg in configs:
         report = run_experiment(cfg)
         gm, gs = report.final_gain_summary()
+        vm, _ = report.final_violation_summary()
         print(
-            f"{variant}: final_gain={gm * 100:.3f}% (se {gs * 100:.3f}%)"
+            f"{report.variant}: seeds={len(report.seeds)} rounds={report.rounds} "
+            f"final_gain={gm * 100:.3f}% (se {gs * 100:.3f}%) violation={vm:.5f}"
         )
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, f"report_{report.variant}.json")
+            report.save(path)
+            print(f"wrote {path}")
         reports.append(report)
-    if cfg.out_dir:
-        emit_series(reports, cfg.out_dir)    # summary.csv: one row per variant
+    if out_dir:
+        emit_series(reports, out_dir)    # summary.csv: one row per variant
     if len(reports) >= 2:
         comparison = compare_variants(reports, reference=args.reference)
         print(comparison.to_text())
-        if cfg.out_dir:
-            comparison.to_csv(f"{cfg.out_dir}/comparison.csv")
+        if out_dir:
+            comparison.to_csv(os.path.join(out_dir, "comparison.csv"))
     return 0
 
 
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--variant", choices=VARIANTS, help="study variant")
     _add_experiment_flags(run)
-    run.set_defaults(fn=_cmd_run)
+    run.set_defaults(fn=_cmd_campaigns)
 
     ablate = sub.add_parser(
         "ablate", help="run several variants and compare",
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate.add_argument("--reference", default=None, help="comparison reference")
     _add_experiment_flags(ablate)
-    ablate.set_defaults(fn=_cmd_ablate)
+    ablate.set_defaults(fn=_cmd_campaigns)
 
     compare = sub.add_parser("compare", help="compare saved report files")
     compare.add_argument("reports", nargs="+", help="report JSON paths")

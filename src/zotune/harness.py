@@ -11,19 +11,20 @@ lowest id).  Variants toggle independent pieces of the full loop:
     no-proposal   the candidate bucket is frozen at its initial contents
 
 Reports aggregate trajectories across seeds (mean and standard error per
-round), serialize to JSON, and feed the comparison and series-emission
-helpers.  Single runs can checkpoint to disk mid-campaign and resume to an
-identical trajectory.  A checkpoint is the scheduler store plus ``run.json``,
-which holds what the seed and config do not fix: the environment's noise
-stream, feedback in flight and the rows so far.  The landscape is not
-stored; resume rebuilds it from the seed, bit for bit.
+round) and feed the comparison.  A campaign writes nothing: ``RunReport.save``
+and ``emit_series`` write its report and series.  Single runs can checkpoint
+to disk mid-campaign and resume to an identical trajectory.  A checkpoint is
+the scheduler store plus ``run.json``, which holds what the seed and config
+do not fix: the environment's noise stream, feedback in flight and the rows
+so far.  The landscape is not stored; resume rebuilds it from the seed, bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -70,6 +71,12 @@ DEFAULT_SEEDS = DEFAULT_SEED_POOL[:10]
 
 class HarnessConfigError(ValueError):
     """An experiment configuration is invalid."""
+
+
+def _check_threshold_fraction(value: float) -> None:
+    """HarnessConfigError unless ``value`` lies in (0, 1]; NaN does not."""
+    if not 0.0 < value <= 1.0:
+        raise HarnessConfigError("threshold_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,26 @@ class ExperimentConfig:
             raise HarnessConfigError("seeds must be unique")
         if self.rounds < 0:
             raise HarnessConfigError("rounds must be nonnegative")
-        if not 0.0 < self.threshold_fraction <= 1.0:
-            raise HarnessConfigError("threshold_fraction must lie in (0, 1]")
+        _check_threshold_fraction(self.threshold_fraction)
+        try:
+            self.scheduler_config()
+        except ValueError as exc:
+            raise HarnessConfigError(str(exc)) from None
+
+    def scheduler_config(self) -> SchedulerConfig:
+        """The loop knobs as given, before the variant's toggles apply."""
+        return SchedulerConfig(
+            select_count=self.select_count,
+            proposal_samples=self.proposal_samples,
+            proposal_prob=self.proposal_prob,
+            control_fraction=self.control_fraction,
+            taylor_mode=self.taylor_mode,
+            init=BucketInit(
+                mode=self.bucket_init,
+                size=self.bucket_size,
+                nodes_per_dim=self.grid_nodes,
+            ),
+        )
 
     def to_dict(self) -> dict:
         return codec.to_dict(self)
@@ -181,6 +206,12 @@ class RoundRow(NamedTuple):
     violation: float
 
 
+def _check_rows(rows: Sequence[RoundRow], rounds: int, what: str) -> None:
+    """ValueError unless ``rows`` number the rounds ``0 .. rounds - 1`` in order."""
+    if [row.round for row in rows] != list(range(rounds)):
+        raise ValueError(f"rows do not number the {rounds} rounds {what}")
+
+
 @dataclass(frozen=True)
 class SeedTrajectory:
     seed: int
@@ -210,6 +241,10 @@ class RunReport:
     rounds: int
     config: dict
     trajectories: tuple[SeedTrajectory, ...]
+
+    def __post_init__(self) -> None:
+        for t in self.trajectories:
+            _check_rows(t.rows, self.rounds, f"of the report (seed {t.seed})")
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -267,8 +302,7 @@ class Checkpoint:
     rows: tuple[RoundRow, ...]
 
     def __post_init__(self) -> None:
-        if [row.round for row in self.rows] != list(range(self.next_round)):
-            raise ValueError(f"rows do not number the {self.next_round} rounds before next_round")
+        _check_rows(self.rows, self.next_round, "before next_round")
 
 
 class SingleRun:
@@ -303,18 +337,8 @@ class SingleRun:
                 overrides[name] = value
         self.env = SimEnv.build(seed, **overrides)
         problem = delta_problem_from_env(self.env)
-        sched_cfg = SchedulerConfig(
-            select_count=cfg.select_count,
-            proposal_samples=cfg.proposal_samples,
-            proposal_prob=proposal_prob,
-            control_fraction=cfg.control_fraction,
-            taylor_mode=cfg.taylor_mode,
-            normalization=normalization,
-            init=BucketInit(
-                mode=cfg.bucket_init,
-                size=cfg.bucket_size,
-                nodes_per_dim=cfg.grid_nodes,
-            ),
+        sched_cfg = replace(
+            cfg.scheduler_config(), normalization=normalization, proposal_prob=proposal_prob
         )
         self.sched = Scheduler.bootstrap(
             problem,
@@ -427,18 +451,14 @@ def run_single(seed: int, cfg: ExperimentConfig) -> SeedTrajectory:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Run every seed of a campaign; write report and series when out_dir set."""
+    """Run every seed of a campaign and return its report; write nothing."""
     trajectories = tuple(run_single(seed, cfg) for seed in cfg.seeds)
-    report = RunReport(
+    return RunReport(
         variant=cfg.variant,
         rounds=cfg.rounds,
         config=cfg.to_dict(),
         trajectories=trajectories,
     )
-    if cfg.out_dir:
-        emit_series([report], cfg.out_dir)    # makes out_dir
-        report.save(os.path.join(cfg.out_dir, f"report_{cfg.variant}.json"))
-    return report
 
 
 def emit_series(reports: Sequence[RunReport], out_dir: str) -> list[str]:
@@ -565,7 +585,10 @@ def compare_variants(
                 f"variant {r.variant!r} has different rounds than {reference!r}"
             )
     if threshold_fraction is None:
-        threshold_fraction = float(ref.config.get("threshold_fraction", 0.8))
+        threshold_fraction = float(
+            ref.config.get("threshold_fraction", ExperimentConfig.threshold_fraction)
+        )
+    _check_threshold_fraction(threshold_fraction)
     ref_final_mean, _ = ref.final_gain_summary()
     target = threshold_fraction * ref_final_mean
     ref_finals = ref.final_gains()

@@ -126,10 +126,10 @@ class TestRoundTrip:
         assert through_json(value) == value
 
     def test_report_rows_are_lists(self):
-        row = RoundRow(round=3, winner_id=None, gain=0.5, violation=0.25)
+        row = RoundRow(round=0, winner_id=None, gain=0.5, violation=0.25)
         trajectory = SeedTrajectory(seed=1, base_violation=0.25, rows=(row,))
         report = RunReport(variant="full", rounds=1, config={}, trajectories=(trajectory,))
-        assert report.to_dict()["trajectories"][0]["rows"] == [[3, None, 0.5, 0.25]]
+        assert report.to_dict()["trajectories"][0]["rows"] == [[0, None, 0.5, 0.25]]
 
 
 class TestStoredFile:

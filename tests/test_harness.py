@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zotune import cli
+from zotune import cli, codec
 from zotune.cli import build_parser, main
 from zotune.deltastats import TaylorMode
 from zotune.harness import (
@@ -44,6 +44,13 @@ TINY = dict(
     bucket_size=10,
     users=20_000,
 )
+
+
+# The same settings as flags, for one seed.
+TINY_FLAGS = [
+    "--seeds", "3", "--rounds", "3", "--select-count", "50",
+    "--proposal-samples", "40", "--bucket-size", "10", "--users", "20000",
+]
 
 
 def tiny_config(**overrides):
@@ -125,6 +132,25 @@ class TestExperimentConfig:
     def test_unknown_taylor_mode_rejected(self):
         with pytest.raises(HarnessConfigError, match="taylor_mode"):
             ExperimentConfig(taylor_mode="TaylorMode.CROSSED")
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"proposal_prob": 1.5},
+            {"select_count": 0},
+            {"proposal_samples": 0},
+            {"control_fraction": 1.0},
+            {"bucket_init": "hex"},
+            {"bucket_size": 0},
+            {"bucket_init": "grid", "grid_nodes": 0},
+        ],
+        ids=lambda knob: ",".join(f"{k}={v}" for k, v in knob.items()),
+    )
+    def test_bad_loop_knob_rejected_when_built(self, knob):
+        """Even where the variant would override the knob (``no-proposal``
+        runs with proposal_prob 0)."""
+        with pytest.raises(HarnessConfigError):
+            ExperimentConfig(variant="no-proposal", **knob)
 
     def test_from_dict_rejects_unknown_keys(self):
         d = ExperimentConfig().to_dict()
@@ -234,6 +260,18 @@ class TestRunReport:
         report.save(str(path))
         assert RunReport.load(str(path)) == report
 
+    def test_rows_must_number_the_rounds(self, tmp_path):
+        report = synthetic_report()
+        short = replace(report.trajectories[0], rows=report.trajectories[0].rows[:-1])
+        with pytest.raises(ValueError, match="rows do not number the 3 rounds"):
+            replace(report, trajectories=(short, *report.trajectories[1:]))
+        d = report.to_dict()
+        d["trajectories"][1]["rows"][0][0] = 1
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(HarnessConfigError, match=r"seed 2\)"):
+            RunReport.load(str(path))
+
     def test_version_mismatch_rejected(self, tmp_path):
         d = synthetic_report().to_dict()
         d["format_version"] = 999
@@ -252,6 +290,11 @@ class TestCampaignRuns:
         assert t.final_gain() == 0.0
         assert t.final_violation() == t.base_violation
         assert report.gain_series() == []
+
+    def test_run_experiment_writes_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        run_experiment(tiny_config(seeds=(3,), rounds=2, out_dir=str(out)))
+        assert not out.exists()
 
     def test_run_single_is_deterministic(self):
         cfg = tiny_config(seeds=(3,))
@@ -584,6 +627,19 @@ class TestComparison:
                 [synthetic_report("full"), synthetic_report("raw-metric")], reference="fulll"
             )
 
+    @pytest.mark.parametrize("fraction", [5.0, 0.0, -1.0, math.nan])
+    def test_threshold_fraction_outside_0_1_rejected(self, fraction):
+        reports = [synthetic_report("full"), synthetic_report("no-proposal")]
+        with pytest.raises(HarnessConfigError, match="threshold_fraction"):
+            compare_variants(reports, threshold_fraction=fraction)
+
+    def test_a_report_without_threshold_fraction_reads_the_default(self):
+        reports = [
+            replace(synthetic_report(variant), config={}) for variant in ("full", "no-proposal")
+        ]
+        cmp = compare_variants(reports)
+        assert cmp.threshold_fraction == ExperimentConfig.threshold_fraction
+
     def test_single_report_rejected(self):
         with pytest.raises(HarnessConfigError, match="two"):
             compare_variants([synthetic_report("full")])
@@ -673,6 +729,32 @@ class TestCli:
         assert "'typo' is not one of" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("fraction", ["5", "0", "-1", "nan"])
+    def test_compare_refuses_a_threshold_fraction_outside_0_1(self, tmp_path, capsys, fraction):
+        paths = []
+        for variant in ("full", "no-proposal"):
+            paths.append(str(tmp_path / f"{variant}.json"))
+            synthetic_report(variant).save(paths[-1])
+        out_csv = tmp_path / "cmp.csv"
+        rc = main(
+            ["compare", *paths, "--threshold-fraction", fraction, "--out", str(out_csv)]
+        )
+        assert rc == 1
+        assert "threshold_fraction must lie in (0, 1]" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_compare_refuses_a_report_short_of_its_rounds(self, tmp_path, capsys):
+        paths = [str(tmp_path / "full.json"), str(tmp_path / "no-proposal.json")]
+        synthetic_report("full").save(paths[0])
+        d = synthetic_report("no-proposal").to_dict()
+        d["trajectories"][0]["rows"].pop()
+        Path(paths[1]).write_text(json.dumps(d), encoding="utf-8")
+        out_csv = tmp_path / "cmp.csv"
+        rc = main(["compare", *paths, "--out", str(out_csv)])
+        assert rc == 1
+        assert "rows do not number the 3 rounds" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_missing_report_file_exits_nonzero(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "nope.json"), str(tmp_path / "nah.json")])
         assert rc == 1
@@ -723,6 +805,64 @@ class TestCli:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--variant", "no-proposal"],
+            ["ablate", "--variants", "no-proposal", "full"],
+        ],
+        ids=["run", "ablate"],
+    )
+    def test_bad_loop_knob_refused_before_any_run(self, tmp_path, capsys, command):
+        """``no-proposal`` turns proposals off, but a bad ``-p`` is still refused."""
+        out = tmp_path / "o"
+        rc = main([*command, "-p", "1.5", *TINY_FLAGS, "--out", str(out)])
+        assert rc == 1
+        assert "proposal_prob must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_writes_each_file_once(self, tmp_path, monkeypatch):
+        written = []
+        for name in ("save", "save_table"):
+            def spy(path, *rest, _write=getattr(codec, name)):
+                written.append(Path(path).name)
+                return _write(path, *rest)
+
+            monkeypatch.setattr(codec, name, spy)
+        variants = ["full", "raw-metric", "no-proposal"]
+        out = tmp_path / "o"
+        assert main(["ablate", "--variants", *variants, *TINY_FLAGS, "--out", str(out)]) == 0
+        files = [
+            *(f"report_{v}.json" for v in variants),
+            *(f"series_{v}.csv" for v in variants),
+            "summary.csv",
+            "comparison.csv",
+        ]
+        assert sorted(written) == sorted(files)
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+    def test_a_failed_campaign_keeps_only_the_reports_before_it(self, tmp_path, monkeypatch):
+        def run(cfg):
+            if cfg.variant == "no-proposal":
+                raise HarnessConfigError("campaign failed")
+            return synthetic_report(cfg.variant)
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        out = tmp_path / "o"
+        assert main(["ablate", "--variants", "no-proposal", "full", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["ablate", "--variants", "full", "no-proposal", "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["report_full.json"]
+
+    def test_ablate_prints_the_run_line_per_variant(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", *TINY_FLAGS, "--out", str(out)]) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+        assert main(["ablate", "--variants", "full", "no-proposal", *TINY_FLAGS]) == 0
+        ablate_lines = capsys.readouterr().out.splitlines()
+        assert run_lines == [ablate_lines[0], f"wrote {out / 'report_full.json'}"]
+        assert ablate_lines[1].startswith("no-proposal: seeds=1 rounds=3 final_gain=")
+
     def test_n_seeds_out_of_range_exits_nonzero(self):
         assert main(["run", "--n-seeds", "99"]) == 1
 
@@ -748,7 +888,10 @@ class TestCli:
 class TestCliConfig:
     """Flags set ``ExperimentConfig`` fields and default to its defaults."""
 
-    def run_configs(self, monkeypatch, argv):
+    def run_configs(self, monkeypatch, tmp_path, argv):
+        """The configs ``main(argv)`` runs, with ``tmp_path`` as the working
+        directory so that a relative ``--out`` lands there."""
+        monkeypatch.chdir(tmp_path)
         seen = []
 
         def fake_run(cfg):
@@ -759,8 +902,8 @@ class TestCliConfig:
         assert main(argv) == 0
         return seen
 
-    def test_no_flags_build_the_default_config(self, monkeypatch):
-        assert self.run_configs(monkeypatch, ["run"]) == [ExperimentConfig()]
+    def test_no_flags_build_the_default_config(self, monkeypatch, tmp_path):
+        assert self.run_configs(monkeypatch, tmp_path, ["run"]) == [ExperimentConfig()]
 
     @pytest.mark.parametrize(
         "flags, field, value",
@@ -791,13 +934,13 @@ class TestCliConfig:
             (["--out", "results"], "out_dir", "results"),
         ],
     )
-    def test_each_flag_sets_its_field(self, monkeypatch, flags, field, value):
-        (cfg,) = self.run_configs(monkeypatch, ["run"] + flags)
+    def test_each_flag_sets_its_field(self, monkeypatch, tmp_path, flags, field, value):
+        (cfg,) = self.run_configs(monkeypatch, tmp_path, ["run"] + flags)
         assert cfg == replace(ExperimentConfig(), **{field: value})
 
-    def test_ablate_sets_each_variant(self, monkeypatch):
+    def test_ablate_sets_each_variant(self, monkeypatch, tmp_path):
         configs = self.run_configs(
-            monkeypatch, ["ablate", "--variants", "full", "no-proposal", "-T", "4"]
+            monkeypatch, tmp_path, ["ablate", "--variants", "full", "no-proposal", "-T", "4"]
         )
         assert configs == [
             ExperimentConfig(variant="full", rounds=4),
