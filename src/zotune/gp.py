@@ -31,7 +31,15 @@ BLAS's ``dtrsm`` through the function pointers scipy exports in
 ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` reach, in
 the same library, so the bits are theirs; but ctypes releases the GIL for
 the call, where scipy's wrappers hold it, so a fit can run on one thread
-while another draws random numbers.
+while another draws random numbers.  ``run_beside`` runs one call on a
+short-lived thread beside the caller and joins it on every path.
+
+A prediction uses two cores: a helper thread builds the kernel rows of the
+second half of the queries while the caller builds the first, then solves
+every metric past the first while the caller solves metric 0.  Every kernel
+entry is elementwise and each metric's solve reads only its own factor and
+kernel, so each output entry goes through the same operations in the same
+order as on one thread, and the bits are the same.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -45,8 +53,9 @@ from __future__ import annotations
 
 import ctypes
 import re
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
@@ -103,6 +112,40 @@ _dtrsm = _bind(
     cython_blas, "dtrsm",
     "char *, char *, char *, char *, int *, int *, double *, double *, int *, double *, int *",
 )
+
+
+_T = TypeVar("_T")
+_U = TypeVar("_U")
+
+
+def run_beside(helper: Callable[[], _T], own: Callable[[], _U]) -> tuple[_U, _T | Exception]:
+    """Run ``helper`` on a short-lived thread while the caller runs ``own``.
+
+    Returns ``own()`` and what ``helper()`` returned or raised.  The thread
+    is joined on every path; an error of ``own`` propagates after the join.
+    """
+    outcome: list = []
+
+    def target() -> None:
+        try:
+            outcome.append(helper())
+        except Exception as exc:  # handed to the caller
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, name="zotune-helper")
+    thread.start()
+    try:
+        result = own()
+    finally:
+        thread.join()
+    return result, outcome[0]
+
+
+def _both(helper: Callable[[], None], own: Callable[[], None]) -> None:
+    """``run_beside`` for two calls that return nothing; either's error is raised."""
+    _, error = run_beside(helper, own)
+    if error is not None:
+        raise error
 
 
 def _int(value: int):
@@ -279,10 +322,11 @@ def _scaled_kernels(
     outs: Sequence[np.ndarray],
     *,
     upper: bool = False,
+    tile_size: int = _KERNEL_TILE,
 ) -> None:
     """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
 
-    The unit kernel is built in row tiles of about ``_KERNEL_TILE`` doubles,
+    The unit kernel is built in row tiles of about ``tile_size`` doubles,
     each taken through every pass while it is in cache.  Squared scaled
     distances are accumulated in place one dimension at a time, in dimension
     order.  ``np.sum`` adds a last axis of up to seven elements in that order
@@ -293,13 +337,13 @@ def _scaled_kernels(
     unwritten.
     """
     n1, n2 = x1.shape[0], x2.shape[0]
-    size = max(_KERNEL_TILE, n2)  # a tile holds at least one row
+    size = max(tile_size, n2)  # a tile holds at least one row
     tile_buf = np.empty(size)
     term_buf = np.empty(size) if x1.shape[1] > 1 else tile_buf
     r0 = 0
     while r0 < n1:
         c0 = r0 if upper else 0
-        r1 = min(n1, r0 + max(1, _KERNEL_TILE // (n2 - c0)))
+        r1 = min(n1, r0 + max(1, tile_size // (n2 - c0)))
         shape = (r1 - r0, n2 - c0)
         tile = tile_buf[: shape[0] * shape[1]].reshape(shape)
         term = term_buf[: tile.size].reshape(shape)
@@ -342,7 +386,7 @@ class GpSurrogate:
     Build one with :meth:`fit`; instances are immutable and prediction is a
     pure function of the fitted state, so repeated calls are bitwise
     reproducible.  Neither touches shared state, so a fit may run on a
-    thread of its own.
+    thread of its own, and a prediction runs on two.
     """
 
     def __init__(
@@ -464,7 +508,8 @@ class GpSurrogate:
 
         Returns ``(mu, var)`` of shape ``(q, M)``.  Variances are the latent
         posterior variances, clamped at zero, and never exceed the signal
-        variance plus jitter.
+        variance plus jitter.  The work runs on two threads, with the
+        bits of one.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -473,14 +518,31 @@ class GpSurrogate:
             )
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
-        kqs = [np.empty((xq.shape[0], self._x.shape[0])) for _ in self._gps]   # (q, n)
-        _scaled_kernels(xq, self._x, self._ls, [gk.signal_var for gk in self._gps], kqs)
-        mu = np.empty((xq.shape[0], self.n_metrics))
+        q, n = xq.shape[0], self._x.shape[0]
+        scales = [gk.signal_var for gk in self._gps]
+        kqs = [np.empty((q, n)) for _ in self._gps]                   # (q, n)
+        mu = np.empty((q, self.n_metrics))
         var = np.empty_like(mu)
-        for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
-            mu[:, k] = kq @ gk.alpha
-            w = kq.T                                                  # (n, q)
-            _trsm(gk.chol, w)
-            np.square(w, out=w)
-            var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
+
+        def kernels(rows: slice) -> None:
+            # Each half gets half a tile, so the two hold one tile's buffers.
+            outs = [kq[rows] for kq in kqs]
+            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs, tile_size=_KERNEL_TILE // 2)
+
+        def solve(metrics: range) -> None:
+            for k in metrics:
+                gk, kq = self._gps[k], kqs[k]
+                mu[:, k] = kq @ gk.alpha
+                w = kq.T                                              # (n, q)
+                _trsm(gk.chol, w)
+                np.square(w, out=w)
+                var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
+
+        h = (q + 1) // 2
+        _both(lambda: kernels(slice(h, None)), lambda: kernels(slice(h)))
+        all_metrics = range(self.n_metrics)
+        if self.n_metrics == 1:
+            solve(all_metrics)
+        else:
+            _both(lambda: solve(all_metrics[1:]), lambda: solve(all_metrics[:1]))
         return mu, var

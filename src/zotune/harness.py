@@ -51,6 +51,7 @@ from .simenv import (
     DEFAULT_XI_MEAN,
     DEFAULT_XI_SD,
     SimEnv,
+    check_knobs,
 )
 
 REPORT_FORMAT_VERSION = 1
@@ -132,6 +133,7 @@ class ExperimentConfig:
         _check_threshold_fraction(self.threshold_fraction)
         try:
             self.scheduler_config()
+            check_knobs(**self.env_overrides())
         except ValueError as exc:
             raise HarnessConfigError(str(exc)) from None
 
@@ -149,6 +151,22 @@ class ExperimentConfig:
                 nodes_per_dim=self.grid_nodes,
             ),
         )
+
+    def env_overrides(self) -> dict:
+        """The environment knobs given, by ``SimEnv.build``'s names; a
+        ``None`` field is left out and keeps the environment's default."""
+        overrides = {
+            "fixed_delay": self.fixed_delay,
+            "xi_mean": self.xi_mean,
+            "xi_sd": self.xi_sd,
+            "sigma": self.sigma,
+            "users": self.users,
+            "draws_per_step": self.draws_per_step,
+            "weights": self.env_weights,
+            "threshold": self.env_threshold,
+            "base_theta": self.base_theta,
+        }
+        return {name: value for name, value in overrides.items() if value is not None}
 
     def to_dict(self) -> dict:
         return codec.to_dict(self)
@@ -320,22 +338,7 @@ class SingleRun:
         self.seed = int(seed)
         self.cfg = cfg
         self.synchronous = synchronous
-        overrides = {
-            "fixed_delay": cfg.fixed_delay,
-            "xi_mean": cfg.xi_mean,
-            "xi_sd": cfg.xi_sd,
-        }
-        for name, value in (
-            ("sigma", cfg.sigma),
-            ("users", cfg.users),
-            ("draws_per_step", cfg.draws_per_step),
-            ("weights", cfg.env_weights),
-            ("threshold", cfg.env_threshold),
-            ("base_theta", cfg.base_theta),
-        ):
-            if value is not None:
-                overrides[name] = value
-        self.env = SimEnv.build(seed, **overrides)
+        self.env = SimEnv.build(seed, **cfg.env_overrides())
         problem = delta_problem_from_env(self.env)
         sched_cfg = replace(
             cfg.scheduler_config(), normalization=normalization, proposal_prob=proposal_prob

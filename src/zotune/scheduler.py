@@ -8,11 +8,12 @@ emits a traffic plan: a reserved control slice plus the remainder split
 across winners in proportion to how many repetitions each one won.
 
 The GP fit needs only the beliefs the selection reads, not its draws, so
-``run_round`` starts the fit on one short-lived helper thread and draws the
-selection meanwhile; the fit's LAPACK calls release the GIL.  The random
-stream and every result are those of the one-thread order (select, draw
-``u``, then fit and propose), and the fit's error is raised only in a round
-that proposes.
+``run_round`` runs the fit through ``gp.run_beside`` on one short-lived
+helper thread and draws the selection meanwhile; the fit's LAPACK calls
+release the GIL.  The proposal then predicts on two threads as well
+(``GpSurrogate.predict_batch``).  The random stream and every result are
+those of the one-thread order (select, draw ``u``, then fit and propose),
+and the fit's error is raised only in a round that proposes.
 
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
@@ -30,10 +31,9 @@ absorbed, and changes nothing when it does: ``ingest`` drops a refused pair,
 from __future__ import annotations
 
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .deltastats import (
     TaylorMode,
     hourly_delta_stat,
 )
-from .gp import GpSurrogate
+from .gp import GpSurrogate, run_beside
 from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem
 
@@ -239,20 +239,12 @@ def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> 
         raise RestoreError(f"{os.path.basename(path)} line {line}: {exc}") from None
 
 
-def _fit_into(out: list, bucket: Sequence[HyperParam], mu: np.ndarray, var: np.ndarray) -> None:
-    """Append ``GpSurrogate.fit(bucket, mu, var)`` to ``out``, or the error it raised."""
-    try:
-        out.append(GpSurrogate.fit(bucket, mu, var))
-    except Exception as exc:  # raised by the thread that reads ``out``
-        out.append(exc)
-
-
 class Scheduler:
     """Owns the bucket, the estimate record, the rng stream, and the round loop.
 
-    A scheduler is driven from one thread.  ``run_round`` starts one
-    short-lived helper thread for the GP fit and joins it before returning
-    or raising, so no thread outlives a call.
+    A scheduler is driven from one thread.  ``run_round`` starts
+    short-lived helper threads for the GP fit and the prediction, and
+    joins each before returning or raising, so no thread outlives a call.
 
     Ids are fresh by construction: the base's and the bucket's are distinct
     and below ``next_id``, the id the next proposal takes.
@@ -430,25 +422,20 @@ class Scheduler:
             self.last_selection = None
         else:
             eligible = [self._bucket[cid] for cid in ids.tolist()]
+
+            def draw() -> tuple[SelectionResult, float]:
+                sel = select(ids, mu, var, self.problem, self.config.select_count, self.rng)
+                return sel, self.rng.random()
+
             # The fit runs beside the draws; its result, or its error, is
             # used only if the round proposes.
-            fitted: list[GpSurrogate | Exception] = []
-            helper = None
             if self.config.proposal_prob > 0.0:
-                helper = threading.Thread(
-                    target=_fit_into, args=(fitted, eligible, mu, var), name="zotune-gp-fit"
-                )
-                helper.start()
-            try:
-                sel = select(ids, mu, var, self.problem, self.config.select_count, self.rng)
-                u = self.rng.random()
-            finally:
-                if helper is not None:
-                    helper.join()
+                (sel, u), surrogate = run_beside(lambda: GpSurrogate.fit(eligible, mu, var), draw)
+            else:
+                (sel, u), surrogate = draw(), None
             self.last_selection = sel
             units = Counter(sel.winners)
             if u < self.config.proposal_prob:
-                surrogate = fitted[0]
                 if isinstance(surrogate, Exception):
                     raise surrogate
                 prop = propose(

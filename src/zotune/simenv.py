@@ -28,6 +28,7 @@ for bit, so a run checkpoint keeps only the noise stream's ``rng_state``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,6 +174,47 @@ def _realize_w2(w1_values: np.ndarray, coeffs: CounterCoeffs) -> np.ndarray:
     return np.maximum(raw, PATTERN_FLOOR)
 
 
+# The sampling constants ``SimEnv.build`` takes as overrides.
+KNOBS = (
+    "sigma", "weights", "threshold", "users", "draws_per_step",
+    "fixed_delay", "xi_mean", "xi_sd", "base_theta",
+)
+
+
+def check_knobs(
+    sigma: float = DEFAULT_SIGMA,
+    weights: Sequence[float] = DEFAULT_WEIGHTS,
+    threshold: float = DEFAULT_THRESHOLD,
+    users: int = DEFAULT_USERS,
+    draws_per_step: int = DEFAULT_DRAWS_PER_STEP,
+    fixed_delay: int = DEFAULT_FIXED_DELAY,
+    xi_mean: float = DEFAULT_XI_MEAN,
+    xi_sd: float = DEFAULT_XI_SD,
+    base_theta: Sequence[float] = DEFAULT_BASE_THETA,
+) -> None:
+    """ValueError naming the first sampling constant out of range; every
+    real-valued one must be finite."""
+    reals = [("sigma", sigma), ("threshold", threshold), ("xi_mean", xi_mean), ("xi_sd", xi_sd)]
+    for name, value in reals + [("weights", w) for w in weights]:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if len(weights) != 4:
+        raise ValueError("four mixing weights are required")
+    if users < 1:
+        raise ValueError("user population must be positive")
+    if draws_per_step < 2:
+        raise ValueError("at least two draws per step are needed for a variance")
+    if fixed_delay < 0:
+        raise ValueError("fixed delay must be nonnegative")
+    if xi_sd < 0:
+        raise ValueError("extra-delay spread must be nonnegative")
+    for x, (lo, hi) in zip(base_theta, BOX):
+        if not lo <= x <= hi:
+            raise ValueError("base configuration must lie in the box")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Complete generated landscape plus the sampling constants."""
@@ -196,21 +238,7 @@ class EnvSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(self, "base_theta", tuple(float(x) for x in self.base_theta))
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if len(self.weights) != 4:
-            raise ValueError("four mixing weights are required")
-        if self.users < 1:
-            raise ValueError("user population must be positive")
-        if self.draws_per_step < 2:
-            raise ValueError("at least two draws per step are needed for a variance")
-        if self.fixed_delay < 0:
-            raise ValueError("fixed delay must be nonnegative")
-        if self.xi_sd < 0:
-            raise ValueError("extra-delay spread must be nonnegative")
-        for x, (lo, hi) in zip(self.base_theta, BOX):
-            if not lo <= x <= hi:
-                raise ValueError("base configuration must lie in the box")
+        check_knobs(**{name: getattr(self, name) for name in KNOBS})
 
 
 def _norm_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -356,11 +384,7 @@ class SimEnv:
             phase=float(gen.uniform(0.0, 2.0 * np.pi)),
             harmonic=int(gen.integers(1, 4)),
         )
-        allowed = {
-            "sigma", "weights", "threshold", "users", "draws_per_step",
-            "fixed_delay", "xi_mean", "xi_sd", "base_theta",
-        }
-        unknown = set(overrides) - allowed
+        unknown = set(overrides) - set(KNOBS)
         if unknown:
             raise TypeError(f"unknown environment overrides: {sorted(unknown)}")
         spec = EnvSpec(

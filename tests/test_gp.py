@@ -1,5 +1,7 @@
 """Tests for the per-metric GP surrogate."""
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -483,3 +485,158 @@ class TestMedianReference:
         x = _median_inputs(kind, n, 3, np.random.default_rng(n))
         assert np.array_equal(gp_module._median_lengthscales(x), spec.median_lengthscales(x))
         assert len(calls) > 6
+
+
+def _fitted(n, n_metrics, seed):
+    """A surrogate over ``n`` random points of the unit square."""
+    rng = np.random.default_rng(seed)
+    bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(rng.uniform(size=(n, 2)))]
+    mus = rng.normal(0.0, 0.05, size=(n, n_metrics))
+    noises = rng.uniform(0.0, 1e-4, size=(n, n_metrics))
+    return GpSurrogate.fit(bucket, mus, noises), rng
+
+
+def _count_splits(monkeypatch):
+    """Record each ``run_beside`` call a prediction makes."""
+    calls = []
+    run_beside = gp_module.run_beside
+
+    def spy(helper, own):
+        calls.append(threading.current_thread().name)
+        return run_beside(helper, own)
+
+    monkeypatch.setattr(gp_module, "run_beside", spy)
+    return calls
+
+
+def _in_turn(helper, own):
+    """``run_beside`` on the caller alone: ``own``, then ``helper``."""
+    result = own()
+    try:
+        return result, helper()
+    except Exception as exc:
+        return result, exc
+
+
+@pytest.mark.bitwise
+class TestTwoThreadPredict:
+    """The kernel rows are built in two halves and the metrics solved on two
+    threads; the bits are those of the kernel built whole and every metric
+    solved on the caller.  Odd ``q`` splits the rows unevenly, and one metric
+    splits the kernel only."""
+
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
+    def test_split_matches_one_thread(self, monkeypatch, n, n_metrics):
+        gp, rng = _fitted(n, n_metrics, 10 * n + n_metrics)
+        calls = _count_splits(monkeypatch)
+        for q in [1, 2, 3, 599, 600, 601]:
+            queries = rng.uniform(size=(q, 2))
+            mu, var = gp.predict_batch(queries)
+            assert len(calls) == (1 if n_metrics == 1 else 2)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(gp_module, "run_beside", _in_turn)
+                one_mu, one_var = gp.predict_batch(queries)
+            assert np.array_equal(mu, one_mu)
+            assert np.array_equal(var, one_var)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
+    def test_kernel_halves_match_the_whole(self, n):
+        rng = np.random.default_rng(n)
+        x, ls, scales = rng.uniform(size=(n, 2)), rng.uniform(0.1, 1.0, size=2), [0.5, 2.0]
+        for q in [1, 2, 3, 599, 600, 601]:
+            xq = rng.uniform(size=(q, 2))
+            whole = [np.empty((q, n)) for _ in scales]
+            gp_module._scaled_kernels(xq, x, ls, scales, whole)
+            halves = [np.empty((q, n)) for _ in scales]
+            h = (q + 1) // 2
+            for rows in (slice(h), slice(h, None)):
+                outs = [kq[rows] for kq in halves]
+                tile = gp_module._KERNEL_TILE // 2
+                gp_module._scaled_kernels(xq[rows], x, ls, scales, outs, tile_size=tile)
+            for half, kq in zip(halves, whole):
+                assert np.array_equal(half, kq)
+
+
+class TestRunBeside:
+    def test_returns_both_results_and_the_helpers_error(self):
+        assert gp_module.run_beside(lambda: 1, lambda: 2) == (2, 1)
+        error = ValueError("helper failed")
+
+        def fail():
+            raise error
+
+        assert gp_module.run_beside(fail, lambda: 2) == (2, error)
+
+    def test_callers_error_propagates_after_the_join(self):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append(True)
+
+        def fail():
+            raise ValueError("caller failed")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="caller failed"):
+            gp_module.run_beside(slow, fail)
+        assert done == [True]
+        assert threading.active_count() == threads
+
+
+class TestTwoThreadPredictFailures:
+    @pytest.mark.parametrize("failing, side", [(1, "helper"), (0, "caller")])
+    def test_solve_error_is_raised_after_the_join(self, monkeypatch, failing, side):
+        """Metric 0 is solved on the caller and metric 1 on the helper."""
+        gp, rng = _fitted(300, 2, 4)
+        queries = rng.uniform(size=(600, 2))
+        trsm, factor = gp_module._trsm, gp._gps[failing].chol
+        sides = []
+
+        def failing_trsm(chol, b):
+            if chol is factor:
+                sides.append(threading.current_thread() is threading.main_thread())
+                raise RuntimeError("solve failed")
+            trsm(chol, b)
+
+        monkeypatch.setattr(gp_module, "_trsm", failing_trsm)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="solve failed"):
+            gp.predict_batch(queries)
+        assert threading.active_count() == threads
+        assert sides == [side == "caller"]
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_kernel_error_is_raised_after_the_join(self, monkeypatch, side):
+        gp, rng = _fitted(300, 2, 5)
+        queries = rng.uniform(size=(600, 2))
+        kernels = gp_module._scaled_kernels
+
+        def failing_kernels(*args, **kwargs):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (side == "caller"):
+                raise RuntimeError("kernel failed")
+            kernels(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "_scaled_kernels", failing_kernels)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            gp.predict_batch(queries)
+        assert threading.active_count() == threads
+
+    def test_split_peak_adds_no_buffer_copies(self):
+        """The threads write into the ``(q, n)`` kernel matrices in place,
+        and the two halves share one tile's worth of buffers: the peak stays
+        under a quarter matrix above the kernels."""
+        n, q, n_metrics = 800, 600, 2
+        gp, rng = _fitted(n, n_metrics, 17)
+        queries = rng.uniform(size=(q, 2))
+        tracemalloc.start()
+        try:
+            gp.predict_batch(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_metrics + 0.25) * q * n * 8

@@ -152,6 +152,23 @@ class TestExperimentConfig:
         with pytest.raises(HarnessConfigError):
             ExperimentConfig(variant="no-proposal", **knob)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"xi_sd": math.nan},
+            {"xi_mean": math.inf},
+            {"sigma": math.nan},
+            {"env_threshold": math.nan},
+            {"env_weights": (0.3, math.nan, 0.1, 0.7)},
+            {"draws_per_step": 1},
+        ],
+        ids=lambda knob: ",".join(f"{k}={v}" for k, v in knob.items()),
+    )
+    def test_bad_env_knob_rejected_when_built(self, knob):
+        """The environment's own check, run before any landscape is built."""
+        with pytest.raises(HarnessConfigError):
+            ExperimentConfig(**knob)
+
     def test_from_dict_rejects_unknown_keys(self):
         d = ExperimentConfig().to_dict()
         d["frobnicate"] = 1
@@ -819,6 +836,17 @@ class TestCli:
         rc = main([*command, "-p", "1.5", *TINY_FLAGS, "--out", str(out)])
         assert rc == 1
         assert "proposal_prob must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_env_knob_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def run(cfg):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        out = tmp_path / "o"
+        rc = main(["run", "--xi-sd", "nan", *TINY_FLAGS, "--out", str(out)])
+        assert rc == 1
+        assert "xi_sd must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ablate_writes_each_file_once(self, tmp_path, monkeypatch):

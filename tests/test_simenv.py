@@ -242,6 +242,22 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             SimEnv.build(1, draws_per_step=1)
 
+    @pytest.mark.parametrize(
+        "knob, value, name",
+        [
+            ("xi_sd", math.nan, "xi_sd"),
+            ("xi_mean", math.inf, "xi_mean"),
+            ("sigma", math.nan, "sigma"),
+            ("threshold", math.nan, "threshold"),
+            ("threshold", -math.inf, "threshold"),
+            ("weights", (0.3, math.nan, 0.1, 0.7), "weights"),
+        ],
+    )
+    def test_non_finite_knob_refused_by_name(self, knob, value, name):
+        """The sign checks alone pass NaN, which fails only in a later step."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimEnv.build(3, **{knob: value})
+
 
 # SHA-256 of the sorted-key JSON of ``EnvSpec``'s fields beside a
 # ``format_version`` of 1 (the former ``env.json`` without its noise stream),
