@@ -34,6 +34,19 @@ the call, where scipy's wrappers hold it, so a fit can run on one thread
 while another draws random numbers.  ``run_beside`` runs one call on a
 short-lived thread beside the caller and joins it on every path.
 
+The two table modules are loaded straight from their files in scipy's
+``linalg`` directory, after ``import scipy`` has set up the bundled
+OpenBLAS, and never through ``scipy/linalg/__init__.py``.  That package
+init imports scipy's array-API layer, and with it ``numpy.f2py``,
+``numpy.testing`` and ``email``: with scipy 1.17.1, on a 2-CPU machine, it
+took 190-330 ms of a 310-510 ms ``import zotune``, and the direct load
+brings the whole import to a median of about 0.15 s.
+Each module is registered in ``sys.modules`` under its own name before it
+runs, so a later ``from scipy.linalg import cython_blas`` returns the same
+module; only the package attribute ``scipy.linalg.cython_blas`` is then
+left unset.  ``_bind`` checks each capsule's C signature, which proves the
+pointer is scipy's routine.
+
 A prediction uses two cores: a helper thread builds the kernel rows of the
 second half of the queries while the caller builds the first, then solves
 every metric past the first while the caller solves metric 0.  Every kernel
@@ -52,13 +65,17 @@ bracket without building all ``n(n-1)/2`` of them (Frederickson & Johnson,
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
+import scipy
 
 from .problem import HyperParam
 
@@ -98,6 +115,23 @@ def _bind(module, name: str, params: str):
     n_args = params.count(",") + 1
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(_capsule_pointer(capsule, tag))
 
+
+def _linalg_table(name: str):
+    """The extension module ``scipy.linalg.<name>``, run from its file
+    without ``scipy.linalg``'s package init, and registered under its name."""
+    where = os.path.join(scipy.__path__[0], "linalg")
+    full = f"scipy.linalg.{name}"
+    spec = importlib.machinery.PathFinder.find_spec(full, [where])
+    if spec is None:
+        raise ImportError(f"no {full} in {where}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+cython_blas = _linalg_table("cython_blas")
+cython_lapack = _linalg_table("cython_lapack")
 
 _dpotrf = _bind(cython_lapack, "dpotrf", "char *, int *, double *, int *, int *")
 _dpotrs = _bind(
@@ -322,11 +356,10 @@ def _scaled_kernels(
     outs: Sequence[np.ndarray],
     *,
     upper: bool = False,
-    tile_size: int = _KERNEL_TILE,
 ) -> None:
     """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
 
-    The unit kernel is built in row tiles of about ``tile_size`` doubles,
+    The unit kernel is built in row tiles of about ``_KERNEL_TILE`` doubles,
     each taken through every pass while it is in cache.  Squared scaled
     distances are accumulated in place one dimension at a time, in dimension
     order.  ``np.sum`` adds a last axis of up to seven elements in that order
@@ -337,13 +370,13 @@ def _scaled_kernels(
     unwritten.
     """
     n1, n2 = x1.shape[0], x2.shape[0]
-    size = max(tile_size, n2)  # a tile holds at least one row
+    size = max(_KERNEL_TILE, n2)  # a tile holds at least one row
     tile_buf = np.empty(size)
     term_buf = np.empty(size) if x1.shape[1] > 1 else tile_buf
     r0 = 0
     while r0 < n1:
         c0 = r0 if upper else 0
-        r1 = min(n1, r0 + max(1, tile_size // (n2 - c0)))
+        r1 = min(n1, r0 + max(1, _KERNEL_TILE // (n2 - c0)))
         shape = (r1 - r0, n2 - c0)
         tile = tile_buf[: shape[0] * shape[1]].reshape(shape)
         term = term_buf[: tile.size].reshape(shape)
@@ -525,9 +558,8 @@ class GpSurrogate:
         var = np.empty_like(mu)
 
         def kernels(rows: slice) -> None:
-            # Each half gets half a tile, so the two hold one tile's buffers.
             outs = [kq[rows] for kq in kqs]
-            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs, tile_size=_KERNEL_TILE // 2)
+            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs)
 
         def solve(metrics: range) -> None:
             for k in metrics:

@@ -143,14 +143,19 @@ def select(
     """Run K Thompson repetitions over candidates' beliefs, as ``beliefs`` returns them.
 
     Row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` belongs to
-    ``candidate_ids[i]``, and the ids must be increasing, so that ties go to
-    the lowest id.
+    ``candidate_ids[i]``, and the ids must be strictly increasing, so that
+    ties go to the lowest id.  Beliefs must be finite: the fallback would
+    take a NaN slack as the largest.
     """
     if k_repetitions < 1:
         raise ValueError("selection needs at least one repetition")
     ids = np.asarray(candidate_ids)
     if mu.ndim != 2 or mu.shape != var.shape or mu.shape[0] != ids.shape[0] or mu.size == 0:
         raise ValueError("mu and var must be nonempty (n, M) arrays aligned with the ids")
+    if ids.ndim != 1 or np.any(np.diff(ids) <= 0):
+        raise ValueError("candidate ids must be strictly increasing")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
+        raise ValueError("belief means and variances must be finite")
     if np.any(var < 0):
         raise ValueError("belief variances must be nonnegative")
 

@@ -1,12 +1,18 @@
 """Tests for the per-metric GP surrogate."""
 
+import ctypes
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, cython_blas, cython_lapack, solve_triangular
 
 import spec
 from zotune import gp as gp_module
@@ -408,6 +414,49 @@ class TestLapackBinding:
             gp_module._trsm(chol, b)
 
 
+def _fresh_python(code):
+    """What ``code`` prints as JSON, run by a fresh interpreter that finds zotune."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gp_module.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLeanImport:
+    """The LAPACK and BLAS tables are loaded from their files, without
+    ``scipy.linalg``'s package init, and are scipy's own modules."""
+
+    def test_import_leaves_scipy_linalg_out(self):
+        loaded = _fresh_python(
+            "import json, sys, zotune, zotune.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))"
+        )
+        assert loaded == ["scipy.linalg.cython_blas", "scipy.linalg.cython_lapack"]
+
+    def test_tables_imported_before_are_reused(self):
+        same = _fresh_python(
+            "import json, scipy.linalg\n"
+            "from zotune import gp\n"
+            "print(json.dumps([gp.cython_blas is scipy.linalg.cython_blas,\n"
+            "                  gp.cython_lapack is scipy.linalg.cython_lapack]))"
+        )
+        assert same == [True, True]
+
+    @pytest.mark.bitwise
+    def test_tables_are_scipys(self):
+        assert gp_module.cython_blas is cython_blas
+        assert gp_module.cython_lapack is cython_lapack
+        for bound, table, name in [
+            (gp_module._dtrsm, cython_blas, "dtrsm"),
+            (gp_module._dpotrf, cython_lapack, "dpotrf"),
+        ]:
+            capsule = table.__pyx_capi__[name]
+            pointer = gp_module._capsule_pointer(capsule, gp_module._capsule_name(capsule))
+            assert ctypes.cast(bound, ctypes.c_void_p).value == pointer
+
+
 def _median_inputs(kind, n, d, rng):
     u = rng.uniform(0.0, 1.0, size=(n, d))
     if kind == "ties":
@@ -553,8 +602,7 @@ class TestTwoThreadPredict:
             h = (q + 1) // 2
             for rows in (slice(h), slice(h, None)):
                 outs = [kq[rows] for kq in halves]
-                tile = gp_module._KERNEL_TILE // 2
-                gp_module._scaled_kernels(xq[rows], x, ls, scales, outs, tile_size=tile)
+                gp_module._scaled_kernels(xq[rows], x, ls, scales, outs)
             for half, kq in zip(halves, whole):
                 assert np.array_equal(half, kq)
 
@@ -627,9 +675,10 @@ class TestTwoThreadPredictFailures:
         assert threading.active_count() == threads
 
     def test_split_peak_adds_no_buffer_copies(self):
-        """The threads write into the ``(q, n)`` kernel matrices in place,
-        and the two halves share one tile's worth of buffers: the peak stays
-        under a quarter matrix above the kernels."""
+        """The threads write into the ``(q, n)`` kernel matrices in place:
+        the peak is the kernels, each thread's two tile buffers, and a
+        margin of an eighth of one kernel (everything else read 0.17-0.30
+        MB of its 0.48 MB), so one copied kernel (3.84 MB) fails."""
         n, q, n_metrics = 800, 600, 2
         gp, rng = _fitted(n, n_metrics, 17)
         queries = rng.uniform(size=(q, 2))
@@ -639,4 +688,6 @@ class TestTwoThreadPredictFailures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (n_metrics + 0.25) * q * n * 8
+        kernel = q * n * 8
+        tiles = 2 * 2 * gp_module._KERNEL_TILE * 8
+        assert peak < n_metrics * kernel + tiles + kernel / 8

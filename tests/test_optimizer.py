@@ -262,6 +262,29 @@ class TestSelect:
         b = select(*beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99))
         assert a.winners == b.winners
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mu", np.nan), ("mu", np.inf), ("mu", -np.inf), ("var", np.nan), ("var", np.inf)],
+    )
+    def test_non_finite_belief_refused(self, field, value):
+        """A NaN variance or an infinite mean would win every repetition."""
+        problem = make_problem(
+            LinearExpr((1.0, 0.0)),
+            (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
+        )
+        beliefs = {"mu": np.full((3, 2), 0.01), "var": np.full((3, 2), 1e-4)}
+        beliefs[field][1, 0] = value
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="finite"):
+            select([1, 2, 3], beliefs["mu"], beliefs["var"], problem, 200, rng)
+
+    @pytest.mark.parametrize("ids", [[3, 2, 1], [1, 1, 2], [[1], [2], [3]]])
+    def test_ids_not_strictly_increasing_refused(self, ids):
+        problem = make_problem(LinearExpr((1.0, 0.0)))
+        mu, var = np.zeros((3, 2)), np.full((3, 2), 1e-4)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            select(ids, mu, var, problem, 5, np.random.default_rng(0))
+
     def test_modal_winner_tie_breaks_low_id(self):
         res = SelectionResult(
             winners=(5, 2, 5, 2), infeasible_rounds=0,

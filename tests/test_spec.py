@@ -130,3 +130,34 @@ def test_only_the_codec_writes_files():
                 assert node.module != "csv", path.name
             elif isinstance(node, ast.Call):
                 assert not _opens_for_writing(node), (path.name, node.lineno)
+
+
+def _names_scipy(node):
+    """Whether ``node`` is ``import scipy…``, ``from scipy… import …``, or a
+    call of ``import_module``/``__import__`` whose first argument names scipy."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "scipy"
+    if isinstance(node, ast.Call) and node.args:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in ("import_module", "__import__") and "scipy" in ast.unparse(node.args[0])
+    return False
+
+
+def test_only_the_gp_loader_imports_scipy():
+    """``scipy.linalg``'s package init costs about 0.2 s of a fresh import,
+    so no module reaches scipy but ``gp``, whose loader needs only the
+    top-level package and reads the two LAPACK/BLAS tables from their files."""
+    package = Path(zotune.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not _names_scipy(node):
+                continue
+            loader = (
+                path.name == "gp.py"
+                and isinstance(node, ast.Import)
+                and [(a.name, a.asname) for a in node.names] == [("scipy", None)]
+            )
+            assert loader, (path.name, node.lineno, ast.unparse(node))
