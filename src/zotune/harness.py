@@ -16,8 +16,8 @@ and ``emit_series`` write its report and series.  Single runs can checkpoint
 to disk mid-campaign and resume to an identical trajectory.  A checkpoint is
 the scheduler store plus ``run.json``, which holds what the seed and config
 do not fix: the environment's noise stream, feedback in flight and the rows
-so far.  The landscape is not stored; resume rebuilds it from the seed, bit
-for bit.
+so far, one per wall hour run.  The landscape is not stored; resume
+rebuilds it from the seed, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .simenv import (
 )
 
 REPORT_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 VARIANTS = ("full", "raw-metric", "synchronous", "no-proposal")
 
@@ -313,24 +313,24 @@ class Checkpoint:
     besides its scheduler store and what ``seed`` and ``config`` rebuild."""
 
     seed: int
-    next_round: int
     config: ExperimentConfig
     env_rng_state: dict
     pending: tuple[InboundBatch, ...]
     rows: tuple[RoundRow, ...]
 
     def __post_init__(self) -> None:
-        _check_rows(self.rows, self.next_round, "before next_round")
+        _check_rows(self.rows, len(self.rows), "of the checkpoint")
 
 
 class SingleRun:
     """One seed's closed loop between scheduler and environment.
 
-    Wall rounds advance one hour at a time.  Round 0 exposes the initial
-    bucket uniformly; later rounds deliver matured feedback and ask the
-    scheduler for a decision (the synchronous variant instead idles while
-    any dispatched batch is still in flight).  Rounds with no selection
-    carry the previous report row forward.
+    Wall rounds advance one hour at a time, and the scheduler's round is
+    the last one run.  Round 0 exposes the initial bucket uniformly; later
+    rounds deliver matured feedback and ask the scheduler for a decision
+    (the synchronous variant instead calls ``idle`` while any dispatched
+    batch is still in flight).  Rounds with no selection carry the previous
+    report row forward.
     """
 
     def __init__(self, seed: int, cfg: ExperimentConfig) -> None:
@@ -350,7 +350,10 @@ class SingleRun:
         )
         self.pending: list[InboundBatch] = []
         self.rows: list[RoundRow] = []
-        self.next_round = 0
+
+    @property
+    def next_round(self) -> int:
+        return len(self.rows)
 
     @property
     def base_violation(self) -> float:
@@ -369,7 +372,7 @@ class SingleRun:
             arrived = [b for b in self.pending if b.arrival_round <= r]
             self.pending = [b for b in self.pending if b.arrival_round > r]
             if self.synchronous and self.pending:
-                self.sched.ingest(arrived)
+                self.sched.idle(arrived)
                 plan = None
             else:
                 plan = self.sched.run_round(arrived)
@@ -392,7 +395,6 @@ class SingleRun:
             raise ValueError(f"run is at round {self.next_round}; cannot run to {upto}")
         for r in range(self.next_round, upto):
             self._step_round(r)
-        self.next_round = upto
 
     def trajectory(self) -> SeedTrajectory:
         return SeedTrajectory(
@@ -407,7 +409,6 @@ class SingleRun:
         self.sched.persist(os.path.join(directory, "scheduler"))
         state = Checkpoint(
             seed=self.seed,
-            next_round=self.next_round,
             config=self.cfg,
             env_rng_state=self.env.rng_state,
             pending=tuple(self.pending),
@@ -422,7 +423,8 @@ class SingleRun:
         the environment's noise stream, the scheduler and the run's progress.
 
         A malformed ``run.json``, or a scheduler store whose problem or
-        config is not the one the seed and config build, raises
+        config is not the one the seed and config build, or whose hour is
+        not the last of the rows (a store saved at another hour), raises
         HarnessConfigError; a malformed scheduler store raises ``RestoreError``.
         """
         try:
@@ -439,10 +441,14 @@ class SingleRun:
             codec.to_dict(run.sched.problem), codec.to_dict(run.sched.config)
         ):
             raise HarnessConfigError(f"the scheduler store in {directory} is another run's")
+        if len(state.rows) != (sched.round + 1 if sched.last_plan is not None else 0):
+            raise HarnessConfigError(
+                f"the checkpoint in {directory} has {len(state.rows)} rows, "
+                f"but its scheduler store is at round {sched.round}"
+            )
         run.sched = sched
         run.pending = list(state.pending)
         run.rows = list(state.rows)
-        run.next_round = state.next_round
         return run
 
 

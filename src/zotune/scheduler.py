@@ -5,7 +5,9 @@ Each round the scheduler absorbs whatever delayed feedback has arrived
 candidates that ``optimizer.beliefs`` finds measured on every metric,
 optionally proposes one brand-new candidate through the GP surrogate, and
 emits a traffic plan: a reserved control slice plus the remainder split
-across winners in proportion to how many repetitions each one won.
+across winners in proportion to how many repetitions each one won.  A round
+is a wall hour: an hour that waits calls ``idle``, which absorbs and
+advances the one clock without drawing, so a plan's ``round`` is its hour.
 
 The GP fit needs only the beliefs the selection reads, not its draws, so
 ``run_round`` runs the fit through ``gp.run_beside`` on one short-lived
@@ -21,11 +23,12 @@ resumed exactly; the scheduler writes it only when its caller calls
 (round counter, rng stream, config, problem, last plan), ``hyperparams.csv``
 (the candidate bucket) and ``metrics.csv`` (the raw test/control readings,
 in ingestion order).  Hourly lifts and their aggregates are derived from the
-raw readings.  ``ingest`` and ``restore`` pass every reading pair through
-one absorb step, which refuses a pair for an unknown candidate or metric,
-whose control is not the base, with no finite lift, or for a key already
-absorbed, and changes nothing when it does: ``ingest`` drops a refused pair,
-``restore`` refuses the store.
+raw readings, and the next proposal's id from the bucket.  ``ingest`` and
+``restore`` pass every reading pair through one absorb step, which refuses
+a pair for an unknown candidate or metric, whose control is not the base,
+from a later round, with no finite lift, or for a key already absorbed, and
+changes nothing when it does: ``ingest`` drops a refused pair, ``restore``
+refuses the store.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .gp import GpSurrogate, run_beside
 from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PLAN_SUM_TOL = 1e-12
 
@@ -70,6 +73,10 @@ class RestoreError(RuntimeError):
 class UnknownKeyError(ValueError):
     """A reading names a candidate outside the bucket or a metric outside
     the problem, or its control reading does not name the base."""
+
+
+class FutureRoundError(ValueError):
+    """A reading's origin round is after the scheduler's current hour."""
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,6 @@ class Manifest:
     """``manifest.json`` after its ``format_version`` key."""
 
     round: int
-    next_id: int
-    exposed: bool
     rng_state: dict
     config: SchedulerConfig
     problem: TuningProblem
@@ -246,8 +251,9 @@ class Scheduler:
     short-lived helper threads for the GP fit and the prediction, and
     joins each before returning or raising, so no thread outlives a call.
 
-    Ids are fresh by construction: the base's and the bucket's are distinct
-    and below ``next_id``, the id the next proposal takes.
+    Ids are fresh by construction: the base's and the bucket's are
+    distinct, the last plan names bucket candidates only, and the next
+    proposal takes the id above them all.
     """
 
     def __init__(
@@ -259,12 +265,12 @@ class Scheduler:
         bucket: dict[int, HyperParam],
         created_round: dict[int, int],
         round_no: int,
-        next_id: int,
-        exposed: bool,
         last_plan: RoundPlan | None,
     ) -> None:
-        if problem.base.id in bucket or max([problem.base.id, *bucket]) >= next_id:
-            raise ValueError(f"base and bucket ids must be distinct and below next id {next_id}")
+        if problem.base.id in bucket:
+            raise ValueError(f"base id {problem.base.id} is also a bucket id")
+        if last_plan is not None and not {cid for cid, _ in last_plan.assignments} <= bucket.keys():
+            raise ValueError("the last plan gives traffic to a candidate outside the bucket")
         self.problem = problem
         self.config = config
         self.rng = rng
@@ -273,8 +279,6 @@ class Scheduler:
         self.record = EstimateRecord()
         self._raw_log: list[tuple[GroupReading, GroupReading]] = []
         self._round = round_no
-        self._next_id = next_id
-        self._exposed = exposed
         self._last_plan = last_plan
         self.last_selection: SelectionResult | None = None
 
@@ -316,8 +320,6 @@ class Scheduler:
             bucket=bucket,
             created_round=dict.fromkeys(bucket, 0),
             round_no=0,
-            next_id=len(vectors) + 1,
-            exposed=False,
             last_plan=None,
         )
 
@@ -333,7 +335,8 @@ class Scheduler:
 
     @property
     def next_id(self) -> int:
-        return self._next_id
+        """The id the next proposal takes: one above every id in use."""
+        return max(self.problem.base.id, *self._bucket) + 1
 
     def created_round(self, candidate_id: int) -> int:
         return self._created_round[candidate_id]
@@ -354,20 +357,18 @@ class Scheduler:
 
     def initial_plan(self) -> RoundPlan:
         """Uniform exposure of the initial bucket (round 0).  Idempotent."""
-        if self._exposed and self._last_plan is not None and self._round == 0:
-            return self._last_plan
         if self._round != 0:
             raise ValueError("initial plan is only available at round 0")
-        plan = self._plan_from_units(0, Counter(self._bucket.keys()))
-        self._exposed = True
-        self._last_plan = plan
-        return plan
+        if self._last_plan is None:
+            self._last_plan = self._plan_from_units(0, Counter(self._bucket.keys()))
+        return self._last_plan
 
     def _absorb(self, test: GroupReading, ctrl: GroupReading) -> None:
         """Absorb one reading pair into the record, then the raw log.
 
         Raises ``UnknownKeyError`` for a candidate outside the bucket, a
         metric outside the problem or a control that is not the base,
+        ``FutureRoundError`` for a round after the current one,
         ``DegenerateBaseError`` for an hour with no finite lift or one that
         would overflow its key's running sums, and ``DuplicateRoundError``
         for a key already absorbed.  A refused pair changes nothing.
@@ -378,6 +379,8 @@ class Scheduler:
             )
         if ctrl.candidate_id != self.problem.base.id:
             raise UnknownKeyError(f"control reading names candidate {ctrl.candidate_id}")
+        if test.round > self._round:
+            raise FutureRoundError(f"round {test.round} is after the current hour {self._round}")
         stat = _hourly_stat(self.config, test, ctrl)
         self.record.absorb(test.candidate_id, test.metric, test.round, stat)
         self._raw_log.append((test, ctrl))
@@ -386,20 +389,29 @@ class Scheduler:
         """Absorb feedback rows; a refused row is dropped (first write wins).
 
         Rows for an unknown candidate or metric or whose control is not the
-        base, hours that admit no finite lift estimate or would overflow
-        their key's running sums, and repeated keys are dropped.  Returns
-        the number of rows newly absorbed.  Batches may arrive in any order
-        and for any origin round.
+        base, from a later round, hours that admit no finite lift estimate
+        or would overflow their key's running sums, and repeated keys are
+        dropped.  Returns the number of rows newly absorbed.  Batches may
+        arrive in any order and for any origin round up to the current one.
         """
         absorbed = 0
         for batch in batches:
             for test, ctrl in batch.readings:
                 try:
                     self._absorb(test, ctrl)
-                except (UnknownKeyError, DegenerateBaseError, DuplicateRoundError):
+                except (
+                    UnknownKeyError, FutureRoundError, DegenerateBaseError, DuplicateRoundError
+                ):
                     continue
                 absorbed += 1
         return absorbed
+
+    def idle(self, inbound: Iterable[InboundBatch] = ()) -> None:
+        """Let one hour pass without a decision: absorb, advance the round,
+        draw nothing.  The last plan stays in force."""
+        self.ingest(inbound)
+        self._round += 1
+        self.last_selection = None
 
     def run_round(self, inbound: Iterable[InboundBatch] = ()) -> RoundPlan:
         """Advance one round: absorb, select, maybe propose, plan.
@@ -413,7 +425,7 @@ class Scheduler:
         try:
             ids, mu, var = beliefs(self._bucket.values(), self.record, self.problem)
         except NoDataError:
-            if not self._exposed:
+            if self._last_plan is None:
                 raise ColdStartError(
                     "no candidate has data and the initial bucket was never "
                     "scheduled; emit the initial plan first"
@@ -443,12 +455,11 @@ class Scheduler:
                     self.problem,
                     self.config.proposal_samples,
                     self.rng,
-                    new_id=self._next_id,
+                    new_id=self.next_id,
                 )
                 newcomer = prop.proposed
                 self._bucket[newcomer.id] = newcomer
                 self._created_round[newcomer.id] = round_no
-                self._next_id += 1
                 units[newcomer.id] += 1  # one winner-unit of traffic
             plan = self._plan_from_units(round_no, units)
 
@@ -464,8 +475,6 @@ class Scheduler:
 
         manifest = Manifest(
             round=self._round,
-            next_id=self._next_id,
-            exposed=self._exposed,
             rng_state=self.rng.bit_generator.state,
             config=self.config,
             problem=self.problem,
@@ -526,8 +535,6 @@ class Scheduler:
                 bucket=bucket,
                 created_round=created,
                 round_no=manifest.round,
-                next_id=manifest.next_id,
-                exposed=manifest.exposed,
                 last_plan=manifest.last_plan,
             )
         except ValueError as exc:

@@ -172,8 +172,9 @@ def propose(surrogate, problem, n_samples, rng, new_id):
 
 class Loop:
     """The round loop from a bucket drawn uniformly from the base's box.
-    ``last_selection`` is ``(winners, infeasible count)`` and ``last_proposal``
-    ``(candidate, predicted (mu, var))``, or None where the round stopped."""
+    ``round`` counts wall hours, decided or idle.  ``last_selection`` is
+    ``(winners, infeasible count)`` and ``last_proposal`` ``(candidate,
+    predicted (mu, var))``, or None where the hour stopped or idled."""
 
     def __init__(self, problem, config, rng) -> None:
         self.problem, self.config, self.rng = problem, config, rng
@@ -196,12 +197,14 @@ class Loop:
 
     def ingest(self, batches) -> None:
         """Absorb each reading pair of a known candidate and metric against
-        the base: its lift, or with ``raw`` the test group's mean and the
-        variance of that mean.  Drop the rest and the rows refused."""
+        the base, from this hour or before: its lift, or with ``raw`` the test
+        group's mean and the variance of that mean.  Drop the rest and the
+        rows refused."""
         base, metrics = self.problem.base.id, self.problem.metrics
         for test, ctrl in (pair for batch in batches for pair in batch.readings):
             cid, metric = test.candidate_id, test.metric
-            if cid in self.bucket and metric in metrics and ctrl.candidate_id == base:
+            known = cid in self.bucket and metric in metrics and ctrl.candidate_id == base
+            if known and test.round <= self.round:
                 with suppress(DegenerateBaseError, DuplicateRoundError):
                     self.record.absorb(cid, metric, test.round, self._hour(test, ctrl))
 
@@ -209,6 +212,12 @@ class Loop:
         if self.config.normalization == "raw":
             return DeltaStat(test.sample_mean, test.sample_var / test.group_size, test.group_size)
         return hourly_delta_stat(test, ctrl, self.config.taylor_mode)
+
+    def idle(self, inbound=()) -> None:
+        """Absorb, and let the hour pass: no draw, and the last plan stands."""
+        self.ingest(inbound)
+        self.round += 1
+        self.last_selection = self.last_proposal = None
 
     def run_round(self, inbound=()) -> RoundPlan:
         """Absorb, select, draw ``u``, and only when ``u`` is below

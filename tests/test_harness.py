@@ -342,13 +342,26 @@ class TestCampaignRuns:
         run = SingleRun(3, tiny_config(variant="synchronous", rounds=12))
         idle = []
         for r in range(12):
-            before = run.sched.round
             run.run_to(r + 1)
-            if r > 0 and run.sched.round == before:
+            if run.sched.last_plan.round != r:
                 idle.append(r)
         assert any(run.rows[r - 1].winner_id is not None for r in idle)
         for r in idle:
             assert run.rows[r] == run.rows[r - 1]._replace(round=r)
+
+    def test_synchronous_clock_is_the_wall_hour(self):
+        """Seed 42 over 30 hours: the scheduler's round is the hour after
+        every hour, idle or not, and every plan carries the hour that
+        emitted it."""
+        run = SingleRun(42, ExperimentConfig(variant="synchronous", seeds=(42,)))
+        plans = []
+        for r in range(30):
+            run.run_to(r + 1)
+            assert run.sched.round == r
+            if not plans or run.sched.last_plan is not plans[-1]:
+                plans.append(run.sched.last_plan)
+                assert plans[-1].round == r
+        assert 1 < len(plans) < 30
 
     def test_run_to_never_runs_backwards(self):
         run = SingleRun(3, tiny_config(seeds=(3,)))
@@ -417,7 +430,8 @@ class TestCheckpointResume:
         run.save_checkpoint(str(tmp_path / "ckpt"))
         state_path = tmp_path / "ckpt" / "run.json"
         state = json.loads(state_path.read_text())
-        for version in (2, 99):    # version 2 stored the landscape in env.json
+        # version 2 stored the landscape in env.json, version 3 next_round
+        for version in (2, 3, 99):
             state["format_version"] = version
             state_path.write_text(json.dumps(state))
             with pytest.raises(HarnessConfigError, match=f"version {version}"):
@@ -470,6 +484,18 @@ class TestCheckpointResume:
             with pytest.raises(HarnessConfigError, match="another run"):
                 SingleRun.resume(str(directory))
 
+    def test_resume_refuses_a_store_of_another_hour(self, tmp_path):
+        """A checkpoint saved at hour 5 whose ``scheduler/`` was then
+        overwritten by the same run's hour-8 store, as a crash between the
+        store and ``run.json`` leaves it, does not resume."""
+        run = SingleRun(3, tiny_config(seeds=(3,), rounds=8))
+        run.run_to(5)
+        run.save_checkpoint(str(tmp_path))
+        run.run_to(8)
+        run.sched.persist(str(tmp_path / "scheduler"))
+        with pytest.raises(HarnessConfigError, match="5 rows.*round 7"):
+            SingleRun.resume(str(tmp_path))
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -478,8 +504,8 @@ class TestCheckpointResume:
             lambda d: d["config"].update(rounds="x"),
             lambda d: d.pop("env_rng_state"),
             lambda d: d["env_rng_state"].update(bit_generator="MT19937"),
-            # the rows would resume as rounds [0, 1, 6, 7]
-            lambda d: d.update(next_round=6),
+            # the rows stop a round short of the scheduler store
+            lambda d: d["rows"].pop(),
             lambda d: d["rows"].reverse(),
         ],
         ids=[

@@ -2,6 +2,7 @@
 and source guards that parse the code with ``ast``."""
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ from zotune.gp import GpSurrogate
 from zotune.harness import ExperimentConfig, SingleRun
 
 
-def lock_step(seed, rounds, monkeypatch):
-    """Run the ``full`` variant and the spec on the same inbound batches;
-    yield each round's number, the spec's proposal, and ``(field, loop's
-    value, spec's value)`` triples in the order the round computes them."""
-    predicted, inbound = [], []
+def lock_step(cfg, seed, monkeypatch):
+    """Run campaign ``cfg`` on ``seed`` and the spec on the same inbound
+    batches, each hour through the call the harness made (``run_round`` or
+    ``idle``); yield each hour's number, the spec's proposal, and ``(field,
+    loop's value, spec's value)`` triples in the order the hour computes them."""
+    predicted, calls = [], []
     predict = GpSurrogate.predict_batch
 
     def spy_predict(self, thetas):
@@ -25,28 +27,34 @@ def lock_step(seed, rounds, monkeypatch):
         return predicted[-1]
 
     monkeypatch.setattr(GpSurrogate, "predict_batch", spy_predict)
-    run = SingleRun(seed, ExperimentConfig(variant="full", seeds=(seed,), rounds=rounds))
+    run = SingleRun(seed, replace(cfg, seeds=(seed,)))
     sched = run.sched
-    run_round = sched.run_round
+    for name in ("run_round", "idle"):
+        def spy(batches, name=name, method=getattr(sched, name)):
+            calls.append((name, list(batches)))
+            return method(calls[-1][1])
 
-    def spy_run_round(batches):
-        inbound.append(list(batches))
-        return run_round(inbound[-1])
-
-    sched.run_round = spy_run_round
+        setattr(sched, name, spy)
     loop = spec.Loop(
         sched.problem, sched.config,
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,))),
     )
-    for r in range(rounds):
-        inbound.clear()
+    for r in range(cfg.rounds):
+        calls.clear()
         predicted.clear()
         next_id = sched.next_id
         run.run_to(r + 1)
-        plan = loop.run_round(*inbound) if r else loop.initial_plan()
+        if r == 0:
+            loop.initial_plan()
+        for name, batches in calls:
+            getattr(loop, name)(batches)
         sel, (proposed, prediction) = sched.last_selection, loop.last_proposal or (None, None)
         newcomer = sched.bucket[-1] if sched.next_id > next_id else None
+        absorbed = sorted((t.candidate_id, t.metric, t.round) for t, _ in sched._raw_log)
         yield r, proposed, [
+            ("round", sched.round, r),
+            ("absorbed rows", absorbed,
+             sorted((cid, m, h) for (cid, m), hours in loop.record.hours.items() for h in hours)),
             ("winners", sel and sel.winners, loop.last_selection and loop.last_selection[0]),
             ("infeasible count", sel and sel.infeasible_rounds,
              loop.last_selection and loop.last_selection[1]),
@@ -54,23 +62,47 @@ def lock_step(seed, rounds, monkeypatch):
              prediction and [a.tolist() for a in prediction]),
             ("proposed theta", newcomer and (newcomer.id, newcomer.theta),
              proposed and (proposed.id, proposed.theta)),
-            ("plan", sched.last_plan, plan),
+            ("plan", sched.last_plan, loop.last_plan),
             ("generator state", sched.rng.bit_generator.state, loop.rng.bit_generator.state),
         ]
 
 
-@pytest.mark.bitwise
-def test_full_runs_match_the_spec_round_by_round(monkeypatch):
-    """Seeds 42 and 40 over 30 rounds: every decision equals the spec's,
-    bit for bit; the first field that differs is named with its round."""
+def assert_lock_step(cfg, monkeypatch):
+    """Seeds 42 and 40: every hour equals the spec's, bit for bit; the first
+    field that differs is named with its hour.  Returns each seed's number
+    of proposals."""
+    proposals = []
     for seed in (42, 40):
-        proposals = 0
-        for r, proposed, fields in lock_step(seed, 30, monkeypatch):
+        proposals.append(0)
+        for r, proposed, fields in lock_step(cfg, seed, monkeypatch):
             for name, got, expected in fields:
                 if got != expected:
-                    pytest.fail(f"seed {seed} round {r}: {name} differs from the spec")
-            proposals += proposed is not None
-        assert proposals >= 20  # the fit, the prediction and the proposal ran
+                    pytest.fail(f"{cfg.variant} seed {seed} round {r}: {name} differs from the spec")
+            proposals[-1] += proposed is not None
+    return proposals
+
+
+@pytest.mark.bitwise
+def test_full_runs_match_the_spec_round_by_round(monkeypatch):
+    """The ``full`` variant over 30 rounds, with the fit, the prediction and
+    the proposal run in most of them."""
+    assert min(assert_lock_step(ExperimentConfig(variant="full"), monkeypatch)) >= 20
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(variant="raw-metric"),
+        ExperimentConfig(variant="no-proposal"),
+        ExperimentConfig(variant="synchronous"),
+        ExperimentConfig(variant="full", fixed_delay=6),
+    ],
+    ids=["raw-metric", "no-proposal", "synchronous", "full-delay-6"],
+)
+def test_gate_campaigns_match_the_spec_round_by_round(cfg, monkeypatch):
+    """The other campaigns of the acceptance gate, idle hours included."""
+    assert_lock_step(cfg, monkeypatch)
 
 
 # What the spec may import from zotune: data types, exceptions, constants,
