@@ -31,8 +31,18 @@ BLAS's ``dtrsm`` through the function pointers scipy exports in
 ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` reach, in
 the same library, so the bits are theirs; but ctypes releases the GIL for
 the call, where scipy's wrappers hold it, so a fit can run on one thread
-while another draws random numbers.  ``run_beside`` runs one call on a
-short-lived thread beside the caller and joins it on every path.
+while another draws random numbers.
+
+A ``Helper`` is one worker thread for the length of a ``with`` block: it
+runs the calls submitted to it in order, hands each one's value or error
+back through ``Call.result()``, and is joined on every path.  A call the
+helper has not started while it is busy with an earlier one is claimed by
+``result()`` and run on the caller instead, so the caller never waits for
+work it could do itself (Blumofe & Leiserson, "Scheduling Multithreaded
+Computations by Work Stealing", JACM 1999).  A decided round has one: the
+scheduler submits the GP fit first, ``optimizer.select`` then the scoring
+of each block of Thompson draws, and the prediction its kernel half and
+solves.
 
 The two table modules are loaded straight from their files in scipy's
 ``linalg`` directory, after ``import scipy`` has set up the bundled
@@ -47,7 +57,7 @@ module; only the package attribute ``scipy.linalg.cython_blas`` is then
 left unset.  ``_bind`` checks each capsule's C signature, which proves the
 pointer is scipy's routine.
 
-A prediction uses two cores: a helper thread builds the kernel rows of the
+A prediction uses two cores: the helper builds the kernel rows of the
 second half of the queries while the caller builds the first, then solves
 every metric past the first while the caller solves metric 0.  Every kernel
 entry is elementwise and each metric's solve reads only its own factor and
@@ -72,7 +82,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 import scipy
@@ -149,37 +159,101 @@ _dtrsm = _bind(
 
 
 _T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
-def run_beside(helper: Callable[[], _T], own: Callable[[], _U]) -> tuple[_U, _T | Exception]:
-    """Run ``helper`` on a short-lived thread while the caller runs ``own``.
+class Call(Generic[_T]):
+    """One call submitted to a ``Helper``; ``result()`` waits for it."""
 
-    Returns ``own()`` and what ``helper()`` returned or raised.  The thread
-    is joined on every path; an error of ``own`` propagates after the join.
-    """
-    outcome: list = []
+    def __init__(self, helper: "Helper", fn: Callable[..., _T], args: tuple) -> None:
+        self._helper = helper
+        self._fn = fn
+        self._args = args
+        self._started = False
+        self._done = False
+        self._value: _T | None = None
+        self._error: BaseException | None = None
 
-    def target() -> None:
+    def _run(self) -> None:
         try:
-            outcome.append(helper())
-        except Exception as exc:  # handed to the caller
-            outcome.append(exc)
+            value, error = self._fn(*self._args), None
+        except BaseException as exc:  # re-raised by result(); a helper
+            value, error = None, exc  # that died here would leave it waiting
+        helper = self._helper
+        with helper._cond:
+            self._value, self._error, self._done = value, error, True
+            if helper._running is self:
+                helper._running = None
+            helper._cond.notify_all()
 
-    thread = threading.Thread(target=target, name="zotune-helper")
-    thread.start()
-    try:
-        result = own()
-    finally:
-        thread.join()
-    return result, outcome[0]
+    def result(self) -> _T:
+        """The call's value, or its error raised.
+
+        A call the helper has not started while it runs an earlier one is
+        claimed and run here, on the caller; otherwise this waits for the
+        helper to finish it, so a call handed to an idle helper runs there.
+        """
+        helper = self._helper
+        with helper._cond:
+            claim = not self._started and helper._running is not None
+            if claim:
+                helper._queue.remove(self)
+                self._started = True
+            else:
+                while not self._done:
+                    helper._cond.wait()
+        if claim:
+            self._run()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
-def _both(helper: Callable[[], None], own: Callable[[], None]) -> None:
-    """``run_beside`` for two calls that return nothing; either's error is raised."""
-    _, error = run_beside(helper, own)
-    if error is not None:
-        raise error
+class Helper:
+    """One worker thread beside the caller, for the length of a ``with``.
+
+    ``submit`` queues a call and returns its ``Call``; the thread runs the
+    queue in order.  Leaving the block runs what is still queued and joins
+    the thread, also when the block raises, so no thread outlives it.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._queue: list[Call] = []
+        self._running: Call | None = None
+        self._open = False
+        self._thread = threading.Thread(target=self._serve, name="zotune-helper")
+
+    def __enter__(self) -> "Helper":
+        self._open = True
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._cond:
+            self._open = False
+            self._cond.notify_all()
+        self._thread.join()
+
+    def submit(self, fn: Callable[..., _T], *args) -> Call[_T]:
+        call = Call(self, fn, args)
+        with self._cond:
+            if not self._open:
+                raise RuntimeError("the helper is not running")
+            self._queue.append(call)
+            self._cond.notify_all()
+        return call
+
+    def _serve(self) -> None:
+        cond = self._cond
+        while True:
+            with cond:
+                while self._open and not self._queue:
+                    cond.wait()
+                if not self._queue:
+                    return
+                call = self._running = self._queue.pop(0)
+                call._started = True
+            call._run()
 
 
 def _int(value: int):
@@ -419,7 +493,7 @@ class GpSurrogate:
     Build one with :meth:`fit`; instances are immutable and prediction is a
     pure function of the fitted state, so repeated calls are bitwise
     reproducible.  Neither touches shared state, so a fit may run on a
-    thread of its own, and a prediction runs on two.
+    helper thread, and a prediction runs on the caller and a helper.
     """
 
     def __init__(
@@ -536,13 +610,15 @@ class GpSurrogate:
         if np.any(thetas < self._lo) or np.any(thetas > self._hi):
             raise RejectedInputError("query outside the fitted bounds box")
 
-    def predict_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_batch(
+        self, thetas: np.ndarray, *, helper: Helper | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at query points.
 
         Returns ``(mu, var)`` of shape ``(q, M)``.  Variances are the latent
         posterior variances, clamped at zero, and never exceed the signal
-        variance plus jitter.  The work runs on two threads, with the
-        bits of one.
+        variance plus jitter.  The work runs on the caller and on
+        ``helper``, or on a helper of its own, with the bits of one thread.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -551,6 +627,12 @@ class GpSurrogate:
             )
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
+        if helper is None:
+            with Helper() as helper:
+                return self._predict(xq, helper)
+        return self._predict(xq, helper)
+
+    def _predict(self, xq: np.ndarray, helper: Helper) -> tuple[np.ndarray, np.ndarray]:
         q, n = xq.shape[0], self._x.shape[0]
         scales = [gk.signal_var for gk in self._gps]
         kqs = [np.empty((q, n)) for _ in self._gps]                   # (q, n)
@@ -571,10 +653,14 @@ class GpSurrogate:
                 var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
 
         h = (q + 1) // 2
-        _both(lambda: kernels(slice(h, None)), lambda: kernels(slice(h)))
+        upper = helper.submit(kernels, slice(h, None))
+        kernels(slice(h))
+        upper.result()
         all_metrics = range(self.n_metrics)
         if self.n_metrics == 1:
             solve(all_metrics)
         else:
-            _both(lambda: solve(all_metrics[1:]), lambda: solve(all_metrics[:1]))
+            rest = helper.submit(solve, all_metrics[1:])
+            solve(all_metrics[:1])
+            rest.result()
         return mu, var

@@ -14,10 +14,15 @@ arrays once per decision; ``select`` draws and scores them, so a caller can
 hand the same read-only beliefs to the GP fit while the draws run.
 
 The draws are one ``(K, n, M)`` standard-normal stream in C order:
-repetition, then candidate in id order, then metric.  Selection draws and
-scores it in blocks of whole repetitions, about 1 MiB each, so memory stays
-flat in K while the draws, winners and generator state stay those of a
-single ``(K, n, M)`` draw.
+repetition, then candidate in id order, then metric.  Selection draws it in
+blocks of whole repetitions into four buffers of about 256 KiB, so memory
+stays flat in K while the draws, winners and generator state stay those of
+a single ``(K, n, M)`` draw.  The caller keeps the generator and only
+draws; each block's scoring (scale, shift, slacks, objective, winners) goes
+to a ``gp.Helper``, which scores it while the caller draws the next block,
+unless the caller claims it first because the helper is still busy (say,
+with the GP fit).  A buffer is drawn into again only after its last scoring
+has finished.
 
 Proposal explores the surrogate's continuous box instead of the bucket: it
 scores N uniformly sampled configurations through a fitted surrogate with one
@@ -34,10 +39,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .deltastats import EstimateRecord, NoDataError
-from .gp import GpSurrogate
+from .gp import Call, GpSurrogate, Helper
 from .problem import HyperParam, TuningProblem
 
-_DRAW_BLOCK = 1 << 17  # doubles in one block of Thompson draws (1 MiB)
+_DRAW_BLOCK = 1 << 17  # doubles of Thompson draws in flight (1 MiB)
+_BUFFERS = 4           # draw buffers sharing them
 
 
 class RejectedSurrogateError(ValueError):
@@ -139,13 +145,16 @@ def select(
     problem: TuningProblem,
     k_repetitions: int,
     rng: np.random.Generator,
+    *,
+    helper: Helper | None = None,
 ) -> SelectionResult:
     """Run K Thompson repetitions over candidates' beliefs, as ``beliefs`` returns them.
 
     Row ``i`` of the ``(n, M)`` arrays ``mu`` and ``var`` belongs to
     ``candidate_ids[i]``, and the ids must be strictly increasing, so that
     ties go to the lowest id.  Beliefs must be finite: the fallback would
-    take a NaN slack as the largest.
+    take a NaN slack as the largest.  Each drawn block is scored on
+    ``helper``, or on a helper of its own, while the caller draws the next.
     """
     if k_repetitions < 1:
         raise ValueError("selection needs at least one repetition")
@@ -159,23 +168,53 @@ def select(
     if np.any(var < 0):
         raise ValueError("belief variances must be nonnegative")
 
-    # The generator fills draws in C order, and each repetition's objective
-    # and slacks are one product per repetition, so drawing and scoring the
-    # repetitions block by block gives the draws, winners and generator
-    # state of one (K, n, M) array in a fixed, small amount of memory.
+    if helper is None:
+        with Helper() as helper:
+            return _thompson(ids, mu, var, problem, k_repetitions, rng, helper)
+    return _thompson(ids, mu, var, problem, k_repetitions, rng, helper)
+
+
+def _thompson(
+    ids: np.ndarray,
+    mu: np.ndarray,
+    var: np.ndarray,
+    problem: TuningProblem,
+    k_repetitions: int,
+    rng: np.random.Generator,
+    helper: Helper,
+) -> SelectionResult:
+    """``select``'s draws and scores, pipelined over ``_BUFFERS`` buffers.
+
+    The generator fills draws in C order, and each repetition's objective
+    and slacks are one product per repetition, so drawing the repetitions
+    block by block, in order, and scoring each block on its own gives the
+    draws, winners and generator state of one (K, n, M) array.  The caller
+    draws block i into buffer i mod ``_BUFFERS`` and hands its scoring to
+    ``helper``, which writes the block's winners into its own slice; a
+    buffer is drawn into again only after its last scoring has finished.
+    """
     sd = np.sqrt(var)
-    block = np.empty((min(k_repetitions, max(1, _DRAW_BLOCK // mu.size)),) + mu.shape)
+    reps = min(k_repetitions, max(1, _DRAW_BLOCK // _BUFFERS // mu.size))
+    starts = range(0, k_repetitions, reps)
+    buffers = np.empty((min(_BUFFERS, len(starts)), reps) + mu.shape)
     winner_cols = np.empty(k_repetitions, dtype=np.intp)
-    infeasible = 0
-    for k0 in range(0, k_repetitions, block.shape[0]):
-        k1 = min(k0 + block.shape[0], k_repetitions)
-        draws = rng.standard_normal(out=block[: k1 - k0])   # (k1 - k0, n, M)
+
+    def score(draws: np.ndarray, k0: int, k1: int) -> int:
         draws *= sd
         draws += mu
         slack = problem.constraint_slack_batch(draws)        # (m, k1 - k0, n)
         fvals = problem.objective_batch(draws)               # (k1 - k0, n)
-        winner_cols[k0:k1], block_infeasible, _ = _winner_indices(fvals, slack)
-        infeasible += block_infeasible
+        winner_cols[k0:k1], infeasible, _ = _winner_indices(fvals, slack)
+        return infeasible
+
+    scored: list[Call[int]] = []
+    for i, k0 in enumerate(starts):
+        k1 = min(k0 + reps, k_repetitions)
+        if i >= _BUFFERS:
+            scored[i - _BUFFERS].result()
+        draws = rng.standard_normal(out=buffers[i % _BUFFERS, : k1 - k0])
+        scored.append(helper.submit(score, draws, k0, k1))
+    infeasible = sum(call.result() for call in scored)
     return SelectionResult(
         winners=tuple(ids[winner_cols].tolist()),
         infeasible_rounds=infeasible,
@@ -188,13 +227,16 @@ def propose(
     n_samples: int,
     rng: np.random.Generator,
     new_id: int,
+    *,
+    helper: Helper | None = None,
 ) -> ProposalResult:
     """Pick one new configuration from N uniform samples scored by the surrogate.
 
     The samples are drawn from the surrogate's box.  Each sample gets a
     predicted belief and a single Thompson draw; the feasible draw with the
     highest objective wins (fallback: largest worst-constraint slack).  The
-    returned candidate carries ``new_id``, which must be unused.
+    returned candidate carries ``new_id``, which must be unused.  The
+    prediction shares its work with ``helper``, or with a helper of its own.
     """
     if not isinstance(surrogate, GpSurrogate):
         raise RejectedSurrogateError("proposal requires a fitted surrogate")
@@ -205,7 +247,7 @@ def propose(
     hi = np.array([b[1] for b in bounds])
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
-    mu, var = surrogate.predict_batch(thetas)
+    mu, var = surrogate.predict_batch(thetas, helper=helper)
     draws = rng.standard_normal(mu.shape)                       # (N, M)
     draws *= np.sqrt(var)
     draws += mu

@@ -9,13 +9,16 @@ across winners in proportion to how many repetitions each one won.  A round
 is a wall hour: an hour that waits calls ``idle``, which absorbs and
 advances the one clock without drawing, so a plan's ``round`` is its hour.
 
-The GP fit needs only the beliefs the selection reads, not its draws, so
-``run_round`` runs the fit through ``gp.run_beside`` on one short-lived
-helper thread and draws the selection meanwhile; the fit's LAPACK calls
-release the GIL.  The proposal then predicts on two threads as well
-(``GpSurrogate.predict_batch``).  The random stream and every result are
-those of the one-thread order (select, draw ``u``, then fit and propose),
-and the fit's error is raised only in a round that proposes.
+A round that draws opens one ``gp.Helper`` thread, joined before
+``run_round`` returns or raises; idle hours and rounds without data start
+none.  The GP fit needs only the beliefs the selection reads, not its
+draws, so the helper's work is, in order: the fit, then the scoring of each
+block of Thompson draws that the caller has not claimed, then the
+prediction's kernel half and solves.  The caller keeps the generator: it
+draws every selection block, ``u``, and the proposal's samples and draws,
+in the one-thread order (select, draw ``u``, then fit and propose), so the
+random stream and every result are that order's.  The fit's result, and its
+error, are taken only in a round that proposes.
 
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
@@ -51,7 +54,7 @@ from .deltastats import (
     TaylorMode,
     hourly_delta_stat,
 )
-from .gp import GpSurrogate, run_beside
+from .gp import GpSurrogate, Helper
 from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem
 
@@ -247,9 +250,10 @@ def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> 
 class Scheduler:
     """Owns the bucket, the estimate record, the rng stream, and the round loop.
 
-    A scheduler is driven from one thread.  ``run_round`` starts
-    short-lived helper threads for the GP fit and the prediction, and
-    joins each before returning or raising, so no thread outlives a call.
+    A scheduler is driven from one thread.  ``run_round`` starts one
+    helper thread for the GP fit, the selection's scoring and the
+    prediction, and joins it before returning or raising, so no thread
+    outlives a call.
 
     Ids are fresh by construction: the base's and the bucket's are
     distinct, the last plan names bucket candidates only, and the next
@@ -434,33 +438,29 @@ class Scheduler:
             self.last_selection = None
         else:
             eligible = [self._bucket[cid] for cid in ids.tolist()]
-
-            def draw() -> tuple[SelectionResult, float]:
-                sel = select(ids, mu, var, self.problem, self.config.select_count, self.rng)
-                return sel, self.rng.random()
-
-            # The fit runs beside the draws; its result, or its error, is
-            # used only if the round proposes.
-            if self.config.proposal_prob > 0.0:
-                (sel, u), surrogate = run_beside(lambda: GpSurrogate.fit(eligible, mu, var), draw)
-            else:
-                (sel, u), surrogate = draw(), None
-            self.last_selection = sel
-            units = Counter(sel.winners)
-            if u < self.config.proposal_prob:
-                if isinstance(surrogate, Exception):
-                    raise surrogate
-                prop = propose(
-                    surrogate,
-                    self.problem,
-                    self.config.proposal_samples,
-                    self.rng,
-                    new_id=self.next_id,
-                )
-                newcomer = prop.proposed
-                self._bucket[newcomer.id] = newcomer
-                self._created_round[newcomer.id] = round_no
-                units[newcomer.id] += 1  # one winner-unit of traffic
+            cfg = self.config
+            with Helper() as helper:
+                # The fit goes first on the helper; its result, or its
+                # error, is used only if the round proposes.
+                if cfg.proposal_prob > 0.0:
+                    fit = helper.submit(GpSurrogate.fit, eligible, mu, var)
+                sel = select(ids, mu, var, self.problem, cfg.select_count, self.rng, helper=helper)
+                u = self.rng.random()
+                self.last_selection = sel
+                units = Counter(sel.winners)
+                if u < cfg.proposal_prob:
+                    prop = propose(
+                        fit.result(),
+                        self.problem,
+                        cfg.proposal_samples,
+                        self.rng,
+                        new_id=self.next_id,
+                        helper=helper,
+                    )
+                    newcomer = prop.proposed
+                    self._bucket[newcomer.id] = newcomer
+                    self._created_round[newcomer.id] = round_no
+                    units[newcomer.id] += 1  # one winner-unit of traffic
             plan = self._plan_from_units(round_no, units)
 
         self._round = round_no

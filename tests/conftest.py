@@ -1,8 +1,10 @@
-"""Suite-wide guards."""
+"""Suite-wide guards, and a helper thread held busy."""
 
 import threading
 
 import pytest
+
+from zotune.gp import Helper
 
 
 @pytest.fixture(autouse=True)
@@ -13,3 +15,22 @@ def no_thread_outlives_its_test():
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
     assert not leaked, f"threads left alive: {leaked}"
+
+
+@pytest.fixture
+def busy_helper():
+    """A ``Helper`` whose thread runs a first call that lasts until the test
+    ends, so the caller claims every call submitted to it."""
+    started, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        started.set()
+        release.wait(timeout=120)
+
+    with Helper() as helper:
+        helper.submit(hold)
+        assert started.wait(timeout=60), "the helper never started its first call"
+        try:
+            yield helper
+        finally:
+            release.set()

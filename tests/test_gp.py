@@ -545,48 +545,43 @@ def _fitted(n, n_metrics, seed):
     return GpSurrogate.fit(bucket, mus, noises), rng
 
 
-def _count_splits(monkeypatch):
-    """Record each ``run_beside`` call a prediction makes."""
-    calls = []
-    run_beside = gp_module.run_beside
+def _record_submits(monkeypatch):
+    """Record the thread that runs each call a prediction hands to a helper."""
+    threads = []
+    submit = gp_module.Helper.submit
 
-    def spy(helper, own):
-        calls.append(threading.current_thread().name)
-        return run_beside(helper, own)
+    def spy(self, fn, *args):
+        def call(*call_args):
+            threads.append(threading.current_thread())
+            return fn(*call_args)
 
-    monkeypatch.setattr(gp_module, "run_beside", spy)
-    return calls
+        return submit(self, call, *args)
 
-
-def _in_turn(helper, own):
-    """``run_beside`` on the caller alone: ``own``, then ``helper``."""
-    result = own()
-    try:
-        return result, helper()
-    except Exception as exc:
-        return result, exc
+    monkeypatch.setattr(gp_module.Helper, "submit", spy)
+    return threads
 
 
 @pytest.mark.bitwise
 class TestTwoThreadPredict:
     """The kernel rows are built in two halves and the metrics solved on two
-    threads; the bits are those of the kernel built whole and every metric
-    solved on the caller.  Odd ``q`` splits the rows unevenly, and one metric
-    splits the kernel only."""
+    threads; the bits are those of the same calls all run on the caller, by
+    a helper that is busy, so the caller claims them.  Odd ``q`` splits the
+    rows unevenly, and one metric splits the kernel only."""
 
     @pytest.mark.parametrize("n_metrics", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
-    def test_split_matches_one_thread(self, monkeypatch, n, n_metrics):
+    def test_split_matches_one_thread(self, monkeypatch, busy_helper, n, n_metrics):
         gp, rng = _fitted(n, n_metrics, 10 * n + n_metrics)
-        calls = _count_splits(monkeypatch)
+        threads = _record_submits(monkeypatch)
         for q in [1, 2, 3, 599, 600, 601]:
             queries = rng.uniform(size=(q, 2))
             mu, var = gp.predict_batch(queries)
-            assert len(calls) == (1 if n_metrics == 1 else 2)
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(gp_module, "run_beside", _in_turn)
-                one_mu, one_var = gp.predict_batch(queries)
+            assert len(threads) == (1 if n_metrics == 1 else 2)
+            assert all(thread.name == "zotune-helper" for thread in threads)
+            threads.clear()
+            one_mu, one_var = gp.predict_batch(queries, helper=busy_helper)
+            assert threads == [threading.main_thread()] * (1 if n_metrics == 1 else 2)
+            threads.clear()
             assert np.array_equal(mu, one_mu)
             assert np.array_equal(var, one_var)
 
@@ -607,15 +602,54 @@ class TestTwoThreadPredict:
                 assert np.array_equal(half, kq)
 
 
-class TestRunBeside:
-    def test_returns_both_results_and_the_helpers_error(self):
-        assert gp_module.run_beside(lambda: 1, lambda: 2) == (2, 1)
-        error = ValueError("helper failed")
+class TestHelper:
+    def test_calls_run_in_submission_order_on_the_helper(self):
+        ran = []
+
+        def record(i):
+            ran.append((i, threading.current_thread().name))
+            return i * i
+
+        with gp_module.Helper() as helper:
+            calls = [helper.submit(record, i) for i in range(20)]
+            assert [call.result() for call in calls] == [i * i for i in range(20)]
+        assert ran == [(i, "zotune-helper") for i in range(20)]
+
+    def test_a_call_the_busy_helper_has_not_started_runs_on_the_caller(self):
+        started, release, ran = threading.Event(), threading.Event(), []
+
+        def hold():
+            started.set()
+            release.wait(timeout=60)
+
+        def record():
+            ran.append(threading.current_thread())
+            return len(ran)
+
+        with gp_module.Helper() as helper:
+            helper.submit(hold)
+            assert started.wait(timeout=60)
+            call = helper.submit(record)
+            assert call.result() == 1
+            release.set()
+        assert ran == [threading.main_thread()]   # claimed once, never run again
+        assert call.result() == 1
+
+    def test_errors_come_back_through_result(self, busy_helper):
+        error = ValueError("call failed")
 
         def fail():
             raise error
 
-        assert gp_module.run_beside(fail, lambda: 2) == (2, error)
+        with gp_module.Helper() as helper:
+            on_helper = helper.submit(fail)
+            with pytest.raises(ValueError) as raised:
+                on_helper.result()
+            assert raised.value is error
+        claimed = busy_helper.submit(fail)
+        with pytest.raises(ValueError) as raised:
+            claimed.result()
+        assert raised.value is error
 
     def test_callers_error_propagates_after_the_join(self):
         done = []
@@ -624,14 +658,61 @@ class TestRunBeside:
             time.sleep(0.05)
             done.append(True)
 
-        def fail():
-            raise ValueError("caller failed")
-
         threads = threading.active_count()
         with pytest.raises(ValueError, match="caller failed"):
-            gp_module.run_beside(slow, fail)
-        assert done == [True]
+            with gp_module.Helper() as helper:
+                helper.submit(slow)
+                helper.submit(slow)
+                raise ValueError("caller failed")
+        assert done == [True, True]
         assert threading.active_count() == threads
+
+    def test_every_call_runs_once_under_contention(self):
+        """Three callers, each with a helper, under a 10 us switch interval:
+        every call runs exactly once and returns its own value, whether
+        its result is waited for or claimed, in any order."""
+        runs = [[0] * 300 for _ in range(3)]
+        threads = [[None] * 300 for _ in range(3)]
+        outcomes = [None] * 3
+
+        def caller(c):
+            def count(i):
+                runs[c][i] += 1
+                threads[c][i] = threading.current_thread()
+                time.sleep(1e-4)
+                return i
+
+            order = np.random.default_rng(c).permutation(300)
+            with gp_module.Helper() as helper:
+                calls = [helper.submit(count, i) for i in range(300)]
+                outcomes[c] = [(int(i), calls[i].result()) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(c,)) for c in range(3)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert runs == [[1] * 300] * 3
+        for callers_thread, ran_on in zip(callers, threads):
+            assert callers_thread in ran_on                 # some calls were claimed
+            assert any(t.name == "zotune-helper" for t in ran_on)
+        assert all(sorted(outcome) == [(i, i) for i in range(300)] for outcome in outcomes)
+
+    def test_no_thread_outlives_the_block(self):
+        threads = threading.active_count()
+        with gp_module.Helper() as helper:
+            assert threading.active_count() == threads + 1
+            call = helper.submit(time.sleep, 0.02)
+        assert threading.active_count() == threads
+        assert call.result() is None
+        with pytest.raises(RuntimeError, match="not running"):
+            helper.submit(time.sleep, 0.0)
 
 
 class TestTwoThreadPredictFailures:

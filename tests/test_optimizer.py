@@ -5,6 +5,8 @@ repetition over deterministic lift vectors, and ``select`` draws and scores
 all K repetitions as one array.
 """
 
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -285,6 +287,23 @@ class TestSelect:
         with pytest.raises(ValueError, match="strictly increasing"):
             select(ids, mu, var, problem, 5, np.random.default_rng(0))
 
+    def test_scoring_error_on_the_helper_propagates(self, monkeypatch):
+        """One block, so the idle helper scores it; its error leaves
+        ``select`` after the join."""
+        bucket, (record, _), problem = random_selection_case(37, 3, 2)
+        scorers = []
+
+        def failing_winner_indices(fvals, slack):
+            scorers.append(threading.current_thread())
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(optimizer, "_winner_indices", failing_winner_indices)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            select(*beliefs(bucket, record, problem), problem, 3, np.random.default_rng(0))
+        assert [thread.name for thread in scorers] == ["zotune-helper"]
+        assert threading.active_count() == threads
+
     def test_modal_winner_tie_breaks_low_id(self):
         res = SelectionResult(
             winners=(5, 2, 5, 2), infeasible_rounds=0,
@@ -323,7 +342,11 @@ def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0)
 
 @pytest.mark.bitwise
 class TestBlockedSelectionReference:
-    """Drawing and scoring in blocks of repetitions changes no bit."""
+    """Drawing in blocks of repetitions, each scored on a helper thread or
+    claimed by the caller, changes no bit: with ``select``'s own helper,
+    with a helper held busy so that the caller scores every block, and with
+    its own helper under a 10 us switch interval, which hands the GIL back
+    and forth between the draws and the scoring many times per call."""
 
     CASES = {
         "one-candidate": dict(n=1, n_metrics=1, n_constraints=0),
@@ -337,12 +360,36 @@ class TestBlockedSelectionReference:
     @pytest.mark.parametrize("k", [3, 1001])
     @pytest.mark.parametrize("block", [None, 4096, 7777])
     def test_matches_single_array(self, monkeypatch, case, k, block):
+        self.check(monkeypatch, case, k, block, select)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("k", [3, 1001])
+    @pytest.mark.parametrize("block", [None, 4096, 7777])
+    def test_matches_single_array_when_the_caller_scores(
+        self, monkeypatch, busy_helper, case, k, block
+    ):
+        scorers = _record_scorers(monkeypatch)
+        self.check(monkeypatch, case, k, block, lambda *args: select(*args, helper=busy_helper))
+        assert set(scorers) == {threading.main_thread()}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("k", [3, 1001])
+    @pytest.mark.parametrize("block", [None, 4096, 7777])
+    def test_matches_single_array_under_frequent_switches(self, monkeypatch, case, k, block):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self.check(monkeypatch, case, k, block, select)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def check(self, monkeypatch, case, k, block, run_select):
         if block is not None:
             monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
         bucket, (record, ref_record), problem = random_selection_case(**self.CASES[case])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         ids, mu, var = beliefs(bucket, record, problem)
-        res = select(ids, mu, var, problem, k, rng)
+        res = run_select(ids, mu, var, problem, k, rng)
         ref_ids, ref_mu, ref_var = spec.beliefs(
             [hp.id for hp in bucket], ref_record, problem.metrics
         )
@@ -353,6 +400,19 @@ class TestBlockedSelectionReference:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if case == "all-infeasible":
             assert res.infeasible_rounds == k
+
+
+def _record_scorers(monkeypatch):
+    """Record the thread that scores each block of draws."""
+    threads = []
+    winner_indices = optimizer._winner_indices
+
+    def spy(fvals, slack):
+        threads.append(threading.current_thread())
+        return winner_indices(fvals, slack)
+
+    monkeypatch.setattr(optimizer, "_winner_indices", spy)
+    return threads
 
 
 def fit_linear_surrogate(rng, grid=12):

@@ -280,6 +280,28 @@ class TestRunRound:
         assert a_plans == b_plans
         assert a_bucket == b_bucket
 
+    def test_a_proposing_round_starts_one_thread(self, monkeypatch):
+        """The fit, the scoring and the prediction share one helper; an idle
+        hour and a round without data start none."""
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        sched = make_sched(proposal_prob=1.0, select_count=50, proposal_samples=20)
+        plan = sched.initial_plan()
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        sched.run_round([])                   # no candidate has data yet
+        assert started == []
+        sched.idle([])
+        assert started == []
+        next_id = sched.next_id
+        sched.run_round(_feedback(plan, np.random.default_rng(3)))
+        assert sched.next_id == next_id + 1   # it proposed
+        assert started == ["zotune-helper"]
+
 
 def _feedback(plan, rng, mean=None):
     """Feedback for every candidate of ``plan``, arriving the next round:
@@ -296,9 +318,9 @@ def _feedback(plan, rng, mean=None):
 
 @pytest.mark.bitwise
 class TestFitBesideSelection:
-    """``run_round`` fits the GP on a helper thread while it draws the
-    selection; every result, and the stream, equal the spec's one-thread
-    loop."""
+    """``run_round`` fits the GP, scores the selection's draws and shares
+    the prediction on one helper thread while it draws; every result, and
+    the stream, equal the spec's one-thread loop."""
 
     def assert_same_state(self, live, ref):
         assert [(hp.id, hp.theta) for hp in live.bucket] == [

@@ -2,6 +2,7 @@
 and source guards that parse the code with ``ast``."""
 
 import ast
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +23,8 @@ def lock_step(cfg, seed, monkeypatch):
     predicted, calls = [], []
     predict = GpSurrogate.predict_batch
 
-    def spy_predict(self, thetas):
-        predicted.append(predict(self, thetas))
+    def spy_predict(self, thetas, **kwargs):
+        predicted.append(predict(self, thetas, **kwargs))
         return predicted[-1]
 
     monkeypatch.setattr(GpSurrogate, "predict_batch", spy_predict)
@@ -67,12 +68,12 @@ def lock_step(cfg, seed, monkeypatch):
         ]
 
 
-def assert_lock_step(cfg, monkeypatch):
-    """Seeds 42 and 40: every hour equals the spec's, bit for bit; the first
+def assert_lock_step(cfg, monkeypatch, seeds=(42, 40)):
+    """Every hour of ``seeds`` equals the spec's, bit for bit; the first
     field that differs is named with its hour.  Returns each seed's number
     of proposals."""
     proposals = []
-    for seed in (42, 40):
+    for seed in seeds:
         proposals.append(0)
         for r, proposed, fields in lock_step(cfg, seed, monkeypatch):
             for name, got, expected in fields:
@@ -87,6 +88,19 @@ def test_full_runs_match_the_spec_round_by_round(monkeypatch):
     """The ``full`` variant over 30 rounds, with the fit, the prediction and
     the proposal run in most of them."""
     assert min(assert_lock_step(ExperimentConfig(variant="full"), monkeypatch)) >= 20
+
+
+@pytest.mark.bitwise
+def test_full_run_matches_the_spec_under_frequent_switches(monkeypatch):
+    """A 10 us switch interval hands the GIL back and forth between the
+    caller's draws and the helper's fit, scoring and prediction many times
+    per round; seed 42 still runs in lock step with the spec."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert assert_lock_step(ExperimentConfig(variant="full"), monkeypatch, seeds=(42,))[0] >= 20
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.bitwise
