@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -132,19 +132,22 @@ class ExperimentConfig:
             raise HarnessConfigError("rounds must be nonnegative")
         _check_threshold_fraction(self.threshold_fraction)
         try:
+            SchedulerConfig(proposal_prob=self.proposal_prob)    # also under no-proposal
             self.scheduler_config()
             check_knobs(**self.env_overrides())
         except ValueError as exc:
             raise HarnessConfigError(str(exc)) from None
 
     def scheduler_config(self) -> SchedulerConfig:
-        """The loop knobs as given, before the variant's toggles apply."""
+        """The campaign's loop config: the knobs as given, with ``raw``
+        normalization for ``raw-metric`` and no proposals for ``no-proposal``."""
         return SchedulerConfig(
             select_count=self.select_count,
             proposal_samples=self.proposal_samples,
-            proposal_prob=self.proposal_prob,
+            proposal_prob=0.0 if self.variant == "no-proposal" else self.proposal_prob,
             control_fraction=self.control_fraction,
             taylor_mode=self.taylor_mode,
+            normalization="raw" if self.variant == "raw-metric" else "delta",
             init=BucketInit(
                 mode=self.bucket_init,
                 size=self.bucket_size,
@@ -177,17 +180,6 @@ class ExperimentConfig:
             return codec.from_dict(cls, d)
         except codec.DecodeError as exc:
             raise HarnessConfigError(str(exc)) from None
-
-
-def variant_toggles(cfg: ExperimentConfig) -> tuple[str, bool, float]:
-    """Resolve a variant name to ``(normalization, synchronous, proposal_prob)``."""
-    if cfg.variant == "raw-metric":
-        return "raw", False, cfg.proposal_prob
-    if cfg.variant == "synchronous":
-        return "delta", True, cfg.proposal_prob
-    if cfg.variant == "no-proposal":
-        return "delta", False, 0.0
-    return "delta", False, cfg.proposal_prob
 
 
 def delta_problem_from_env(env: SimEnv) -> TuningProblem:
@@ -326,26 +318,21 @@ class SingleRun:
     """One seed's closed loop between scheduler and environment.
 
     Wall rounds advance one hour at a time, and the scheduler's round is
-    the last one run.  Round 0 exposes the initial bucket uniformly; later
-    rounds deliver matured feedback and ask the scheduler for a decision
-    (the synchronous variant instead calls ``idle`` while any dispatched
-    batch is still in flight).  Rounds with no selection carry the previous
-    report row forward.
+    the last one run.  Round 0 exposes the initial bucket through the plan
+    the scheduler is born with; later rounds deliver matured feedback and
+    ask the scheduler for a decision (the synchronous variant instead calls
+    ``idle`` while any dispatched batch is still in flight).  Rounds with no
+    selection carry the previous report row forward.
     """
 
     def __init__(self, seed: int, cfg: ExperimentConfig) -> None:
-        normalization, synchronous, proposal_prob = variant_toggles(cfg)
         self.seed = int(seed)
         self.cfg = cfg
-        self.synchronous = synchronous
+        self.synchronous = cfg.variant == "synchronous"
         self.env = SimEnv.build(seed, **cfg.env_overrides())
-        problem = delta_problem_from_env(self.env)
-        sched_cfg = replace(
-            cfg.scheduler_config(), normalization=normalization, proposal_prob=proposal_prob
-        )
         self.sched = Scheduler.bootstrap(
-            problem,
-            sched_cfg,
+            delta_problem_from_env(self.env),
+            cfg.scheduler_config(),
             np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(2,))),
         )
         self.pending: list[InboundBatch] = []
@@ -365,9 +352,8 @@ class SingleRun:
             row = self.rows[-1]._replace(round=r)
         else:
             row = RoundRow(round=r, winner_id=None, gain=0.0, violation=self.base_violation)
-        decided = False
         if r == 0:
-            plan = self.sched.initial_plan()
+            plan = self.sched.last_plan
         else:
             arrived = [b for b in self.pending if b.arrival_round <= r]
             self.pending = [b for b in self.pending if b.arrival_round > r]
@@ -376,12 +362,10 @@ class SingleRun:
                 plan = None
             else:
                 plan = self.sched.run_round(arrived)
-                decided = self.sched.last_selection is not None
         if plan is not None:
             thetas = {hp.id: hp.theta for hp in self.sched.bucket}
-            if plan.assignments:
-                self.pending.extend(self.env.step(plan, r, thetas))
-            if decided:
+            self.pending.extend(self.env.step(plan, r, thetas))
+            if self.sched.last_selection is not None:
                 winner = self.sched.last_selection.modal_winner()
                 g, v = self.env.true_gain_violation(thetas[winner])
                 row = RoundRow(round=r, winner_id=winner, gain=g, violation=v)
@@ -422,16 +406,20 @@ class SingleRun:
         config build it as a fresh run does, then the stored state replaces
         the environment's noise stream, the scheduler and the run's progress.
 
-        A malformed ``run.json``, or a scheduler store whose problem or
-        config is not the one the seed and config build, or whose hour is
-        not the last of the rows (a store saved at another hour), raises
-        HarnessConfigError; a malformed scheduler store raises ``RestoreError``.
+        A malformed ``run.json``, one with no rows that holds feedback in
+        flight or a moved noise stream, or a scheduler store whose problem
+        or config is not the one the seed and config build, or whose hour
+        is not the last row's (0 when there are none; a store saved at
+        another hour), raises HarnessConfigError; a malformed scheduler
+        store raises ``RestoreError``.
         """
         try:
             state = codec.load(
                 os.path.join(directory, "run.json"), CHECKPOINT_FORMAT_VERSION, Checkpoint
             )
             run = cls(state.seed, state.config)
+            if not state.rows and (state.pending or state.env_rng_state != run.env.rng_state):
+                raise ValueError("no hour has run, yet feedback or noise has moved")
             run.env.rng_state = state.env_rng_state
         except (KeyError, TypeError, ValueError) as exc:
             raise HarnessConfigError(f"malformed checkpoint in {directory}: {exc}") from exc
@@ -441,7 +429,7 @@ class SingleRun:
             codec.to_dict(run.sched.problem), codec.to_dict(run.sched.config)
         ):
             raise HarnessConfigError(f"the scheduler store in {directory} is another run's")
-        if len(state.rows) != (sched.round + 1 if sched.last_plan is not None else 0):
+        if max(len(state.rows), 1) != sched.round + 1:
             raise HarnessConfigError(
                 f"the checkpoint in {directory} has {len(state.rows)} rows, "
                 f"but its scheduler store is at round {sched.round}"

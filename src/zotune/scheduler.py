@@ -65,10 +65,6 @@ PLAN_SUM_TOL = 1e-12
 NORMALIZATION_MODES = ("delta", "raw")
 
 
-class ColdStartError(RuntimeError):
-    """Selection was requested before the initial bucket was ever scheduled."""
-
-
 class RestoreError(RuntimeError):
     """Stored state is missing, inconsistent, or from an unknown version."""
 
@@ -86,8 +82,9 @@ class FutureRoundError(ValueError):
 class RoundPlan:
     """Traffic assignment for one round.
 
-    ``assignments`` maps candidate ids to exposure fractions, sorted by id;
-    together with ``control_fraction`` the fractions sum to one.
+    ``assignments`` maps at least one candidate id to its exposure
+    fraction, sorted by id; together with ``control_fraction`` the fractions
+    sum to one.
     """
 
     round: int
@@ -104,13 +101,15 @@ class RoundPlan:
         if not 0.0 < self.control_fraction < 1.0:
             raise ValueError("control fraction must be strictly inside (0, 1)")
         ids = [cid for cid, _ in assignments]
+        if not ids:
+            raise ValueError("a plan must assign traffic to some candidate")
         if ids != sorted(set(ids)):
             raise ValueError("assignments must be sorted by unique candidate id")
         for cid, frac in assignments:
             if frac <= 0.0:
                 raise ValueError(f"candidate {cid} has nonpositive fraction")
         total = self.control_fraction + sum(frac for _, frac in assignments)
-        if assignments and abs(total - 1.0) > PLAN_SUM_TOL:
+        if abs(total - 1.0) > PLAN_SUM_TOL:
             raise ValueError(f"fractions sum to {total}, not 1")
 
 
@@ -198,7 +197,7 @@ class Manifest:
     rng_state: dict
     config: SchedulerConfig
     problem: TuningProblem
-    last_plan: RoundPlan | None
+    last_plan: RoundPlan
 
 
 def _bucket_header(problem: TuningProblem) -> list[str]:
@@ -225,6 +224,14 @@ def _hourly_stat(
             weight=test.group_size,
         )
     return hourly_delta_stat(test, ctrl, config.taylor_mode)
+
+
+def _plan(config: SchedulerConfig, round_no: int, units: Counter) -> RoundPlan:
+    """The control's slice, and the rest in proportion to winner units."""
+    cf = config.control_fraction
+    total = sum(units.values())
+    assignments = tuple((cid, (1.0 - cf) * units[cid] / total) for cid in sorted(units))
+    return RoundPlan(round=round_no, control_fraction=cf, assignments=assignments)
 
 
 def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupReading]:
@@ -255,6 +262,10 @@ class Scheduler:
     prediction, and joins it before returning or raising, so no thread
     outlives a call.
 
+    A scheduler is born with hour 0's plan and always has a plan in force;
+    construction refuses a state that no sequence of ``bootstrap``,
+    ``run_round`` and ``idle`` reaches.
+
     Ids are fresh by construction: the base's and the bucket's are
     distinct, the last plan names bucket candidates only, and the next
     proposal takes the id above them all.
@@ -269,12 +280,19 @@ class Scheduler:
         bucket: dict[int, HyperParam],
         created_round: dict[int, int],
         round_no: int,
-        last_plan: RoundPlan | None,
+        last_plan: RoundPlan,
     ) -> None:
         if problem.base.id in bucket:
             raise ValueError(f"base id {problem.base.id} is also a bucket id")
-        if last_plan is not None and not {cid for cid, _ in last_plan.assignments} <= bucket.keys():
+        if not {cid for cid, _ in last_plan.assignments} <= bucket.keys():
             raise ValueError("the last plan gives traffic to a candidate outside the bucket")
+        if last_plan.round > round_no:
+            raise ValueError(f"the last plan is dated after round {round_no}")
+        if last_plan.control_fraction != config.control_fraction:
+            raise ValueError("the last plan's control fraction is not the config's")
+        for cid, created in created_round.items():
+            if not 0 <= created <= round_no:
+                raise ValueError(f"candidate {cid} is created outside rounds 0 .. {round_no}")
         self.problem = problem
         self.config = config
         self.rng = rng
@@ -295,7 +313,7 @@ class Scheduler:
         config: SchedulerConfig,
         rng: np.random.Generator,
     ) -> "Scheduler":
-        """Build the initial bucket and stand ready to emit the round-0 plan."""
+        """Build the initial bucket and hour 0's plan, which exposes it uniformly."""
         bounds = problem.base.bounds
         init = config.init
         if init.mode == "grid":
@@ -324,7 +342,7 @@ class Scheduler:
             bucket=bucket,
             created_round=dict.fromkeys(bucket, 0),
             round_no=0,
-            last_plan=None,
+            last_plan=_plan(config, 0, Counter(bucket.keys())),
         )
 
     # Views
@@ -346,26 +364,10 @@ class Scheduler:
         return self._created_round[candidate_id]
 
     @property
-    def last_plan(self) -> RoundPlan | None:
+    def last_plan(self) -> RoundPlan:
         return self._last_plan
 
     # Round loop
-
-    def _plan_from_units(self, round_no: int, units: Counter) -> RoundPlan:
-        cf = self.config.control_fraction
-        total = sum(units.values())
-        assignments = tuple(
-            (cid, (1.0 - cf) * units[cid] / total) for cid in sorted(units)
-        )
-        return RoundPlan(round=round_no, control_fraction=cf, assignments=assignments)
-
-    def initial_plan(self) -> RoundPlan:
-        """Uniform exposure of the initial bucket (round 0).  Idempotent."""
-        if self._round != 0:
-            raise ValueError("initial plan is only available at round 0")
-        if self._last_plan is None:
-            self._last_plan = self._plan_from_units(0, Counter(self._bucket.keys()))
-        return self._last_plan
 
     def _absorb(self, test: GroupReading, ctrl: GroupReading) -> None:
         """Absorb one reading pair into the record, then the raw log.
@@ -421,20 +423,14 @@ class Scheduler:
         """Advance one round: absorb, select, maybe propose, plan.
 
         Rounds never block on missing feedback.  Until some candidate has
-        data on every metric the uniform exposure is re-emitted, provided
-        the initial bucket was scheduled at least once.
+        data on every metric the uniform exposure is re-emitted.
         """
         round_no = self._round + 1
         self.ingest(inbound)
         try:
             ids, mu, var = beliefs(self._bucket.values(), self.record, self.problem)
         except NoDataError:
-            if self._last_plan is None:
-                raise ColdStartError(
-                    "no candidate has data and the initial bucket was never "
-                    "scheduled; emit the initial plan first"
-                ) from None
-            plan = self._plan_from_units(round_no, Counter(self._bucket.keys()))
+            units = Counter(self._bucket.keys())
             self.last_selection = None
         else:
             eligible = [self._bucket[cid] for cid in ids.tolist()]
@@ -461,11 +457,10 @@ class Scheduler:
                     self._bucket[newcomer.id] = newcomer
                     self._created_round[newcomer.id] = round_no
                     units[newcomer.id] += 1  # one winner-unit of traffic
-            plan = self._plan_from_units(round_no, units)
 
         self._round = round_no
-        self._last_plan = plan
-        return plan
+        self._last_plan = _plan(self.config, round_no, units)
+        return self._last_plan
 
     # Persistence
 

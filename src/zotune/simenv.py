@@ -19,11 +19,11 @@ Each ``step`` with M metrics, D draws per reading and n assigned candidates
 takes one block of M*D + n*(M*D + 1) standard normals from the noise
 stream, in this order: D normals for each of the control's M readings;
 then, for each candidate in plan order, D normals for each of its M
-readings followed by the one normal of its extra delay.  A step with no
-assignments draws nothing.  Landscape generation uses its own stream, so
-overrides and sampling never change the landscape.  The environment writes
-no file: ``SimEnv.build(seed, **overrides)`` regenerates the landscape bit
-for bit, so a run checkpoint keeps only the noise stream's ``rng_state``.
+readings followed by the one normal of its extra delay.  Landscape
+generation uses its own stream, so overrides and sampling never change the
+landscape.  The environment writes no file: ``SimEnv.build(seed,
+**overrides)`` regenerates the landscape bit for bit, so a run checkpoint
+keeps only the noise stream's ``rng_state``.
 """
 
 from __future__ import annotations
@@ -476,8 +476,6 @@ class SimEnv:
         its own extra delay.
         """
         t = int(t)
-        if not plan.assignments:
-            return []
         spec = self.spec
         n_metrics, draws = len(spec.metrics), spec.draws_per_step
         ids = [cid for cid, _ in plan.assignments]

@@ -171,7 +171,8 @@ def propose(surrogate, problem, n_samples, rng, new_id):
 
 
 class Loop:
-    """The round loop from a bucket drawn uniformly from the base's box.
+    """The round loop from a bucket drawn uniformly from the base's box,
+    born with hour 0's plan, which exposes that bucket uniformly.
     ``round`` counts wall hours, decided or idle.  ``last_selection`` is
     ``(winners, infeasible count)`` and ``last_proposal`` ``(candidate,
     predicted (mu, var))``, or None where the hour stopped or idled."""
@@ -182,8 +183,9 @@ class Loop:
         bounds = problem.base.bounds
         thetas = rng.uniform(*np.array(bounds).T, size=(config.init.size, len(bounds)))
         self.bucket = {i: HyperParam(i, tuple(t), bounds) for i, t in enumerate(thetas, 1)}
-        self.next_id, self.round, self.record = len(self.bucket) + 1, 0, Record()
-        self.last_plan = self.last_selection = self.last_proposal = None
+        self.next_id, self.record = len(self.bucket) + 1, Record()
+        self.last_selection = self.last_proposal = None
+        self._plan(0, Counter(self.bucket.keys()))
 
     def _plan(self, round_no: int, units: Counter) -> RoundPlan:
         """The control's slice, and the rest in proportion to winner units."""
@@ -191,9 +193,6 @@ class Loop:
         shares = tuple((cid, (1.0 - cf) * units[cid] / total) for cid in sorted(units))
         self.round, self.last_plan = round_no, RoundPlan(round_no, cf, shares)
         return self.last_plan
-
-    def initial_plan(self) -> RoundPlan:
-        return self._plan(0, Counter(self.bucket.keys()))
 
     def ingest(self, batches) -> None:
         """Absorb each reading pair of a known candidate and metric against

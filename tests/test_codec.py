@@ -36,7 +36,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def round_plans(draw):
-    ids = draw(st.lists(st.integers(0, 10**9), unique=True, max_size=20))
+    ids = draw(st.lists(st.integers(0, 10**9), unique=True, min_size=1, max_size=20))
     cf = draw(st.floats(min_value=0.01, max_value=0.99))
     weights = draw(st.lists(st.floats(0.01, 100.0), min_size=len(ids), max_size=len(ids)))
     total = sum(weights)

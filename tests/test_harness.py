@@ -29,7 +29,6 @@ from zotune.harness import (
     rounds_to_threshold,
     run_experiment,
     run_single,
-    variant_toggles,
 )
 from zotune.problem import AT_LEAST
 from zotune.scheduler import SchedulerConfig
@@ -186,23 +185,27 @@ class TestSeedPool:
 
 
 class TestVariantToggles:
+    """A variant's toggles: ``scheduler_config()`` and ``SingleRun.synchronous``."""
+
+    @staticmethod
+    def toggles(cfg):
+        sched_cfg = cfg.scheduler_config()
+        run = SingleRun(3, cfg)
+        assert run.sched.config == sched_cfg
+        return sched_cfg.normalization, run.synchronous, sched_cfg.proposal_prob
+
     def test_full(self):
-        norm, sync, p = variant_toggles(ExperimentConfig(variant="full"))
-        assert (norm, sync, p) == ("delta", False, 1.0)
+        assert self.toggles(tiny_config(variant="full")) == ("delta", False, 1.0)
 
     def test_raw_metric_switches_normalization_only(self):
-        norm, sync, p = variant_toggles(ExperimentConfig(variant="raw-metric"))
-        assert (norm, sync, p) == ("raw", False, 1.0)
+        assert self.toggles(tiny_config(variant="raw-metric")) == ("raw", False, 1.0)
 
     def test_synchronous_waits_for_feedback(self):
-        norm, sync, p = variant_toggles(ExperimentConfig(variant="synchronous"))
-        assert (norm, sync, p) == ("delta", True, 1.0)
+        assert self.toggles(tiny_config(variant="synchronous")) == ("delta", True, 1.0)
 
     def test_no_proposal_zeroes_proposal_probability(self):
-        norm, sync, p = variant_toggles(
-            ExperimentConfig(variant="no-proposal", proposal_prob=0.7)
-        )
-        assert (norm, sync, p) == ("delta", False, 0.0)
+        cfg = tiny_config(variant="no-proposal", proposal_prob=0.7)
+        assert self.toggles(cfg) == ("delta", False, 0.0)
 
 
 class TestDeltaProblemFromEnv:
@@ -407,6 +410,39 @@ class TestCheckpointResume:
         resumed.run_to(8)
 
         assert resumed.trajectory() == straight.trajectory()
+
+    def test_resume_from_before_hour_0_matches_uninterrupted_run(self, tmp_path):
+        """A checkpoint saved before any hour ran holds no rows and the
+        store exactly as ``bootstrap`` wrote it."""
+        cfg = tiny_config(seeds=(3,), rounds=5)
+        straight = SingleRun(3, cfg)
+        straight.run_to(5)
+
+        SingleRun(3, cfg).save_checkpoint(str(tmp_path / "ckpt"))
+        resumed = SingleRun.resume(str(tmp_path / "ckpt"))
+        assert resumed.rows == [] and resumed.sched.round == 0
+        resumed.run_to(5)
+
+        assert resumed.trajectory() == straight.trajectory()
+
+    @pytest.mark.parametrize("moved", ["pending", "env_rng_state"])
+    def test_resume_refuses_hour_0_feedback_without_its_row(self, tmp_path, moved):
+        """A ``run.json`` with no rows beside a fresh store, but holding hour
+        0's feedback in flight or the noise stream after hour 0, does not
+        resume: no hour has run, so neither can have moved."""
+        cfg = tiny_config(seeds=(3,), rounds=4)
+        after_hour_0 = SingleRun(3, cfg)
+        after_hour_0.run_to(1)
+        SingleRun(3, cfg).save_checkpoint(str(tmp_path))
+        path = tmp_path / "run.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if moved == "pending":
+            data["pending"] = [codec.to_dict(after_hour_0.pending[0])]
+        else:
+            data["env_rng_state"] = after_hour_0.env.rng_state
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(HarnessConfigError, match="checkpoint"):
+            SingleRun.resume(str(tmp_path))
 
     def test_resume_with_crossed_taylor_mode(self, tmp_path):
         cfg = tiny_config(seeds=(3,), rounds=6, taylor_mode=TaylorMode.CROSSED)

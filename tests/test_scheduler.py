@@ -18,8 +18,8 @@ import spec
 from zotune.deltastats import TaylorMode
 from zotune.problem import HyperParam, LinearExpr, TuningProblem
 from zotune.scheduler import (
+    METRICS_HEADER,
     BucketInit,
-    ColdStartError,
     InboundBatch,
     RestoreError,
     RoundPlan,
@@ -149,7 +149,6 @@ class TestBootstrap:
             replace(make_problem(), base=base), config, np.random.default_rng(0)
         )
         assert sched.next_id == 10
-        sched.initial_plan()
         readings = tuple((t, replace(c, candidate_id=9)) for t, c in batch_for(1, 0, 1).readings)
         sched.run_round([InboundBatch(origin_round=0, arrival_round=1, readings=readings)])
         assert [hp.id for hp in sched.bucket] == [1, 2, 3, 4, 5, 10]
@@ -159,44 +158,33 @@ class TestBootstrap:
 class TestInitialPlan:
     def test_uniform_split(self):
         sched = make_sched(init=BucketInit(mode="random", size=4))
-        plan = sched.initial_plan()
+        plan = sched.last_plan
         assert plan.round == 0
         for cid, frac in plan.assignments:
             assert frac == pytest.approx(0.8 / 4)
         total = plan.control_fraction + sum(f for _, f in plan.assignments)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_idempotent(self):
-        sched = make_sched()
-        assert sched.initial_plan() == sched.initial_plan()
-        assert sched.round == 0
-
 
 class TestRunRound:
-    def test_cold_start_error_without_exposure(self):
-        sched = make_sched()
-        with pytest.raises(ColdStartError):
-            sched.run_round()
-
     def test_no_data_reemits_uniform_without_consuming_rng(self):
+        """Straight after ``bootstrap``, with no data, a round re-emits hour
+        0's uniform plan as its own and draws nothing."""
         sched = make_sched()
-        first = sched.initial_plan()
+        first = sched.last_plan
         state_before = json.dumps(sched.rng.bit_generator.state, sort_keys=True)
         plan = sched.run_round()  # nothing has arrived yet
         state_after = json.dumps(sched.rng.bit_generator.state, sort_keys=True)
         assert state_before == state_after
-        assert plan.round == 1
-        assert plan.assignments == tuple(
-            (cid, frac) for cid, frac in first.assignments
-        )
-        assert sched.last_selection is None
+        assert plan == replace(first, round=1) == sched.last_plan
+        assert sched.round == 1 and sched.last_selection is None
 
     def test_idle_ingests_and_advances_the_round_without_drawing(self):
         """An idle hour absorbs its feedback and counts on the clock; it
         draws nothing and leaves the last plan in force, and the next
         decision's plan carries its own hour."""
         sched = make_sched(select_count=10, proposal_samples=8)
-        first = sched.initial_plan()
+        first = sched.last_plan
         state = sched.rng.bit_generator.state
         sched.idle([batch_for(1, 0, 1)])
         assert sched.round == 1
@@ -211,7 +199,6 @@ class TestRunRound:
 
     def test_selection_after_feedback(self):
         sched = make_sched(proposal_prob=0.0, select_count=50)
-        sched.initial_plan()
         batches = [
             batch_for(1, 0, 1, lifts=(0.05, 0.01), var=0.0),
             batch_for(2, 0, 1, lifts=(0.01, 0.01), var=0.0),
@@ -224,14 +211,13 @@ class TestRunRound:
     def test_traffic_split_two_to_one(self):
         """Units {a: 2, b: 1} at control 0.2 give 0.5333... and 0.2666..."""
         sched = make_sched()
-        plan = sched._plan_from_units(1, Counter({1: 2, 2: 1}))
+        plan = scheduler_module._plan(sched.config, 1, Counter({1: 2, 2: 1}))
         fractions = dict(plan.assignments)
         assert fractions[1] == pytest.approx(0.8 * 2 / 3, rel=1e-12)
         assert fractions[2] == pytest.approx(0.8 / 3, rel=1e-12)
 
     def test_proposal_grows_bucket_with_unit_traffic(self):
         sched = make_sched(proposal_prob=1.0, select_count=3, proposal_samples=16)
-        sched.initial_plan()
         before = len(sched.bucket)
         new_id = sched.next_id
         plan = sched.run_round([batch_for(1, 0, 1, var=0.0)])
@@ -244,7 +230,6 @@ class TestRunRound:
 
     def test_p_zero_keeps_bucket_constant(self):
         sched = make_sched(proposal_prob=0.0, select_count=10)
-        sched.initial_plan()
         size = len(sched.bucket)
         for r in range(1, 6):
             sched.run_round([batch_for(1, r - 1, r, var=0.0)])
@@ -252,7 +237,6 @@ class TestRunRound:
 
     def test_bucket_bounded_by_initial_plus_rounds(self):
         sched = make_sched(proposal_prob=1.0, select_count=5, proposal_samples=8)
-        sched.initial_plan()
         t = 4
         for r in range(1, t + 1):
             sched.run_round([batch_for(1, r - 1, r, var=0.0)])
@@ -260,7 +244,7 @@ class TestRunRound:
 
     def test_plans_conserve_traffic(self):
         sched = make_sched(proposal_prob=1.0, select_count=7, proposal_samples=8)
-        plans = [sched.initial_plan()]
+        plans = [sched.last_plan]
         for r in range(1, 5):
             plans.append(sched.run_round([batch_for(1, r - 1, r)]))
         for plan in plans:
@@ -270,7 +254,7 @@ class TestRunRound:
     def test_seed_determinism_full_run(self):
         def run(seed):
             sched = make_sched(seed=seed, proposal_prob=1.0, select_count=20, proposal_samples=16)
-            plans = [sched.initial_plan()]
+            plans = [sched.last_plan]
             for r in range(1, 6):
                 plans.append(sched.run_round([batch_for(1, r - 1, r), batch_for(2, r - 1, r, lifts=(0.01, 0.03))]))
             return plans, tuple(hp.theta for hp in sched.bucket)
@@ -291,7 +275,7 @@ class TestRunRound:
             start(thread)
 
         sched = make_sched(proposal_prob=1.0, select_count=50, proposal_samples=20)
-        plan = sched.initial_plan()
+        plan = sched.last_plan
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         sched.run_round([])                   # no candidate has data yet
         assert started == []
@@ -343,7 +327,7 @@ class TestFitBesideSelection:
         returns the number of rounds that proposed."""
         init = BucketInit(mode="random", size=200)
         live, ref = self.make_pair(21, init=init, proposal_prob=p, proposal_samples=200)
-        live_plan, ref_plan = live.initial_plan(), ref.initial_plan()
+        live_plan, ref_plan = live.last_plan, ref.last_plan
         live_fb, ref_fb = np.random.default_rng(5), np.random.default_rng(5)
         threads = threading.active_count()
         proposals = 0
@@ -378,8 +362,8 @@ class TestFitBesideSelection:
         init = BucketInit(mode="random", size=200)
         kw = dict(init=init, proposal_prob=0.5, normalization="raw", proposal_samples=50)
         live, ref = self.make_pair(8, **kw)
-        feedback = _feedback(live.initial_plan(), None, mean=1e200)
-        assert _feedback(ref.initial_plan(), None, mean=1e200) == feedback
+        feedback = _feedback(live.last_plan, None, mean=1e200)
+        assert _feedback(ref.last_plan, None, mean=1e200) == feedback
         threads = threading.active_count()
         outcomes = []
         for _ in range(8):
@@ -404,7 +388,6 @@ class TestFitBesideSelection:
             raise RuntimeError("selection failed")
 
         sched = make_sched(proposal_prob=1.0, select_count=5, proposal_samples=8)
-        sched.initial_plan()
         monkeypatch.setattr(scheduler_module, "select", failing_select)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="selection failed"):
@@ -415,7 +398,6 @@ class TestFitBesideSelection:
 class TestIngest:
     def test_duplicates_skipped_first_write_wins(self):
         sched = make_sched()
-        sched.initial_plan()
         batch = batch_for(1, 0, 1, lifts=(0.02, 0.01))
         assert sched.ingest([batch]) == 2  # one row per metric
         agg_before = sched.record.aggregate(1, "x1")
@@ -428,7 +410,6 @@ class TestIngest:
         does not take its key: the real rows of that round, when it comes,
         are absorbed."""
         sched = make_sched()
-        sched.initial_plan()
         for _ in range(3):
             sched.idle()
         assert sched.ingest([batch_for(1, 10, 11, lifts=(0.9, 0.9))]) == 0
@@ -446,7 +427,6 @@ class TestIngest:
         the store does not keep the control's id, and restore reads it as
         the base's."""
         sched = make_sched()
-        sched.initial_plan()
         test, ctrl = batch_for(1, 0, 1).readings[0]
         unknown_metric = InboundBatch(origin_round=0, arrival_round=1, readings=(
             (replace(test, metric="zz"), replace(ctrl, metric="zz")),
@@ -467,12 +447,10 @@ class TestIngest:
             for r in range(5)
         ]
         a = make_sched()
-        a.initial_plan()
         for _ in range(4):
             a.idle()
         a.ingest(batches)
         b = make_sched()
-        b.initial_plan()
         for _ in range(4):
             b.idle()
         b.ingest(list(reversed(batches)))
@@ -484,7 +462,6 @@ class TestIngest:
 
     def test_raw_normalization_uses_test_stats(self):
         sched = make_sched(normalization="raw")
-        sched.initial_plan()
         sched.ingest([batch_for(1, 0, 1, lifts=(0.02, 0.01), var=4.0, n=1000)])
         agg = sched.record.aggregate(1, "x1")
         assert agg.mean == pytest.approx(102.0)
@@ -492,7 +469,6 @@ class TestIngest:
 
     def test_delta_normalization_uses_ratio(self):
         sched = make_sched(taylor_mode=TaylorMode.DELTA_METHOD)
-        sched.initial_plan()
         sched.ingest([batch_for(1, 0, 1, lifts=(0.02, 0.01), var=0.0)])
         agg = sched.record.aggregate(1, "x1")
         assert agg.mean == pytest.approx(0.02, rel=1e-9)
@@ -501,7 +477,6 @@ class TestIngest:
         """Finite readings whose lift overflows are dropped like a zero
         control; the batch is not aborted and the next round selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.initial_plan()
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
 
         def row(cid, metric, mean, ctrl_mean=100.0, ctrl_var=4.0):
@@ -534,7 +509,6 @@ class TestIngest:
         (test mean 1e153 over a control of 1.0) is dropped, and the next
         round still selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.initial_plan()
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
         overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
         assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
@@ -549,7 +523,6 @@ class TestIngest:
         their squared weight sum overflows the aggregate: the second hour is
         dropped, and every later round still selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.initial_plan()
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
         sched.idle()    # hour 2, so both hours below are past
         huge = [batch_for(1, rnd, 3, n=10**154) for rnd in (1, 2)]
@@ -647,7 +620,6 @@ class TestOneAbsorbPath:
 class TestPersistence:
     def run_some_rounds(self, rounds=4, seed=3):
         sched = make_sched(seed=seed, proposal_prob=1.0, select_count=10, proposal_samples=8)
-        sched.initial_plan()
         for r in range(1, rounds + 1):
             sched.run_round(
                 [
@@ -678,12 +650,10 @@ class TestPersistence:
         ]
         # uninterrupted run, 8 rounds
         full = make_sched(seed=9, proposal_prob=1.0, select_count=10, proposal_samples=8)
-        full.initial_plan()
         full_plans = [full.run_round(batches(r)) for r in range(1, 9)]
 
         # interrupted at round 4
         half = make_sched(seed=9, proposal_prob=1.0, select_count=10, proposal_samples=8)
-        half.initial_plan()
         for r in range(1, 5):
             half.run_round(batches(r))
         half.persist(str(tmp_path / "ckpt"))
@@ -825,6 +795,54 @@ class TestPersistence:
         with pytest.raises(RestoreError, match="outside the bucket"):
             Scheduler.restore(str(old))
 
+    def test_store_written_at_bootstrap_round_trips(self, tmp_path):
+        """A store persisted before any round holds hour 0's plan; it
+        restores to an equal state and persists to the same bytes."""
+        first, second = tmp_path / "a", tmp_path / "b"
+        sched = make_sched(seed=6)
+        sched.persist(str(first))
+        restored = Scheduler.restore(str(first))
+        for attr in ("round", "next_id", "last_plan", "bucket"):
+            assert getattr(restored, attr) == getattr(sched, attr)
+        assert restored.rng.bit_generator.state == sched.rng.bit_generator.state
+        assert all(restored.created_round(hp.id) == 0 for hp in restored.bucket)
+        restored.persist(str(second))
+        assert self.read_all(second) == self.read_all(first)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("manifest.json", lambda m: m["last_plan"].update(round=7)),
+            ("manifest.json", lambda m: m["config"].update(control_fraction=0.3)),
+            ("hyperparams.csv", lambda rows: rows[1].__setitem__(1, "9")),
+            ("hyperparams.csv", lambda rows: rows[1].__setitem__(1, "-1")),
+            (None, None),
+        ],
+        ids=[
+            "plan-after-the-round", "plan-of-another-control-fraction",
+            "created-after-the-round", "created-before-round-0", "empty-bucket",
+        ],
+    )
+    def test_unreachable_state_fails(self, tmp_path, name, edit):
+        """States that no sequence of ``bootstrap``, ``run_round`` and
+        ``idle`` reaches from a store at round 4; ``None`` empties the
+        bucket, the readings and the last plan."""
+        store = tmp_path / "s"
+        self.run_some_rounds().persist(str(store))
+        manifest_path, bucket_path = store / "manifest.json", store / "hyperparams.csv"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        rows = [line.split(",") for line in bucket_path.read_text(encoding="utf-8").splitlines()]
+        if name is None:
+            manifest["last_plan"]["assignments"] = []
+            rows = rows[:1]
+            (store / "metrics.csv").write_text(",".join(METRICS_HEADER) + "\n", encoding="utf-8")
+        else:
+            edit(manifest if name == "manifest.json" else rows)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        bucket_path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(RestoreError, match="manifest"):
+            Scheduler.restore(str(store))
+
     @pytest.mark.parametrize("name", ["hyperparams.csv", "metrics.csv"])
     @pytest.mark.parametrize(
         "edit",
@@ -862,7 +880,6 @@ class TestRawReplay:
         sched = make_sched(
             seed=4, select_count=10, proposal_samples=8, normalization=normalization
         )
-        sched.initial_plan()
         for r in range(1, 6):
             batches = [
                 batch_for(1, r - 1, r, lifts=(0.013 * r, -0.007), var=3.0 + r),

@@ -203,10 +203,10 @@ class TestStep:
         assert ctrl_a == ctrl_b
         assert ctrl_a.candidate_id == CONTROL_ID
 
-    def test_empty_plan_emits_nothing(self):
-        env = SimEnv.build(3)
-        plan = RoundPlan(round=0, control_fraction=0.2, assignments=())
-        assert env.step(plan, 0, {}) == []
+    def test_empty_plan_refused(self):
+        """Every plan assigns traffic, so every step emits batches."""
+        with pytest.raises(ValueError, match="assign traffic"):
+            RoundPlan(round=0, control_fraction=0.2, assignments=())
 
     def test_null_candidate_at_base_unbiased(self):
         """Candidate pinned at the base shows no lift, within 3 sigma."""
@@ -333,8 +333,6 @@ def _reference_step(env, rng, plan, t, thetas):
             group_size=size,
         )
 
-    if not plan.assignments:
-        return []
     ctrl_size = max(int(round(plan.control_fraction * spec.users)), 1)
     base_mu = _reference_hourly_means(env, np.asarray(spec.base_theta), t)
     ctrl = [
@@ -378,7 +376,6 @@ class TestStepReference:
         [
             (1, {}),
             (130, {}),
-            (0, {}),
             (130, {"users": 100}),
             (5, {"sigma": 0.0}),
             (5, {"xi_sd": 0.0}),
@@ -393,9 +390,8 @@ class TestStepReference:
         rng.bit_generator.state = env.rng_state
         pick = np.random.default_rng(n_cands)
         thetas = {cid: tuple(pick.uniform(0.0, 1.0, size=2)) for cid in range(1, n_cands + 1)}
-        if thetas:
-            thetas[1] = env.spec.base_theta
-        share = 0.8 / max(n_cands, 1)
+        thetas[1] = env.spec.base_theta
+        share = 0.8 / n_cands
         plan = RoundPlan(
             round=0,
             control_fraction=0.2,

@@ -45,8 +45,6 @@ def lock_step(cfg, seed, monkeypatch):
         predicted.clear()
         next_id = sched.next_id
         run.run_to(r + 1)
-        if r == 0:
-            loop.initial_plan()
         for name, batches in calls:
             getattr(loop, name)(batches)
         sel, (proposed, prediction) = sched.last_selection, loop.last_proposal or (None, None)
