@@ -36,6 +36,7 @@ refuses the store.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -82,9 +83,9 @@ class FutureRoundError(ValueError):
 class RoundPlan:
     """Traffic assignment for one round.
 
-    ``assignments`` maps at least one candidate id to its exposure
-    fraction, sorted by id; together with ``control_fraction`` the fractions
-    sum to one.
+    ``assignments`` maps at least one candidate id to its positive, finite
+    exposure fraction, sorted by id; together with ``control_fraction`` the
+    fractions sum to one.
     """
 
     round: int
@@ -106,10 +107,12 @@ class RoundPlan:
         if ids != sorted(set(ids)):
             raise ValueError("assignments must be sorted by unique candidate id")
         for cid, frac in assignments:
+            if not math.isfinite(frac):
+                raise ValueError(f"candidate {cid} has non-finite fraction {frac}")
             if frac <= 0.0:
                 raise ValueError(f"candidate {cid} has nonpositive fraction")
         total = self.control_fraction + sum(frac for _, frac in assignments)
-        if abs(total - 1.0) > PLAN_SUM_TOL:
+        if not abs(total - 1.0) <= PLAN_SUM_TOL:
             raise ValueError(f"fractions sum to {total}, not 1")
 
 

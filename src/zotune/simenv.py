@@ -23,11 +23,15 @@ readings followed by the one normal of its extra delay.  Landscape
 generation uses its own stream, so overrides and sampling never change the
 landscape.  The environment writes no file: ``SimEnv.build(seed,
 **overrides)`` regenerates the landscape bit for bit, so a run checkpoint
-keeps only the noise stream's ``rng_state``.
+keeps only the noise stream's ``rng_state``.  Since generation depends on
+the seed alone, a process draws each seed's landscape once and keeps the
+``LANDSCAPE_CACHE_SIZE`` used last; the cached landscape is the same, bit
+for bit, as a fresh draw.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,6 +58,7 @@ PEAK_JITTER = 0.02
 W1_AMP_RANGES = ((0.35, 0.5), (0.15, 0.35), (0.0, 0.2))
 BASE_TYPICALITY_BAND = 0.01
 MAX_LANDSCAPE_TRIES = 64
+LANDSCAPE_CACHE_SIZE = 64       # landscapes kept per process, a few KB each
 NORM_GRID_NODES = 201
 SCAN_GRID_NODES = 200
 BOX = ((0.0, 1.0), (0.0, 1.0))
@@ -79,16 +84,24 @@ def _bump_terms(
 ) -> np.ndarray:
     """Each bump's ``amp * exp(-|p - c|^2 / (2 w^2))`` at points ``(x, y)``.
 
-    Returns a fresh C-contiguous array of shape ``x.shape + (b,)``.  The
-    squared distance is ``dx*dx + dy*dy``, which is exactly numpy's sum over
+    Returns a fresh C-contiguous array of shape ``x.shape + (b,)``; the one
+    other block it allocates is ``dy``, of the same size.  The squared
+    distance is ``dx*dx + dy*dy``, which is exactly numpy's sum over
     a two-element last axis; summing the result over its last axis gives a
     field's raw value.
     """
     centers = np.asarray(centers, dtype=float)                  # (b, 2)
     dx = x[..., None] - centers[:, 0]                           # (..., b)
     dy = y[..., None] - centers[:, 1]
-    sq = dx * dx + dy * dy
-    return np.asarray(amps) * np.exp(-sq / (2.0 * np.asarray(widths) ** 2))
+    # ``amps * exp(-(dx*dx + dy*dy) / (2 w^2))`` one ufunc at a time, each
+    # written into ``dx``, so no step allocates another block.
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    np.negative(dx, out=dx)
+    np.divide(dx, 2.0 * np.asarray(widths) ** 2, out=dx)
+    np.exp(dx, out=dx)
+    return np.multiply(np.asarray(amps), dx, out=dx)
 
 
 @dataclass(frozen=True)
@@ -353,6 +366,32 @@ def _draw_landscape(
     return best
 
 
+@functools.lru_cache(maxsize=LANDSCAPE_CACHE_SIZE)
+def _landscape(
+    seed: int,
+) -> tuple[RadialBumpField, RadialBumpField, PatternCoeffs, CounterCoeffs]:
+    """The landscape of ``seed``: both effect fields and both daily patterns.
+
+    Everything here is frozen and drawn from the seed's generation stream
+    alone, so one process draws each seed once and every ``SimEnv.build``
+    of it shares the same immutable objects.
+    """
+    gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    delta1, delta2 = _draw_landscape(gen)
+    w1 = PatternCoeffs(
+        amplitudes=tuple(
+            float(gen.uniform(lo, hi)) for lo, hi in W1_AMP_RANGES
+        ),
+        phases=tuple(gen.uniform(0.0, 2.0 * np.pi, size=3)),
+    )
+    w2 = CounterCoeffs(
+        amplitude=float(gen.uniform(0.0, 0.1)),
+        phase=float(gen.uniform(0.0, 2.0 * np.pi)),
+        harmonic=int(gen.integers(1, 4)),
+    )
+    return delta1, delta2, w1, w2
+
+
 class SimEnv:
     """A generated landscape plus the noise stream that samples it."""
 
@@ -369,21 +408,13 @@ class SimEnv:
         Overridable fields: sigma, weights, threshold, users, draws_per_step,
         fixed_delay, xi_mean, xi_sd, base_theta.  Two builds with the same
         seed share an identical landscape regardless of overrides, so runs
-        with different delays or noise levels stay paired.
+        with different delays or noise levels stay paired.  The landscape
+        is drawn once per process per seed and kept for the
+        ``LANDSCAPE_CACHE_SIZE`` seeds used last; a later build reuses its
+        frozen fields bit for bit, while each env gets its own ``EnvSpec``
+        and a fresh noise stream.
         """
-        gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-        delta1, delta2 = _draw_landscape(gen)
-        w1 = PatternCoeffs(
-            amplitudes=tuple(
-                float(gen.uniform(lo, hi)) for lo, hi in W1_AMP_RANGES
-            ),
-            phases=tuple(gen.uniform(0.0, 2.0 * np.pi, size=3)),
-        )
-        w2 = CounterCoeffs(
-            amplitude=float(gen.uniform(0.0, 0.1)),
-            phase=float(gen.uniform(0.0, 2.0 * np.pi)),
-            harmonic=int(gen.integers(1, 4)),
-        )
+        delta1, delta2, w1, w2 = _landscape(int(seed))
         unknown = set(overrides) - set(KNOBS)
         if unknown:
             raise TypeError(f"unknown environment overrides: {sorted(unknown)}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 import threading
@@ -87,6 +88,12 @@ class TestRoundPlan:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             RoundPlan(round=1, control_fraction=0.2, assignments=((1, 0.4), (1, 0.4)))
+
+    @pytest.mark.parametrize("frac", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fraction_rejected(self, frac):
+        """NaN passes both ``frac <= 0`` and a ``> tol`` sum check."""
+        with pytest.raises(ValueError, match="non-finite fraction"):
+            RoundPlan(round=1, control_fraction=0.2, assignments=((1, frac),))
 
     def test_control_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -698,11 +705,12 @@ class TestPersistence:
             lambda m: m["problem"].pop("base"),
             lambda m: m["problem"]["objective"].update(form="quadratic"),
             lambda m: m.update(last_plan={"round": 1}),
+            lambda m: m["last_plan"]["assignments"][0].__setitem__(1, math.nan),
         ],
         ids=[
             "no-config", "config-key-missing", "round-not-int",
             "select-count-not-int", "problem-without-base", "quadratic-objective",
-            "partial-last-plan",
+            "partial-last-plan", "nan-plan-fraction",
         ],
     )
     def test_malformed_manifest_fails(self, tmp_path, edit):

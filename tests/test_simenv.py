@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,25 +276,105 @@ FROZEN_SPEC_DIGESTS = {
 }
 
 
+def spec_digest(spec):
+    data = {"format_version": 1, **codec.to_dict(spec)}
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def count_typicality_calls(monkeypatch):
+    """Count ``_base_typicality`` calls, one per landscape try, from now on."""
+    calls = []
+    typicality = simenv._base_typicality
+    monkeypatch.setattr(
+        simenv, "_base_typicality", lambda *a: calls.append(1) or typicality(*a)
+    )
+    return calls
+
+
 @pytest.mark.bitwise
 class TestFrozenLandscape:
     """Generated landscapes keep every bit, including after redraws."""
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_SPEC_DIGESTS))
     def test_spec_digest(self, seed):
-        spec = {"format_version": 1, **codec.to_dict(SimEnv.build(seed).spec)}
-        digest = hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()
-        assert digest == FROZEN_SPEC_DIGESTS[seed]
+        assert spec_digest(SimEnv.build(seed).spec) == FROZEN_SPEC_DIGESTS[seed]
 
     @pytest.mark.parametrize("seed, tries", [(12, 7), (36, 12), (40, 5)])
     def test_redraw_seeds_redraw(self, seed, tries, monkeypatch):
-        calls = []
-        typicality = simenv._base_typicality
-        monkeypatch.setattr(
-            simenv, "_base_typicality", lambda *a: calls.append(1) or typicality(*a)
-        )
+        simenv._landscape.cache_clear()
+        calls = count_typicality_calls(monkeypatch)
         SimEnv.build(seed)
         assert len(calls) == tries
+
+
+@pytest.fixture
+def empty_landscape_cache():
+    simenv._landscape.cache_clear()
+    yield
+    simenv._landscape.cache_clear()
+
+
+@pytest.mark.usefixtures("empty_landscape_cache")
+class TestLandscapeCache:
+    """Each seed's landscape is drawn once per process and shared."""
+
+    def test_second_build_draws_nothing(self, monkeypatch):
+        first = SimEnv.build(36)            # 12 tries when drawn
+        calls = count_typicality_calls(monkeypatch)
+        second = SimEnv.build(36)
+        assert calls == []
+        assert second.spec == first.spec
+
+    @pytest.mark.parametrize("seed", [12, 42])
+    def test_overrides_share_one_landscape(self, seed):
+        knobs = {"sigma": 0.05, "fixed_delay": 6, "users": 1000}
+        tuned = SimEnv.build(seed, **knobs)
+        stock = SimEnv.build(seed)
+        assert simenv._landscape.cache_info().currsize == 1
+        for name in ("delta1", "delta2", "w1_coeffs", "w2_coeffs"):
+            assert getattr(tuned.spec, name) is getattr(stock.spec, name)
+        assert spec_digest(stock.spec) == FROZEN_SPEC_DIGESTS[seed]
+
+    def test_envs_of_one_landscape_have_own_noise(self):
+        a = SimEnv.build(42)
+        b = SimEnv.build(42)
+        untouched = json.loads(json.dumps(b.rng_state))
+        a.step(single_candidate_plan(), 0, {1: (0.3, 0.3)})
+        assert b.rng_state == untouched
+        assert a.rng_state != untouched
+
+    def test_cache_is_bounded(self, monkeypatch):
+        """Fill past the bound with a stand-in draw; the oldest seed goes."""
+        fields = simenv._landscape(1)[:2]
+        monkeypatch.setattr(simenv, "_draw_landscape", lambda gen: fields)
+        bound = simenv.LANDSCAPE_CACHE_SIZE
+        for seed in range(1000, 1000 + bound + 5):
+            SimEnv.build(seed)
+        info = simenv._landscape.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
+        misses = info.misses
+        SimEnv.build(1000)
+        assert simenv._landscape.cache_info().misses == misses + 1
+
+
+class TestBumpTerms:
+    def test_peak_memory_is_two_blocks(self):
+        """``dx`` holds every step, so the only other block is ``dy``."""
+        gen = np.random.default_rng(5)
+        b = 7
+        centers = gen.uniform(0.0, 1.0, size=(b, 2))
+        widths = gen.uniform(0.12, 0.28, size=b)
+        amps = gen.uniform(0.3, 0.6, size=b)
+        x, y = simenv._GRID_X, simenv._GRID_Y
+        tracemalloc.start()
+        try:
+            out = simenv._bump_terms(x, y, centers, widths, amps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.flags.c_contiguous and out.shape == (x.size, b)
+        assert peak < 2.5 * out.nbytes
 
 
 def _reference_raw(field, thetas):
@@ -367,7 +448,7 @@ class TestStepReference:
         env = SimEnv.build(seed)
         rng = np.random.default_rng(seed)
         for field in (env.spec.delta1, env.spec.delta2):
-            for shape in [(2,), (1, 2), (257, 2), (3, 5, 2)]:
+            for shape in [(2,), (1, 2), (257, 2), (3, 5, 2), (201 * 201, 2)]:
                 thetas = rng.uniform(-0.2, 1.2, size=shape)
                 assert np.array_equal(field.raw(thetas), _reference_raw(field, thetas))
 
