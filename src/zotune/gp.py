@@ -25,13 +25,14 @@ diagonal each entry is at most the finite signal variance, so checking the
 diagonal after the noise is added stands for a scan of the whole matrix: a
 diagonal that overflows is a ``FitFailureError``.
 
-The factorizations and solves call LAPACK's ``dpotrf``, ``dpotrs`` and
-BLAS's ``dtrsm`` through the function pointers scipy exports in
+The factorizations call LAPACK's ``dpotrf`` and the solves BLAS's
+``dtrsm``, through the function pointers scipy exports in
 ``scipy.linalg.cython_lapack`` and ``cython_blas``.  These are the routines
-``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` reach, in
-the same library, so the bits are theirs; but ctypes releases the GIL for
-the call, where scipy's wrappers hold it, so a fit can run on one thread
-while another draws random numbers.
+``scipy.linalg.cholesky`` and ``solve_triangular`` reach, in the same
+library, and a fit's ``alpha`` is the two ``dtrsm`` solves, with ``L`` and
+then ``L^T``, that ``dpotrs`` makes for ``cho_solve``, so the bits are
+theirs; but ctypes releases the GIL for the call, where scipy's wrappers
+hold it, so a fit can run on one thread while another draws random numbers.
 
 A ``Helper`` is one worker thread for the length of a ``with`` block: it
 runs the calls submitted to it in order, hands each one's value or error
@@ -74,6 +75,7 @@ bracket without building all ``n(n-1)/2`` of them (Frederickson & Johnson,
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -144,10 +146,6 @@ cython_blas = _linalg_table("cython_blas")
 cython_lapack = _linalg_table("cython_lapack")
 
 _dpotrf = _bind(cython_lapack, "dpotrf", "char *, int *, double *, int *, int *")
-_dpotrs = _bind(
-    cython_lapack, "dpotrs",
-    "char *, int *, int *, double *, int *, double *, int *, int *",
-)
 _dlaset = _bind(
     cython_lapack, "dlaset",
     "char *, int *, int *, double *, double *, double *, int *",
@@ -306,26 +304,15 @@ def _potrf(a: np.ndarray) -> int:
     return info.value
 
 
-def _potrs(chol: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite ``b`` with ``(L L^T)^-1 b`` for the lower factor ``chol``."""
-    n = _order(chol)
-    info = ctypes.c_int(0)
-    _dpotrs(
-        b"L", _int(n), _int(1), _operand(chol, (n, n), written=False), _int(n),
-        _operand(b, (n,)), _int(n), ctypes.byref(info),
-    )
-    if info.value < 0:
-        raise ValueError(f"dpotrs rejected argument {-info.value}")
-
-
-def _trsm(chol: np.ndarray, b: np.ndarray) -> None:
-    """Overwrite the ``(n, q)`` array ``b`` with ``L^-1 b`` for the lower factor ``chol``."""
+def _trsm(chol: np.ndarray, b: np.ndarray, transa: bytes = b"N") -> None:
+    """Overwrite the ``(n, q)`` array ``b`` with ``L^-1 b`` for the lower
+    factor ``chol``, or with ``L^-T b`` for ``transa=b"T"``."""
     n = _order(chol)
     if not (isinstance(b, np.ndarray) and b.ndim == 2):
         raise ValueError("expected an (n, q) right-hand side")
     q = b.shape[1]
     _dtrsm(
-        b"L", b"L", b"N", b"N", _int(n), _int(q), _ONE,
+        b"L", b"L", transa, b"N", _int(n), _int(q), _ONE,
         _operand(chol, (n, n), written=False), _int(n), _operand(b, (n, q)), _int(n),
     )
 
@@ -599,8 +586,10 @@ class GpSurrogate:
                         f"even at jitter {MAX_JITTER}"
                     )
                 _scaled_kernels(x, x, ls, (s2,), (kmat,), upper=True)
+            # dpotrs's two solves: L z = y, then L^T alpha = z.
             alpha = mus[:, k].copy()
-            _potrs(chol, alpha)
+            _trsm(chol, alpha[:, None])
+            _trsm(chol, alpha[:, None], b"T")
             gps.append(_MetricGp(signal_var=s2, chol=chol, alpha=alpha, jitter=jit))
         return cls(bounds=bounds, x=x, lengthscales=ls, metrics_gps=tuple(gps))
 
@@ -627,12 +616,6 @@ class GpSurrogate:
             )
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
-        if helper is None:
-            with Helper() as helper:
-                return self._predict(xq, helper)
-        return self._predict(xq, helper)
-
-    def _predict(self, xq: np.ndarray, helper: Helper) -> tuple[np.ndarray, np.ndarray]:
         q, n = xq.shape[0], self._x.shape[0]
         scales = [gk.signal_var for gk in self._gps]
         kqs = [np.empty((q, n)) for _ in self._gps]                   # (q, n)
@@ -653,14 +636,15 @@ class GpSurrogate:
                 var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
 
         h = (q + 1) // 2
-        upper = helper.submit(kernels, slice(h, None))
-        kernels(slice(h))
-        upper.result()
-        all_metrics = range(self.n_metrics)
-        if self.n_metrics == 1:
-            solve(all_metrics)
-        else:
-            rest = helper.submit(solve, all_metrics[1:])
-            solve(all_metrics[:1])
-            rest.result()
+        with Helper() if helper is None else contextlib.nullcontext(helper) as helper:
+            upper = helper.submit(kernels, slice(h, None))
+            kernels(slice(h))
+            upper.result()
+            all_metrics = range(self.n_metrics)
+            if self.n_metrics == 1:
+                solve(all_metrics)
+            else:
+                rest = helper.submit(solve, all_metrics[1:])
+                solve(all_metrics[:1])
+                rest.result()
         return mu, var

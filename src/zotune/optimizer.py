@@ -27,11 +27,13 @@ has finished.
 Proposal explores the surrogate's continuous box instead of the bucket: it
 scores N uniformly sampled configurations through a fitted surrogate with one
 Thompson draw each and returns the feasible argmax (same fallback) as a
-brand-new candidate.
+brand-new candidate.  That draw is a ``(1, N, M)`` block, scored by the same
+``_thompson_winners`` as each of selection's blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -77,30 +79,34 @@ class ProposalResult:
     feasible_count: int
 
 
-def _winner_indices(
-    fvals: np.ndarray, slack: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Per-repetition winner column given objective values and slacks.
+def _thompson_winners(
+    draws: np.ndarray, mu: np.ndarray, sd: np.ndarray, problem: TuningProblem
+) -> tuple[np.ndarray, int, int]:
+    """Score a ``(K, n, M)`` block of standard normals as K Thompson repetitions.
 
-    ``fvals`` is (K, n); ``slack`` is (m, K, n) of normalized constraint
-    slacks.  Rows are assumed sorted by candidate id so ``argmax`` ties
-    resolve to the lowest id.  Returns the winner columns, the number of
-    repetitions with no feasible draw, and the (K, n) feasibility mask: a
-    draw is feasible when every slack is nonnegative.
+    The block is scaled by ``sd`` and shifted by ``mu``, both ``(n, M)``, in
+    place.  A draw is feasible when every slack is nonnegative (a NaN slack
+    is not).  Each repetition goes to the feasible column with the highest
+    objective, or, with none feasible, to the column with the largest worst
+    slack; columns are in id order, so ``argmax`` ties go to the lowest id.
+    Returns the ``(K,)`` winner columns, the number of repetitions with no
+    feasible draw, and the number of feasible draws.
     """
+    draws *= sd
+    draws += mu
+    slack = problem.constraint_slack_batch(draws)        # (m, K, n)
+    fvals = problem.objective_batch(draws)               # (K, n)
     if slack.shape[0] == 0:
-        feasible = np.ones(fvals.shape, dtype=bool)
-        min_slack = np.zeros(fvals.shape)
-    else:
-        feasible = np.all(slack >= 0.0, axis=0)
-        min_slack = slack.min(axis=0)
-    any_feasible = feasible.any(axis=1)
-    masked = np.where(feasible, fvals, -np.inf)
-    win_feasible = np.argmax(masked, axis=1)
-    win_fallback = np.argmax(min_slack, axis=1)
-    winners = np.where(any_feasible, win_feasible, win_fallback)
-    infeasible = int(fvals.shape[0] - np.count_nonzero(any_feasible))
-    return winners, infeasible, feasible
+        return np.argmax(fvals, axis=1), 0, fvals.size
+    min_slack = slack.min(axis=0)
+    feasible = min_slack >= 0.0
+    np.putmask(fvals, ~feasible, -np.inf)
+    winners = np.argmax(fvals, axis=1)
+    none = ~feasible.any(axis=1)
+    infeasible = int(np.count_nonzero(none))
+    if infeasible:
+        winners[none] = np.argmax(min_slack[none], axis=1)
+    return winners, infeasible, int(np.count_nonzero(feasible))
 
 
 def beliefs(
@@ -168,56 +174,27 @@ def select(
     if np.any(var < 0):
         raise ValueError("belief variances must be nonnegative")
 
-    if helper is None:
-        with Helper() as helper:
-            return _thompson(ids, mu, var, problem, k_repetitions, rng, helper)
-    return _thompson(ids, mu, var, problem, k_repetitions, rng, helper)
-
-
-def _thompson(
-    ids: np.ndarray,
-    mu: np.ndarray,
-    var: np.ndarray,
-    problem: TuningProblem,
-    k_repetitions: int,
-    rng: np.random.Generator,
-    helper: Helper,
-) -> SelectionResult:
-    """``select``'s draws and scores, pipelined over ``_BUFFERS`` buffers.
-
-    The generator fills draws in C order, and each repetition's objective
-    and slacks are one product per repetition, so drawing the repetitions
-    block by block, in order, and scoring each block on its own gives the
-    draws, winners and generator state of one (K, n, M) array.  The caller
-    draws block i into buffer i mod ``_BUFFERS`` and hands its scoring to
-    ``helper``, which writes the block's winners into its own slice; a
-    buffer is drawn into again only after its last scoring has finished.
-    """
+    # The generator fills draws in C order, and each repetition's objective
+    # and slacks are one product per repetition, so drawing the repetitions
+    # block by block, in order, and scoring each block on its own gives the
+    # draws, winners and generator state of one (K, n, M) array.  Block i
+    # is drawn into buffer i mod _BUFFERS, and a buffer is drawn into again
+    # only after its last scoring has finished.
     sd = np.sqrt(var)
     reps = min(k_repetitions, max(1, _DRAW_BLOCK // _BUFFERS // mu.size))
     starts = range(0, k_repetitions, reps)
     buffers = np.empty((min(_BUFFERS, len(starts)), reps) + mu.shape)
-    winner_cols = np.empty(k_repetitions, dtype=np.intp)
-
-    def score(draws: np.ndarray, k0: int, k1: int) -> int:
-        draws *= sd
-        draws += mu
-        slack = problem.constraint_slack_batch(draws)        # (m, k1 - k0, n)
-        fvals = problem.objective_batch(draws)               # (k1 - k0, n)
-        winner_cols[k0:k1], infeasible, _ = _winner_indices(fvals, slack)
-        return infeasible
-
-    scored: list[Call[int]] = []
-    for i, k0 in enumerate(starts):
-        k1 = min(k0 + reps, k_repetitions)
-        if i >= _BUFFERS:
-            scored[i - _BUFFERS].result()
-        draws = rng.standard_normal(out=buffers[i % _BUFFERS, : k1 - k0])
-        scored.append(helper.submit(score, draws, k0, k1))
-    infeasible = sum(call.result() for call in scored)
+    scored: list[Call[tuple[np.ndarray, int, int]]] = []
+    with Helper() if helper is None else contextlib.nullcontext(helper) as helper:
+        for i, k0 in enumerate(starts):
+            if i >= _BUFFERS:
+                scored[i - _BUFFERS].result()
+            draws = rng.standard_normal(out=buffers[i % _BUFFERS, : k_repetitions - k0])
+            scored.append(helper.submit(_thompson_winners, draws, mu, sd, problem))
+        blocks = [call.result() for call in scored]
     return SelectionResult(
-        winners=tuple(ids[winner_cols].tolist()),
-        infeasible_rounds=infeasible,
+        winners=tuple(ids[np.concatenate([cols for cols, _, _ in blocks])].tolist()),
+        infeasible_rounds=sum(infeasible for _, infeasible, _ in blocks),
     )
 
 
@@ -248,18 +225,13 @@ def propose(
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
     mu, var = surrogate.predict_batch(thetas, helper=helper)
-    draws = rng.standard_normal(mu.shape)                       # (N, M)
-    draws *= np.sqrt(var)
-    draws += mu
-
-    fvals = problem.objective_batch(draws)                      # (N,)
-    slack = problem.constraint_slack_batch(draws)               # (m, N)
-    winner_rows, _, feasible = _winner_indices(fvals[None, :], slack[:, None, :])
+    draws = rng.standard_normal((1,) + mu.shape)                # (1, N, M)
+    winner, _, feasible_count = _thompson_winners(draws, mu, np.sqrt(var), problem)
     proposed = HyperParam(
-        id=int(new_id), theta=tuple(thetas[winner_rows[0]]), bounds=bounds
+        id=int(new_id), theta=tuple(thetas[winner[0]]), bounds=bounds
     )
     return ProposalResult(
         proposed=proposed,
         sampled_count=int(n_samples),
-        feasible_count=int(np.count_nonzero(feasible)),
+        feasible_count=feasible_count,
     )

@@ -293,6 +293,8 @@ class Scheduler:
             raise ValueError(f"the last plan is dated after round {round_no}")
         if last_plan.control_fraction != config.control_fraction:
             raise ValueError("the last plan's control fraction is not the config's")
+        if created_round.keys() != bucket.keys():
+            raise ValueError("created rounds must name exactly the bucket's candidates")
         for cid, created in created_round.items():
             if not 0 <= created <= round_no:
                 raise ValueError(f"candidate {cid} is created outside rounds 0 .. {round_no}")

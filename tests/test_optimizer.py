@@ -293,11 +293,11 @@ class TestSelect:
         bucket, (record, _), problem = random_selection_case(37, 3, 2)
         scorers = []
 
-        def failing_winner_indices(fvals, slack):
+        def failing_thompson_winners(draws, mu, sd, problem):
             scorers.append(threading.current_thread())
             raise RuntimeError("scoring failed")
 
-        monkeypatch.setattr(optimizer, "_winner_indices", failing_winner_indices)
+        monkeypatch.setattr(optimizer, "_thompson_winners", failing_thompson_winners)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="scoring failed"):
             select(*beliefs(bucket, record, problem), problem, 3, np.random.default_rng(0))
@@ -311,13 +311,11 @@ class TestSelect:
         assert res.modal_winner() == 2
 
 
-def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0):
-    """Bucket, the package's and the spec's records, and problem, with noisy
-    beliefs over ``n_metrics``."""
-    rng = np.random.default_rng(seed)
-    metrics = tuple(f"x{j + 1}" for j in range(n_metrics))
-    problem = TuningProblem(
-        metrics=metrics,
+def random_problem(rng, n_metrics, n_constraints, infeasible=False):
+    """Random linear objective and ``at-least`` guardrails over ``n_metrics``;
+    with ``infeasible`` no guardrail can hold."""
+    return TuningProblem(
+        metrics=tuple(f"x{j + 1}" for j in range(n_metrics)),
         objective=LinearExpr(tuple(rng.normal(0, 1, size=n_metrics))),
         constraints=tuple(
             ConstraintSpec(
@@ -329,10 +327,17 @@ def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0)
         ),
         base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
     )
+
+
+def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0):
+    """Bucket, the package's and the spec's records, and problem, with noisy
+    beliefs over ``n_metrics``."""
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n_metrics, n_constraints, infeasible)
     ids = sorted(int(i) for i in rng.choice(5 * n, size=n, replace=False) + 1)
     records = (EstimateRecord(), spec.Record())
     for cid in ids:
-        for metric in metrics:
+        for metric in problem.metrics:
             stat = DeltaStat(mean=rng.normal(0, 0.05), var=rng.uniform(0, 1e-3), weight=10)
             for record in records:
                 record.absorb(cid, metric, 0, stat)
@@ -402,16 +407,57 @@ class TestBlockedSelectionReference:
             assert res.infeasible_rounds == k
 
 
+class TestThompsonWinners:
+    """One block of draws scored row by row: objective x1, guardrail x2 >= 0."""
+
+    PROBLEM = make_problem(
+        LinearExpr((1.0, 0.0)),
+        (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
+    )
+
+    def test_rows_without_a_feasible_draw_fall_back_alone(self):
+        """Row 0 has two feasible columns, row 1 none (column 1 has the
+        largest worst slack), row 2 one, below an infeasible column's
+        objective."""
+        z = np.array([
+            [[0.1, 0.2], [0.9, -0.1], [0.5, 0.0]],
+            [[0.9, -0.3], [0.1, -0.1], [0.5, -0.2]],
+            [[0.2, 0.1], [0.9, -0.1], [0.5, -0.2]],
+        ])
+        mu, sd = np.tile([0.25, 0.0], (3, 1)), np.tile([2.0, 1.0], (3, 1))
+        draws = z.copy()
+        winners, infeasible, feasible = optimizer._thompson_winners(
+            draws, mu, sd, self.PROBLEM
+        )
+        assert winners.tolist() == [2, 1, 0]
+        assert (infeasible, feasible) == (1, 3)
+        assert np.array_equal(draws, z * sd + mu)
+        f, slack = spec.evaluate(self.PROBLEM, draws)
+        assert [spec.winner(f[r], slack[:, r]) for r in range(3)] == [
+            (2, True), (1, False), (0, True),
+        ]
+
+    def test_nan_slack_is_infeasible(self):
+        """A NaN guardrail lift makes both the slack and the objective NaN;
+        taken as feasible, its NaN objective would win the row."""
+        draws = np.array([[[0.1, 0.2], [0.9, np.nan]]])
+        winners, infeasible, feasible = optimizer._thompson_winners(
+            draws, np.zeros((2, 2)), np.ones((2, 2)), self.PROBLEM
+        )
+        assert winners.tolist() == [0]
+        assert (infeasible, feasible) == (0, 1)
+
+
 def _record_scorers(monkeypatch):
     """Record the thread that scores each block of draws."""
     threads = []
-    winner_indices = optimizer._winner_indices
+    thompson_winners = optimizer._thompson_winners
 
-    def spy(fvals, slack):
+    def spy(draws, mu, sd, problem):
         threads.append(threading.current_thread())
-        return winner_indices(fvals, slack)
+        return thompson_winners(draws, mu, sd, problem)
 
-    monkeypatch.setattr(optimizer, "_winner_indices", spy)
+    monkeypatch.setattr(optimizer, "_thompson_winners", spy)
     return threads
 
 
@@ -423,6 +469,46 @@ def fit_linear_surrogate(rng, grid=12):
     bucket = [HyperParam(id=i + 1, theta=tuple(p), bounds=BOUNDS) for i, p in enumerate(pts)]
     mu = np.array([truth(p) for p in pts])
     return GpSurrogate.fit(bucket, mu, np.zeros_like(mu)), truth
+
+
+@pytest.mark.bitwise
+class TestProposeReference:
+    """``propose`` against ``spec.propose`` on the same fitted beliefs: the
+    winner's theta, the generator's end state, and a brute count of the
+    feasible samples, replayed from the same seed."""
+
+    CASES = {
+        "unconstrained": dict(n_metrics=2, n_constraints=0),
+        "all-infeasible": dict(n_metrics=2, n_constraints=1, infeasible=True),
+        "one-metric": dict(n_metrics=1, n_constraints=1),
+        "three-metrics": dict(n_metrics=3, n_constraints=2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_spec(self, case):
+        rng = np.random.default_rng(41)
+        problem = random_problem(rng, **self.CASES[case])
+        n, n_samples, m = 40, 300, len(problem.metrics)
+        bucket = [hp(i + 1, tuple(rng.uniform(size=2))) for i in range(n)]
+        mu, var = rng.normal(0, 0.05, size=(n, m)), rng.uniform(0, 1e-3, size=(n, m))
+        surrogate = GpSurrogate.fit(bucket, mu, var)
+        ref_surrogate = spec.Surrogate(bucket, mu, var)
+
+        run_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        res = propose(surrogate, problem, n_samples, run_rng, 77)
+        ref, (ref_mu, ref_var) = spec.propose(ref_surrogate, problem, n_samples, ref_rng, 77)
+        assert res.proposed == ref
+        assert run_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.sampled_count == n_samples
+
+        replay = np.random.default_rng(5)
+        replay.uniform(size=(n_samples, 2))
+        draws = ref_mu + np.sqrt(ref_var) * replay.standard_normal((n_samples, m))
+        _, slack = spec.evaluate(problem, draws)
+        brute = sum(all(slack[:, i] >= 0.0) for i in range(n_samples))
+        assert res.feasible_count == brute
+        expected = {"unconstrained": n_samples, "all-infeasible": 0}
+        assert brute == expected[case] if case in expected else 0 < brute < n_samples
 
 
 class TestPropose:

@@ -162,6 +162,30 @@ class TestBootstrap:
         assert sched.next_id == 11
 
 
+class TestConstruction:
+    """Construction refuses a state that no call sequence reaches."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda created: created.pop(1), lambda created: created.update({999: 0})],
+        ids=["missing-id", "extra-id"],
+    )
+    def test_created_rounds_not_the_buckets_refused(self, edit):
+        sched = make_sched(seed=42)
+        for r in range(1, 4):
+            sched.run_round([batch_for(1, r - 1, r)])
+        parts = dict(
+            bucket={hp.id: hp for hp in sched.bucket},
+            created_round={hp.id: sched.created_round(hp.id) for hp in sched.bucket},
+            round_no=sched.round,
+            last_plan=sched.last_plan,
+        )
+        Scheduler(sched.problem, sched.config, sched.rng, **parts)
+        edit(parts["created_round"])
+        with pytest.raises(ValueError, match="created rounds"):
+            Scheduler(sched.problem, sched.config, sched.rng, **parts)
+
+
 class TestInitialPlan:
     def test_uniform_split(self):
         sched = make_sched(init=BucketInit(mode="random", size=4))
