@@ -14,7 +14,8 @@ are the one path for every versioned JSON file: a file is a
 two-space indents and a trailing newline; ``load`` refuses another version
 with ``DecodeError`` and lets ``json``'s ``ValueError`` through.
 ``save_table`` and ``load_table`` are the one path for every CSV table: a
-header line, then one line per row.
+header line, then one line per row.  ``check_counts`` lets a config refuse,
+when built, a count that decoding would later refuse.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def to_dict(obj: object) -> dict:
 def from_dict(cls: type[T], data: object) -> T:
     """Build ``cls`` from what ``to_dict`` wrote; DecodeError on any mismatch."""
     return _decode(cls, data, cls.__name__)
+
+
+def check_counts(obj: object, *names: str) -> None:
+    """ValueError naming the first of ``obj``'s fields ``names`` that is not an
+    ``int``; a ``bool`` is refused too, since decoding refuses it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, not {brief(value)}")
 
 
 def save(path: str, version: int, obj: object) -> None:

@@ -44,15 +44,7 @@ from .scheduler import (
     Scheduler,
     SchedulerConfig,
 )
-from .simenv import (
-    BOX,
-    CONTROL_ID,
-    DEFAULT_FIXED_DELAY,
-    DEFAULT_XI_MEAN,
-    DEFAULT_XI_SD,
-    SimEnv,
-    check_knobs,
-)
+from .simenv import BOX, CONTROL_ID, EnvKnobs, SimEnv
 
 REPORT_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 4
@@ -85,7 +77,7 @@ class ExperimentConfig:
     """Everything one campaign needs: variant, seeds, loop and env knobs.
 
     Loop and env defaults are read from ``SchedulerConfig``, ``BucketInit``
-    and the environment's own defaults; ``None`` keeps the environment's.
+    and ``EnvKnobs``; ``None`` keeps the environment's default.
     """
 
     variant: str = "full"
@@ -96,9 +88,9 @@ class ExperimentConfig:
     proposal_prob: float = SchedulerConfig.proposal_prob
     control_fraction: float = SchedulerConfig.control_fraction
     taylor_mode: str = SchedulerConfig.taylor_mode.value
-    fixed_delay: int = DEFAULT_FIXED_DELAY
-    xi_mean: float = DEFAULT_XI_MEAN
-    xi_sd: float = DEFAULT_XI_SD
+    fixed_delay: int = EnvKnobs.fixed_delay
+    xi_mean: float = EnvKnobs.xi_mean
+    xi_sd: float = EnvKnobs.xi_sd
     bucket_init: str = BucketInit.mode
     bucket_size: int = BucketInit.size
     grid_nodes: int = BucketInit.nodes_per_dim
@@ -128,13 +120,14 @@ class ExperimentConfig:
             raise HarnessConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise HarnessConfigError("seeds must be unique")
-        if self.rounds < 0:
-            raise HarnessConfigError("rounds must be nonnegative")
         _check_threshold_fraction(self.threshold_fraction)
         try:
+            codec.check_counts(self, "rounds")
+            if self.rounds < 0:
+                raise ValueError("rounds must be nonnegative")
             SchedulerConfig(proposal_prob=self.proposal_prob)    # also under no-proposal
             self.scheduler_config()
-            check_knobs(**self.env_overrides())
+            EnvKnobs(**self.env_overrides())
         except ValueError as exc:
             raise HarnessConfigError(str(exc)) from None
 

@@ -158,6 +158,7 @@ class BucketInit:
     nodes_per_dim: int = 10
 
     def __post_init__(self) -> None:
+        codec.check_counts(self, "size", "nodes_per_dim")
         if self.mode not in ("random", "grid"):
             raise ValueError(f"unknown bucket init mode {self.mode!r}")
         if self.mode == "random" and self.size < 1:
@@ -180,6 +181,7 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taylor_mode", TaylorMode(self.taylor_mode))
+        codec.check_counts(self, "select_count", "proposal_samples")
         if self.select_count < 1:
             raise ValueError("select_count must be positive")
         if self.proposal_samples < 1:

@@ -21,10 +21,12 @@ stream, in this order: D normals for each of the control's M readings;
 then, for each candidate in plan order, D normals for each of its M
 readings followed by the one normal of its extra delay.  Landscape
 generation uses its own stream, so overrides and sampling never change the
-landscape.  The environment writes no file: ``SimEnv.build(seed,
-**overrides)`` regenerates the landscape bit for bit, so a run checkpoint
-keeps only the noise stream's ``rng_state``.  Since generation depends on
-the seed alone, a process draws each seed's landscape once and keeps the
+landscape.  The sampling constants are the fields of ``EnvKnobs``, each
+with its default, and ``EnvSpec`` adds a seed's landscape to them.  The
+environment writes no file: ``SimEnv.build(seed, **overrides)`` regenerates
+the landscape bit for bit, so a run checkpoint keeps only the noise
+stream's ``rng_state``.  Since generation depends on the seed alone, a
+process draws each seed's landscape once and keeps the
 ``LANDSCAPE_CACHE_SIZE`` used last; the cached landscape is the same, bit
 for bit, as a fresh draw.
 """
@@ -38,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import check_counts
 from .deltastats import GroupReading
 from .problem import gain as relative_gain
 from .scheduler import InboundBatch, RoundPlan
@@ -63,16 +66,6 @@ NORM_GRID_NODES = 201
 SCAN_GRID_NODES = 200
 BOX = ((0.0, 1.0), (0.0, 1.0))
 METRICS = ("x1", "x2")
-
-DEFAULT_WEIGHTS = (0.296, 1.165, 0.149, 0.703)
-DEFAULT_THRESHOLD = 0.6036
-DEFAULT_SIGMA = 0.6
-DEFAULT_USERS = 1_000_000
-DEFAULT_DRAWS_PER_STEP = 50
-DEFAULT_FIXED_DELAY = 3
-DEFAULT_XI_MEAN = 0.0
-DEFAULT_XI_SD = 1.0
-DEFAULT_BASE_THETA = (0.011, 0.985)
 
 
 def _bump_terms(
@@ -187,49 +180,49 @@ def _realize_w2(w1_values: np.ndarray, coeffs: CounterCoeffs) -> np.ndarray:
     return np.maximum(raw, PATTERN_FLOOR)
 
 
-# The sampling constants ``SimEnv.build`` takes as overrides.
-KNOBS = (
-    "sigma", "weights", "threshold", "users", "draws_per_step",
-    "fixed_delay", "xi_mean", "xi_sd", "base_theta",
-)
-
-
-def check_knobs(
-    sigma: float = DEFAULT_SIGMA,
-    weights: Sequence[float] = DEFAULT_WEIGHTS,
-    threshold: float = DEFAULT_THRESHOLD,
-    users: int = DEFAULT_USERS,
-    draws_per_step: int = DEFAULT_DRAWS_PER_STEP,
-    fixed_delay: int = DEFAULT_FIXED_DELAY,
-    xi_mean: float = DEFAULT_XI_MEAN,
-    xi_sd: float = DEFAULT_XI_SD,
-    base_theta: Sequence[float] = DEFAULT_BASE_THETA,
-) -> None:
-    """ValueError naming the first sampling constant out of range; every
-    real-valued one must be finite."""
-    reals = [("sigma", sigma), ("threshold", threshold), ("xi_mean", xi_mean), ("xi_sd", xi_sd)]
-    for name, value in reals + [("weights", w) for w in weights]:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, not {value}")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if len(weights) != 4:
-        raise ValueError("four mixing weights are required")
-    if users < 1:
-        raise ValueError("user population must be positive")
-    if draws_per_step < 2:
-        raise ValueError("at least two draws per step are needed for a variance")
-    if fixed_delay < 0:
-        raise ValueError("fixed delay must be nonnegative")
-    if xi_sd < 0:
-        raise ValueError("extra-delay spread must be nonnegative")
-    for x, (lo, hi) in zip(base_theta, BOX):
-        if not lo <= x <= hi:
-            raise ValueError("base configuration must lie in the box")
-
-
 @dataclass(frozen=True)
-class EnvSpec:
+class EnvKnobs:
+    """The sampling constants ``SimEnv.build`` takes as overrides, with their
+    defaults; ValueError names the first one out of range (a count must be
+    an ``int`` and every real-valued constant finite)."""
+
+    sigma: float = 0.6
+    weights: tuple[float, float, float, float] = (0.296, 1.165, 0.149, 0.703)
+    threshold: float = 0.6036
+    users: int = 1_000_000
+    draws_per_step: int = 50
+    fixed_delay: int = 3
+    xi_mean: float = 0.0
+    xi_sd: float = 1.0
+    base_theta: tuple[float, float] = (0.011, 0.985)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "base_theta", tuple(float(x) for x in self.base_theta))
+        check_counts(self, "users", "draws_per_step", "fixed_delay")
+        reals = [(name, getattr(self, name)) for name in ("sigma", "threshold", "xi_mean", "xi_sd")]
+        for name, value in reals + [("weights", w) for w in self.weights]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        if len(self.weights) != 4:
+            raise ValueError("four mixing weights are required")
+        if self.users < 1:
+            raise ValueError("user population must be positive")
+        if self.draws_per_step < 2:
+            raise ValueError("at least two draws per step are needed for a variance")
+        if self.fixed_delay < 0:
+            raise ValueError("fixed delay must be nonnegative")
+        if self.xi_sd < 0:
+            raise ValueError("extra-delay spread must be nonnegative")
+        for x, (lo, hi) in zip(self.base_theta, BOX):
+            if not lo <= x <= hi:
+                raise ValueError("base configuration must lie in the box")
+
+
+@dataclass(frozen=True, kw_only=True)
+class EnvSpec(EnvKnobs):
     """Complete generated landscape plus the sampling constants."""
 
     seed: int
@@ -237,21 +230,7 @@ class EnvSpec:
     delta2: RadialBumpField
     w1_coeffs: PatternCoeffs
     w2_coeffs: CounterCoeffs
-    sigma: float = DEFAULT_SIGMA
-    weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    threshold: float = DEFAULT_THRESHOLD
-    users: int = DEFAULT_USERS
-    draws_per_step: int = DEFAULT_DRAWS_PER_STEP
-    fixed_delay: int = DEFAULT_FIXED_DELAY
-    xi_mean: float = DEFAULT_XI_MEAN
-    xi_sd: float = DEFAULT_XI_SD
-    base_theta: tuple[float, float] = DEFAULT_BASE_THETA
     metrics: tuple[str, str] = METRICS
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "base_theta", tuple(float(x) for x in self.base_theta))
-        check_knobs(**{name: getattr(self, name) for name in KNOBS})
 
 
 def _norm_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +305,8 @@ def _base_typicality(
     daily patterns as equal-scale, which holds up to the small flooring
     lift.
     """
-    w1, w2 = DEFAULT_WEIGHTS[0], DEFAULT_WEIGHTS[1]
-    base = np.asarray(DEFAULT_BASE_THETA)[None, :]
+    w1, w2 = EnvKnobs.weights[0], EnvKnobs.weights[1]
+    base = np.asarray(EnvKnobs.base_theta)[None, :]
 
     def objective(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
         return w1 * (1.0 + LIFT_SCALE * d1) + w2 * (1.0 + LIFT_SCALE * d2)
@@ -405,19 +384,18 @@ class SimEnv:
     def build(cls, seed: int, **overrides) -> "SimEnv":
         """Generate the landscape from ``seed``; overrides never touch generation.
 
-        Overridable fields: sigma, weights, threshold, users, draws_per_step,
-        fixed_delay, xi_mean, xi_sd, base_theta.  Two builds with the same
-        seed share an identical landscape regardless of overrides, so runs
-        with different delays or noise levels stay paired.  The landscape
-        is drawn once per process per seed and kept for the
-        ``LANDSCAPE_CACHE_SIZE`` seeds used last; a later build reuses its
-        frozen fields bit for bit, while each env gets its own ``EnvSpec``
-        and a fresh noise stream.
+        The overrides are the fields of ``EnvKnobs``; another name raises
+        TypeError and a value out of range ValueError, both before any
+        landscape is drawn.  Two builds with the same seed share an
+        identical landscape regardless of overrides, so runs with different
+        delays or noise levels stay paired.  The landscape is drawn once
+        per process per seed and kept for the ``LANDSCAPE_CACHE_SIZE``
+        seeds used last; a later build reuses its frozen fields bit for
+        bit, while each env gets its own ``EnvSpec`` and a fresh noise
+        stream.
         """
+        EnvKnobs(**overrides)
         delta1, delta2, w1, w2 = _landscape(int(seed))
-        unknown = set(overrides) - set(KNOBS)
-        if unknown:
-            raise TypeError(f"unknown environment overrides: {sorted(unknown)}")
         spec = EnvSpec(
             seed=int(seed),
             delta1=delta1,

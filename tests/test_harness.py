@@ -4,7 +4,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from zotune.harness import (
 )
 from zotune.problem import AT_LEAST
 from zotune.scheduler import SchedulerConfig
-from zotune.simenv import CONTROL_ID, SimEnv
+from zotune.simenv import CONTROL_ID, EnvKnobs, SimEnv
 
 # Small-but-live loop settings so campaign tests stay fast.
 TINY = dict(
@@ -104,6 +104,9 @@ class TestExperimentConfig:
     def test_negative_rounds_rejected(self):
         with pytest.raises(HarnessConfigError):
             ExperimentConfig(rounds=-1)
+        for rounds in (4.0, True):          # neither round-trips through the codec
+            with pytest.raises(HarnessConfigError, match="rounds must be an int"):
+                ExperimentConfig(rounds=rounds)
 
     def test_threshold_fraction_bounds(self):
         with pytest.raises(HarnessConfigError):
@@ -125,6 +128,17 @@ class TestExperimentConfig:
         run = SingleRun(3, ExperimentConfig.from_dict(tiny.to_dict()))
         assert run.sched.config.taylor_mode is TaylorMode.CROSSED
 
+    def test_env_fields_are_the_env_knobs(self):
+        """The report keeps its own names for the env knobs; the set stays one."""
+        every = ExperimentConfig(
+            sigma=0.5, users=1000, draws_per_step=20, env_weights=(1.0, 2.0, 3.0, 4.0),
+            env_threshold=0.5, base_theta=(0.5, 0.5),
+        )
+        knobs = [f.name for f in fields(EnvKnobs)]
+        assert set(every.env_overrides()) == set(knobs)
+        spec = SingleRun(1, ExperimentConfig()).env.spec
+        assert [getattr(spec, name) for name in knobs] == list(astuple(EnvKnobs()))
+
     def test_default_loop_is_the_scheduler_default(self):
         assert SingleRun(1, ExperimentConfig()).sched.config == SchedulerConfig()
 
@@ -142,6 +156,11 @@ class TestExperimentConfig:
             {"bucket_init": "hex"},
             {"bucket_size": 0},
             {"bucket_init": "grid", "grid_nodes": 0},
+            {"select_count": 50.0},
+            {"proposal_samples": 40.0},
+            {"bucket_size": 10.0},
+            {"grid_nodes": 4.0},
+            {"select_count": True},
         ],
         ids=lambda knob: ",".join(f"{k}={v}" for k, v in knob.items()),
     )
@@ -160,6 +179,10 @@ class TestExperimentConfig:
             {"env_threshold": math.nan},
             {"env_weights": (0.3, math.nan, 0.1, 0.7)},
             {"draws_per_step": 1},
+            {"users": 20000.5},
+            {"fixed_delay": 1.5},
+            {"draws_per_step": 50.0},
+            {"users": True},
         ],
         ids=lambda knob: ",".join(f"{k}={v}" for k, v in knob.items()),
     )

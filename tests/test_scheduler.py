@@ -695,6 +695,11 @@ class TestPersistence:
             hp.theta for hp in full.bucket
         )
 
+    def test_float_count_refused_before_it_can_be_persisted(self):
+        """A manifest of ``select_count=5.0`` would be one restore refuses."""
+        with pytest.raises(ValueError, match="select_count must be an int"):
+            SchedulerConfig(select_count=5.0)
+
     def test_missing_file_fails(self, tmp_path):
         store = tmp_path / "s"
         self.run_some_rounds().persist(str(store))

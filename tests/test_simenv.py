@@ -335,6 +335,22 @@ class TestLandscapeCache:
             assert getattr(tuned.spec, name) is getattr(stock.spec, name)
         assert spec_digest(stock.spec) == FROZEN_SPEC_DIGESTS[seed]
 
+    @pytest.mark.parametrize(
+        "override, error",
+        [
+            ({"metrics": ("a", "b")}, TypeError),
+            ({"seed": 1}, TypeError),
+            ({"delta1": None}, TypeError),
+            ({"users": 0}, ValueError),
+        ],
+        ids=lambda v: ",".join(v) if isinstance(v, dict) else v.__name__,
+    )
+    def test_bad_override_refused_before_any_draw(self, override, error):
+        """Only ``EnvKnobs``' fields override, and they are checked first."""
+        with pytest.raises(error):
+            SimEnv.build(42, **override)
+        assert simenv._landscape.cache_info().misses == 0
+
     def test_envs_of_one_landscape_have_own_noise(self):
         a = SimEnv.build(42)
         b = SimEnv.build(42)
