@@ -3,19 +3,20 @@
 Encoding turns a dataclass into a dict of its fields, a tuple (named or not)
 into a list and an enum into its value; everything else passes through.
 Decoding reads the field types with ``typing.get_type_hints`` and accepts
-exactly what encoding writes: nested dataclasses, ``NamedTuple`` rows,
-``tuple[X, ...]``, fixed-length tuples, ``X | None``, ``Literal`` tags,
-enums, ``bool``, ``int``, ``float`` (an int is widened), ``str`` and plain
-``dict``.  An unknown, missing or wrongly typed key, or a tag outside its
-``Literal``, raises ``DecodeError``, naming where it sits; values of the
-right types then meet each constructor's own checks.  ``save`` and ``load``
-are the one path for every versioned JSON file: a file is a
-``format_version`` key beside the encoded fields, written with sorted keys,
-two-space indents and a trailing newline; ``load`` refuses another version
-with ``DecodeError`` and lets ``json``'s ``ValueError`` through.
-``save_table`` and ``load_table`` are the one path for every CSV table: a
-header line, then one line per row.  ``check_counts`` lets a config refuse,
-when built, a count that decoding would later refuse.
+what encoding writes, or the live value: nested dataclasses, ``NamedTuple``
+rows, ``tuple[X, ...]``, fixed-length tuples (a list or a tuple), ``X |
+None``, ``Literal`` tags, enums, ``bool``, ``str``, plain ``dict``, any
+real but a ``bool`` as a ``float`` (``real``) and any integer but a
+``bool`` as an ``int`` (``count``).  Anything else raises ``DecodeError``,
+naming where it sits; values of the right types then meet each
+constructor's own checks, which start with ``conform``: it holds a built
+dataclass to its annotations, so it stores what decoding gives back.
+``save`` and ``load`` are the one path for every versioned JSON file: a
+file is a ``format_version`` key beside the encoded fields, written with
+sorted keys, two-space indents and a trailing newline; ``load`` refuses
+another version with ``DecodeError`` and lets ``json``'s ``ValueError``
+through.  ``save_table`` and ``load_table`` are the one path for every CSV
+table: a header line, then one line per row.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import dataclasses
 import functools
 import json
+import numbers
 import types
 import typing
 from enum import Enum
@@ -57,13 +59,25 @@ def from_dict(cls: type[T], data: object) -> T:
     return _decode(cls, data, cls.__name__)
 
 
-def check_counts(obj: object, *names: str) -> None:
-    """ValueError naming the first of ``obj``'s fields ``names`` that is not an
-    ``int``; a ``bool`` is refused too, since decoding refuses it."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, not {brief(value)}")
+def conform(obj: object) -> None:
+    """Set each field of the dataclass ``obj`` to what decoding gives back for
+    its annotation; DecodeError naming the first field that decoding refuses."""
+    for name, tp, where in _fields(type(obj)):
+        object.__setattr__(obj, name, _decode(tp, getattr(obj, name), where))
+
+
+def real(value: object, where: str) -> float:
+    """``value`` as a ``float``: any real number but a ``bool``."""
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DecodeError(f"{where}: expected float, got {brief(value)}")
+
+
+def count(value: object, where: str) -> int:
+    """``value`` as an ``int``: any integer but a ``bool``."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise DecodeError(f"{where}: expected int, got {brief(value)}")
 
 
 def save(path: str, version: int, obj: object) -> None:
@@ -111,11 +125,20 @@ def load_table(path: str, header: typing.Sequence[str]) -> typing.Iterator[tuple
 
 
 @functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    return typing.get_type_hints(cls)
+def _fields(cls: type) -> tuple[tuple[str, object, str], ...]:
+    """``(name, annotation, path)`` of each field of a dataclass or ``NamedTuple``."""
+    hints = typing.get_type_hints(cls)
+    names = cls._fields if issubclass(cls, tuple) else [f.name for f in dataclasses.fields(cls)]
+    return tuple((name, hints[name], f"{cls.__name__}.{name}") for name in names)
 
 
 def _decode(tp: object, value: object, where: str) -> object:
+    if tp is float:
+        return real(value, where)
+    if tp is int:
+        return count(value, where)
+    if tp in (bool, str, dict) and isinstance(value, tp):
+        return value
     origin = typing.get_origin(tp)
     if origin is typing.Literal:
         for allowed in typing.get_args(tp):
@@ -127,7 +150,7 @@ def _decode(tp: object, value: object, where: str) -> object:
         return None if value is None else _decode(inner, value, where)
     if origin is tuple:
         args = typing.get_args(tp)
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise DecodeError(f"{where}: expected a list, got {brief(value)}")
         if len(args) == 2 and args[1] is Ellipsis:
             args = (args[0],) * len(value)
@@ -136,31 +159,28 @@ def _decode(tp: object, value: object, where: str) -> object:
         return tuple(
             _decode(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value))
         )
+    if isinstance(tp, type) and isinstance(value, tp):    # built, or an enum member
+        return value
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise DecodeError(f"{where}: expected an object, got {brief(value)}")
-        names = [f.name for f in dataclasses.fields(tp)]
+        fields = _fields(tp)
+        names = [name for name, _, _ in fields]
         unknown = sorted(set(value) - set(names))
         if unknown:
             raise DecodeError(f"{where}: unknown keys {unknown}")
         missing = [n for n in names if n not in value]
         if missing:
             raise DecodeError(f"{where}: missing keys {missing}")
-        hints = _field_types(tp)
-        return tp(**{n: _decode(hints[n], value[n], f"{where}.{n}") for n in names})
+        return tp(**{n: _decode(a, value[n], f"{where}.{n}") for n, a, _ in fields})
     if isinstance(tp, type) and issubclass(tp, tuple):    # a NamedTuple row
-        hints = _field_types(tp)
-        if not isinstance(value, list) or len(value) != len(tp._fields):
-            raise DecodeError(f"{where}: expected a list of {len(tp._fields)}, got {brief(value)}")
-        return tp(*(_decode(hints[n], v, f"{where}.{n}") for n, v in zip(tp._fields, value)))
+        fields = _fields(tp)
+        if not isinstance(value, (list, tuple)) or len(value) != len(fields):
+            raise DecodeError(f"{where}: expected a list of {len(fields)}, got {brief(value)}")
+        return tp(*(_decode(a, v, f"{where}.{n}") for (n, a, _), v in zip(fields, value)))
     if isinstance(tp, type) and issubclass(tp, Enum):
         try:
             return tp(value)
         except ValueError:
             raise DecodeError(f"{where}: {brief(value)} is not a {tp.__name__}") from None
-    if isinstance(value, bool) == (tp is bool):        # bool is an int, but not here
-        if tp is float and isinstance(value, int):
-            return float(value)
-        if tp in (bool, int, float, str, dict) and isinstance(value, tp):
-            return value
     raise DecodeError(f"{where}: expected {getattr(tp, '__name__', tp)}, got {brief(value)}")

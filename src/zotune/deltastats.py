@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+from .codec import count, real
+
 DEGENERATE_MEAN_TOL = 1e-9
 
 
@@ -83,10 +85,12 @@ class GroupReading:
     group_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_mean", float(self.sample_mean))
-        object.__setattr__(self, "sample_var", float(self.sample_var))
-        object.__setattr__(self, "group_size", int(self.group_size))
-        object.__setattr__(self, "round", int(self.round))
+        set_field = object.__setattr__
+        set_field(self, "candidate_id", count(self.candidate_id, "GroupReading.candidate_id"))
+        set_field(self, "round", count(self.round, "GroupReading.round"))
+        set_field(self, "sample_mean", real(self.sample_mean, "GroupReading.sample_mean"))
+        set_field(self, "sample_var", real(self.sample_var, "GroupReading.sample_var"))
+        set_field(self, "group_size", count(self.group_size, "GroupReading.group_size"))
         if self.round < 0:
             raise ValueError("round must be nonnegative")
         if not (math.isfinite(self.sample_mean) and math.isfinite(self.sample_var)):

@@ -25,22 +25,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import astuple, dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
 from . import codec
 from .deltastats import TaylorMode
-from .problem import (
-    AT_LEAST,
-    ConstraintSpec,
-    HyperParam,
-    LinearExpr,
-    TuningProblem,
-)
+from .problem import ConstraintSpec, HyperParam, LinearExpr, TuningProblem
 from .scheduler import (
     BucketInit,
     InboundBatch,
+    InitMode,
     Scheduler,
     SchedulerConfig,
 )
@@ -49,7 +44,8 @@ from .simenv import BOX, CONTROL_ID, EnvKnobs, SimEnv
 REPORT_FORMAT_VERSION = 1
 CHECKPOINT_FORMAT_VERSION = 4
 
-VARIANTS = ("full", "raw-metric", "synchronous", "no-proposal")
+Variant = Literal["full", "raw-metric", "synchronous", "no-proposal"]
+VARIANTS = get_args(Variant)
 
 # Historical pool of study seeds; campaigns default to the first ten.
 DEFAULT_SEED_POOL = (
@@ -80,18 +76,18 @@ class ExperimentConfig:
     and ``EnvKnobs``; ``None`` keeps the environment's default.
     """
 
-    variant: str = "full"
+    variant: Variant = "full"
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     rounds: int = 30
     select_count: int = SchedulerConfig.select_count
     proposal_samples: int = SchedulerConfig.proposal_samples
     proposal_prob: float = SchedulerConfig.proposal_prob
     control_fraction: float = SchedulerConfig.control_fraction
-    taylor_mode: str = SchedulerConfig.taylor_mode.value
+    taylor_mode: TaylorMode = SchedulerConfig.taylor_mode
     fixed_delay: int = EnvKnobs.fixed_delay
     xi_mean: float = EnvKnobs.xi_mean
     xi_sd: float = EnvKnobs.xi_sd
-    bucket_init: str = BucketInit.mode
+    bucket_init: InitMode = BucketInit.mode
     bucket_size: int = BucketInit.size
     grid_nodes: int = BucketInit.nodes_per_dim
     sigma: float | None = None
@@ -104,25 +100,13 @@ class ExperimentConfig:
     threshold_fraction: float = 0.8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         try:
-            object.__setattr__(self, "taylor_mode", TaylorMode(self.taylor_mode).value)
-        except ValueError:
-            raise HarnessConfigError(
-                f"taylor_mode {self.taylor_mode!r} is not one of "
-                f"{[m.value for m in TaylorMode]}"
-            ) from None
-        if self.variant not in VARIANTS:
-            raise HarnessConfigError(
-                f"variant {self.variant!r} is not one of {VARIANTS}"
-            )
-        if not self.seeds:
-            raise HarnessConfigError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise HarnessConfigError("seeds must be unique")
-        _check_threshold_fraction(self.threshold_fraction)
-        try:
-            codec.check_counts(self, "rounds")
+            codec.conform(self)
+            if not self.seeds:
+                raise ValueError("at least one seed is required")
+            if len(set(self.seeds)) != len(self.seeds):
+                raise ValueError("seeds must be unique")
+            _check_threshold_fraction(self.threshold_fraction)
             if self.rounds < 0:
                 raise ValueError("rounds must be nonnegative")
             SchedulerConfig(proposal_prob=self.proposal_prob)    # also under no-proposal
@@ -183,17 +167,15 @@ def delta_problem_from_env(env: SimEnv) -> TuningProblem:
     argmax is unchanged and the guardrail threshold shifts by its value at
     the base.
     """
-    b = env.base_means()
+    b1, b2 = env.base_means().tolist()
     w1, w2, w3, w4 = env.spec.weights
-    g_base = w3 * float(b[0]) + w4 * float(b[1])
     return TuningProblem(
         metrics=env.spec.metrics,
-        objective=LinearExpr((w1 * float(b[0]), w2 * float(b[1]))),
+        objective=LinearExpr((w1 * b1, w2 * b2)),
         constraints=(
             ConstraintSpec(
-                g=LinearExpr((w3 * float(b[0]), w4 * float(b[1]))),
-                threshold=env.spec.threshold - g_base,
-                direction=AT_LEAST,
+                g=LinearExpr((w3 * b1, w4 * b2)),
+                threshold=env.spec.threshold - (w3 * b1 + w4 * b2),
             ),
         ),
         base=HyperParam(id=CONTROL_ID, theta=env.spec.base_theta, bounds=BOX),
@@ -319,10 +301,10 @@ class SingleRun:
     """
 
     def __init__(self, seed: int, cfg: ExperimentConfig) -> None:
-        self.seed = int(seed)
+        self.seed = codec.count(seed, "seed")
         self.cfg = cfg
         self.synchronous = cfg.variant == "synchronous"
-        self.env = SimEnv.build(seed, **cfg.env_overrides())
+        self.env = SimEnv.build(self.seed, **cfg.env_overrides())
         self.sched = Scheduler.bootstrap(
             delta_problem_from_env(self.env),
             cfg.scheduler_config(),
@@ -366,8 +348,9 @@ class SingleRun:
 
     def run_to(self, upto: int) -> None:
         """Advance wall rounds [next_round, upto); a round never runs twice,
-        so an ``upto`` below ``next_round`` raises ValueError."""
-        upto = int(upto)
+        so an ``upto`` below ``next_round``, or one that is not an ``int``,
+        raises ValueError."""
+        upto = codec.count(upto, "upto")
         if upto < self.next_round:
             raise ValueError(f"run is at round {self.next_round}; cannot run to {upto}")
         for r in range(self.next_round, upto):

@@ -12,16 +12,16 @@ direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
+from . import codec
+
 MetricId = str
 
-AT_LEAST = "at-least"
-AT_MOST = "at-most"
-
-_DIRECTIONS = (AT_LEAST, AT_MOST)
+Direction = Literal["at-least", "at-most"]
+AT_LEAST, AT_MOST = get_args(Direction)
 
 
 class DimensionMismatchError(ValueError):
@@ -49,8 +49,10 @@ class HyperParam:
     bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        theta = tuple(float(x) for x in self.theta)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        real, where = codec.real, "HyperParam.bounds"
+        theta = tuple(real(x, "HyperParam.theta") for x in self.theta)
+        bounds = tuple((real(lo, where), real(hi, where)) for lo, hi in self.bounds)
+        object.__setattr__(self, "id", codec.count(self.id, "HyperParam.id"))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "bounds", bounds)
         if len(theta) < 1:
@@ -83,7 +85,7 @@ class LinearExpr:
     form: Literal["linear"] = "linear"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        codec.conform(self)
         if len(self.weights) < 1:
             raise ValueError("linear form needs at least one weight")
 
@@ -107,12 +109,10 @@ class ConstraintSpec:
 
     g: LinearExpr
     threshold: float
-    direction: str = AT_LEAST
+    direction: Direction = AT_LEAST
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", float(self.threshold))
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
+        codec.conform(self)
 
     def normalized(self) -> tuple[LinearExpr, float]:
         """Return the ``at-least`` form ``(g', c')`` with ``g' >= c'``.
@@ -135,23 +135,21 @@ class TuningProblem:
     base: HyperParam
 
     def __post_init__(self) -> None:
-        metrics = tuple(str(m) for m in self.metrics)
-        object.__setattr__(self, "metrics", metrics)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if len(metrics) < 1:
+        codec.conform(self)
+        if len(self.metrics) < 1:
             raise ConfigError("a problem needs at least one metric")
-        if len(set(metrics)) != len(metrics):
+        if len(set(self.metrics)) != len(self.metrics):
             raise ConfigError("metric names must be unique within a problem")
-        if self.objective.arity != len(metrics):
+        if self.objective.arity != len(self.metrics):
             raise DimensionMismatchError(
                 f"objective consumes {self.objective.arity} lifts, "
-                f"problem has {len(metrics)} metrics"
+                f"problem has {len(self.metrics)} metrics"
             )
         for i, c in enumerate(self.constraints):
-            if c.g.arity != len(metrics):
+            if c.g.arity != len(self.metrics):
                 raise DimensionMismatchError(
                     f"constraint {i} consumes {c.g.arity} lifts, "
-                    f"problem has {len(metrics)} metrics"
+                    f"problem has {len(self.metrics)} metrics"
                 )
         # Normalized (g, c) pairs are fixed at construction.
         object.__setattr__(

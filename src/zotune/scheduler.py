@@ -40,7 +40,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -63,7 +63,7 @@ FORMAT_VERSION = 2
 
 PLAN_SUM_TOL = 1e-12
 
-NORMALIZATION_MODES = ("delta", "raw")
+InitMode = Literal["random", "grid"]
 
 
 class RestoreError(RuntimeError):
@@ -93,12 +93,13 @@ class RoundPlan:
     assignments: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "round", int(self.round))
-        object.__setattr__(self, "control_fraction", float(self.control_fraction))
-        assignments = tuple(
-            (int(cid), float(frac)) for cid, frac in self.assignments
-        )
-        object.__setattr__(self, "assignments", assignments)
+        set_field, count, real = object.__setattr__, codec.count, codec.real
+        set_field(self, "round", count(self.round, "RoundPlan.round"))
+        where = "RoundPlan.control_fraction"
+        set_field(self, "control_fraction", real(self.control_fraction, where))
+        where = "RoundPlan.assignments"
+        assignments = tuple((count(c, where), real(f, where)) for c, f in self.assignments)
+        set_field(self, "assignments", assignments)
         if not 0.0 < self.control_fraction < 1.0:
             raise ValueError("control fraction must be strictly inside (0, 1)")
         ids = [cid for cid, _ in assignments]
@@ -130,9 +131,10 @@ class InboundBatch:
     readings: tuple[tuple[GroupReading, GroupReading], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "origin_round", int(self.origin_round))
-        object.__setattr__(self, "arrival_round", int(self.arrival_round))
-        object.__setattr__(self, "readings", tuple(self.readings))
+        set_field, count = object.__setattr__, codec.count
+        set_field(self, "origin_round", count(self.origin_round, "InboundBatch.origin_round"))
+        set_field(self, "arrival_round", count(self.arrival_round, "InboundBatch.arrival_round"))
+        set_field(self, "readings", tuple(self.readings))
         if self.arrival_round < self.origin_round:
             raise ValueError("a batch cannot arrive before its origin round")
         for test, ctrl in self.readings:
@@ -153,14 +155,12 @@ class BucketInit:
     included).
     """
 
-    mode: str = "random"
+    mode: InitMode = "random"
     size: int = 100
     nodes_per_dim: int = 10
 
     def __post_init__(self) -> None:
-        codec.check_counts(self, "size", "nodes_per_dim")
-        if self.mode not in ("random", "grid"):
-            raise ValueError(f"unknown bucket init mode {self.mode!r}")
+        codec.conform(self)
         if self.mode == "random" and self.size < 1:
             raise ValueError("random init needs a positive size")
         if self.mode == "grid" and self.nodes_per_dim < 1:
@@ -176,12 +176,11 @@ class SchedulerConfig:
     proposal_prob: float = 1.0      # chance of proposing each decided round
     control_fraction: float = 0.2
     taylor_mode: TaylorMode = TaylorMode.DELTA_METHOD
-    normalization: str = "delta"    # "delta": lift vs control; "raw": test stats as-is
+    normalization: Literal["delta", "raw"] = "delta"    # lift vs control, or test stats as-is
     init: BucketInit = field(default_factory=BucketInit)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "taylor_mode", TaylorMode(self.taylor_mode))
-        codec.check_counts(self, "select_count", "proposal_samples")
+        codec.conform(self)
         if self.select_count < 1:
             raise ValueError("select_count must be positive")
         if self.proposal_samples < 1:
@@ -190,8 +189,6 @@ class SchedulerConfig:
             raise ValueError("proposal_prob must lie in [0, 1]")
         if not 0.0 < self.control_fraction < 1.0:
             raise ValueError("control_fraction must be strictly inside (0, 1)")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +240,9 @@ def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupR
     """Parse one ``metrics.csv`` row; ValueError when it is malformed."""
     if len(row) != len(METRICS_HEADER):
         raise ValueError(f"expected {len(METRICS_HEADER)} fields, got {len(row)}")
-    test = GroupReading(int(row[0]), *row[1:6])    # GroupReading converts the other cells
-    return test, GroupReading(control_id, *row[1:3], *row[6:])
+    key = (row[1], int(row[2]))    # the metric and round
+    test = GroupReading(int(row[0]), *key, float(row[3]), float(row[4]), int(row[5]))
+    return test, GroupReading(control_id, *key, float(row[6]), float(row[7]), int(row[8]))
 
 
 def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> None:
@@ -525,7 +523,7 @@ class Scheduler:
             cid = int(row[0])
             if cid in bucket:
                 raise ValueError(f"candidate {cid} is repeated")
-            bucket[cid] = HyperParam(cid, row[2:], problem.base.bounds)    # converts theta
+            bucket[cid] = HyperParam(cid, tuple(map(float, row[2:])), problem.base.bounds)
             created[cid] = int(row[1])
 
         _replay(os.path.join(store_dir, "hyperparams.csv"), _bucket_header(problem), take_candidate)

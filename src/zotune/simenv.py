@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import check_counts
+from . import codec
 from .deltastats import GroupReading
 from .problem import gain as relative_gain
 from .scheduler import InboundBatch, RoundPlan
@@ -113,16 +113,9 @@ class RadialBumpField:
     amps: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "centers", tuple(tuple(float(x) for x in c) for c in self.centers)
-        )
-        object.__setattr__(self, "widths", tuple(float(w) for w in self.widths))
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "span", float(self.span))
-        amps = self.amps
-        if amps is None:
-            amps = tuple(1.0 for _ in self.centers)
-        object.__setattr__(self, "amps", tuple(float(a) for a in amps))
+        if self.amps is None:
+            object.__setattr__(self, "amps", (1.0,) * len(self.centers))
+        codec.conform(self)
         if len(self.centers) != len(self.widths):
             raise ValueError("one width per bump center")
         if len(self.amps) != len(self.centers):
@@ -197,17 +190,13 @@ class EnvKnobs:
     base_theta: tuple[float, float] = (0.011, 0.985)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "base_theta", tuple(float(x) for x in self.base_theta))
-        check_counts(self, "users", "draws_per_step", "fixed_delay")
+        codec.conform(self)
         reals = [(name, getattr(self, name)) for name in ("sigma", "threshold", "xi_mean", "xi_sd")]
         for name, value in reals + [("weights", w) for w in self.weights]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value}")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if len(self.weights) != 4:
-            raise ValueError("four mixing weights are required")
         if self.users < 1:
             raise ValueError("user population must be positive")
         if self.draws_per_step < 2:
@@ -285,10 +274,7 @@ def _make_field(
     span = float(raw.max()) - lo
     if span <= 0.0:
         span = 1.0
-    normalized = RadialBumpField(
-        centers=tuple(centers), widths=tuple(widths), amps=tuple(amps), lo=lo, span=span
-    )
-    return normalized, raw
+    return RadialBumpField(centers=centers, widths=widths, amps=amps, lo=lo, span=span), raw
 
 
 def _base_typicality(
@@ -385,19 +371,20 @@ class SimEnv:
         """Generate the landscape from ``seed``; overrides never touch generation.
 
         The overrides are the fields of ``EnvKnobs``; another name raises
-        TypeError and a value out of range ValueError, both before any
-        landscape is drawn.  Two builds with the same seed share an
-        identical landscape regardless of overrides, so runs with different
-        delays or noise levels stay paired.  The landscape is drawn once
-        per process per seed and kept for the ``LANDSCAPE_CACHE_SIZE``
-        seeds used last; a later build reuses its frozen fields bit for
-        bit, while each env gets its own ``EnvSpec`` and a fresh noise
-        stream.
+        TypeError, and a value out of range or a ``seed`` that is not an
+        ``int`` ValueError, all before any landscape is drawn.  Two builds
+        with the same seed share an identical landscape regardless of
+        overrides, so runs with different delays or noise levels stay
+        paired.  The landscape is drawn once per process per seed and kept
+        for the ``LANDSCAPE_CACHE_SIZE`` seeds used last; a later build
+        reuses its frozen fields bit for bit, while each env gets its own
+        ``EnvSpec`` and a fresh noise stream.
         """
+        seed = codec.count(seed, "seed")
         EnvKnobs(**overrides)
-        delta1, delta2, w1, w2 = _landscape(int(seed))
+        delta1, delta2, w1, w2 = _landscape(seed)
         spec = EnvSpec(
-            seed=int(seed),
+            seed=seed,
             delta1=delta1,
             delta2=delta2,
             w1_coeffs=w1,

@@ -1,9 +1,12 @@
 """Tests for the field-driven codec of the stored dataclasses."""
 
+import dataclasses
 import json
 import math
 import re
 import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +23,11 @@ from zotune.harness import (
     RoundRow,
     RunReport,
     SeedTrajectory,
+    SingleRun,
 )
-from zotune.problem import LinearExpr
+from zotune.problem import HyperParam, LinearExpr, TuningProblem
 from zotune.scheduler import BucketInit, InboundBatch, RoundPlan, SchedulerConfig
-from zotune.simenv import SimEnv
+from zotune.simenv import EnvKnobs, SimEnv
 
 
 def through_json(value):
@@ -269,3 +273,79 @@ class TestDecoder:
         path.write_text(json.dumps([["format_version", 1]]), encoding="utf-8")
         with pytest.raises(HarnessConfigError, match="version None"):
             RunReport.load(str(path))
+
+
+def _reachable(tp, found):
+    """Add to ``found`` every dataclass that the annotation ``tp`` names,
+    directly or through the field annotations of one it names."""
+    if dataclasses.is_dataclass(tp) and tp not in found:
+        found.add(tp)
+        for hint in typing.get_type_hints(tp).values():
+            _reachable(hint, found)
+    for arg in typing.get_args(tp):
+        _reachable(arg, found)
+
+
+def _held_classes():
+    found = set()
+    for root in (
+        ExperimentConfig, SchedulerConfig, TuningProblem, EnvKnobs,
+        GroupReading, InboundBatch, RoundPlan, HyperParam,
+    ):
+        _reachable(root, found)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.fixture(scope="module")
+def live_instances():
+    """The first instance of each dataclass met in the values of a short
+    live run: its config, its scheduler's config and problem, its bucket,
+    its last plan and the feedback of one more hour."""
+    cfg = ExperimentConfig(
+        seeds=(3,), select_count=50, proposal_samples=40, bucket_size=10, users=20_000,
+        sigma=0.5, draws_per_step=20, env_weights=(1.0, 2.0, 3.0, 4.0), env_threshold=0.5,
+        base_theta=(0.5, 0.5),
+    )
+    run = SingleRun(3, cfg)
+    run.run_to(3)
+    thetas = {hp.id: hp.theta for hp in run.sched.bucket}
+    batches = run.env.step(run.sched.last_plan, run.next_round, thetas)
+    found = {}
+
+    def collect(value):
+        if dataclasses.is_dataclass(value):
+            found.setdefault(type(value), value)
+            for f in dataclasses.fields(value):
+                collect(getattr(value, f.name))
+        elif isinstance(value, tuple):
+            for item in value:
+                collect(item)
+
+    collect((cfg, run.sched.config, run.sched.problem, EnvKnobs(), run.sched.bucket,
+             run.sched.last_plan, tuple(batches)))
+    return found
+
+
+class TestEveryStoredFieldHoldsItsType:
+    """Each stored class, a new one too, keeps what its annotations say:
+    swapping one field of a valid instance, a ``float`` field refuses
+    ``True``, an ``int`` field refuses ``2.5`` and ``True``, and a tuple
+    field given a list holds a tuple."""
+
+    @pytest.mark.parametrize("cls", _held_classes(), ids=lambda cls: cls.__name__)
+    def test_swapped_field(self, cls, live_instances):
+        assert cls in live_instances, f"no live {cls.__name__} to start from"
+        instance = live_instances[cls]
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            tp = hints[f.name]
+            if typing.get_origin(tp) in (typing.Union, types.UnionType):
+                (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+            refused = {float: [True], int: [2.5, True]}.get(tp, [])
+            for value in refused:
+                with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{f.name}:")):
+                    dataclasses.replace(instance, **{f.name: value})
+            if typing.get_origin(tp) is tuple:
+                value = getattr(instance, f.name)
+                held = getattr(dataclasses.replace(instance, **{f.name: list(value)}), f.name)
+                assert type(held) is tuple and held == value, f.name

@@ -7,6 +7,7 @@ against a Monte-Carlo simulation of the group-mean ratio.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,23 @@ class TestGroupReading:
             reading(mean=bad)
         with pytest.raises(ValueError):
             reading(var=bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("candidate_id", 1.0),
+            ("round", 2.7),
+            ("group_size", 999.9),
+            ("sample_mean", True),
+            ("round", True),
+        ],
+    )
+    def test_lossy_value_refused_by_name(self, field, value):
+        """A cast would keep another value than the one given: ``round=2.7``
+        as hour 2, or ``candidate_id=1.0``, which ``ingest`` absorbs as
+        candidate 1 and ``persist`` writes as ``1.0`` for restore to refuse."""
+        with pytest.raises(ValueError, match=f"GroupReading.{field}: expected"):
+            replace(reading(), **{field: value})
 
 
 class TestDeltaStat:

@@ -4,10 +4,14 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zotune import cli, codec
 from zotune.cli import build_parser, main
@@ -43,6 +47,48 @@ TINY = dict(
     bucket_size=10,
     users=20_000,
 )
+
+
+def _number_forms(value, real):
+    """``value`` as given and as the numpy scalar of its kind, and also as an
+    ``int`` or a ``bool`` where it equals one."""
+    forms = [value, np.float64(value) if real else np.int64(value)]
+    if float(value).is_integer():
+        forms += [int(value), np.int64(value)]
+    if value in (0, 1):
+        forms.append(bool(value))
+    return forms
+
+
+@st.composite
+def mixed_config_kwargs(draw):
+    """Valid values of the config's real, count and tuple fields, each in a
+    form a caller might pass: an int for a real, a numpy scalar, a bool
+    where it equals the value, a list for a tuple."""
+    reals = {
+        "proposal_prob": (0.0, 0.5, 1.0), "control_fraction": (0.2, 0.5),
+        "xi_mean": (0.0, 1.0), "xi_sd": (0.0, 1.0), "sigma": (0.5, 1.0),
+        "env_threshold": (0.5, 1.0), "threshold_fraction": (0.5, 1.0),
+    }
+    counts = {
+        "select_count": (1, 50), "proposal_samples": (1, 40), "fixed_delay": (0, 1, 3),
+        "bucket_size": (1, 10), "users": (1, 20_000), "draws_per_step": (2, 20),
+    }
+    tuples = {
+        "seeds": ((3,), (7,), (3, 7)),
+        "env_weights": ((1.0, 2.0, 3.0, 4.0), (0.3, 1.2, 0.1, 0.7)),
+        "base_theta": ((0.0, 1.0), (0.5, 0.5)),
+    }
+    kwargs = {}
+    for name in draw(st.sets(st.sampled_from([*reals, *counts, *tuples]))):
+        if name in tuples:
+            values = draw(st.sampled_from(tuples[name]))
+            items = [draw(st.sampled_from(_number_forms(v, name != "seeds"))) for v in values]
+            kwargs[name] = draw(st.sampled_from([tuple, list]))(items)
+        else:
+            value = draw(st.sampled_from((reals | counts)[name]))
+            kwargs[name] = draw(st.sampled_from(_number_forms(value, name in reals)))
+    return kwargs
 
 
 # The same settings as flags, for one seed.
@@ -105,8 +151,49 @@ class TestExperimentConfig:
         with pytest.raises(HarnessConfigError):
             ExperimentConfig(rounds=-1)
         for rounds in (4.0, True):          # neither round-trips through the codec
-            with pytest.raises(HarnessConfigError, match="rounds must be an int"):
+            with pytest.raises(HarnessConfigError, match="ExperimentConfig.rounds: expected int"):
                 ExperimentConfig(rounds=rounds)
+
+    @pytest.mark.parametrize(
+        "knob, where",
+        [
+            ({"seeds": (3.7, 7)}, r"seeds\[0\]"),
+            ({"seeds": (True, 7)}, r"seeds\[0\]"),
+            ({"proposal_prob": True}, "proposal_prob"),
+            ({"sigma": True}, "sigma"),
+        ],
+        ids=["fractional-seed", "bool-seed", "bool-proposal-prob", "bool-sigma"],
+    )
+    def test_lossy_value_refused_by_name(self, knob, where):
+        """A cast ran seed 3.7 as seed 3; a ``True`` ran, but its stored config
+        could not be read back, so its checkpoint could not resume."""
+        with pytest.raises(HarnessConfigError, match=f"ExperimentConfig.{where}: expected"):
+            ExperimentConfig(**knob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kwargs=mixed_config_kwargs())
+    @example(kwargs={"sigma": 1, "proposal_prob": 1})
+    @example(kwargs={"proposal_prob": True})
+    def test_a_config_is_built_in_its_stored_form(self, kwargs):
+        """A config that builds stores what it runs: its JSON reads back byte
+        for byte, and a 2-hour run saves, resumes and saves the same bytes."""
+        try:
+            cfg = ExperimentConfig(**{**TINY, "rounds": 2, **kwargs})
+        except HarnessConfigError:
+            return
+        stored = json.dumps(cfg.to_dict(), sort_keys=True)
+        reread = ExperimentConfig.from_dict(cfg.to_dict())
+        assert json.dumps(reread.to_dict(), sort_keys=True) == stored
+        run = SingleRun(cfg.seeds[0], cfg)
+        run.run_to(2)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            run.save_checkpoint(str(first))
+            SingleRun.resume(str(first)).save_checkpoint(str(second))
+            saved = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+            assert saved == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+            for name in saved:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_threshold_fraction_bounds(self):
         with pytest.raises(HarnessConfigError):
@@ -388,6 +475,20 @@ class TestCampaignRuns:
                 plans.append(run.sched.last_plan)
                 assert plans[-1].round == r
         assert 1 < len(plans) < 30
+
+    @pytest.mark.parametrize("seed", [3.7, True])
+    def test_seed_must_be_an_int(self, seed):
+        """A cast would run seed 3.7 as seed 3, and ``True`` as seed 1."""
+        with pytest.raises(ValueError, match="seed: expected int"):
+            SingleRun(seed, tiny_config(seeds=(3,)))
+
+    @pytest.mark.parametrize("upto", [2.5, True])
+    def test_run_to_takes_an_int(self, upto):
+        """A cast would run ``run_to(2.5)`` to hour 2."""
+        run = SingleRun(3, tiny_config(seeds=(3,)))
+        with pytest.raises(ValueError, match="upto: expected int"):
+            run.run_to(upto)
+        assert run.rows == []
 
     def test_run_to_never_runs_backwards(self):
         run = SingleRun(3, tiny_config(seeds=(3,)))

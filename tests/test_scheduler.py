@@ -697,8 +697,13 @@ class TestPersistence:
 
     def test_float_count_refused_before_it_can_be_persisted(self):
         """A manifest of ``select_count=5.0`` would be one restore refuses."""
-        with pytest.raises(ValueError, match="select_count must be an int"):
+        with pytest.raises(ValueError, match="SchedulerConfig.select_count: expected int"):
             SchedulerConfig(select_count=5.0)
+
+    def test_bool_real_refused_before_it_can_be_persisted(self):
+        """A manifest of ``proposal_prob=true`` would be one restore refuses."""
+        with pytest.raises(ValueError, match="SchedulerConfig.proposal_prob: expected float"):
+            SchedulerConfig(proposal_prob=True)
 
     def test_missing_file_fails(self, tmp_path):
         store = tmp_path / "s"

@@ -243,6 +243,12 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             SimEnv.build(1, draws_per_step=1)
 
+    @pytest.mark.parametrize("seed", [3.7, True])
+    def test_seed_must_be_an_int(self, seed):
+        """A cast would draw seed 3's landscape for 3.7, and seed 1's for ``True``."""
+        with pytest.raises(ValueError, match="seed: expected int"):
+            SimEnv.build(seed)
+
     @pytest.mark.parametrize(
         "knob, value, name",
         [
