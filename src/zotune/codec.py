@@ -67,9 +67,13 @@ def conform(obj: object) -> None:
 
 
 def real(value: object, where: str) -> float:
-    """``value`` as a ``float``: any real number but a ``bool``."""
+    """``value`` as a ``float``: any real number but a ``bool``, and not an
+    integer too large for one."""
     if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DecodeError(f"{where}: {brief(value)} is too large for a float") from None
     raise DecodeError(f"{where}: expected float, got {brief(value)}")
 
 

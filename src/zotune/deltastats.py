@@ -2,7 +2,8 @@
 
 Raw feedback arrives as per-group sample statistics: mean, unbiased sample
 variance, and group size for a candidate's test group and for the shared
-control group, one row per (candidate, metric, round).  Each row is turned
+control group, one ``Reading`` per (candidate, metric, round), whose fields
+are the columns of the scheduler's ``metrics.csv``.  Each row is turned
 into an hourly lift estimate (test over control, minus one) with a
 second-order Taylor correction for the ratio of means; hourly estimates are
 then combined across rounds by group-size weighting:
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .codec import count, real
+from .codec import DecodeError, count, real
 
 DEGENERATE_MEAN_TOL = 1e-9
 
@@ -74,31 +75,42 @@ class TaylorMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class GroupReading:
-    """Sample statistics of one group for one metric in one round."""
+class Reading:
+    """One row of feedback, as ``metrics.csv`` stores it: a candidate's test
+    group and the shared control group, for one metric in one round, each
+    group as its sample mean, unbiased sample variance and size."""
 
     candidate_id: int
     metric: str
     round: int
-    sample_mean: float
-    sample_var: float
-    group_size: int
+    test_mean: float
+    test_var: float
+    test_n: int
+    control_mean: float
+    control_var: float
+    control_n: int
 
     def __post_init__(self) -> None:
         set_field = object.__setattr__
-        set_field(self, "candidate_id", count(self.candidate_id, "GroupReading.candidate_id"))
-        set_field(self, "round", count(self.round, "GroupReading.round"))
-        set_field(self, "sample_mean", real(self.sample_mean, "GroupReading.sample_mean"))
-        set_field(self, "sample_var", real(self.sample_var, "GroupReading.sample_var"))
-        set_field(self, "group_size", count(self.group_size, "GroupReading.group_size"))
+        set_field(self, "candidate_id", count(self.candidate_id, "Reading.candidate_id"))
+        if not isinstance(self.metric, str):
+            raise DecodeError(f"Reading.metric: expected str, got {self.metric!r}")
+        set_field(self, "round", count(self.round, "Reading.round"))
+        set_field(self, "test_mean", real(self.test_mean, "Reading.test_mean"))
+        set_field(self, "test_var", real(self.test_var, "Reading.test_var"))
+        set_field(self, "test_n", count(self.test_n, "Reading.test_n"))
+        set_field(self, "control_mean", real(self.control_mean, "Reading.control_mean"))
+        set_field(self, "control_var", real(self.control_var, "Reading.control_var"))
+        set_field(self, "control_n", count(self.control_n, "Reading.control_n"))
         if self.round < 0:
             raise ValueError("round must be nonnegative")
-        if not (math.isfinite(self.sample_mean) and math.isfinite(self.sample_var)):
-            raise ValueError("sample mean and variance must be finite")
-        if self.sample_var < 0:
-            raise ValueError("sample variance must be nonnegative")
-        if self.group_size < 1:
-            raise ValueError("group size must be at least 1")
+        stats = (self.test_mean, self.test_var, self.control_mean, self.control_var)
+        if not all(map(math.isfinite, stats)):
+            raise ValueError("sample means and variances must be finite")
+        if self.test_var < 0 or self.control_var < 0:
+            raise ValueError("sample variances must be nonnegative")
+        if self.test_n < 1 or self.control_n < 1:
+            raise ValueError("group sizes must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -122,33 +134,22 @@ class DeltaStat:
 
 
 def hourly_delta_stat(
-    test: GroupReading,
-    control: GroupReading,
-    mode: TaylorMode = TaylorMode.DELTA_METHOD,
+    reading: Reading, mode: TaylorMode = TaylorMode.DELTA_METHOD
 ) -> DeltaStat:
-    """Hourly lift estimate of a test group against the control group.
+    """Hourly lift estimate of a reading's test group against its control group.
 
-    Both readings must describe the same metric and round.  The returned
-    weight is the test group size, which later drives aggregation.  Raises
-    ``DegenerateBaseError`` when the hour admits no finite estimate: a
-    control mean within ``DEGENERATE_MEAN_TOL`` of zero, or a mean or
-    variance that overflows.
+    The returned weight is the test group size, which later drives
+    aggregation.  Raises ``DegenerateBaseError`` when the hour admits no
+    finite estimate: a control mean within ``DEGENERATE_MEAN_TOL`` of zero,
+    or a mean or variance that overflows.
     """
-    if test.metric != control.metric:
-        raise ValueError(
-            f"metric mismatch: test {test.metric!r} vs control {control.metric!r}"
-        )
-    if test.round != control.round:
-        raise ValueError(
-            f"round mismatch: test {test.round} vs control {control.round}"
-        )
-    m0 = control.sample_mean
+    m0 = reading.control_mean
     if abs(m0) < DEGENERATE_MEAN_TOL:
         raise DegenerateBaseError(
             f"control mean {m0} is within {DEGENERATE_MEAN_TOL} of zero"
         )
-    m, v, n = test.sample_mean, test.sample_var, test.group_size
-    v0, n0 = control.sample_var, control.group_size
+    m, v, n = reading.test_mean, reading.test_var, reading.test_n
+    v0, n0 = reading.control_var, reading.control_n
     mode = TaylorMode(mode)
     try:
         if mode is TaylorMode.DELTA_METHOD:
@@ -208,15 +209,20 @@ class EstimateRecord:
         self._series: dict[tuple[int, str], _Series] = {}
 
     def absorb(self, candidate_id: int, metric: str, round_no: int, stat: DeltaStat) -> None:
-        """Add one hourly stat; its ``weight`` is the aggregation weight N_t."""
-        key = (int(candidate_id), str(metric))
-        round_no = int(round_no)
+        """Add one hourly stat; its ``weight`` is the aggregation weight N_t.
+        A key that is not an ``int``, a ``str`` and an ``int`` raises
+        ``DecodeError`` and leaves the record unchanged."""
+        candidate_id = count(candidate_id, "candidate_id")
+        round_no = count(round_no, "round_no")
+        if not isinstance(metric, str):
+            raise DecodeError(f"metric: expected str, got {metric!r}")
+        key = (candidate_id, metric)
         series = self._series.get(key)
         if series is None:
             series = _Series()
         elif round_no in series.rounds:
             raise DuplicateRoundError(
-                f"candidate {key[0]} metric {key[1]!r} round {round_no} "
+                f"candidate {candidate_id} metric {metric!r} round {round_no} "
                 "was already absorbed"
             )
         sum_w = series.sum_w + stat.weight
@@ -228,7 +234,7 @@ class EstimateRecord:
             agg = DeltaStat(mean=sum_wm / sum_w, var=sum_w2v / sum_w**2, weight=sum_w)
         except (ArithmeticError, ValueError):
             raise DegenerateBaseError(
-                f"candidate {key[0]} metric {key[1]!r} round {round_no} "
+                f"candidate {candidate_id} metric {metric!r} round {round_no} "
                 "would overflow the running sums or their aggregate"
             ) from None
         self._series[key] = series
@@ -238,5 +244,5 @@ class EstimateRecord:
 
     def aggregate(self, candidate_id: int, metric: str) -> DeltaStat | None:
         """Running weighted aggregate for one key, or None if no data."""
-        series = self._series.get((int(candidate_id), str(metric)))
+        series = self._series.get((candidate_id, metric))
         return None if series is None else series.agg

@@ -467,8 +467,7 @@ class _MetricGp:
 
 def _box(bounds: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(lo, hi, span)`` of a bounds box; constant dims get span 1 and normalize to 0."""
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds).T
     span = hi - lo
     span[span == 0.0] = 1.0
     return lo, hi, span

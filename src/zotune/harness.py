@@ -42,7 +42,7 @@ from .scheduler import (
 from .simenv import BOX, CONTROL_ID, EnvKnobs, SimEnv
 
 REPORT_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 
 Variant = Literal["full", "raw-metric", "synchronous", "no-proposal"]
 VARIANTS = get_args(Variant)

@@ -220,8 +220,7 @@ def propose(
     if n_samples < 1:
         raise ValueError("proposal needs at least one sample")
     bounds = surrogate.bounds
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds).T
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
     mu, var = surrogate.predict_batch(thetas, helper=helper)

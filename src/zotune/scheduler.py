@@ -25,13 +25,13 @@ resumed exactly; the scheduler writes it only when its caller calls
 ``persist(store_dir)``.  The store holds each fact once: ``manifest.json``
 (round counter, rng stream, config, problem, last plan), ``hyperparams.csv``
 (the candidate bucket) and ``metrics.csv`` (the raw test/control readings,
-in ingestion order).  Hourly lifts and their aggregates are derived from the
-raw readings, and the next proposal's id from the bucket.  ``ingest`` and
-``restore`` pass every reading pair through one absorb step, which refuses
-a pair for an unknown candidate or metric, whose control is not the base,
+in ingestion order, one ``deltastats.Reading`` per row).  Hourly lifts and
+their aggregates are derived from the raw readings, and the next proposal's
+id from the bucket.  ``ingest`` and ``restore`` pass every reading through
+one absorb step, which refuses a reading for an unknown candidate or metric,
 from a later round, with no finite lift, or for a key already absorbed, and
-changes nothing when it does: ``ingest`` drops a refused pair, ``restore``
-refuses the store.
+changes nothing when it does: ``ingest`` drops a refused reading,
+``restore`` refuses the store.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Literal
+from operator import attrgetter
+from typing import Callable, Iterable, Literal, get_type_hints
 
 import numpy as np
 
@@ -50,8 +51,8 @@ from .deltastats import (
     DeltaStat,
     DuplicateRoundError,
     EstimateRecord,
-    GroupReading,
     NoDataError,
+    Reading,
     TaylorMode,
     hourly_delta_stat,
 )
@@ -72,7 +73,7 @@ class RestoreError(RuntimeError):
 
 class UnknownKeyError(ValueError):
     """A reading names a candidate outside the bucket or a metric outside
-    the problem, or its control reading does not name the base."""
+    the problem."""
 
 
 class FutureRoundError(ValueError):
@@ -121,14 +122,12 @@ class RoundPlan:
 class InboundBatch:
     """Delayed feedback for one candidate and one origin round.
 
-    ``readings`` pairs the candidate's test-group reading with the shared
-    control-group reading, one pair per metric; both readings of a pair name
-    the same metric and carry the origin round.
+    ``readings`` holds one ``Reading`` per metric, each of the origin round.
     """
 
     origin_round: int
     arrival_round: int
-    readings: tuple[tuple[GroupReading, GroupReading], ...]
+    readings: tuple[Reading, ...]
 
     def __post_init__(self) -> None:
         set_field, count = object.__setattr__, codec.count
@@ -137,13 +136,13 @@ class InboundBatch:
         set_field(self, "readings", tuple(self.readings))
         if self.arrival_round < self.origin_round:
             raise ValueError("a batch cannot arrive before its origin round")
-        for test, ctrl in self.readings:
-            if test.round != self.origin_round or ctrl.round != self.origin_round:
-                raise ValueError("readings must carry the batch origin round")
-            if test.metric != ctrl.metric:
+        for reading in self.readings:
+            if not isinstance(reading, Reading):
                 raise ValueError(
-                    f"metric mismatch: test {test.metric!r} vs control {ctrl.metric!r}"
+                    f"InboundBatch.readings: expected Reading, got {type(reading).__name__}"
                 )
+            if reading.round != self.origin_round:
+                raise ValueError("readings must carry the batch origin round")
 
 
 @dataclass(frozen=True)
@@ -207,25 +206,21 @@ def _bucket_header(problem: TuningProblem) -> list[str]:
     return ["candidate_id", "created_round", *(f"theta{i}" for i in range(len(problem.base.theta)))]
 
 
-METRICS_HEADER = [
-    "candidate_id", "metric", "round",
-    "test_mean", "test_var", "test_n",
-    "control_mean", "control_var", "control_n",
-]
+_CELL_TYPES = get_type_hints(Reading)    # ``metrics.csv``'s columns and their types
+METRICS_HEADER = list(_CELL_TYPES)
+_metrics_row = attrgetter(*METRICS_HEADER)
 
 
-def _hourly_stat(
-    config: SchedulerConfig, test: GroupReading, ctrl: GroupReading
-) -> DeltaStat:
+def _hourly_stat(config: SchedulerConfig, reading: Reading) -> DeltaStat:
     """The hour's stat under ``config``'s normalization; raises
     ``DegenerateBaseError`` when the hour admits no finite lift estimate."""
     if config.normalization == "raw":
         return DeltaStat(
-            mean=test.sample_mean,
-            var=test.sample_var / test.group_size,
-            weight=test.group_size,
+            mean=reading.test_mean,
+            var=reading.test_var / reading.test_n,
+            weight=reading.test_n,
         )
-    return hourly_delta_stat(test, ctrl, config.taylor_mode)
+    return hourly_delta_stat(reading, config.taylor_mode)
 
 
 def _plan(config: SchedulerConfig, round_no: int, units: Counter) -> RoundPlan:
@@ -236,13 +231,11 @@ def _plan(config: SchedulerConfig, round_no: int, units: Counter) -> RoundPlan:
     return RoundPlan(round=round_no, control_fraction=cf, assignments=assignments)
 
 
-def _reading_pair(row: list[str], control_id: int) -> tuple[GroupReading, GroupReading]:
+def _reading(row: list[str]) -> Reading:
     """Parse one ``metrics.csv`` row; ValueError when it is malformed."""
     if len(row) != len(METRICS_HEADER):
         raise ValueError(f"expected {len(METRICS_HEADER)} fields, got {len(row)}")
-    key = (row[1], int(row[2]))    # the metric and round
-    test = GroupReading(int(row[0]), *key, float(row[3]), float(row[4]), int(row[5]))
-    return test, GroupReading(control_id, *key, float(row[6]), float(row[7]), int(row[8]))
+    return Reading(*(parse(cell) for parse, cell in zip(_CELL_TYPES.values(), row)))
 
 
 def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> None:
@@ -304,7 +297,7 @@ class Scheduler:
         self._bucket = bucket
         self._created_round = created_round
         self.record = EstimateRecord()
-        self._raw_log: list[tuple[GroupReading, GroupReading]] = []
+        self._raw_log: list[Reading] = []
         self._round = round_no
         self._last_plan = last_plan
         self.last_selection: SelectionResult | None = None
@@ -331,8 +324,7 @@ class Scheduler:
                 for idx in np.ndindex(mesh[0].shape)
             ]
         else:
-            lo = np.array([b[0] for b in bounds])
-            hi = np.array([b[1] for b in bounds])
+            lo, hi = np.array(bounds).T
             vectors = [
                 tuple(v) for v in rng.uniform(lo, hi, size=(init.size, len(bounds)))
             ]
@@ -374,42 +366,37 @@ class Scheduler:
 
     # Round loop
 
-    def _absorb(self, test: GroupReading, ctrl: GroupReading) -> None:
-        """Absorb one reading pair into the record, then the raw log.
+    def _absorb(self, reading: Reading) -> None:
+        """Absorb one reading into the record, then the raw log.
 
-        Raises ``UnknownKeyError`` for a candidate outside the bucket, a
-        metric outside the problem or a control that is not the base,
-        ``FutureRoundError`` for a round after the current one,
-        ``DegenerateBaseError`` for an hour with no finite lift or one that
-        would overflow its key's running sums, and ``DuplicateRoundError``
-        for a key already absorbed.  A refused pair changes nothing.
+        Raises ``UnknownKeyError`` for a candidate outside the bucket or a
+        metric outside the problem, ``FutureRoundError`` for a round after
+        the current one, ``DegenerateBaseError`` for an hour with no finite
+        lift or one that would overflow its key's running sums, and
+        ``DuplicateRoundError`` for a key already absorbed.  A refused
+        reading changes nothing.
         """
-        if test.candidate_id not in self._bucket or test.metric not in self.problem.metrics:
-            raise UnknownKeyError(
-                f"candidate {test.candidate_id} metric {test.metric!r} is not in the study"
-            )
-        if ctrl.candidate_id != self.problem.base.id:
-            raise UnknownKeyError(f"control reading names candidate {ctrl.candidate_id}")
-        if test.round > self._round:
-            raise FutureRoundError(f"round {test.round} is after the current hour {self._round}")
-        stat = _hourly_stat(self.config, test, ctrl)
-        self.record.absorb(test.candidate_id, test.metric, test.round, stat)
-        self._raw_log.append((test, ctrl))
+        cid, metric, round_no = reading.candidate_id, reading.metric, reading.round
+        if cid not in self._bucket or metric not in self.problem.metrics:
+            raise UnknownKeyError(f"candidate {cid} metric {metric!r} is not in the study")
+        if round_no > self._round:
+            raise FutureRoundError(f"round {round_no} is after the current hour {self._round}")
+        self.record.absorb(cid, metric, round_no, _hourly_stat(self.config, reading))
+        self._raw_log.append(reading)
 
     def ingest(self, batches: Iterable[InboundBatch]) -> int:
         """Absorb feedback rows; a refused row is dropped (first write wins).
 
-        Rows for an unknown candidate or metric or whose control is not the
-        base, from a later round, hours that admit no finite lift estimate
-        or would overflow their key's running sums, and repeated keys are
-        dropped.  Returns the number of rows newly absorbed.  Batches may
+        Rows for an unknown candidate or metric, from a later round, hours
+        that admit no finite lift estimate or would overflow their key's
+        running sums, and repeated keys are dropped.  Returns the number of rows newly absorbed.  Batches may
         arrive in any order and for any origin round up to the current one.
         """
         absorbed = 0
         for batch in batches:
-            for test, ctrl in batch.readings:
+            for reading in batch.readings:
                 try:
-                    self._absorb(test, ctrl)
+                    self._absorb(reading)
                 except (
                     UnknownKeyError, FutureRoundError, DegenerateBaseError, DuplicateRoundError
                 ):
@@ -491,16 +478,7 @@ class Scheduler:
             ),
         )
         codec.save_table(
-            os.path.join(store_dir, "metrics.csv"),
-            METRICS_HEADER,
-            (
-                [
-                    test.candidate_id, test.metric, test.round,
-                    test.sample_mean, test.sample_var, test.group_size,
-                    ctrl.sample_mean, ctrl.sample_var, ctrl.group_size,
-                ]
-                for test, ctrl in self._raw_log
-            ),
+            os.path.join(store_dir, "metrics.csv"), METRICS_HEADER, map(_metrics_row, self._raw_log)
         )
 
     @classmethod
@@ -543,6 +521,6 @@ class Scheduler:
         # gives bitwise the running sums that ingest built.
         _replay(
             os.path.join(store_dir, "metrics.csv"), METRICS_HEADER,
-            lambda row: sched._absorb(*_reading_pair(row, problem.base.id)),
+            lambda row: sched._absorb(_reading(row)),
         )
         return sched

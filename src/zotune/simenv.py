@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec
-from .deltastats import GroupReading
+from .deltastats import Reading
 from .problem import gain as relative_gain
 from .scheduler import InboundBatch, RoundPlan
 
@@ -468,10 +468,11 @@ class SimEnv:
 
         ``thetas`` maps every assigned candidate id to its vector (the plan
         itself carries only ids).  One batch is produced per assigned
-        candidate; every batch shares the hour's control readings and draws
-        its own extra delay.
+        candidate; every batch shares the hour's control statistics and
+        draws its own extra delay.  An hour ``t`` that is not an ``int``
+        raises ValueError before anything is drawn.
         """
-        t = int(t)
+        t = codec.count(t, "t")
         spec = self.spec
         n_metrics, draws = len(spec.metrics), spec.draws_per_step
         ids = [cid for cid, _ in plan.assignments]
@@ -502,25 +503,20 @@ class SimEnv:
         # Generator.normal(loc, scale) is loc + scale * standard normal.
         xis = np.abs(spec.xi_mean + spec.xi_sd * per_cand[:, -1]).tolist()
 
-        def readings(group: int, cid: int) -> list[GroupReading]:
-            return [
-                GroupReading(
-                    candidate_id=cid,
-                    metric=metric,
-                    round=t,
-                    sample_mean=means[group * n_metrics + k],
-                    sample_var=variances[group * n_metrics + k],
-                    group_size=sizes[group],
-                )
-                for k, metric in enumerate(spec.metrics)
-            ]
-
-        ctrl = readings(0, CONTROL_ID)
+        # Group 0 is the control; group i's statistics for metric k sit at
+        # i * M + k.
         return [
             InboundBatch(
                 origin_round=t,
                 arrival_round=t + spec.fixed_delay + int(round(xi)),
-                readings=tuple(zip(readings(i, cid), ctrl)),
+                readings=tuple(
+                    Reading(
+                        cid, metric, t,
+                        means[i * n_metrics + k], variances[i * n_metrics + k], sizes[i],
+                        means[k], variances[k], sizes[0],
+                    )
+                    for k, metric in enumerate(spec.metrics)
+                ),
             )
             for i, (cid, xi) in enumerate(zip(ids, xis), start=1)
         ]

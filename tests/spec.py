@@ -195,22 +195,19 @@ class Loop:
         return self.last_plan
 
     def ingest(self, batches) -> None:
-        """Absorb each reading pair of a known candidate and metric against
-        the base, from this hour or before: its lift, or with ``raw`` the test
-        group's mean and the variance of that mean.  Drop the rest and the
-        rows refused."""
-        base, metrics = self.problem.base.id, self.problem.metrics
-        for test, ctrl in (pair for batch in batches for pair in batch.readings):
-            cid, metric = test.candidate_id, test.metric
-            known = cid in self.bucket and metric in metrics and ctrl.candidate_id == base
-            if known and test.round <= self.round:
+        """Absorb each reading of a known candidate and metric, from this hour
+        or before: its lift, or with ``raw`` the test group's mean and the
+        variance of that mean.  Drop the rest and the rows refused."""
+        for reading in (reading for batch in batches for reading in batch.readings):
+            cid, metric, round_no = reading.candidate_id, reading.metric, reading.round
+            if cid in self.bucket and metric in self.problem.metrics and round_no <= self.round:
                 with suppress(DegenerateBaseError, DuplicateRoundError):
-                    self.record.absorb(cid, metric, test.round, self._hour(test, ctrl))
+                    self.record.absorb(cid, metric, round_no, self._hour(reading))
 
-    def _hour(self, test, ctrl) -> DeltaStat:
+    def _hour(self, reading) -> DeltaStat:
         if self.config.normalization == "raw":
-            return DeltaStat(test.sample_mean, test.sample_var / test.group_size, test.group_size)
-        return hourly_delta_stat(test, ctrl, self.config.taylor_mode)
+            return DeltaStat(reading.test_mean, reading.test_var / reading.test_n, reading.test_n)
+        return hourly_delta_stat(reading, self.config.taylor_mode)
 
     def idle(self, inbound=()) -> None:
         """Absorb, and let the hour pass: no draw, and the last plan stands."""

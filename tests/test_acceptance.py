@@ -19,7 +19,7 @@ import spec
 from zotune.deltastats import (
     DeltaStat,
     EstimateRecord,
-    GroupReading,
+    Reading,
     TaylorMode,
     hourly_delta_stat,
 )
@@ -53,11 +53,9 @@ def verdict(capfd):
     return _verdict
 
 
-def _reading(cid, mean, var, n):
-    return GroupReading(
-        candidate_id=cid, metric="x1", round=0,
-        sample_mean=mean, sample_var=var, group_size=n,
-    )
+def _reading(test_mean, control_mean, var, n):
+    """One row of metric ``x1``: both groups share the variance and size."""
+    return Reading(1, "x1", 0, test_mean, var, n, control_mean, var, n)
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +99,7 @@ def test_campaign_reports_are_frozen(campaigns):
 def test_criterion_1_hourly_estimator_matches_simulation(verdict):
     """Estimator mean/variance vs a million simulated hours of readings."""
     t0 = time.perf_counter()
-    stat = hourly_delta_stat(
-        _reading(1, 102.0, 400.0, 1000),
-        _reading(0, 100.0, 400.0, 1000),
-        TaylorMode.DELTA_METHOD,
-    )
+    stat = hourly_delta_stat(_reading(102.0, 100.0, 400.0, 1000), TaylorMode.DELTA_METHOD)
     rng = np.random.default_rng(12345)
     n_hours = 1_000_000
     test_means = rng.normal(102.0, math.sqrt(400.0 / 1000.0), n_hours)
@@ -127,11 +121,7 @@ def test_criterion_1_hourly_estimator_matches_simulation(verdict):
 
 def test_criterion_2_reference_values_exact(verdict):
     """Crossed-mode estimator reproduces the frozen reference numbers."""
-    stat = hourly_delta_stat(
-        _reading(1, 102.0, 400.0, 1000),
-        _reading(0, 100.0, 400.0, 1000),
-        TaylorMode.CROSSED,
-    )
+    stat = hourly_delta_stat(_reading(102.0, 100.0, 400.0, 1000), TaylorMode.CROSSED)
     mean_rel = abs(stat.mean - REFERENCE_MEAN) / REFERENCE_MEAN
     var_rel = abs(stat.var - REFERENCE_VAR) / REFERENCE_VAR
     ok = mean_rel <= 1e-12 and var_rel <= 1e-12

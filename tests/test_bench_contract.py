@@ -76,3 +76,29 @@ def test_workload_checks_pass_on_a_live_run(tmp_path):
     assert workloads.full_finals(report) == [
         (3, trajectory.final_gain(), trajectory.final_violation())
     ]
+
+
+def test_traced_probe_accounts_every_row_of_a_live_run():
+    """The traced bench's probe, wired as ``bench/run.py`` wires it, counts a
+    batch's rows as ``len(batch.readings)`` and checks that each ingest's
+    rows are absorbed or dropped by a reason the wrappers count."""
+    spans = load_bench("spans")
+    workloads = load_bench("workloads")
+    tracer = spans.Tracer(recording=True)
+    counts = tracer.counts
+    probe = workloads.Probe(
+        dropped=lambda: counts["deltastats.absorb.duplicates"] + counts["deltastats.hourly.degenerate"]
+    )
+    cfg = ExperimentConfig(
+        seeds=(3,), rounds=6, select_count=50, proposal_samples=40, bucket_size=10,
+        users=20_000, fixed_delay=1,
+    )
+    spans.install(tracer, probe)
+    try:
+        run = SingleRun(3, cfg)
+        run.run_to(cfg.rounds)
+    finally:
+        tracer.restore()
+    assert probe.failures == []
+    assert probe.rows_offered > 0 and probe.rows_absorbed > 0
+    assert counts["simenv.step.readings"] >= probe.rows_offered

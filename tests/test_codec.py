@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from zotune import codec
 from zotune.codec import DecodeError, from_dict
-from zotune.deltastats import GroupReading, TaylorMode
+from zotune.deltastats import Reading, TaylorMode
 from zotune.harness import (
     ExperimentConfig,
     HarnessConfigError,
@@ -57,22 +57,17 @@ def round_plans(draw):
 def inbound_batches(draw):
     origin = draw(st.integers(0, 10**6))
 
-    def reading(cid, metric):
-        return GroupReading(
-            candidate_id=cid,
-            metric=metric,
-            round=origin,
-            sample_mean=draw(finite),
-            sample_var=draw(st.floats(min_value=0.0, allow_infinity=False)),
-            group_size=draw(st.integers(1, 10**12)),
-        )
+    def group():
+        """A sample mean, sample variance and group size."""
+        var = draw(st.floats(min_value=0.0, allow_infinity=False))
+        return draw(finite), var, draw(st.integers(1, 10**12))
 
     metrics = draw(st.lists(st.text(max_size=8), max_size=4))
     cid = draw(st.integers(1, 10**6))
     return InboundBatch(
         origin_round=origin,
         arrival_round=origin + draw(st.integers(0, 100)),
-        readings=tuple((reading(cid, m), reading(0, m)) for m in metrics),
+        readings=tuple(Reading(cid, m, origin, *group(), *group()) for m in metrics),
     )
 
 
@@ -290,7 +285,7 @@ def _held_classes():
     found = set()
     for root in (
         ExperimentConfig, SchedulerConfig, TuningProblem, EnvKnobs,
-        GroupReading, InboundBatch, RoundPlan, HyperParam,
+        Reading, InboundBatch, RoundPlan, HyperParam,
     ):
         _reachable(root, found)
     return sorted(found, key=lambda cls: cls.__name__)

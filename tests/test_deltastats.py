@@ -21,8 +21,8 @@ from zotune.deltastats import (
     DeltaStat,
     DuplicateRoundError,
     EstimateRecord,
-    GroupReading,
     NoDataError,
+    Reading,
     TaylorMode,
     aggregate,
     hourly_delta_stat,
@@ -31,25 +31,31 @@ from zotune.deltastats import (
 REL = 1e-12
 
 
-def reading(cid=1, metric="x1", rnd=0, mean=100.0, var=400.0, size=1000):
-    return GroupReading(
+def reading(cid=1, metric="x1", rnd=0, mean=100.0, var=400.0, size=1000,
+            ctrl_mean=100.0, ctrl_var=400.0, ctrl_size=1000):
+    return Reading(
         candidate_id=cid,
         metric=metric,
         round=rnd,
-        sample_mean=mean,
-        sample_var=var,
-        group_size=size,
+        test_mean=mean,
+        test_var=var,
+        test_n=size,
+        control_mean=ctrl_mean,
+        control_var=ctrl_var,
+        control_n=ctrl_size,
     )
 
 
-class TestGroupReading:
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            reading(var=-1.0)
+class TestReading:
+    @pytest.mark.parametrize("group", [{"var": -1.0}, {"ctrl_var": -1.0}])
+    def test_negative_variance_rejected(self, group):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reading(**group)
 
-    def test_zero_group_rejected(self):
-        with pytest.raises(ValueError):
-            reading(size=0)
+    @pytest.mark.parametrize("group", [{"size": 0}, {"ctrl_size": 0}])
+    def test_zero_group_rejected(self, group):
+        with pytest.raises(ValueError, match="at least 1"):
+            reading(**group)
 
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
@@ -57,18 +63,20 @@ class TestGroupReading:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            reading(mean=bad)
-        with pytest.raises(ValueError):
-            reading(var=bad)
+        for name in ("mean", "var", "ctrl_mean", "ctrl_var"):
+            with pytest.raises(ValueError, match="finite"):
+                reading(**{name: bad})
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("candidate_id", 1.0),
+            ("metric", 1),
             ("round", 2.7),
-            ("group_size", 999.9),
-            ("sample_mean", True),
+            ("test_n", 999.9),
+            ("control_n", 999.9),
+            ("test_mean", True),
+            ("control_var", True),
             ("round", True),
         ],
     )
@@ -76,7 +84,7 @@ class TestGroupReading:
         """A cast would keep another value than the one given: ``round=2.7``
         as hour 2, or ``candidate_id=1.0``, which ``ingest`` absorbs as
         candidate 1 and ``persist`` writes as ``1.0`` for restore to refuse."""
-        with pytest.raises(ValueError, match=f"GroupReading.{field}: expected"):
+        with pytest.raises(ValueError, match=f"Reading.{field}: expected"):
             replace(reading(), **{field: value})
 
 
@@ -100,64 +108,50 @@ class TestHourlyDeltaStat:
     """Frozen hand-derived values for both estimator modes."""
 
     def test_crossed_mode_worked_example(self):
-        test = reading(mean=102.0, var=400.0, size=1000)
-        control = reading(cid=0, mean=100.0, var=400.0, size=1000)
-        stat = hourly_delta_stat(test, control, TaylorMode.CROSSED)
+        row = reading(mean=102.0, var=400.0, size=1000, ctrl_mean=100.0, ctrl_var=400.0)
+        stat = hourly_delta_stat(row, TaylorMode.CROSSED)
         assert stat.mean == pytest.approx(0.0608, rel=REL)
         assert stat.var == pytest.approx(8.1616e-5, rel=REL)
         assert stat.weight == 1000.0
 
     def test_delta_method_worked_example(self):
-        test = reading(mean=102.0, var=400.0, size=1000)
-        control = reading(cid=0, mean=100.0, var=400.0, size=1000)
-        stat = hourly_delta_stat(test, control, TaylorMode.DELTA_METHOD)
+        row = reading(mean=102.0, var=400.0, size=1000, ctrl_mean=100.0, ctrl_var=400.0)
+        stat = hourly_delta_stat(row, TaylorMode.DELTA_METHOD)
         assert stat.mean == pytest.approx(0.0200408, rel=1e-9)
         assert stat.var == pytest.approx(8.1616e-5, rel=1e-9)
 
     def test_identical_deterministic_groups(self):
         for mode in TaylorMode:
-            test = reading(mean=50.0, var=0.0, size=10)
-            control = reading(cid=0, mean=50.0, var=0.0, size=999)
-            stat = hourly_delta_stat(test, control, mode)
+            row = reading(mean=50.0, var=0.0, size=10, ctrl_mean=50.0, ctrl_var=0.0, ctrl_size=999)
+            stat = hourly_delta_stat(row, mode)
             assert stat.mean == 0.0
             assert stat.var == 0.0
 
     def test_modes_share_variance_at_equal_sizes(self):
-        test = reading(mean=103.0, var=250.0, size=2000)
-        control = reading(cid=0, mean=99.0, var=300.0, size=2000)
-        a = hourly_delta_stat(test, control, TaylorMode.CROSSED)
-        b = hourly_delta_stat(test, control, TaylorMode.DELTA_METHOD)
+        row = reading(mean=103.0, var=250.0, size=2000, ctrl_mean=99.0, ctrl_var=300.0,
+                      ctrl_size=2000)
+        a = hourly_delta_stat(row, TaylorMode.CROSSED)
+        b = hourly_delta_stat(row, TaylorMode.DELTA_METHOD)
         assert a.var == pytest.approx(b.var, rel=REL)
 
     def test_mode_accepts_string_value(self):
-        test = reading(mean=102.0, var=400.0, size=1000)
-        control = reading(cid=0, mean=100.0, var=400.0, size=1000)
-        stat = hourly_delta_stat(test, control, "crossed")
+        row = reading(mean=102.0, var=400.0, size=1000, ctrl_mean=100.0, ctrl_var=400.0)
+        stat = hourly_delta_stat(row, "crossed")
         assert stat.mean == pytest.approx(0.0608, rel=REL)
 
     def test_degenerate_control_mean(self):
-        test = reading(mean=1.0)
-        control = reading(cid=0, mean=0.0)
         with pytest.raises(DegenerateBaseError):
-            hourly_delta_stat(test, control)
+            hourly_delta_stat(reading(mean=1.0, ctrl_mean=0.0))
 
     @pytest.mark.parametrize("mode", list(TaylorMode))
     def test_overflowing_estimate_is_degenerate(self, mode):
         # m**2 overflows (Python raises); the tiny control's products give inf.
-        for test, control in (
-            (reading(mean=1e200), reading(cid=0, mean=1.0)),
-            (reading(mean=100.0), reading(cid=0, mean=1e-5, var=1e300)),
+        for row in (
+            reading(mean=1e200, ctrl_mean=1.0),
+            reading(mean=100.0, ctrl_mean=1e-5, ctrl_var=1e300),
         ):
             with pytest.raises(DegenerateBaseError, match="finite"):
-                hourly_delta_stat(test, control, mode)
-
-    def test_metric_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="metric"):
-            hourly_delta_stat(reading(metric="x1"), reading(cid=0, metric="x2"))
-
-    def test_round_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="round"):
-            hourly_delta_stat(reading(rnd=1), reading(cid=0, rnd=2))
+                hourly_delta_stat(row, mode)
 
     def test_monte_carlo_consistency_delta_method(self):
         """The estimator tracks the simulated ratio's first two moments."""
@@ -170,8 +164,7 @@ class TestHourlyDeltaStat:
         ctrl_means = rng.normal(mu0, sd0 / math.sqrt(n0), size=n_hours)
         ratios = test_means / ctrl_means - 1.0
         stat = hourly_delta_stat(
-            reading(mean=mu, var=sd**2, size=n),
-            reading(cid=0, mean=mu0, var=sd0**2, size=n0),
+            reading(mean=mu, var=sd**2, size=n, ctrl_mean=mu0, ctrl_var=sd0**2, ctrl_size=n0),
             TaylorMode.DELTA_METHOD,
         )
         assert stat.mean == pytest.approx(float(np.mean(ratios)), rel=0.05)
@@ -191,13 +184,11 @@ class TestHourlyDeltaStat:
     def test_scale_invariance(self, kappa, m, m0, v, v0, n, n0, mode):
         """Rescaling raw readings by kappa leaves the lift stat unchanged."""
         base = hourly_delta_stat(
-            reading(mean=m, var=v, size=n),
-            reading(cid=0, mean=m0, var=v0, size=n0),
-            mode,
+            reading(mean=m, var=v, size=n, ctrl_mean=m0, ctrl_var=v0, ctrl_size=n0), mode
         )
         scaled = hourly_delta_stat(
-            reading(mean=kappa * m, var=kappa**2 * v, size=n),
-            reading(cid=0, mean=kappa * m0, var=kappa**2 * v0, size=n0),
+            reading(mean=kappa * m, var=kappa**2 * v, size=n,
+                    ctrl_mean=kappa * m0, ctrl_var=kappa**2 * v0, ctrl_size=n0),
             mode,
         )
         assert scaled.mean == pytest.approx(base.mean, rel=1e-9, abs=1e-12)
@@ -354,6 +345,28 @@ class TestEstimateRecord:
             rec.absorb(1, "x1", 2, DeltaStat(mean=9.9, var=9.9, weight=9))
         after = rec.aggregate(1, "x1")
         assert after == before
+
+    @pytest.mark.parametrize(
+        "key, where",
+        [
+            ((1.5, "x1", 2.7), "candidate_id"),
+            ((True, "x1", 2), "candidate_id"),
+            ((1, 7, 2), "metric"),
+            ((1, "x1", 2.7), "round_no"),
+            ((1, "x1", np.float64(2.0)), "round_no"),
+        ],
+    )
+    def test_lossy_key_refused_and_record_unchanged(self, key, where):
+        """A cast would file the hour under another key: ``(1.5, "x1", 2.7)``
+        as candidate 1, round 2."""
+        rec = EstimateRecord()
+        first = DeltaStat(mean=0.01, var=1e-4, weight=1000)
+        rec.absorb(1, "x1", 0, first)
+        with pytest.raises(ValueError, match=f"{where}: expected"):
+            rec.absorb(*key, DeltaStat(mean=9.9, var=9.9, weight=9))
+        assert rec.aggregate(1, "x1") == first
+        rec.absorb(1, "x1", 2, first)  # round 2 is still free
+        assert rec.aggregate(1, "x1") == aggregate([(first, 1000), (first, 1000)])
 
     def test_same_round_different_metric_or_candidate_ok(self):
         rec = EstimateRecord()

@@ -170,6 +170,11 @@ class TestExperimentConfig:
         with pytest.raises(HarnessConfigError, match=f"ExperimentConfig.{where}: expected"):
             ExperimentConfig(**knob)
 
+    def test_integer_too_large_for_a_float_refused(self):
+        """``float(10**400)`` raises OverflowError, which is no config error."""
+        with pytest.raises(HarnessConfigError, match="ExperimentConfig.sigma: .* too large"):
+            ExperimentConfig.from_dict({**ExperimentConfig().to_dict(), "sigma": 10**400})
+
     @settings(max_examples=40, deadline=None)
     @given(kwargs=mixed_config_kwargs())
     @example(kwargs={"sigma": 1, "proposal_prob": 1})
@@ -590,8 +595,9 @@ class TestCheckpointResume:
         run.save_checkpoint(str(tmp_path / "ckpt"))
         state_path = tmp_path / "ckpt" / "run.json"
         state = json.loads(state_path.read_text())
-        # version 2 stored the landscape in env.json, version 3 next_round
-        for version in (2, 3, 99):
+        # version 2 stored the landscape in env.json, version 3 next_round,
+        # version 4 each feedback row as a test and a control reading
+        for version in (2, 3, 4, 99):
             state["format_version"] = version
             state_path.write_text(json.dumps(state))
             with pytest.raises(HarnessConfigError, match=f"version {version}"):
@@ -979,6 +985,14 @@ class TestCli:
         rc = main(["run", "--rounds", "1", "--config", str(cfg_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_value_too_large_for_a_float_exits_nonzero(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text('{"sigma": 1' + "0" * 400 + "}")
+        rc = main(["run", "--seeds", "3", "--rounds", "1", "--config", str(cfg_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_ablate_refuses_config_setting_variant(self, tmp_path, monkeypatch, capsys):
         """A config file's ``variant`` would replace every ablated variant."""

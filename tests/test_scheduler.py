@@ -28,7 +28,7 @@ from zotune.scheduler import (
     SchedulerConfig,
 )
 from zotune import scheduler as scheduler_module
-from zotune.deltastats import GroupReading
+from zotune.deltastats import Reading
 from zotune.gp import FitFailureError
 from zotune.harness import ExperimentConfig, SingleRun
 
@@ -55,18 +55,11 @@ def make_sched(seed=0, init=None, **cfg_kwargs):
 
 def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=100.0):
     """One candidate's feedback: test means lifted over a control of ``base``."""
-    readings = []
-    for metric, lift in zip(METRICS, lifts):
-        test = GroupReading(
-            candidate_id=cid, metric=metric, round=origin,
-            sample_mean=base * (1.0 + lift), sample_var=var, group_size=n,
-        )
-        ctrl = GroupReading(
-            candidate_id=0, metric=metric, round=origin,
-            sample_mean=base, sample_var=var, group_size=n,
-        )
-        readings.append((test, ctrl))
-    return InboundBatch(origin_round=origin, arrival_round=arrival, readings=tuple(readings))
+    readings = tuple(
+        Reading(cid, metric, origin, base * (1.0 + lift), var, n, base, var, n)
+        for metric, lift in zip(METRICS, lifts)
+    )
+    return InboundBatch(origin_round=origin, arrival_round=arrival, readings=readings)
 
 
 class TestRoundPlan:
@@ -112,10 +105,13 @@ class TestInboundBatch:
         with pytest.raises(ValueError):
             InboundBatch(origin_round=3, arrival_round=5, readings=good.readings)
 
-    def test_pair_must_name_one_metric(self):
-        (test, _), (_, other_ctrl) = batch_for(1, origin=2, arrival=5).readings
-        with pytest.raises(ValueError, match="metric mismatch"):
-            InboundBatch(origin_round=2, arrival_round=5, readings=((test, other_ctrl),))
+    @pytest.mark.parametrize("element", [(1, 2), "row", None], ids=["pair", "str", "none"])
+    def test_elements_must_be_readings(self, element):
+        """Anything but a ``Reading`` is refused by name, a pair of them too."""
+        reading = batch_for(1, origin=0, arrival=1).readings[0]
+        for readings in ((element,), (reading, element), ((reading, reading),)):
+            with pytest.raises(ValueError, match="InboundBatch.readings: expected Reading"):
+                InboundBatch(origin_round=0, arrival_round=1, readings=readings)
 
 
 class TestBootstrap:
@@ -156,8 +152,7 @@ class TestBootstrap:
             replace(make_problem(), base=base), config, np.random.default_rng(0)
         )
         assert sched.next_id == 10
-        readings = tuple((t, replace(c, candidate_id=9)) for t, c in batch_for(1, 0, 1).readings)
-        sched.run_round([InboundBatch(origin_round=0, arrival_round=1, readings=readings)])
+        sched.run_round([batch_for(1, 0, 1)])
         assert [hp.id for hp in sched.bucket] == [1, 2, 3, 4, 5, 10]
         assert sched.next_id == 11
 
@@ -453,24 +448,17 @@ class TestIngest:
 
     def test_unknown_candidate_or_metric_dropped(self):
         """Rows for a candidate outside the bucket or a metric outside the
-        problem are dropped: neither the record nor the store sees them.
-        So are rows whose control names a candidate other than the base:
-        the store does not keep the control's id, and restore reads it as
-        the base's."""
+        problem are dropped: neither the record nor the store sees them."""
         sched = make_sched()
-        test, ctrl = batch_for(1, 0, 1).readings[0]
+        reading = batch_for(1, 0, 1).readings[0]
         unknown_metric = InboundBatch(origin_round=0, arrival_round=1, readings=(
-            (replace(test, metric="zz"), replace(ctrl, metric="zz")),
+            replace(reading, metric="zz"),
         ))
-        relabelled = InboundBatch(origin_round=0, arrival_round=1, readings=(
-            (test, replace(ctrl, candidate_id=3)),
-        ))
-        batches = [batch_for(99, 0, 1), unknown_metric, relabelled, batch_for(2, 0, 1)]
+        batches = [batch_for(99, 0, 1), unknown_metric, batch_for(2, 0, 1)]
         assert sched.ingest(batches) == 2
         assert sched.record.aggregate(99, "x1") is None
         assert sched.record.aggregate(1, "zz") is None
-        assert sched.record.aggregate(1, "x1") is None
-        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log] == [(2, "x1"), (2, "x2")]
+        assert [(r.candidate_id, r.metric) for r in sched._raw_log] == [(2, "x1"), (2, "x2")]
 
     def test_order_independence_of_aggregates(self):
         batches = [
@@ -511,13 +499,7 @@ class TestIngest:
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
 
         def row(cid, metric, mean, ctrl_mean=100.0, ctrl_var=4.0):
-            return (
-                GroupReading(candidate_id=cid, metric=metric, round=1,
-                             sample_mean=mean, sample_var=4.0, group_size=1000),
-                GroupReading(candidate_id=0, metric=metric, round=1,
-                             sample_mean=ctrl_mean, sample_var=ctrl_var,
-                             group_size=1000),
-            )
+            return Reading(cid, metric, 1, mean, 4.0, 1000, ctrl_mean, ctrl_var, 1000)
 
         batches = [
             InboundBatch(origin_round=1, arrival_round=2, readings=(
@@ -530,7 +512,7 @@ class TestIngest:
             )),
         ]
         assert sched.ingest(batches) == 2
-        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log[-2:]] == [(1, "x1"), (2, "x2")]
+        assert [(r.candidate_id, r.metric) for r in sched._raw_log[-2:]] == [(1, "x1"), (2, "x2")]
         sched.run_round([])
         assert sched.last_selection is not None
 
@@ -543,7 +525,7 @@ class TestIngest:
         sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
         overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
         assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
-        assert [(t.candidate_id, t.metric) for t, _ in sched._raw_log[-3:]] == [
+        assert [(r.candidate_id, r.metric) for r in sched._raw_log[-3:]] == [
             (1, "x2"), (2, "x1"), (2, "x2"),
         ]
         sched.run_round([])
@@ -575,31 +557,24 @@ _ROW_KINDS = {
 }
 
 
-def _kind_pair(ids, metric, rnd, kind, jitter):
-    cid, ctrl_id = ids
+def _kind_row(cid, metric, rnd, kind, jitter):
     test_mean, ctrl_mean, n = _ROW_KINDS[kind]
-    return (
-        GroupReading(candidate_id=cid, metric=metric, round=rnd,
-                     sample_mean=test_mean * (1.0 + jitter), sample_var=4.0, group_size=n),
-        GroupReading(candidate_id=ctrl_id, metric=metric, round=rnd,
-                     sample_mean=ctrl_mean, sample_var=4.0, group_size=n),
-    )
+    return Reading(cid, metric, rnd, test_mean * (1.0 + jitter), 4.0, n, ctrl_mean, 4.0, n)
 
 
-# (test id, control id): candidates 1-3 of a five-candidate bucket over the
-# base's control, 99 outside the bucket, and a control relabelled as
-# candidate 3; the problem's metrics and "zz" outside them; three origin
-# rounds: keys repeat often.
+# Candidates 1-3 of a five-candidate bucket and 99 outside it; the
+# problem's metrics and "zz" outside them; three origin rounds: keys repeat
+# often.
 _any_batch = st.builds(
     lambda origin, delay, rows: InboundBatch(
         origin_round=origin, arrival_round=origin + delay,
-        readings=tuple(_kind_pair(ids, m, origin, kind, j) for ids, m, kind, j in rows),
+        readings=tuple(_kind_row(cid, m, origin, kind, j) for cid, m, kind, j in rows),
     ),
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=3),
     st.lists(
         st.tuples(
-            st.sampled_from([(1, 0), (2, 0), (3, 0), (99, 0), (1, 3)]),
+            st.sampled_from([1, 2, 3, 99]),
             st.sampled_from(METRICS + ("zz",)),
             st.sampled_from(sorted(_ROW_KINDS)),
             st.floats(min_value=-0.05, max_value=0.05),
@@ -626,13 +601,10 @@ class TestOneAbsorbPath:
         for batches in calls:
             logged = len(sched._raw_log)
             assert sched.ingest(batches) == len(sched._raw_log) - logged
-            assert all(t.round <= sched.round for t, _ in sched._raw_log[logged:])
+            assert all(r.round <= sched.round for r in sched._raw_log[logged:])
             sched.idle()
         bucket_ids = {hp.id for hp in sched.bucket}
-        assert all(
-            t.candidate_id in bucket_ids and t.metric in METRICS and c.candidate_id == 0
-            for t, c in sched._raw_log
-        )
+        assert all(r.candidate_id in bucket_ids and r.metric in METRICS for r in sched._raw_log)
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a"), Path(tmp, "b")
             sched.persist(str(first))

@@ -10,9 +10,9 @@ import pytest
 
 import zotune.simenv as simenv
 from zotune import codec
-from zotune.deltastats import GroupReading, TaylorMode, hourly_delta_stat
+from zotune.deltastats import Reading, TaylorMode, hourly_delta_stat
 from zotune.scheduler import InboundBatch, RoundPlan
-from zotune.simenv import CONTROL_ID, LIFT_SCALE, PERIOD, SimEnv
+from zotune.simenv import LIFT_SCALE, PERIOD, SimEnv
 
 SEEDS = (0, 1, 7, 42, 131)
 
@@ -162,11 +162,11 @@ class TestStep:
         batch = env.step(plan, 4, {1: theta})[0]
         mu = env.hourly_means(theta, 4)
         base_mu = env.hourly_means(env.spec.base_theta, 4)
-        for k, (test, ctrl) in enumerate(batch.readings):
-            assert test.sample_mean == float(mu[k])
-            assert test.sample_var == 0.0
-            assert ctrl.sample_mean == float(base_mu[k])
-            assert ctrl.sample_var == 0.0
+        for k, reading in enumerate(batch.readings):
+            assert reading.test_mean == float(mu[k])
+            assert reading.test_var == 0.0
+            assert reading.control_mean == float(base_mu[k])
+            assert reading.control_var == 0.0
 
     def test_group_sizes_round_with_floor(self):
         env = SimEnv.build(3, users=1000)
@@ -175,11 +175,10 @@ class TestStep:
             assignments=((1, 0.7995), (2, 1e-4 if False else 0.0005)),
         )
         batches = env.step(plan, 0, {1: (0.5, 0.5), 2: (0.1, 0.1)})
-        sizes = {b.readings[0][0].candidate_id: b.readings[0][0].group_size for b in batches}
+        sizes = {b.readings[0].candidate_id: b.readings[0].test_n for b in batches}
         assert sizes[1] == round(0.7995 * 1000)
         assert sizes[2] == 1  # floor for tiny but positive share
-        ctrl = batches[0].readings[0][1]
-        assert ctrl.group_size == round(0.2 * 1000)
+        assert batches[0].readings[0].control_n == round(0.2 * 1000)
 
     def test_fixed_delay_only(self):
         env = SimEnv.build(3, xi_mean=0.0, xi_sd=0.0, fixed_delay=3, users=1000)
@@ -199,10 +198,20 @@ class TestStep:
             round=0, control_fraction=0.2, assignments=((1, 0.4), (2, 0.4))
         )
         batches = env.step(plan, 0, {1: (0.1, 0.1), 2: (0.9, 0.9)})
-        ctrl_a = batches[0].readings[0][1]
-        ctrl_b = batches[1].readings[0][1]
-        assert ctrl_a == ctrl_b
-        assert ctrl_a.candidate_id == CONTROL_ID
+        control = lambda r: (r.metric, r.round, r.control_mean, r.control_var, r.control_n)
+        assert [control(r) for r in batches[0].readings] == [
+            control(r) for r in batches[1].readings
+        ]
+
+    @pytest.mark.parametrize("t", [2.7, True, np.float64(2.0)], ids=["fraction", "bool", "np-float"])
+    def test_hour_must_be_an_int(self, t):
+        """A cast would stamp the readings of hour 2.7 as hour 2's; the hour
+        is refused before the noise stream moves."""
+        env = SimEnv.build(3, users=1000)
+        state = env.rng_state
+        with pytest.raises(ValueError, match="t: expected int"):
+            env.step(single_candidate_plan(rnd=2), t, {1: (0.4, 0.4)})
+        assert env.rng_state == state
 
     def test_empty_plan_refused(self):
         """Every plan assigns traffic, so every step emits batches."""
@@ -217,8 +226,7 @@ class TestStep:
         means = []
         for t in range(1000):
             batch = env.step(plan, t, {1: theta0})[0]
-            test, ctrl = batch.readings[0]
-            stat = hourly_delta_stat(test, ctrl, TaylorMode.DELTA_METHOD)
+            stat = hourly_delta_stat(batch.readings[0], TaylorMode.DELTA_METHOD)
             means.append(stat.mean)
         means = np.asarray(means)
         se = means.std(ddof=1) / math.sqrt(len(means))
@@ -424,31 +432,26 @@ def _reference_step(env, rng, plan, t, thetas):
     """``SimEnv.step`` sampling one reading at a time from ``rng``."""
     spec = env.spec
 
-    def group_reading(cid, k, mu, size):
+    def group_stats(mu, size):
+        """One group's sample mean, sample variance and size."""
         z = rng.standard_normal(spec.draws_per_step)
         mean_scale = np.sqrt(spec.draws_per_step / size)
-        return GroupReading(
-            candidate_id=cid,
-            metric=spec.metrics[k],
-            round=t,
-            sample_mean=float(mu + spec.sigma * mean_scale * np.mean(z)),
-            sample_var=float(spec.sigma**2 * np.var(z, ddof=1)),
-            group_size=size,
+        return (
+            float(mu + spec.sigma * mean_scale * np.mean(z)),
+            float(spec.sigma**2 * np.var(z, ddof=1)),
+            size,
         )
 
     ctrl_size = max(int(round(plan.control_fraction * spec.users)), 1)
     base_mu = _reference_hourly_means(env, np.asarray(spec.base_theta), t)
-    ctrl = [
-        group_reading(CONTROL_ID, k, float(base_mu[k]), ctrl_size)
-        for k in range(len(spec.metrics))
-    ]
+    ctrl = [group_stats(float(base_mu[k]), ctrl_size) for k in range(len(spec.metrics))]
     batches = []
     for cid, frac in plan.assignments:
         size = max(int(round(frac * spec.users)), 1)
         mu = _reference_hourly_means(env, np.asarray(thetas[cid], dtype=float), t)
         readings = tuple(
-            (group_reading(cid, k, float(mu[k]), size), ctrl[k])
-            for k in range(len(spec.metrics))
+            Reading(cid, metric, t, *group_stats(float(mu[k]), size), *ctrl[k])
+            for k, metric in enumerate(spec.metrics)
         )
         xi = int(round(abs(rng.normal(spec.xi_mean, spec.xi_sd))))
         batches.append(

@@ -49,7 +49,7 @@ def lock_step(cfg, seed, monkeypatch):
             getattr(loop, name)(batches)
         sel, (proposed, prediction) = sched.last_selection, loop.last_proposal or (None, None)
         newcomer = sched.bucket[-1] if sched.next_id > next_id else None
-        absorbed = sorted((t.candidate_id, t.metric, t.round) for t, _ in sched._raw_log)
+        absorbed = sorted((row.candidate_id, row.metric, row.round) for row in sched._raw_log)
         yield r, proposed, [
             ("round", sched.round, r),
             ("absorbed rows", absorbed,
@@ -121,7 +121,7 @@ def test_gate_campaigns_match_the_spec_round_by_round(cfg, monkeypatch):
 # and the two estimator functions it builds on.  Nothing that decides.
 SPEC_IMPORTS = {
     "zotune.deltastats": {
-        "DegenerateBaseError", "DeltaStat", "DuplicateRoundError", "GroupReading",
+        "DegenerateBaseError", "DeltaStat", "DuplicateRoundError", "Reading",
         "aggregate", "hourly_delta_stat",
     },
     "zotune.gp": {"BASE_JITTER", "MAX_JITTER", "SIGNAL_VAR_FLOOR", "FitFailureError"},
