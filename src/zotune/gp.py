@@ -40,7 +40,8 @@ back through ``Call.result()``, and is joined on every path.  A call the
 helper has not started while it is busy with an earlier one is claimed by
 ``result()`` and run on the caller instead, so the caller never waits for
 work it could do itself (Blumofe & Leiserson, "Scheduling Multithreaded
-Computations by Work Stealing", JACM 1999).  A decided round has one: the
+Computations by Work Stealing", JACM 1999).  A decided round has one,
+opened by the scheduler and passed to each call that uses it: the
 scheduler submits the GP fit first, ``optimizer.select`` then the scoring
 of each block of Thompson draws, and the prediction its kernel half and
 solves.
@@ -60,10 +61,10 @@ pointer is scipy's routine.
 
 A prediction uses two cores: the helper builds the kernel rows of the
 second half of the queries while the caller builds the first, then solves
-every metric past the first while the caller solves metric 0.  Every kernel
-entry is elementwise and each metric's solve reads only its own factor and
-kernel, so each output entry goes through the same operations in the same
-order as on one thread, and the bits are the same.
+every metric past the first, if any, while the caller solves metric 0.
+Every kernel entry is elementwise and each metric's solve reads only its
+own factor and kernel, so each output entry goes through the same
+operations in the same order as on one thread, and the bits are the same.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -75,7 +76,6 @@ bracket without building all ``n(n-1)/2`` of them (Frederickson & Johnson,
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -146,10 +146,6 @@ cython_blas = _linalg_table("cython_blas")
 cython_lapack = _linalg_table("cython_lapack")
 
 _dpotrf = _bind(cython_lapack, "dpotrf", "char *, int *, double *, int *, int *")
-_dlaset = _bind(
-    cython_lapack, "dlaset",
-    "char *, int *, int *, double *, double *, double *, int *",
-)
 _dtrsm = _bind(
     cython_blas, "dtrsm",
     "char *, char *, char *, char *, int *, int *, double *, double *, int *, double *, int *",
@@ -258,7 +254,6 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-_ZERO = ctypes.byref(ctypes.c_double(0.0))
 _ONE = ctypes.byref(ctypes.c_double(1.0))
 
 
@@ -286,21 +281,19 @@ def _order(c: np.ndarray) -> int:
 
 
 def _potrf(a: np.ndarray) -> int:
-    """Factor ``a = L L^T`` in place, ``L`` lower and the strict upper
-    triangle zeroed, as ``scipy.linalg.cholesky(a, lower=True)`` returns it.
+    """Factor ``a = L L^T`` in place, ``L`` in the lower triangle.
 
-    Only the lower triangle of ``a`` is read.  Returns LAPACK's ``info``: 0,
-    or the order of the leading minor that is not positive definite.
+    Only the lower triangle of ``a`` is read or written, so only the lower
+    triangle of a factor is meaningful: it equals the lower triangle of
+    ``scipy.linalg.cholesky(a, lower=True)``, and ``_trsm`` reads nothing
+    else.  Returns LAPACK's ``info``: 0, or the order of the leading minor
+    that is not positive definite.
     """
     n = _order(a)
-    ptr = _operand(a, (n, n))
     info = ctypes.c_int(0)
-    _dpotrf(b"L", _int(n), ptr, _int(n), ctypes.byref(info))
+    _dpotrf(b"L", _int(n), _operand(a, (n, n)), _int(n), ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"dpotrf rejected argument {-info.value}")
-    # The strict upper triangle of a is the upper triangle of its
-    # (n-1) x (n-1) block at a[0, 1], diagonal included.
-    _dlaset(b"U", _int(n - 1), _int(n - 1), _ZERO, _ZERO, ptr + 8 * n, _int(n))
     return info.value
 
 
@@ -557,7 +550,7 @@ class GpSurrogate:
 
         # Each metric's matrix gets only the triangle LAPACK reads: kmat is
         # symmetric, so its transpose is the same matrix in Fortran order
-        # and LAPACK factorizes it in place, zeroing the unwritten half.
+        # and LAPACK factorizes it in place, never reading the unwritten half.
         n = x.shape[0]
         s2s = [float(s2) for s2 in s2_all]
         kmats = [np.empty((n, n)) for _ in s2s]
@@ -599,14 +592,14 @@ class GpSurrogate:
             raise RejectedInputError("query outside the fitted bounds box")
 
     def predict_batch(
-        self, thetas: np.ndarray, *, helper: Helper | None = None
+        self, thetas: np.ndarray, *, helper: Helper
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at query points.
 
         Returns ``(mu, var)`` of shape ``(q, M)``.  Variances are the latent
         posterior variances, clamped at zero, and never exceed the signal
         variance plus jitter.  The work runs on the caller and on
-        ``helper``, or on a helper of its own, with the bits of one thread.
+        ``helper``, with the bits of one thread.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -635,15 +628,10 @@ class GpSurrogate:
                 var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
 
         h = (q + 1) // 2
-        with Helper() if helper is None else contextlib.nullcontext(helper) as helper:
-            upper = helper.submit(kernels, slice(h, None))
-            kernels(slice(h))
-            upper.result()
-            all_metrics = range(self.n_metrics)
-            if self.n_metrics == 1:
-                solve(all_metrics)
-            else:
-                rest = helper.submit(solve, all_metrics[1:])
-                solve(all_metrics[:1])
-                rest.result()
+        upper = helper.submit(kernels, slice(h, None))
+        kernels(slice(h))
+        upper.result()
+        rest = helper.submit(solve, range(1, self.n_metrics))
+        solve(range(1))
+        rest.result()
         return mu, var

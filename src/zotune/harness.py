@@ -558,9 +558,11 @@ def compare_variants(
                 f"variant {r.variant!r} has different rounds than {reference!r}"
             )
     if threshold_fraction is None:
-        threshold_fraction = float(
-            ref.config.get("threshold_fraction", ExperimentConfig.threshold_fraction)
-        )
+        stored = ref.config.get("threshold_fraction", ExperimentConfig.threshold_fraction)
+        try:
+            threshold_fraction = codec.real(stored, f"report {reference!r} threshold_fraction")
+        except codec.DecodeError as exc:
+            raise HarnessConfigError(str(exc)) from None
     _check_threshold_fraction(threshold_fraction)
     ref_final_mean, _ = ref.final_gain_summary()
     target = threshold_fraction * ref_final_mean

@@ -19,10 +19,10 @@ blocks of whole repetitions into four buffers of about 256 KiB, so memory
 stays flat in K while the draws, winners and generator state stay those of
 a single ``(K, n, M)`` draw.  The caller keeps the generator and only
 draws; each block's scoring (scale, shift, slacks, objective, winners) goes
-to a ``gp.Helper``, which scores it while the caller draws the next block,
-unless the caller claims it first because the helper is still busy (say,
-with the GP fit).  A buffer is drawn into again only after its last scoring
-has finished.
+to the round's ``gp.Helper``, which the caller opens and passes in.  The
+helper scores a block while the caller draws the next, unless the caller
+claims it first because the helper is still busy (say, with the GP fit).
+A buffer is drawn into again only after its last scoring has finished.
 
 Proposal explores the surrogate's continuous box instead of the bucket: it
 scores N uniformly sampled configurations through a fitted surrogate with one
@@ -33,7 +33,6 @@ brand-new candidate.  That draw is a ``(1, N, M)`` block, scored by the same
 
 from __future__ import annotations
 
-import contextlib
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -152,7 +151,7 @@ def select(
     k_repetitions: int,
     rng: np.random.Generator,
     *,
-    helper: Helper | None = None,
+    helper: Helper,
 ) -> SelectionResult:
     """Run K Thompson repetitions over candidates' beliefs, as ``beliefs`` returns them.
 
@@ -160,7 +159,7 @@ def select(
     ``candidate_ids[i]``, and the ids must be strictly increasing, so that
     ties go to the lowest id.  Beliefs must be finite: the fallback would
     take a NaN slack as the largest.  Each drawn block is scored on
-    ``helper``, or on a helper of its own, while the caller draws the next.
+    ``helper`` while the caller draws the next.
     """
     if k_repetitions < 1:
         raise ValueError("selection needs at least one repetition")
@@ -185,13 +184,12 @@ def select(
     starts = range(0, k_repetitions, reps)
     buffers = np.empty((min(_BUFFERS, len(starts)), reps) + mu.shape)
     scored: list[Call[tuple[np.ndarray, int, int]]] = []
-    with Helper() if helper is None else contextlib.nullcontext(helper) as helper:
-        for i, k0 in enumerate(starts):
-            if i >= _BUFFERS:
-                scored[i - _BUFFERS].result()
-            draws = rng.standard_normal(out=buffers[i % _BUFFERS, : k_repetitions - k0])
-            scored.append(helper.submit(_thompson_winners, draws, mu, sd, problem))
-        blocks = [call.result() for call in scored]
+    for i, k0 in enumerate(starts):
+        if i >= _BUFFERS:
+            scored[i - _BUFFERS].result()
+        draws = rng.standard_normal(out=buffers[i % _BUFFERS, : k_repetitions - k0])
+        scored.append(helper.submit(_thompson_winners, draws, mu, sd, problem))
+    blocks = [call.result() for call in scored]
     return SelectionResult(
         winners=tuple(ids[np.concatenate([cols for cols, _, _ in blocks])].tolist()),
         infeasible_rounds=sum(infeasible for _, infeasible, _ in blocks),
@@ -205,7 +203,7 @@ def propose(
     rng: np.random.Generator,
     new_id: int,
     *,
-    helper: Helper | None = None,
+    helper: Helper,
 ) -> ProposalResult:
     """Pick one new configuration from N uniform samples scored by the surrogate.
 
@@ -213,7 +211,7 @@ def propose(
     predicted belief and a single Thompson draw; the feasible draw with the
     highest objective wins (fallback: largest worst-constraint slack).  The
     returned candidate carries ``new_id``, which must be unused.  The
-    prediction shares its work with ``helper``, or with a helper of its own.
+    prediction shares its work with ``helper``.
     """
     if not isinstance(surrogate, GpSurrogate):
         raise RejectedSurrogateError("proposal requires a fitted surrogate")

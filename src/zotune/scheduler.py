@@ -11,13 +11,15 @@ advances the one clock without drawing, so a plan's ``round`` is its hour.
 
 A round that draws opens one ``gp.Helper`` thread, joined before
 ``run_round`` returns or raises; idle hours and rounds without data start
-none.  The GP fit needs only the beliefs the selection reads, not its
-draws, so the helper's work is, in order: the fit, then the scoring of each
-block of Thompson draws that the caller has not claimed, then the
-prediction's kernel half and solves.  The caller keeps the generator: it
-draws every selection block, ``u``, and the proposal's samples and draws,
-in the one-thread order (select, draw ``u``, then fit and propose), so the
-random stream and every result are that order's.  The fit's result, and its
+none, and no other code starts one: ``select``, ``propose`` and
+``predict_batch`` each run on the helper the round passes them.  The GP
+fit needs only the beliefs the selection reads, not its draws, so the
+helper's work is, in order: the fit, then the scoring of each block of
+Thompson draws that the caller has not claimed, then the prediction's
+kernel half and solves.  The caller keeps the generator: it draws every
+selection block, ``u``, and the proposal's samples and draws, in the
+one-thread order (select, draw ``u``, then fit and propose), so the random
+stream and every result are that order's.  The fit's result, and its
 error, are taken only in a round that proposes.
 
 All state round-trips through a store directory so a run can be stopped and
@@ -457,18 +459,10 @@ class Scheduler:
     # Persistence
 
     def persist(self, store_dir: str) -> None:
-        """Write the manifest, the bucket and the raw readings to ``store_dir``."""
+        """Write the bucket, the raw readings and then the manifest, which
+        dates the store, to ``store_dir``: a persist that fails before the
+        last write leaves the older manifest in force."""
         os.makedirs(store_dir, exist_ok=True)
-
-        manifest = Manifest(
-            round=self._round,
-            rng_state=self.rng.bit_generator.state,
-            config=self.config,
-            problem=self.problem,
-            last_plan=self._last_plan,
-        )
-        codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
-
         codec.save_table(
             os.path.join(store_dir, "hyperparams.csv"),
             _bucket_header(self.problem),
@@ -480,6 +474,14 @@ class Scheduler:
         codec.save_table(
             os.path.join(store_dir, "metrics.csv"), METRICS_HEADER, map(_metrics_row, self._raw_log)
         )
+        manifest = Manifest(
+            round=self._round,
+            rng_state=self.rng.bit_generator.state,
+            config=self.config,
+            problem=self.problem,
+            last_plan=self._last_plan,
+        )
+        codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
 
     @classmethod
     def restore(cls, store_dir: str) -> "Scheduler":

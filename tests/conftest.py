@@ -1,4 +1,4 @@
-"""Suite-wide guards, and a helper thread held busy."""
+"""Suite-wide guards, and helper threads: one idle and one held busy."""
 
 import threading
 
@@ -15,6 +15,13 @@ def no_thread_outlives_its_test():
     yield
     leaked = [thread.name for thread in threading.enumerate() if thread not in before]
     assert not leaked, f"threads left alive: {leaked}"
+
+
+@pytest.fixture
+def helper():
+    """A ``Helper`` open for the length of the test, as a round opens one."""
+    with Helper() as opened:
+        yield opened
 
 
 @pytest.fixture

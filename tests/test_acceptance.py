@@ -133,7 +133,7 @@ def test_criterion_2_reference_values_exact(verdict):
     assert var_rel <= 1e-12
 
 
-def test_criterion_3_selection_matches_exhaustive_search(verdict):
+def test_criterion_3_selection_matches_exhaustive_search(verdict, helper):
     """Zero-variance Thompson selection equals brute force, 100/100 times."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
@@ -158,7 +158,9 @@ def test_criterion_3_selection_matches_exhaustive_search(verdict):
             rec.absorb(cid, "x1", 0, DeltaStat(mean=d1, var=0.0, weight=100))
             rec.absorb(cid, "x2", 0, DeltaStat(mean=d2, var=0.0, weight=100))
         bucket = [HyperParam(id=cid, theta=(0.5, 0.5), bounds=BOUNDS) for cid in ids]
-        res = select(*beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(1))
+        res = select(
+            *beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(1), helper=helper
+        )
         if res.winners == (spec.exhaustive_winner(deltas, problem),) * 5:
             agree += 1
     elapsed = time.perf_counter() - t0
@@ -171,7 +173,7 @@ def test_criterion_3_selection_matches_exhaustive_search(verdict):
     assert elapsed < 10.0
 
 
-def test_criterion_4_surrogate_identities(verdict):
+def test_criterion_4_surrogate_identities(verdict, helper):
     """Noiseless interpolation, variance bounds, and far-field reversion."""
     # Interpolation through noiseless observations on a separated grid.
     pts = [(a, b) for a in (0.1, 0.5, 0.9) for b in (0.1, 0.5, 0.9)]
@@ -179,12 +181,12 @@ def test_criterion_4_surrogate_identities(verdict):
     targets = [0.02 * (i - 4) for i in range(len(pts))]
     mu = np.array(targets)[:, None]
     gp = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
-    mu, var = gp.predict_batch(np.array(pts))
+    mu, var = gp.predict_batch(np.array(pts), helper=helper)
     interp_err = float(np.max(np.abs(mu[:, 0] - np.array(targets))))
 
     # Posterior variance within [0, signal variance + eps] at 1000 queries.
     queries = np.random.default_rng(3).uniform(0.0, 1.0, size=(1000, 2))
-    _, qvar = gp.predict_batch(queries)
+    _, qvar = gp.predict_batch(queries, helper=helper)
     eps = 10.0 * BASE_JITTER
     var_low = float(np.min(qvar))
     var_excess = float(np.max(qvar) - gp.signal_var(0))
@@ -196,7 +198,7 @@ def test_criterion_4_surrogate_identities(verdict):
         HyperParam(id=2, theta=(2.0, 2.0), bounds=big),
     ]
     far_gp = GpSurrogate.fit(far_bucket, np.array([[0.04], [0.06]]), np.zeros((2, 1)))
-    out_mu, out_var = far_gp.predict_batch(np.array([(900.0, 900.0)]))
+    out_mu, out_var = far_gp.predict_batch(np.array([(900.0, 900.0)]), helper=helper)
     far_mu = abs(float(out_mu[0, 0]))
     far_var_gap = abs(float(out_var[0, 0]) - far_gp.signal_var(0))
 

@@ -249,6 +249,15 @@ class TestDecoder:
         d["taylor_mode"] = "second-order"
         with pytest.raises(DecodeError, match="taylor_mode"):
             from_dict(SchedulerConfig, d)
+        d = codec.to_dict(SchedulerConfig())
+        d["init"] = 5
+        with pytest.raises(DecodeError, match="SchedulerConfig.init: expected an object"):
+            from_dict(SchedulerConfig, d)
+        row = RoundRow(round=0, winner_id=None, gain=0.5, violation=0.25)
+        d = codec.to_dict(SeedTrajectory(seed=1, base_violation=0.25, rows=(row,)))
+        d["rows"][0].pop()
+        with pytest.raises(DecodeError, match=r"SeedTrajectory.rows\[0\]: expected a list of 4"):
+            from_dict(SeedTrajectory, d)
 
     def test_a_literal_tag_round_trips_and_refuses_any_other_value(self):
         expr = LinearExpr((0.5, 2.0))

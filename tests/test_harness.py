@@ -964,6 +964,23 @@ class TestCli:
         assert "rows do not number the 3 rounds" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("stored", [True, "0.5"], ids=["bool", "str"])
+    def test_compare_refuses_a_stored_threshold_fraction_that_is_not_a_real(
+        self, tmp_path, capsys, stored
+    ):
+        """Every other stored real refuses both; ``float()`` would read them
+        as 1.0 and 0.5."""
+        paths = [str(tmp_path / "full.json"), str(tmp_path / "no-proposal.json")]
+        d = synthetic_report("full").to_dict()
+        d["config"]["threshold_fraction"] = stored
+        Path(paths[0]).write_text(json.dumps(d), encoding="utf-8")
+        synthetic_report("no-proposal").save(paths[1])
+        out_csv = tmp_path / "cmp.csv"
+        rc = main(["compare", *paths, "--out", str(out_csv)])
+        assert rc == 1
+        assert "error: report 'full' threshold_fraction: expected float" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_missing_report_file_exits_nonzero(self, tmp_path, capsys):
         rc = main(["compare", str(tmp_path / "nope.json"), str(tmp_path / "nah.json")])
         assert rc == 1
@@ -977,7 +994,9 @@ class TestCli:
         assert "frobnicate" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fields", [{"rounds": "x"}, {"seeds": 5}], ids=["rounds-str", "seeds-int"]
+        "fields",
+        [{"rounds": "x"}, {"seeds": 5}, [{"rounds": 1}]],
+        ids=["rounds-str", "seeds-int", "array-for-object"],
     )
     def test_mistyped_config_value_exits_nonzero(self, tmp_path, capsys, fields):
         cfg_path = tmp_path / "cfg.json"

@@ -60,7 +60,7 @@ def record_with(deltas):
 
 
 class TestSelect:
-    def test_three_candidate_worked_example(self):
+    def test_three_candidate_worked_example(self, helper):
         deltas = {1: (0.05, 0.01), 2: (0.08, -0.02), 3: (0.03, 0.02)}
         rec = record_with(deltas)
         problem = make_problem(
@@ -68,17 +68,21 @@ class TestSelect:
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
         )
         bucket = [hp(i) for i in deltas]
-        res = select(*beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(0))
+        res = select(
+            *beliefs(bucket, rec, problem), problem, 5, np.random.default_rng(0), helper=helper
+        )
         assert res.winners == (1,) * 5
         assert res.infeasible_rounds == 0
 
-    def test_single_candidate_no_constraints(self):
+    def test_single_candidate_no_constraints(self, helper):
         rec = record_with({7: (0.01, 0.02)})
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = select(*beliefs([hp(7)], rec, problem), problem, 9, np.random.default_rng(0))
+        res = select(
+            *beliefs([hp(7)], rec, problem), problem, 9, np.random.default_rng(0), helper=helper
+        )
         assert res.winners == (7,) * 9
 
-    def test_all_infeasible_falls_back_to_best_slack(self):
+    def test_all_infeasible_falls_back_to_best_slack(self, helper):
         deltas = {1: (0.10, -0.01), 2: (0.99, -0.02)}
         rec = record_with(deltas)
         problem = make_problem(
@@ -87,20 +91,22 @@ class TestSelect:
         )
         res = select(
             *beliefs([hp(1), hp(2)], rec, problem), problem, 6, np.random.default_rng(0),
+            helper=helper,
         )
         assert res.winners == (1,) * 6
         assert res.infeasible_rounds == 6
 
-    def test_exact_tie_goes_to_lowest_id(self):
+    def test_exact_tie_goes_to_lowest_id(self, helper):
         deltas = {4: (0.05, 0.01), 9: (0.05, 0.01)}
         rec = record_with(deltas)
         problem = make_problem(LinearExpr((1.0, 0.0)))
         res = select(
             *beliefs([hp(9), hp(4)], rec, problem), problem, 8, np.random.default_rng(0),
+            helper=helper,
         )
         assert res.winners == (4,) * 8
 
-    def test_brute_force_equivalence_randomized(self):
+    def test_brute_force_equivalence_randomized(self, helper):
         """Zero-variance selection matches the loop oracle on 50 instances."""
         rng = np.random.default_rng(2024)
         for _ in range(50):
@@ -114,11 +120,11 @@ class TestSelect:
                 for _ in range(m)
             ))
             measured = beliefs([hp(cid) for cid in ids], record_with(deltas), problem)
-            res = select(*measured, problem, 3, np.random.default_rng(1))
+            res = select(*measured, problem, 3, np.random.default_rng(1), helper=helper)
             assert res.winners == (spec.exhaustive_winner(deltas, problem),) * 3
 
     @pytest.mark.parametrize("direction", [AT_LEAST, AT_MOST])
-    def test_guardrail_met_with_zero_slack_holds(self, direction):
+    def test_guardrail_met_with_zero_slack_holds(self, direction, helper):
         """Zero-variance candidate 1 sits on the guardrail x2 = 0.01 with zero
         slack and the higher objective: it wins every repetition, none infeasible."""
         deltas = {1: (0.05, 0.01), 2: (0.02, 0.03 if direction == AT_LEAST else -0.03)}
@@ -126,11 +132,11 @@ class TestSelect:
         problem = make_problem(LinearExpr((1.0, 0.0)), (guardrail,))
         assert problem.constraint_slack_batch(np.array(deltas[1]))[0] == 0.0
         ids, mu, var = beliefs([hp(1), hp(2)], record_with(deltas), problem)
-        res = select(ids, mu, var, problem, 7, np.random.default_rng(0))
+        res = select(ids, mu, var, problem, 7, np.random.default_rng(0), helper=helper)
         assert res.winners == (1,) * 7
         assert res.infeasible_rounds == 0
 
-    def test_monotone_focus_dominant_candidate(self):
+    def test_monotone_focus_dominant_candidate(self, helper):
         """A 6-sigma dominant feasible candidate takes every repetition."""
         rec = EstimateRecord()
         for cid, mean in ((1, 0.0), (2, 0.0), (3, 1.0)):
@@ -141,11 +147,13 @@ class TestSelect:
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.5, direction=AT_LEAST),),
         )
         bucket = [hp(1), hp(2), hp(3)]
-        res = select(*beliefs(bucket, rec, problem), problem, 200, np.random.default_rng(5))
+        res = select(
+            *beliefs(bucket, rec, problem), problem, 200, np.random.default_rng(5), helper=helper
+        )
         assert res.winners == (3,) * 200
         assert res.infeasible_rounds == 0
 
-    def test_feasibility_soundness_zero_variance(self):
+    def test_feasibility_soundness_zero_variance(self, helper):
         rng = np.random.default_rng(77)
         for _ in range(20):
             deltas = {
@@ -159,39 +167,41 @@ class TestSelect:
             )
             res = select(
                 *beliefs([hp(c) for c in deltas], rec, problem), problem, 1,
-                np.random.default_rng(1),
+                np.random.default_rng(1), helper=helper,
             )
             if res.infeasible_rounds == 0:
                 d2 = deltas[res.winners[0]][1]
                 assert d2 >= cons[1]
 
-    def test_candidates_without_data_are_skipped(self):
+    def test_candidates_without_data_are_skipped(self, helper):
         rec = record_with({1: (0.01, 0.01)})
         problem = make_problem(LinearExpr((1.0, 1.0)))
         bucket = [hp(1), hp(2), hp(3)]  # 2 and 3 unmeasured
         ids, mu, var = beliefs(bucket, rec, problem)
         assert ids.tolist() == [1]
         assert mu.shape == var.shape == (1, 2)
-        res = select(ids, mu, var, problem, 4, np.random.default_rng(0))
+        res = select(ids, mu, var, problem, 4, np.random.default_rng(0), helper=helper)
         assert set(res.winners) == {1}
 
-    def test_partial_metric_data_not_eligible(self):
+    def test_partial_metric_data_not_eligible(self, helper):
         rec = record_with({1: (0.01, 0.01)})
         rec.absorb(2, "x1", 0, DeltaStat(mean=9.0, var=0.0, weight=10))
         problem = make_problem(LinearExpr((1.0, 1.0)))
         res = select(
             *beliefs([hp(1), hp(2)], rec, problem), problem, 3, np.random.default_rng(0),
+            helper=helper,
         )
         assert set(res.winners) == {1}
 
-    def test_no_data_raises(self):
+    def test_no_data_raises(self, helper):
         problem = make_problem(LinearExpr((1.0, 1.0)))
         with pytest.raises(NoDataError):
             select(
                 *beliefs([hp(1)], EstimateRecord(), problem), problem, 5, np.random.default_rng(0),
+                helper=helper,
             )
 
-    def test_winners_always_within_bucket(self):
+    def test_winners_always_within_bucket(self, helper):
         rng = np.random.default_rng(3)
         deltas = {cid: tuple(rng.normal(0, 0.1, size=2)) for cid in range(1, 8)}
         rec = EstimateRecord()
@@ -202,12 +212,14 @@ class TestSelect:
             LinearExpr((1.0, 0.5)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0, direction=AT_LEAST),),
         )
-        res = select(*beliefs([hp(c) for c in deltas], rec, problem), problem, 500, rng)
+        res = select(
+            *beliefs([hp(c) for c in deltas], rec, problem), problem, 500, rng, helper=helper
+        )
         assert len(res.winners) == 500
         assert set(res.winners) <= set(deltas)
         assert sum(Counter(res.winners).values()) == 500
 
-    def test_peak_memory_is_two_draw_arrays(self):
+    def test_peak_memory_is_two_draw_arrays(self, helper):
         """The draws and one array of their size are the most selection holds
         at once: slack, then objective, then the draws are dropped."""
         rng = np.random.default_rng(5)
@@ -226,14 +238,14 @@ class TestSelect:
         bucket = [hp(c) for c in range(1, n + 1)]
         tracemalloc.start()
         try:
-            select(*beliefs(bucket, rec, problem), problem, k, rng)
+            select(*beliefs(bucket, rec, problem), problem, k, rng, helper=helper)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         draw_bytes = k * n * 2 * 8
         assert peak < 2.25 * draw_bytes
 
-    def test_peak_memory_is_set_by_the_block(self):
+    def test_peak_memory_is_set_by_the_block(self, helper):
         """A 1000 x 1000 x 2 selection with one constraint holds a few blocks
         of draws at most; all its draws at once would be 16 MB."""
         bucket, (record, _), problem = random_selection_case(1000, 2, 1)
@@ -242,6 +254,7 @@ class TestSelect:
         try:
             select(
                 *beliefs(bucket, record, problem), problem, k, np.random.default_rng(3),
+                helper=helper,
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -249,7 +262,7 @@ class TestSelect:
         block_bytes = optimizer._DRAW_BLOCK * 8
         assert peak < 4 * block_bytes
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, helper):
         rng_deltas = np.random.default_rng(8)
         rec = EstimateRecord()
         for cid in range(1, 6):
@@ -260,15 +273,19 @@ class TestSelect:
                 )
         problem = make_problem(LinearExpr((1.0, 1.0)))
         bucket = [hp(c) for c in range(1, 6)]
-        a = select(*beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99))
-        b = select(*beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99))
+        a = select(
+            *beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99), helper=helper
+        )
+        b = select(
+            *beliefs(bucket, rec, problem), problem, 50, np.random.default_rng(99), helper=helper
+        )
         assert a.winners == b.winners
 
     @pytest.mark.parametrize(
         "field, value",
         [("mu", np.nan), ("mu", np.inf), ("mu", -np.inf), ("var", np.nan), ("var", np.inf)],
     )
-    def test_non_finite_belief_refused(self, field, value):
+    def test_non_finite_belief_refused(self, field, value, helper):
         """A NaN variance or an infinite mean would win every repetition."""
         problem = make_problem(
             LinearExpr((1.0, 0.0)),
@@ -278,18 +295,19 @@ class TestSelect:
         beliefs[field][1, 0] = value
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="finite"):
-            select([1, 2, 3], beliefs["mu"], beliefs["var"], problem, 200, rng)
+            select([1, 2, 3], beliefs["mu"], beliefs["var"], problem, 200, rng, helper=helper)
 
     @pytest.mark.parametrize("ids", [[3, 2, 1], [1, 1, 2], [[1], [2], [3]]])
-    def test_ids_not_strictly_increasing_refused(self, ids):
+    def test_ids_not_strictly_increasing_refused(self, ids, helper):
         problem = make_problem(LinearExpr((1.0, 0.0)))
         mu, var = np.zeros((3, 2)), np.full((3, 2), 1e-4)
         with pytest.raises(ValueError, match="strictly increasing"):
-            select(ids, mu, var, problem, 5, np.random.default_rng(0))
+            select(ids, mu, var, problem, 5, np.random.default_rng(0), helper=helper)
 
-    def test_scoring_error_on_the_helper_propagates(self, monkeypatch):
-        """One block, so the idle helper scores it; its error leaves
-        ``select`` after the join."""
+    def test_scoring_error_on_the_helper_propagates(self, monkeypatch, helper):
+        """One block, so the idle helper scores it; its error comes back
+        through ``result()`` and leaves ``select``.  The join belongs to the
+        helper's owner, ``Scheduler.run_round``, which tests it there."""
         bucket, (record, _), problem = random_selection_case(37, 3, 2)
         scorers = []
 
@@ -298,11 +316,12 @@ class TestSelect:
             raise RuntimeError("scoring failed")
 
         monkeypatch.setattr(optimizer, "_thompson_winners", failing_thompson_winners)
-        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="scoring failed"):
-            select(*beliefs(bucket, record, problem), problem, 3, np.random.default_rng(0))
+            select(
+                *beliefs(bucket, record, problem), problem, 3, np.random.default_rng(0),
+                helper=helper,
+            )
         assert [thread.name for thread in scorers] == ["zotune-helper"]
-        assert threading.active_count() == threads
 
     def test_modal_winner_tie_breaks_low_id(self):
         res = SelectionResult(
@@ -348,10 +367,10 @@ def random_selection_case(n, n_metrics, n_constraints, infeasible=False, seed=0)
 @pytest.mark.bitwise
 class TestBlockedSelectionReference:
     """Drawing in blocks of repetitions, each scored on a helper thread or
-    claimed by the caller, changes no bit: with ``select``'s own helper,
-    with a helper held busy so that the caller scores every block, and with
-    its own helper under a 10 us switch interval, which hands the GIL back
-    and forth between the draws and the scoring many times per call."""
+    claimed by the caller, changes no bit: with an idle helper, with a
+    helper held busy so that the caller scores every block, and with an
+    idle helper under a 10 us switch interval, which hands the GIL back and
+    forth between the draws and the scoring many times per call."""
 
     CASES = {
         "one-candidate": dict(n=1, n_metrics=1, n_constraints=0),
@@ -364,8 +383,8 @@ class TestBlockedSelectionReference:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("k", [3, 1001])
     @pytest.mark.parametrize("block", [None, 4096, 7777])
-    def test_matches_single_array(self, monkeypatch, case, k, block):
-        self.check(monkeypatch, case, k, block, select)
+    def test_matches_single_array(self, monkeypatch, helper, case, k, block):
+        self.check(monkeypatch, case, k, block, helper)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("k", [3, 1001])
@@ -374,27 +393,29 @@ class TestBlockedSelectionReference:
         self, monkeypatch, busy_helper, case, k, block
     ):
         scorers = _record_scorers(monkeypatch)
-        self.check(monkeypatch, case, k, block, lambda *args: select(*args, helper=busy_helper))
+        self.check(monkeypatch, case, k, block, busy_helper)
         assert set(scorers) == {threading.main_thread()}
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("k", [3, 1001])
     @pytest.mark.parametrize("block", [None, 4096, 7777])
-    def test_matches_single_array_under_frequent_switches(self, monkeypatch, case, k, block):
+    def test_matches_single_array_under_frequent_switches(
+        self, monkeypatch, helper, case, k, block
+    ):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            self.check(monkeypatch, case, k, block, select)
+            self.check(monkeypatch, case, k, block, helper)
         finally:
             sys.setswitchinterval(interval)
 
-    def check(self, monkeypatch, case, k, block, run_select):
+    def check(self, monkeypatch, case, k, block, helper):
         if block is not None:
             monkeypatch.setattr(optimizer, "_DRAW_BLOCK", block)
         bucket, (record, ref_record), problem = random_selection_case(**self.CASES[case])
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         ids, mu, var = beliefs(bucket, record, problem)
-        res = run_select(ids, mu, var, problem, k, rng)
+        res = select(ids, mu, var, problem, k, rng, helper=helper)
         ref_ids, ref_mu, ref_var = spec.beliefs(
             [hp.id for hp in bucket], ref_record, problem.metrics
         )
@@ -485,7 +506,7 @@ class TestProposeReference:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_spec(self, case):
+    def test_matches_spec(self, case, helper):
         rng = np.random.default_rng(41)
         problem = random_problem(rng, **self.CASES[case])
         n, n_samples, m = 40, 300, len(problem.metrics)
@@ -495,7 +516,7 @@ class TestProposeReference:
         ref_surrogate = spec.Surrogate(bucket, mu, var)
 
         run_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        res = propose(surrogate, problem, n_samples, run_rng, 77)
+        res = propose(surrogate, problem, n_samples, run_rng, 77, helper=helper)
         ref, (ref_mu, ref_var) = spec.propose(ref_surrogate, problem, n_samples, ref_rng, 77)
         assert res.proposed == ref
         assert run_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -512,55 +533,55 @@ class TestProposeReference:
 
 
 class TestPropose:
-    def test_single_sample_returned_regardless_of_feasibility(self):
+    def test_single_sample_returned_regardless_of_feasibility(self, helper):
         rng = np.random.default_rng(1)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(
             LinearExpr((1.0, 0.0)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=99.0, direction=AT_LEAST),),
         )
-        res = propose(surrogate, problem, 1, np.random.default_rng(4), new_id=500)
+        res = propose(surrogate, problem, 1, np.random.default_rng(4), new_id=500, helper=helper)
         assert isinstance(res, ProposalResult)
         assert res.proposed.id == 500
         assert res.sampled_count == 1
         assert res.feasible_count == 0
 
-    def test_top_fraction_on_linear_objective(self):
+    def test_top_fraction_on_linear_objective(self, helper):
         """The pick lands in the top 0.1% of its own sample set."""
         rng = np.random.default_rng(12)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 0.0)))
         n = 10_000
         seed = 31
-        res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900)
+        res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900, helper=helper)
         # replay the same uniform samples to rank the pick
         replay = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
-        mu, _ = surrogate.predict_batch(replay)
+        mu, _ = surrogate.predict_batch(replay, helper=helper)
         fvals = mu[:, 0]  # objective = first metric's lift
-        picked_mu, _ = surrogate.predict_batch(np.array([res.proposed.theta]))
+        picked_mu, _ = surrogate.predict_batch(np.array([res.proposed.theta]), helper=helper)
         rank = int(np.sum(fvals > picked_mu[0, 0]))
         assert rank <= n // 1000
 
-    def test_fixed_seed_reproducible(self):
+    def test_fixed_seed_reproducible(self, helper):
         rng = np.random.default_rng(21)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        a = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
-        b = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
+        a = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900, helper=helper)
+        b = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900, helper=helper)
         assert a.proposed.theta == b.proposed.theta
 
-    def test_proposed_always_in_bounds(self):
+    def test_proposed_always_in_bounds(self, helper):
         rng = np.random.default_rng(17)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
         for seed in range(10):
             res = propose(
-                surrogate, problem, 32, np.random.default_rng(seed), new_id=900
+                surrogate, problem, 32, np.random.default_rng(seed), new_id=900, helper=helper
             )
             for x, (lo, hi) in zip(res.proposed.theta, BOUNDS):
                 assert lo <= x <= hi
 
-    def test_samples_the_surrogates_box(self):
+    def test_samples_the_surrogates_box(self, helper):
         box = ((-2.0, 4.0), (10.0, 10.5))
         pts = np.random.default_rng(3).uniform([-2.0, 10.0], [4.0, 10.5], size=(12, 2))
         bucket = [HyperParam(id=i + 1, theta=tuple(p), bounds=box) for i, p in enumerate(pts)]
@@ -568,19 +589,21 @@ class TestPropose:
         surrogate = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
         problem = make_problem(LinearExpr((1.0, 1.0)))
         for seed in range(5):
-            res = propose(surrogate, problem, 32, np.random.default_rng(seed), new_id=900)
+            res = propose(
+                surrogate, problem, 32, np.random.default_rng(seed), new_id=900, helper=helper
+            )
             assert res.proposed.bounds == box
             replay = np.random.default_rng(seed).uniform([-2.0, 10.0], [4.0, 10.5], size=(32, 2))
             assert res.proposed.theta in {tuple(row) for row in replay}
 
-    def test_unfitted_surrogate_rejected(self):
+    def test_unfitted_surrogate_rejected(self, helper):
         problem = make_problem(LinearExpr((1.0, 1.0)))
         with pytest.raises(RejectedSurrogateError):
-            propose(None, problem, 8, np.random.default_rng(0), new_id=1)
+            propose(None, problem, 8, np.random.default_rng(0), new_id=1, helper=helper)
 
-    def test_feasible_count_unconstrained(self):
+    def test_feasible_count_unconstrained(self, helper):
         rng = np.random.default_rng(23)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900)
+        res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900, helper=helper)
         assert res.feasible_count == 40

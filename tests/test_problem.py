@@ -45,9 +45,17 @@ class TestHyperParam:
         assert hash(a) == hash(b)
         assert a != HyperParam(id=4, theta=(0.1, 0.2), bounds=BOUNDS)
 
-    def test_rejects_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            HyperParam(id=1, theta=(1.5, 0.2), bounds=BOUNDS)
+    @pytest.mark.parametrize(
+        "theta, bounds, match",
+        [
+            ((1.5, 0.2), BOUNDS, "outside bounds"),
+            ((0.5, 0.2), ((0.6, 0.4), (0.0, 1.0)), "empty bound interval"),
+        ],
+        ids=["outside", "empty-interval"],
+    )
+    def test_rejects_out_of_bounds(self, theta, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            HyperParam(id=1, theta=theta, bounds=bounds)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -67,6 +75,10 @@ class TestExpressions:
         f = LinearExpr((1.0, 2.0))
         batch = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(f.batch(batch), [1.0, 2.0, 3.0])
+
+    def test_linear_needs_a_weight(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            LinearExpr(())
 
     def test_linear_batch_arbitrary_leading_shape(self):
         f = LinearExpr((1.0, 2.0))
@@ -90,21 +102,38 @@ class TestConstraintSpec:
 
 
 class TestTuningProblem:
-    def test_duplicate_metrics_rejected(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize(
+        "metrics, match",
+        [(("x1", "x1"), "unique"), ((), "at least one metric")],
+        ids=["duplicate", "none"],
+    )
+    def test_bad_metric_list_rejected(self, metrics, match):
+        with pytest.raises(ConfigError, match=match):
             TuningProblem(
-                metrics=("x1", "x1"),
+                metrics=metrics,
                 objective=LinearExpr((1.0, 1.0)),
                 constraints=(),
                 base=HyperParam(id=0, theta=(0.5, 0.5), bounds=BOUNDS),
             )
 
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+    @pytest.mark.parametrize(
+        "objective, constraints, match",
+        [
+            (LinearExpr((1.0,)), (), "objective consumes 1"),
+            (
+                LinearExpr((1.0, 1.0)),
+                (ConstraintSpec(g=LinearExpr((1.0, 0.0, 2.0)), threshold=0.0),),
+                "constraint 0 consumes 3",
+            ),
+        ],
+        ids=["objective", "constraint"],
+    )
+    def test_arity_mismatch_rejected(self, objective, constraints, match):
+        with pytest.raises(DimensionMismatchError, match=match):
             TuningProblem(
                 metrics=("x1", "x2"),
-                objective=LinearExpr((1.0,)),
-                constraints=(),
+                objective=objective,
+                constraints=constraints,
                 base=HyperParam(id=0, theta=(0.5, 0.5), bounds=BOUNDS),
             )
 

@@ -27,6 +27,9 @@ from zotune.scheduler import (
     Scheduler,
     SchedulerConfig,
 )
+from zotune import codec
+from zotune import gp as gp_module
+from zotune import optimizer as optimizer_module
 from zotune import scheduler as scheduler_module
 from zotune.deltastats import Reading
 from zotune.gp import FitFailureError
@@ -82,10 +85,19 @@ class TestRoundPlan:
         with pytest.raises(ValueError):
             RoundPlan(round=1, control_fraction=0.2, assignments=((1, 0.4), (1, 0.4)))
 
-    @pytest.mark.parametrize("frac", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fraction_rejected(self, frac):
+    @pytest.mark.parametrize(
+        "frac, match",
+        [
+            (math.nan, "non-finite fraction"),
+            (math.inf, "non-finite fraction"),
+            (-math.inf, "non-finite fraction"),
+            (0.0, "nonpositive fraction"),
+            (-0.1, "nonpositive fraction"),
+        ],
+    )
+    def test_bad_fraction_rejected(self, frac, match):
         """NaN passes both ``frac <= 0`` and a ``> tol`` sum check."""
-        with pytest.raises(ValueError, match="non-finite fraction"):
+        with pytest.raises(ValueError, match=match):
             RoundPlan(round=1, control_fraction=0.2, assignments=((1, frac),))
 
     def test_control_fraction_bounds(self):
@@ -311,6 +323,54 @@ class TestRunRound:
         sched.run_round(_feedback(plan, np.random.default_rng(3)))
         assert sched.next_id == next_id + 1   # it proposed
         assert started == ["zotune-helper"]
+
+    @pytest.mark.parametrize(
+        "job, side",
+        [
+            ("scoring", "helper"),
+            ("kernels", "helper"),
+            ("kernels", "caller"),
+            ("solve", "helper"),
+            ("solve", "caller"),
+        ],
+    )
+    def test_an_error_on_either_thread_leaves_the_round_after_the_join(
+        self, monkeypatch, job, side
+    ):
+        """A selection block's scoring, a prediction's kernel half or one
+        metric's solve fails on ``side``: the error leaves ``run_round``,
+        through ``result()`` from the helper, only after the round's helper
+        has been joined.  Without a fit to run first, the idle helper scores
+        the one selection block; a prediction builds the second half of the
+        kernel rows and solves metric 1 on the helper, and the rest on the
+        caller."""
+        if job == "scoring":
+            target, name = optimizer_module, "_thompson_winners"
+            applies = lambda *args: True
+        elif job == "kernels":   # the fit builds the upper triangle only
+            target, name = gp_module, "_scaled_kernels"
+            applies = lambda *args, upper=False: not upper
+        else:                    # the fit solves one column, a prediction q
+            target, name = gp_module, "_trsm"
+            applies = lambda chol, b, *rest: b.shape[1] > 1
+        real = getattr(target, name)
+        on_side = {"helper": "zotune-helper", "caller": threading.main_thread().name}[side]
+        failed = []
+
+        def failing(*args, **kwargs):
+            if applies(*args, **kwargs) and threading.current_thread().name == on_side:
+                failed.append(job)
+                raise RuntimeError(f"{job} failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        p = 0.0 if job == "scoring" else 1.0
+        sched = make_sched(proposal_prob=p, select_count=5, proposal_samples=8)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{job} failed"):
+            sched.run_round(_feedback(sched.last_plan, np.random.default_rng(3)))
+        assert failed == [job]
+        assert threading.active_count() == threads
 
 
 def _feedback(plan, rng, mean=None):
@@ -808,6 +868,47 @@ class TestPersistence:
         (old / "manifest.json").write_bytes((new / "manifest.json").read_bytes())
         with pytest.raises(RestoreError, match="outside the bucket"):
             Scheduler.restore(str(old))
+
+    @pytest.mark.parametrize("cut", [0, 1, 2], ids=["first", "second", "third"])
+    def test_a_persist_cut_short_restores_the_older_store_or_fails(
+        self, tmp_path, monkeypatch, cut
+    ):
+        """A ``no-proposal`` run is persisted at round 9 and again, over it,
+        at round 10, with the ``cut``-th of persist's three writes failing
+        before it opens its file.  Restore then gives round 9's round,
+        generator state and plan with every row that store held, or raises
+        ``RestoreError``; never round 10 without its rows."""
+        run = SingleRun(42, ExperimentConfig(variant="no-proposal", seeds=(42,), bucket_size=20))
+        run.run_to(10)
+        store = str(tmp_path)
+        run.sched.persist(store)
+        first = run.sched
+        state = (first.round, first.rng.bit_generator.state, first.last_plan)
+        rows = list(first._raw_log)
+        run.run_to(11)
+        assert len(run.sched._raw_log) > len(rows)
+        writes = []
+
+        def cut_short(write):
+            def spy(path, *args):
+                writes.append(path)
+                if len(writes) == cut + 1:
+                    raise OSError("no space left on device")
+                write(path, *args)
+
+            return spy
+
+        monkeypatch.setattr(codec, "save", cut_short(codec.save))
+        monkeypatch.setattr(codec, "save_table", cut_short(codec.save_table))
+        with pytest.raises(OSError, match="no space left"):
+            run.sched.persist(store)
+        monkeypatch.undo()
+        try:
+            restored = Scheduler.restore(store)
+        except RestoreError:
+            return
+        assert (restored.round, restored.rng.bit_generator.state, restored.last_plan) == state
+        assert restored._raw_log[: len(rows)] == rows
 
     def test_store_written_at_bootstrap_round_trips(self, tmp_path):
         """A store persisted before any round holds hour 0's plan; it

@@ -273,6 +273,20 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SimEnv.build(3, **{knob: value})
 
+    @pytest.mark.parametrize(
+        "knob, value, match",
+        [
+            ("sigma", -0.1, "sigma must be nonnegative"),
+            ("fixed_delay", -1, "fixed delay must be nonnegative"),
+            ("xi_sd", -0.5, "extra-delay spread must be nonnegative"),
+            ("base_theta", (0.5, 1.5), "base configuration must lie in the box"),
+        ],
+        ids=["sigma", "fixed-delay", "xi-sd", "base-theta"],
+    )
+    def test_out_of_range_knob_refused(self, knob, value, match):
+        with pytest.raises(ValueError, match=match):
+            SimEnv.build(3, **{knob: value})
+
 
 # SHA-256 of the sorted-key JSON of ``EnvSpec``'s fields beside a
 # ``format_version`` of 1 (the former ``env.json`` without its noise stream),

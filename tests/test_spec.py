@@ -176,6 +176,21 @@ def test_only_the_codec_writes_files():
                 assert not _opens_for_writing(node), (path.name, node.lineno)
 
 
+def test_only_the_scheduler_starts_a_helper():
+    """A helper thread lives for one decided round: ``Scheduler.run_round``
+    opens it, and ``select``, ``propose`` and ``predict_batch`` run on it."""
+    package = Path(zotune.__file__).parent
+    starters = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Helper":
+                    starters.append((path.name, node.lineno))
+    assert starters and {name for name, _ in starters} == {"scheduler.py"}, starters
+
+
 def _names_scipy(node):
     """Whether ``node`` is ``import scipy…``, ``from scipy… import …``, or a
     call of ``import_module``/``__import__`` whose first argument names scipy."""
