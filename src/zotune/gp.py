@@ -4,7 +4,7 @@ A ``GpSurrogate`` is a set of independent per-metric Gaussian-process
 regressors fitted through the beliefs of measured candidates, given as
 ``(n, M)`` arrays of lift means and variances, and used to predict a belief
 at configurations that have never been measured, as ``(q, M)`` arrays
-from ``predict_batch``.
+from ``predict_batch`` and its ``Prediction``.
 
 Each metric's regressor uses a squared-exponential kernel on inputs
 normalized to the unit box, a zero prior mean, signal variance from the
@@ -44,7 +44,7 @@ Computations by Work Stealing", JACM 1999).  A decided round has one,
 opened by the scheduler and passed to each call that uses it: the
 scheduler submits the GP fit first, ``optimizer.select`` then the scoring
 of each block of Thompson draws, and the prediction its kernel half and
-solves.
+variance solves.
 
 The two table modules are loaded straight from their files in scipy's
 ``linalg`` directory, after ``import scipy`` has set up the bundled
@@ -59,12 +59,16 @@ module; only the package attribute ``scipy.linalg.cython_blas`` is then
 left unset.  ``_bind`` checks each capsule's C signature, which proves the
 pointer is scipy's routine.
 
-A prediction uses two cores: the helper builds the kernel rows of the
-second half of the queries while the caller builds the first, then solves
-every metric past the first, if any, while the caller solves metric 0.
-Every kernel entry is elementwise and each metric's solve reads only its
-own factor and kernel, so each output entry goes through the same
-operations in the same order as on one thread, and the bits are the same.
+A prediction gives every query's posterior mean, an upper bound on each
+latent variance, and the exact variance only of the rows a caller asks for,
+since a decision that needs the exact variance of a few queries should not
+pay for all of them.  It uses two cores: the helper builds the kernel rows of
+the second half of the queries, and their bounds, while the caller builds the
+first; ``Prediction.variance`` then solves every metric past the first, if
+any, on the helper while the caller solves metric 0.  Every kernel entry is
+elementwise and each metric's solve reads only its own factor and kernel, so
+each output entry goes through the same operations in the same order as on
+one thread, and the bits are the same.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -97,6 +101,7 @@ SIGNAL_VAR_FLOOR = 1e-8
 _MEDIAN_SUBSAMPLE = 64      # sorted points whose gaps bracket the median
 _MEDIAN_MARGIN = 1.0 / 64   # first bracket's half-width, as a share of their gaps
 _KERNEL_TILE = 2**15        # doubles per row tile of a kernel (256 KiB)
+_BOUND_C = 32               # c of the variance bound's rounding factor 1 - c n u
 
 
 class FitFailureError(RuntimeError):
@@ -168,8 +173,13 @@ class Call(Generic[_T]):
         self._error: BaseException | None = None
 
     def _run(self) -> None:
+        # The call lets go of its function and arguments before it runs, so
+        # that once done it holds only its outcome: the helper's loop keeps
+        # the last call it ran, and with it, say, a prediction's kernels.
+        fn, args = self._fn, self._args
+        self._fn = self._args = None
         try:
-            value, error = self._fn(*self._args), None
+            value, error = fn(*args), None
         except BaseException as exc:  # re-raised by result(); a helper
             value, error = None, exc  # that died here would leave it waiting
         helper = self._helper
@@ -410,6 +420,7 @@ def _scaled_kernels(
     outs: Sequence[np.ndarray],
     *,
     upper: bool = False,
+    each_tile: Callable[[slice, np.ndarray], None] | None = None,
 ) -> None:
     """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
 
@@ -421,7 +432,9 @@ def _scaled_kernels(
     for bit.  With ``upper`` a tile of rows ``r0:r1`` gets only the columns
     ``j >= r0``: every ``j >= i``, which is the triangle a Cholesky
     factorization of the transpose reads, and the rest of ``outs`` is left
-    unwritten.
+    unwritten.  ``each_tile``, if given, is called with each tile's rows
+    once ``outs`` hold them, while they are in cache, and with the tile's
+    scratch buffer, free to overwrite.
     """
     n1, n2 = x1.shape[0], x2.shape[0]
     size = max(_KERNEL_TILE, n2)  # a tile holds at least one row
@@ -445,6 +458,8 @@ def _scaled_kernels(
         np.exp(tile, out=tile)
         for scale, out in zip(scales, outs):
             np.multiply(scale, tile, out=out[r0:r1, c0:])
+        if each_tile is not None:
+            each_tile(slice(r0, r1), tile)
         r0 = r1
 
 
@@ -456,6 +471,8 @@ class _MetricGp:
     chol: np.ndarray       # lower Cholesky factor of s2 * unit + diag(noise + jitter)
     alpha: np.ndarray      # (s2 * unit + diag(noise + jitter))^-1 y
     jitter: float
+    row_scale: np.ndarray  # 1 / sqrt(K_jj), the factored matrix's diagonal
+
 
 
 def _box(bounds: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -569,6 +586,7 @@ class GpSurrogate:
                         f"kernel diagonal of metric {k} overflows"
                     )
                 chol = kmat.T
+                row_scale = 1.0 / np.sqrt(diag)     # before dpotrf overwrites it
                 if _potrf(chol) == 0:
                     break
                 jit *= 10.0
@@ -582,7 +600,9 @@ class GpSurrogate:
             alpha = mus[:, k].copy()
             _trsm(chol, alpha[:, None])
             _trsm(chol, alpha[:, None], b"T")
-            gps.append(_MetricGp(signal_var=s2, chol=chol, alpha=alpha, jitter=jit))
+            gps.append(_MetricGp(
+                signal_var=s2, chol=chol, alpha=alpha, jitter=jit, row_scale=row_scale,
+            ))
         return cls(bounds=bounds, x=x, lengthscales=ls, metrics_gps=tuple(gps))
 
     def _check_inside(self, thetas: np.ndarray) -> None:
@@ -591,15 +611,14 @@ class GpSurrogate:
         if np.any(thetas < self._lo) or np.any(thetas > self._hi):
             raise RejectedInputError("query outside the fitted bounds box")
 
-    def predict_batch(
-        self, thetas: np.ndarray, *, helper: Helper
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at query points.
+    def predict_batch(self, thetas: np.ndarray, *, helper: Helper) -> "Prediction":
+        """Posterior means at query points, and a bound on each latent variance.
 
-        Returns ``(mu, var)`` of shape ``(q, M)``.  Variances are the latent
-        posterior variances, clamped at zero, and never exceed the signal
-        variance plus jitter.  The work runs on the caller and on
-        ``helper``, with the bits of one thread.
+        The ``Prediction`` holds ``mu`` and ``bound`` of shape ``(q, M)``;
+        its ``variance`` gives the exact latent variances of the rows asked
+        for.  The kernel rows, split in two halves, run on the caller and on
+        ``helper``, with the bits of one thread; each tile's bound is taken
+        while the tile is in cache.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -611,27 +630,94 @@ class GpSurrogate:
         q, n = xq.shape[0], self._x.shape[0]
         scales = [gk.signal_var for gk in self._gps]
         kqs = [np.empty((q, n)) for _ in self._gps]                   # (q, n)
-        mu = np.empty((q, self.n_metrics))
-        var = np.empty_like(mu)
+        bound = np.empty((q, self.n_metrics))
+        shrink = 1.0 - _BOUND_C * n * (np.finfo(float).eps / 2)        # 1 - c n u
 
         def kernels(rows: slice) -> None:
-            outs = [kq[rows] for kq in kqs]
-            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs)
+            outs, caps = [kq[rows] for kq in kqs], bound[rows]
 
-        def solve(metrics: range) -> None:
-            for k in metrics:
-                gk, kq = self._gps[k], kqs[k]
-                mu[:, k] = kq @ gk.alpha
-                w = kq.T                                              # (n, q)
-                _trsm(gk.chol, w)
-                np.square(w, out=w)
-                var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
+            def tile_bounds(tile: slice, scratch: np.ndarray) -> None:
+                for k, (gk, out) in enumerate(zip(self._gps, outs)):
+                    np.multiply(out[tile], gk.row_scale, out=scratch)
+                    top = np.max(scratch, axis=1)                       # max_j kq / sqrt(K_jj)
+                    caps[tile, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
+
+            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs, each_tile=tile_bounds)
 
         h = (q + 1) // 2
         upper = helper.submit(kernels, slice(h, None))
         kernels(slice(h))
         upper.result()
+        mu = np.empty((q, self.n_metrics))
+        for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
+            mu[:, k] = kq @ gk.alpha
+        return Prediction(mu=mu, bound=bound, _xq=xq, _gp=self)
+
+    def _variance(self, xq: np.ndarray, helper: Helper) -> np.ndarray:
+        """Latent variances at the normalized queries ``xq``, ``(r, M)``.
+
+        Their kernel is built again, entry for entry as ``predict_batch``
+        built it, so no ``(q, n)`` kernel outlives the prediction.  Each
+        metric's goes through one ``dtrsm``, a square and a column sum,
+        clamped at zero; metric 0 is solved on the caller and the rest on
+        ``helper``.  Over all queries the bits are those of one solve over
+        every query.
+        """
+        n, r = self._x.shape[0], xq.shape[0]
+        scales = [gk.signal_var for gk in self._gps]
+        ws = [np.empty((n, r), order="F") for _ in self._gps]                # (n, r)
+        _scaled_kernels(xq, self._x, self._ls, scales, [w.T for w in ws])
+        var = np.empty((r, self.n_metrics))
+
+        def solve(metrics: range) -> None:
+            for k in metrics:
+                gk, w = self._gps[k], ws[k]
+                _trsm(gk.chol, w)
+                np.square(w, out=w)
+                var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
+
         rest = helper.submit(solve, range(1, self.n_metrics))
         solve(range(1))
         rest.result()
-        return mu, var
+        return var
+
+
+@dataclass(frozen=True, eq=False)
+class Prediction:
+    """A ``predict_batch`` result: ``(q, M)`` posterior means ``mu`` and
+    upper bounds ``bound`` on the latent variances, which ``variance`` gives
+    exactly for the rows asked for.
+
+    The bound of query ``i`` and metric ``k`` is ``max(0, s2 - (1 - c n u)
+    max_j kq[i, j]**2 / K_jj)``, with ``K_jj`` the diagonal of the matrix
+    the fit factored, ``u`` the unit roundoff and ``c = 32``; it lies in
+    ``[0, s2]``, and so does every variance, at or below its bound.  The
+    argument, for one query's kernel row ``k`` and the stored factor ``L``,
+    with ``g = (n + 1) u / (1 - (n + 1) u)``: the computed solve ``w`` of
+    ``L w = k`` solves ``(L + dL) w = k`` exactly, with ``|dL| <= g |L|``
+    componentwise, whatever the order of its inner products and with
+    reciprocal diagonals, as a blocked ``dtrsm`` computes them (Oettli &
+    Prager, 1964; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, Thm 8.5).  So ``|w|**2 = k^T K'^-1 k`` for ``K' = (L + dL)(L +
+    dL)^T``, and Cauchy-Schwarz, ``k_j = ((L + dL)^T e_j)^T w``, gives
+    ``|w|**2 >= k_j**2 / K'_jj >= k_j**2 / ((1 + g)**2 r_j)`` for every
+    ``j``, with ``r_j`` the squared norm of row ``j`` of ``L`` (Rasmussen &
+    Williams, *GPML*, 2006, §2.2: no single training point explains more).
+    The factorization's backward error, ``L L^T = K + dK`` with ``|dK| <= g
+    |L| |L^T|`` (Higham, Thm 10.3), gives ``r_j <= K_jj / (1 - g)``.  The
+    computed sum of squares costs one more factor ``1 + g``, and the bound's
+    own operations nine roundings, so ``c = 32`` keeps the computed ``(1 -
+    c n u) max_j k_j**2 / K_jj`` at or below the computed sum of squares for
+    every ``n >= 1`` with ``n u`` far below one; rounding is monotone, so the
+    bound stays at or above the computed variance.  Underflow is left out:
+    it moves either side by less than ``s2 u``.
+    """
+
+    mu: np.ndarray
+    bound: np.ndarray
+    _xq: np.ndarray        # normalized queries
+    _gp: GpSurrogate
+
+    def variance(self, rows: np.ndarray, *, helper: Helper) -> np.ndarray:
+        """Exact latent variances of the integer ``rows``, ``(len(rows), M)``."""
+        return self._gp._variance(self._xq[np.asarray(rows, dtype=np.intp)], helper)

@@ -28,7 +28,17 @@ Proposal explores the surrogate's continuous box instead of the bucket: it
 scores N uniformly sampled configurations through a fitted surrogate with one
 Thompson draw each and returns the feasible argmax (same fallback) as a
 brand-new candidate.  That draw is a ``(1, N, M)`` block, scored by the same
-``_thompson_winners`` as each of selection's blocks.
+``_thompson_winners`` as each of selection's blocks.  The prediction draws no
+random numbers, so the draw can follow it with the stream unchanged, and it
+gives every sample's mean but only a bound on each variance (Russo et al.,
+"A Tutorial on Thompson Sampling", 2018: only the draw's winner and the
+feasible count come out).  A draw ``mu + sqrt(v) z`` is monotone in ``v``,
+so over ``0 <= v <= bound`` each sample's objective and slacks lie between
+their values at two corners of that box.  The exact variance is solved only
+for the samples that can still change the outcome: those whose worst slack
+may be either sign, and those that may still win; every other sample keeps
+its bound, and the winner and feasible count are those of scoring every
+sample with its exact variance.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ class ProposalResult:
     proposed: HyperParam
     sampled_count: int
     feasible_count: int
+    solved_count: int      # samples whose exact variance was solved
 
 
 def _thompson_winners(
@@ -106,6 +117,42 @@ def _thompson_winners(
     if infeasible:
         winners[none] = np.argmax(min_slack[none], axis=1)
     return winners, infeasible, int(np.count_nonzero(feasible))
+
+
+def _contenders(
+    z: np.ndarray, mu: np.ndarray, bound: np.ndarray, problem: TuningProblem
+) -> np.ndarray:
+    """Rows of the samples whose exact variance can change the proposal.
+
+    ``z`` is the ``(1, N, M)`` standard-normal draw, and each variance lies
+    in ``[0, bound]``.  Each corner is scored by the operations
+    ``_thompson_winners`` applies, on arrays of the same shape, so the
+    intervals hold bit for bit.  A sample is left out only when its
+    feasibility is certain and it cannot win: its objective is below the
+    lower end of a certainly feasible sample's, or, with none certainly
+    feasible, it is certainly infeasible and its worst slack is below the
+    largest lower end of any sample's.  A NaN end leaves nothing out.
+    """
+    ends = (z * 0.0 + mu, z * np.sqrt(bound) + mu)
+    low, high = np.minimum(*ends), np.maximum(*ends)
+
+    def span(expr, values):
+        """``values`` at the corners that minimize and maximize ``expr``."""
+        up = np.asarray(expr.weights) >= 0.0
+        return values(np.where(up, low, high)), values(np.where(up, high, low))
+
+    f_low, f_high = span(problem.objective, problem.objective_batch)
+    worst_low = worst_high = np.full(f_low.shape, np.inf)
+    for i, c in enumerate(problem.constraints):
+        s_low, s_high = span(c.normalized()[0], lambda d: problem.constraint_slack_batch(d)[i])
+        worst_low, worst_high = np.minimum(worst_low, s_low), np.minimum(worst_high, s_high)
+    certain = worst_low >= 0.0
+    possible = ~(worst_high < 0.0)
+    if certain.any():
+        contends = possible & ~(f_high < np.max(f_low[certain]))
+    else:
+        contends = ~(worst_high < np.max(worst_low))
+    return np.flatnonzero(possible & ~certain | contends)
 
 
 def beliefs(
@@ -210,8 +257,9 @@ def propose(
     The samples are drawn from the surrogate's box.  Each sample gets a
     predicted belief and a single Thompson draw; the feasible draw with the
     highest objective wins (fallback: largest worst-constraint slack).  The
-    returned candidate carries ``new_id``, which must be unused.  The
-    prediction shares its work with ``helper``.
+    returned candidate carries ``new_id``, which must be unused.  Only the
+    samples ``_contenders`` names get their exact variance; the prediction
+    and that solve share their work with ``helper``.
     """
     if not isinstance(surrogate, GpSurrogate):
         raise RejectedSurrogateError("proposal requires a fitted surrogate")
@@ -221,8 +269,12 @@ def propose(
     lo, hi = np.array(bounds).T
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
-    mu, var = surrogate.predict_batch(thetas, helper=helper)
+    prediction = surrogate.predict_batch(thetas, helper=helper)
+    mu = prediction.mu
     draws = rng.standard_normal((1,) + mu.shape)                # (1, N, M)
+    rows = _contenders(draws, mu, prediction.bound, problem)
+    var = prediction.bound.copy()
+    var[rows] = prediction.variance(rows, helper=helper)
     winner, _, feasible_count = _thompson_winners(draws, mu, np.sqrt(var), problem)
     proposed = HyperParam(
         id=int(new_id), theta=tuple(thetas[winner[0]]), bounds=bounds
@@ -231,4 +283,5 @@ def propose(
         proposed=proposed,
         sampled_count=int(n_samples),
         feasible_count=feasible_count,
+        solved_count=int(rows.shape[0]),
     )

@@ -11,16 +11,17 @@ advances the one clock without drawing, so a plan's ``round`` is its hour.
 
 A round that draws opens one ``gp.Helper`` thread, joined before
 ``run_round`` returns or raises; idle hours and rounds without data start
-none, and no other code starts one: ``select``, ``propose`` and
-``predict_batch`` each run on the helper the round passes them.  The GP
-fit needs only the beliefs the selection reads, not its draws, so the
-helper's work is, in order: the fit, then the scoring of each block of
-Thompson draws that the caller has not claimed, then the prediction's
-kernel half and solves.  The caller keeps the generator: it draws every
-selection block, ``u``, and the proposal's samples and draws, in the
-one-thread order (select, draw ``u``, then fit and propose), so the random
-stream and every result are that order's.  The fit's result, and its
-error, are taken only in a round that proposes.
+none, and no other code starts one: ``select``, ``propose``,
+``predict_batch`` and ``Prediction.variance`` each run on the helper the
+round passes them.  The GP fit needs only the beliefs the selection reads,
+not its draws, so the helper's work is, in order: the fit, then the scoring
+of each block of Thompson draws that the caller has not claimed, then the
+prediction's kernel half and the variance solves of the samples the
+proposal needs.  The caller keeps the generator: it draws every selection
+block, ``u``, and the proposal's samples and draws, in the one-thread order
+(select, draw ``u``, then fit and propose), so the random stream and every
+result are that order's.  The fit's result, and its error, are taken only
+in a round that proposes.
 
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
@@ -391,8 +392,9 @@ class Scheduler:
 
         Rows for an unknown candidate or metric, from a later round, hours
         that admit no finite lift estimate or would overflow their key's
-        running sums, and repeated keys are dropped.  Returns the number of rows newly absorbed.  Batches may
-        arrive in any order and for any origin round up to the current one.
+        running sums, and repeated keys are dropped.  Returns the number of
+        rows newly absorbed.  Batches may arrive in any order and for any
+        origin round up to the current one.
         """
         absorbed = 0
         for batch in batches:

@@ -14,7 +14,8 @@ from collections import Counter
 from contextlib import suppress
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.blas import dtrsm
 
 from zotune.deltastats import DegenerateBaseError, DeltaStat, DuplicateRoundError
 from zotune.deltastats import aggregate, hourly_delta_stat
@@ -147,14 +148,16 @@ class Surrogate:
             self.jitter.append(jit)
 
     def predict(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior ``(q, M)`` means and latent variances, clamped at zero."""
+        """Posterior ``(q, M)`` means and latent variances, clamped at zero.
+        The solve is BLAS's ``dtrsm`` for any column count: ``solve_triangular``
+        takes ``dtrsv`` for one column, whose bits differ."""
         xq = (thetas - self.lo) / self.span
         mu = np.empty((xq.shape[0], len(self.alpha)))
         var = np.empty_like(mu)
         for k, s2 in enumerate(self.signal_var):
             kq = kernel(xq, self.x, self.ls, s2)
             mu[:, k] = kq @ self.alpha[k]
-            w = solve_triangular(self.chol[k], kq.T, lower=True)
+            w = dtrsm(1.0, self.chol[k], kq.T, lower=1)
             var[:, k] = np.maximum(s2 - np.sum(w * w, axis=0), 0.0)
         return mu, var
 

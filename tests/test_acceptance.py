@@ -181,12 +181,12 @@ def test_criterion_4_surrogate_identities(verdict, helper):
     targets = [0.02 * (i - 4) for i in range(len(pts))]
     mu = np.array(targets)[:, None]
     gp = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
-    mu, var = gp.predict_batch(np.array(pts), helper=helper)
+    mu = gp.predict_batch(np.array(pts), helper=helper).mu
     interp_err = float(np.max(np.abs(mu[:, 0] - np.array(targets))))
 
     # Posterior variance within [0, signal variance + eps] at 1000 queries.
     queries = np.random.default_rng(3).uniform(0.0, 1.0, size=(1000, 2))
-    _, qvar = gp.predict_batch(queries, helper=helper)
+    qvar = gp.predict_batch(queries, helper=helper).variance(np.arange(1000), helper=helper)
     eps = 10.0 * BASE_JITTER
     var_low = float(np.min(qvar))
     var_excess = float(np.max(qvar) - gp.signal_var(0))
@@ -198,7 +198,8 @@ def test_criterion_4_surrogate_identities(verdict, helper):
         HyperParam(id=2, theta=(2.0, 2.0), bounds=big),
     ]
     far_gp = GpSurrogate.fit(far_bucket, np.array([[0.04], [0.06]]), np.zeros((2, 1)))
-    out_mu, out_var = far_gp.predict_batch(np.array([(900.0, 900.0)]), helper=helper)
+    far = far_gp.predict_batch(np.array([(900.0, 900.0)]), helper=helper)
+    out_mu, out_var = far.mu, far.variance([0], helper=helper)
     far_mu = abs(float(out_mu[0, 0]))
     far_var_gap = abs(float(out_var[0, 0]) - far_gp.signal_var(0))
 

@@ -10,6 +10,7 @@ from their files and run them on the live package.  ``bench/run.py`` is not
 loaded: importing it pins the BLAS thread variables for the whole process.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -102,3 +103,34 @@ def test_traced_probe_accounts_every_row_of_a_live_run():
     assert probe.failures == []
     assert probe.rows_offered > 0 and probe.rows_absorbed > 0
     assert counts["simenv.step.readings"] >= probe.rows_offered
+
+
+def required_layers():
+    """``REQUIRED_LAYERS`` of ``bench/run.py``, read with ``ast``: importing
+    the module would pin the BLAS thread variables for the whole process."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REQUIRED_LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py has no REQUIRED_LAYERS")
+
+
+def test_a_traced_live_run_records_every_required_layer():
+    """The traced bench fails a run with no span for a layer it requires; a
+    refactor that stops calling a wrapped name (say, ``predict_batch``)
+    fails here instead."""
+    spans = load_bench("spans")
+    workloads = load_bench("workloads")
+    tracer = spans.Tracer(recording=True)
+    cfg = ExperimentConfig(
+        seeds=(3,), rounds=6, select_count=50, proposal_samples=40, bucket_size=10,
+        users=20_000, fixed_delay=1,
+    )
+    spans.install(tracer, workloads.Probe())
+    try:
+        SingleRun(3, cfg).run_to(cfg.rounds)
+    finally:
+        tracer.restore()
+    layers = required_layers()
+    assert "gp.predict" in layers
+    assert [layer for layer in layers if layer not in tracer.layer_times()] == []

@@ -10,13 +10,17 @@ import threading
 import tracemalloc
 from collections import Counter
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spec
 from zotune import optimizer
 from zotune.deltastats import DeltaStat, EstimateRecord, NoDataError
-from zotune.gp import GpSurrogate
+from zotune.gp import GpSurrogate, Helper, Prediction
 from zotune.optimizer import (
     ProposalResult,
     RejectedSurrogateError,
@@ -556,9 +560,9 @@ class TestPropose:
         res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900, helper=helper)
         # replay the same uniform samples to rank the pick
         replay = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
-        mu, _ = surrogate.predict_batch(replay, helper=helper)
+        mu = surrogate.predict_batch(replay, helper=helper).mu
         fvals = mu[:, 0]  # objective = first metric's lift
-        picked_mu, _ = surrogate.predict_batch(np.array([res.proposed.theta]), helper=helper)
+        picked_mu = surrogate.predict_batch(np.array([res.proposed.theta]), helper=helper).mu
         rank = int(np.sum(fvals > picked_mu[0, 0]))
         assert rank <= n // 1000
 
@@ -607,3 +611,117 @@ class TestPropose:
         problem = make_problem(LinearExpr((1.0, 1.0)))
         res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900, helper=helper)
         assert res.feasible_count == 40
+
+    @pytest.mark.parametrize("n_constraints", [0, 1, 2])
+    def test_solved_count_is_the_rows_solved(self, monkeypatch, helper, n_constraints):
+        """One ``variance`` call per proposal, over ``solved_count`` rows:
+        at least the winner's, and here far fewer than all 600."""
+        solved = []
+        variance = Prediction.variance
+
+        def spy(self, rows, **kwargs):
+            solved.append(len(rows))
+            return variance(self, rows, **kwargs)
+
+        monkeypatch.setattr(Prediction, "variance", spy)
+        rng = np.random.default_rng(43)
+        problem = random_problem(rng, 2, n_constraints)
+        bucket = [hp(i + 1, tuple(rng.uniform(size=2))) for i in range(60)]
+        surrogate = GpSurrogate.fit(
+            bucket, rng.normal(0, 0.05, size=(60, 2)), rng.uniform(0, 1e-3, size=(60, 2))
+        )
+        for seed in range(5):
+            res = propose(surrogate, problem, 600, np.random.default_rng(seed), 900, helper=helper)
+            assert solved == [res.solved_count]
+            assert 1 <= res.solved_count < res.sampled_count == 600
+            solved.clear()
+
+
+@st.composite
+def proposal_cases(draw):
+    """A fitted surrogate's inputs and a problem: 1-3 metrics, 0-2 guardrails
+    of either direction, feasible somewhere, nowhere or everywhere, with
+    zero-variance beliefs, duplicated points whose large targets force the
+    jitter up, and an all-zero objective that ties every sample."""
+    n_metrics, n = draw(st.integers(1, 3)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.05, 1e4]))
+    thetas = rng.uniform(size=(n, 2))
+    thetas[: draw(st.integers(0, min(n, 40)))] = thetas[0]
+    mu = scale * rng.normal(0.0, 1.0, size=(n, n_metrics))
+    var = np.zeros_like(mu) if draw(st.booleans()) else rng.uniform(0, 1e-3 * scale**2, mu.shape)
+    reach = draw(st.sampled_from(["somewhere", "somewhere", "nowhere", "everywhere"]))
+
+    def weights():
+        return tuple(draw(st.sampled_from([0.0, 1.0, -1.0, float(rng.normal())]))
+                     for _ in range(n_metrics))
+
+    constraints = []
+    for _ in range(draw(st.integers(0, 2))):
+        direction = draw(st.sampled_from([AT_LEAST, AT_MOST]))
+        threshold = {"somewhere": 0.3 * scale * rng.normal(), "nowhere": 1e12,
+                     "everywhere": -1e12}[reach]
+        if direction == AT_MOST:
+            threshold = -threshold
+        constraints.append(ConstraintSpec(g=LinearExpr(weights()), threshold=threshold,
+                                          direction=direction))
+    objective = (0.0,) * n_metrics if draw(st.integers(0, 3)) == 0 else weights()
+    problem = TuningProblem(
+        metrics=tuple(f"x{j + 1}" for j in range(n_metrics)),
+        objective=LinearExpr(objective),
+        constraints=tuple(constraints),
+        base=HyperParam(id=0, theta=(0.0, 0.0), bounds=BOUNDS),
+    )
+    bucket = [hp(i + 1, tuple(t)) for i, t in enumerate(thetas)]
+    return bucket, mu, var, problem, draw(st.integers(1, 700)), draw(st.integers(0, 2**32 - 1))
+
+
+def straddling_case():
+    """200 noisy beliefs and a guardrail at the middle of its metric: many
+    samples' worst slack may take either sign, so their variances decide
+    the feasible count."""
+    rng = np.random.default_rng(0)
+    bucket = [hp(i + 1, tuple(t)) for i, t in enumerate(rng.uniform(size=(200, 2)))]
+    problem = make_problem(
+        LinearExpr((1.0, 0.0)), (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=0.0),)
+    )
+    return bucket, rng.normal(0, 0.05, (200, 2)), rng.uniform(0, 1e-4, (200, 2)), problem, 600, 0
+
+
+@pytest.mark.bitwise
+class TestPrunedProposal:
+    @given(case=proposal_cases())
+    @example(case=straddling_case())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_scoring_every_exact_variance(self, case):
+        """``propose`` solves only some samples' variances; its winner column,
+        feasible count and generator end state are those of scoring all N
+        samples with their exact variances, and each exact variance lies at
+        or below its bound."""
+        bucket, mu, var, problem, n_samples, seed = case
+        surrogate = GpSurrogate.fit(bucket, mu, var)
+        score = optimizer._thompson_winners
+        winners = []
+
+        def spy(*args):
+            winners.append(score(*args))
+            return winners[-1]
+
+        with Helper() as helper, mock.patch.object(optimizer, "_thompson_winners", spy):
+            rng = np.random.default_rng(seed)
+            res = propose(surrogate, problem, n_samples, rng, 900, helper=helper)
+        ((column,), _, feasible_count), = winners
+
+        replay = np.random.default_rng(seed)
+        thetas = replay.uniform(size=(n_samples, 2))
+        with Helper() as helper:
+            prediction = surrogate.predict_batch(thetas, helper=helper)
+            exact = prediction.variance(np.arange(n_samples), helper=helper)
+        draws = replay.standard_normal((1, n_samples, len(problem.metrics)))
+        (ref_column,), _, ref_feasible = score(draws, prediction.mu, np.sqrt(exact), problem)
+        assert np.all(exact <= prediction.bound)
+        assert (column, feasible_count) == (ref_column, ref_feasible)
+        assert res.feasible_count == ref_feasible
+        assert res.proposed.theta == tuple(thetas[ref_column])
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert 1 <= res.solved_count <= n_samples

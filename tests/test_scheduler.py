@@ -349,7 +349,7 @@ class TestRunRound:
             applies = lambda *args: True
         elif job == "kernels":   # the fit builds the upper triangle only
             target, name = gp_module, "_scaled_kernels"
-            applies = lambda *args, upper=False: not upper
+            applies = lambda *args, upper=False, **rest: not upper
         else:                    # the fit solves one column, a prediction q
             target, name = gp_module, "_trsm"
             applies = lambda chol, b, *rest: b.shape[1] > 1

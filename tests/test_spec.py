@@ -11,7 +11,7 @@ import pytest
 
 import spec
 import zotune
-from zotune.gp import GpSurrogate
+from zotune.gp import GpSurrogate, Prediction
 from zotune.harness import ExperimentConfig, SingleRun
 
 
@@ -19,15 +19,22 @@ def lock_step(cfg, seed, monkeypatch):
     """Run campaign ``cfg`` on ``seed`` and the spec on the same inbound
     batches, each hour through the call the harness made (``run_round`` or
     ``idle``); yield each hour's number, the spec's proposal, and ``(field,
-    loop's value, spec's value)`` triples in the order the hour computes them."""
-    predicted, calls = [], []
-    predict = GpSurrogate.predict_batch
+    loop's value, spec's value)`` triples in the order the hour computes them.
+    A proposal's prediction is compared by every sample's mean and the exact
+    variance of each sample it solved; the others are never computed."""
+    predicted, solved, calls = [], [], []
+    predict, variance = GpSurrogate.predict_batch, Prediction.variance
 
     def spy_predict(self, thetas, **kwargs):
         predicted.append(predict(self, thetas, **kwargs))
         return predicted[-1]
 
+    def spy_variance(self, rows, **kwargs):
+        solved.append((np.asarray(rows).tolist(), variance(self, rows, **kwargs)))
+        return solved[-1][1]
+
     monkeypatch.setattr(GpSurrogate, "predict_batch", spy_predict)
+    monkeypatch.setattr(Prediction, "variance", spy_variance)
     run = SingleRun(seed, replace(cfg, seeds=(seed,)))
     sched = run.sched
     for name in ("run_round", "idle"):
@@ -43,6 +50,7 @@ def lock_step(cfg, seed, monkeypatch):
     for r in range(cfg.rounds):
         calls.clear()
         predicted.clear()
+        solved.clear()
         next_id = sched.next_id
         run.run_to(r + 1)
         for name, batches in calls:
@@ -50,6 +58,7 @@ def lock_step(cfg, seed, monkeypatch):
         sel, (proposed, prediction) = sched.last_selection, loop.last_proposal or (None, None)
         newcomer = sched.bucket[-1] if sched.next_id > next_id else None
         absorbed = sorted((row.candidate_id, row.metric, row.round) for row in sched._raw_log)
+        (rows, var), = solved or [(None, None)]
         yield r, proposed, [
             ("round", sched.round, r),
             ("absorbed rows", absorbed,
@@ -57,8 +66,8 @@ def lock_step(cfg, seed, monkeypatch):
             ("winners", sel and sel.winners, loop.last_selection and loop.last_selection[0]),
             ("infeasible count", sel and sel.infeasible_rounds,
              loop.last_selection and loop.last_selection[1]),
-            ("predicted (mu, var)", [a.tolist() for a in predicted[0]] if predicted else None,
-             prediction and [a.tolist() for a in prediction]),
+            ("predicted (mu, var)", [predicted[0].mu.tolist(), var.tolist()] if predicted else None,
+             prediction and [prediction[0].tolist(), prediction[1][rows].tolist()]),
             ("proposed theta", newcomer and (newcomer.id, newcomer.theta),
              proposed and (proposed.id, proposed.theta)),
             ("plan", sched.last_plan, loop.last_plan),
@@ -115,6 +124,22 @@ def test_full_run_matches_the_spec_under_frequent_switches(monkeypatch):
 def test_gate_campaigns_match_the_spec_round_by_round(cfg, monkeypatch):
     """The other campaigns of the acceptance gate, idle hours included."""
     assert_lock_step(cfg, monkeypatch)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ExperimentConfig(variant="full", proposal_samples=1, rounds=8),
+        ExperimentConfig(variant="full", bucket_size=300, rounds=8),
+    ],
+    ids=["one-sample-proposals", "bucket-300"],
+)
+def test_configurations_outside_the_gate_match_the_spec(cfg, monkeypatch):
+    """One-sample proposals solve a single column; a 300-candidate bucket
+    selects its length scales through the median's bracket and fits a
+    kernel of several tiles.  Seed 7 proposes in most rounds of each."""
+    assert assert_lock_step(cfg, monkeypatch, seeds=(7,))[0] >= 4
 
 
 # What the spec may import from zotune: data types, exceptions, constants,
