@@ -16,7 +16,10 @@ file is a ``format_version`` key beside the encoded fields, written with
 sorted keys, two-space indents and a trailing newline; ``load`` refuses
 another version with ``DecodeError`` and lets ``json``'s ``ValueError``
 through.  ``save_table`` and ``load_table`` are the one path for every CSV
-table: a header line, then one line per row.
+table: a header line, then one line per row.  ``save_table`` returns the
+``TableDigest`` of what it wrote, its rows, byte length and SHA-256, and
+``load_table`` parses a table only once its bytes match the digest it is
+given, so a table cut short or edited is refused before any row is read.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import numbers
 import types
@@ -102,30 +107,65 @@ def load(path: str, version: int, cls: type[T]) -> T:
     return from_dict(cls, body)
 
 
-def save_table(path: str, header: typing.Sequence[str], rows: typing.Iterable) -> None:
+@dataclasses.dataclass(frozen=True)
+class TableDigest:
+    """What ``save_table`` wrote: the number of rows after the header, the
+    byte length and the SHA-256 hex digest of the file."""
+
+    rows: int
+    size: int
+    sha256: str
+
+
+def save_table(path: str, header: typing.Sequence[str], rows: typing.Iterable) -> TableDigest:
     """Write ``header``, then ``rows``, cell by cell as the csv module does: a float
     as its shortest round-trip decimal, ``None`` empty, and a cell with a comma,
     quote, CR or LF quoted.  Rows leave the writer ending in CRLF, so that a lone
     CR is quoted too, and reach the file ending in LF."""
+    lines = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        lines = types.SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
-        writer = csv.writer(lines, lineterminator="\r\n")
+
+        def write(line: str) -> None:
+            nonlocal lines
+            lines += 1
+            fh.write(line[:-2] + "\n")
+
+        writer = csv.writer(types.SimpleNamespace(write=write), lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:    # what reached the file, read back in blocks
+        while block := fh.read(1 << 16):
+            digest.update(block)
+            size += len(block)
+    return TableDigest(rows=lines - 1, size=size, sha256=digest.hexdigest())
 
 
-def load_table(path: str, header: typing.Sequence[str]) -> typing.Iterator[tuple[int, list]]:
+def load_table(
+    path: str, header: typing.Sequence[str], digest: TableDigest
+) -> typing.Iterator[tuple[int, list]]:
     """Yield ``(line number, cells)`` for each row of what ``save_table``
-    wrote; DecodeError naming ``path`` for another header or unreadable text."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if (found := next(reader, None)) != list(header):
-                raise DecodeError(f"{path}: header {brief(found)}, expected {list(header)}")
-            for cells in reader:
-                yield reader.line_num, cells
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise DecodeError(f"{path}: {exc}") from None
+    wrote, once the file's length and SHA-256 are ``digest``'s; DecodeError
+    naming ``path`` for other bytes, another header, unreadable text or
+    another number of rows."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) != digest.size:
+        raise DecodeError(f"{path}: {len(data)} bytes, expected {digest.size}")
+    if (found := hashlib.sha256(data).hexdigest()) != digest.sha256:
+        raise DecodeError(f"{path}: SHA-256 {found}, expected {digest.sha256}")
+    rows = 0
+    try:
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        if (found := next(reader, None)) != list(header):
+            raise DecodeError(f"{path}: header {brief(found)}, expected {list(header)}")
+        for cells in reader:
+            rows += 1
+            yield reader.line_num, cells
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DecodeError(f"{path}: {exc}") from None
+    if rows != digest.rows:
+        raise DecodeError(f"{path}: {rows} rows, expected {digest.rows}")
 
 
 @functools.cache

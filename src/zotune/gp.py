@@ -17,13 +17,17 @@ The metrics share one input normalization and one set of per-dimension
 length scales (the median pairwise-distance heuristic), so they differ only
 in signal variance, noise and targets.  The unit kernel
 ``exp(-0.5 * sum_k ((x1_k - x2_k) / l_k)**2)`` is therefore computed once
-per fit and once per prediction, one cache-sized row tile at a time, and
-each tile is scaled by every metric's signal variance straight into that
-metric's matrix (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1).  A fit
-builds only the triangle the Cholesky factorization reads.  Off the
-diagonal each entry is at most the finite signal variance, so checking the
-diagonal after the noise is added stands for a scan of the whole matrix: a
-diagonal that overflows is a ``FitFailureError``.
+per fit, once per prediction, and once more for the rows whose exact
+variance is asked for, one cache-sized row tile at a time.  A fit scales
+each tile by every metric's signal variance straight into that metric's
+matrix, and a variance into that metric's right-hand sides; a prediction
+scales it into tile-sized buffers, takes the tile's means and bounds from
+those, and reuses them for the next tile (Rasmussen & Williams, *GPML*,
+2006, Alg. 2.1 and §2.2).  A fit builds only the triangle the Cholesky
+factorization reads.  Off the diagonal each entry is at most the finite
+signal variance, so checking the diagonal after the noise is added stands
+for a scan of the whole matrix: a diagonal that overflows is a
+``FitFailureError``.
 
 The factorizations call LAPACK's ``dpotrf`` and the solves BLAS's
 ``dtrsm``, through the function pointers scipy exports in
@@ -43,8 +47,8 @@ work it could do itself (Blumofe & Leiserson, "Scheduling Multithreaded
 Computations by Work Stealing", JACM 1999).  A decided round has one,
 opened by the scheduler and passed to each call that uses it: the
 scheduler submits the GP fit first, ``optimizer.select`` then the scoring
-of each block of Thompson draws, and the prediction its kernel half and
-variance solves.
+of each block of Thompson draws, and the prediction the second half of its
+queries and its variance solves.
 
 The two table modules are loaded straight from their files in scipy's
 ``linalg`` directory, after ``import scipy`` has set up the bundled
@@ -62,13 +66,15 @@ pointer is scipy's routine.
 A prediction gives every query's posterior mean, an upper bound on each
 latent variance, and the exact variance only of the rows a caller asks for,
 since a decision that needs the exact variance of a few queries should not
-pay for all of them.  It uses two cores: the helper builds the kernel rows of
-the second half of the queries, and their bounds, while the caller builds the
+pay for all of them.  It keeps no ``(q, n)`` kernel: each tile's rows get
+their means and bounds while the tile is in cache.  It uses two cores: the
+helper takes the second half of the queries while the caller takes the
 first; ``Prediction.variance`` then solves every metric past the first, if
 any, on the helper while the caller solves metric 0.  Every kernel entry is
-elementwise and each metric's solve reads only its own factor and kernel, so
-each output entry goes through the same operations in the same order as on
-one thread, and the bits are the same.
+elementwise, the halves and tiles keep the row groups of BLAS's ``dgemv``
+(``_scaled_kernels``), and each metric's solve reads only its own factor and
+kernel, so each output entry goes through the same operations in the same
+order as on one thread, and the bits are the same.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -175,7 +181,7 @@ class Call(Generic[_T]):
     def _run(self) -> None:
         # The call lets go of its function and arguments before it runs, so
         # that once done it holds only its outcome: the helper's loop keeps
-        # the last call it ran, and with it, say, a prediction's kernels.
+        # the last call it ran, and with it, say, a selection block's draws.
         fn, args = self._fn, self._args
         self._fn = self._args = None
         try:
@@ -417,10 +423,10 @@ def _scaled_kernels(
     x2: np.ndarray,
     ls: np.ndarray,
     scales: Sequence[float],
-    outs: Sequence[np.ndarray],
+    outs: Sequence[np.ndarray] | None = None,
     *,
     upper: bool = False,
-    each_tile: Callable[[slice, np.ndarray], None] | None = None,
+    each_tile: Callable[[slice, list[np.ndarray]], None] | None = None,
 ) -> None:
     """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
 
@@ -432,21 +438,39 @@ def _scaled_kernels(
     for bit.  With ``upper`` a tile of rows ``r0:r1`` gets only the columns
     ``j >= r0``: every ``j >= i``, which is the triangle a Cholesky
     factorization of the transpose reads, and the rest of ``outs`` is left
-    unwritten.  ``each_tile``, if given, is called with each tile's rows
-    once ``outs`` hold them, while they are in cache, and with the tile's
-    scratch buffer, free to overwrite.
+    unwritten.  Without ``outs`` each metric's tile is scaled in a
+    tile-sized buffer instead, so no ``(n1, n2)`` array is made: metric 0's
+    is the unit tile itself, scaled last, and metric 1's the distance
+    buffer, free once the unit tile is built, so up to two metrics need no
+    buffer beyond the unit kernel's.  ``each_tile``, if given, is called
+    with each tile's rows and its scaled tiles, free to overwrite, while
+    they are in cache.
+
+    A tile is a multiple of 4 rows tall, at least 4, except the last, and a
+    lone last row joins the tile before it.  So when ``x1``'s rows start at
+    a multiple of 4 of a larger block, every tile does too, and no tile is
+    one row unless ``x1`` is.  Under that rule ``tile @ v`` gives the rows
+    of the block's whole product bit for bit: OpenBLAS's ``dgemv``, which
+    numpy's ``@`` calls, takes rows in groups of four and then the rest one
+    at a time, each with its own order of operations, and numpy takes a
+    one-row product to yet another routine.  A product of 460,800 entries
+    or more (OpenBLAS's threshold) is split across BLAS threads, each part
+    grouped from its own first row; no tile comes near it, so a tile's rows
+    get the bits of the whole product on one BLAS thread.
     """
     n1, n2 = x1.shape[0], x2.shape[0]
-    size = max(_KERNEL_TILE, n2)  # a tile holds at least one row
-    tile_buf = np.empty(size)
-    term_buf = np.empty(size) if x1.shape[1] > 1 else tile_buf
+    # Four rows at least and a joined last row, and never more than x1 holds.
+    size = min(n1 * n2, max(_KERNEL_TILE, 4 * n2) + n2)
+    spare = len(scales) - 1 if outs is None else 0
+    bufs = [np.empty(size) for _ in range(1 + max(spare, x1.shape[1] > 1))]
     r0 = 0
     while r0 < n1:
         c0 = r0 if upper else 0
-        r1 = min(n1, r0 + max(1, _KERNEL_TILE // (n2 - c0)))
+        r1 = min(n1, r0 + max(4, _KERNEL_TILE // (n2 - c0) // 4 * 4))
+        if r1 == n1 - 1:
+            r1 = n1
         shape = (r1 - r0, n2 - c0)
-        tile = tile_buf[: shape[0] * shape[1]].reshape(shape)
-        term = term_buf[: tile.size].reshape(shape)
+        tile, term = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (bufs[0], bufs[-1]))
         for k in range(x1.shape[1]):
             buf = tile if k == 0 else term
             np.subtract(x1[r0:r1, k, None], x2[None, c0:, k], out=buf)
@@ -456,10 +480,14 @@ def _scaled_kernels(
                 tile += term
         tile *= -0.5
         np.exp(tile, out=tile)
-        for scale, out in zip(scales, outs):
-            np.multiply(scale, tile, out=out[r0:r1, c0:])
+        if outs is None:
+            scaled = [tile] + [buf[: tile.size].reshape(shape) for buf in bufs[1 : 1 + spare]]
+        else:
+            scaled = [out[r0:r1, c0:] for out in outs]
+        for scale, out in zip(scales[::-1], scaled[::-1]):      # metric 0 last
+            np.multiply(scale, tile, out=out)
         if each_tile is not None:
-            each_tile(slice(r0, r1), tile)
+            each_tile(slice(r0, r1), scaled)
         r0 = r1
 
 
@@ -616,9 +644,14 @@ class GpSurrogate:
 
         The ``Prediction`` holds ``mu`` and ``bound`` of shape ``(q, M)``;
         its ``variance`` gives the exact latent variances of the rows asked
-        for.  The kernel rows, split in two halves, run on the caller and on
-        ``helper``, with the bits of one thread; each tile's bound is taken
-        while the tile is in cache.
+        for.  The query rows, split in two halves, run on the caller and on
+        ``helper``.  Each kernel tile gives its rows' means, ``tile @
+        alpha``, and bounds while it is in cache, and is then overwritten,
+        so no ``(q, n)`` kernel is made.  The halves split at a multiple of
+        4, and not at all when the second would have fewer than 4 rows, so
+        every tile keeps ``_scaled_kernels``'s rule: each mean has the bits
+        of ``kq @ alpha`` over the whole ``(q, n)`` kernel on one BLAS
+        thread, and each bound those of its formula over it.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -629,35 +662,35 @@ class GpSurrogate:
         xq = _normalize(thetas, self._lo, self._span)
         q, n = xq.shape[0], self._x.shape[0]
         scales = [gk.signal_var for gk in self._gps]
-        kqs = [np.empty((q, n)) for _ in self._gps]                   # (q, n)
+        mu = np.empty((q, self.n_metrics))
         bound = np.empty((q, self.n_metrics))
         shrink = 1.0 - _BOUND_C * n * (np.finfo(float).eps / 2)        # 1 - c n u
 
-        def kernels(rows: slice) -> None:
-            outs, caps = [kq[rows] for kq in kqs], bound[rows]
+        def predict_rows(rows: slice) -> None:
+            means, caps = mu[rows], bound[rows]
 
-            def tile_bounds(tile: slice, scratch: np.ndarray) -> None:
-                for k, (gk, out) in enumerate(zip(self._gps, outs)):
-                    np.multiply(out[tile], gk.row_scale, out=scratch)
-                    top = np.max(scratch, axis=1)                       # max_j kq / sqrt(K_jj)
+            def take_tile(tile: slice, kqs: list[np.ndarray]) -> None:
+                for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
+                    means[tile, k] = kq @ gk.alpha
+                    kq *= gk.row_scale
+                    top = np.max(kq, axis=1)                            # max_j kq / sqrt(K_jj)
                     caps[tile, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
 
-            _scaled_kernels(xq[rows], self._x, self._ls, scales, outs, each_tile=tile_bounds)
+            _scaled_kernels(xq[rows], self._x, self._ls, scales, each_tile=take_tile)
 
-        h = (q + 1) // 2
-        upper = helper.submit(kernels, slice(h, None))
-        kernels(slice(h))
+        h = (q + 7) // 8 * 4
+        if q - h < 4:
+            h = q
+        upper = helper.submit(predict_rows, slice(h, None))
+        predict_rows(slice(h))
         upper.result()
-        mu = np.empty((q, self.n_metrics))
-        for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
-            mu[:, k] = kq @ gk.alpha
         return Prediction(mu=mu, bound=bound, _xq=xq, _gp=self)
 
     def _variance(self, xq: np.ndarray, helper: Helper) -> np.ndarray:
         """Latent variances at the normalized queries ``xq``, ``(r, M)``.
 
-        Their kernel is built again, entry for entry as ``predict_batch``
-        built it, so no ``(q, n)`` kernel outlives the prediction.  Each
+        Their kernel rows are built again, entry for entry as
+        ``predict_batch`` built them, since a prediction keeps none.  Each
         metric's goes through one ``dtrsm``, a square and a column sum,
         clamped at zero; metric 0 is solved on the caller and the rest on
         ``helper``.  Over all queries the bits are those of one solve over

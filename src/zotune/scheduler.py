@@ -16,7 +16,7 @@ none, and no other code starts one: ``select``, ``propose``,
 round passes them.  The GP fit needs only the beliefs the selection reads,
 not its draws, so the helper's work is, in order: the fit, then the scoring
 of each block of Thompson draws that the caller has not claimed, then the
-prediction's kernel half and the variance solves of the samples the
+prediction's second half of the samples and the variance solves of those the
 proposal needs.  The caller keeps the generator: it draws every selection
 block, ``u``, and the proposal's samples and draws, in the one-thread order
 (select, draw ``u``, then fit and propose), so the random stream and every
@@ -26,15 +26,19 @@ in a round that proposes.
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
 ``persist(store_dir)``.  The store holds each fact once: ``manifest.json``
-(round counter, rng stream, config, problem, last plan), ``hyperparams.csv``
-(the candidate bucket) and ``metrics.csv`` (the raw test/control readings,
-in ingestion order, one ``deltastats.Reading`` per row).  Hourly lifts and
-their aggregates are derived from the raw readings, and the next proposal's
-id from the bucket.  ``ingest`` and ``restore`` pass every reading through
-one absorb step, which refuses a reading for an unknown candidate or metric,
-from a later round, with no finite lift, or for a key already absorbed, and
-changes nothing when it does: ``ingest`` drops a refused reading,
-``restore`` refuses the store.
+(round counter, rng stream, config, problem, last plan, and each table's
+row count, byte length and SHA-256), ``hyperparams.csv`` (the candidate
+bucket) and ``metrics.csv`` (the raw test/control readings, in ingestion
+order, one ``deltastats.Reading`` per row).  The manifest is written last,
+and restore refuses a table whose bytes are not the ones it describes, so
+a table cut short or edited never restores (Bairavasundaram et al., "An
+Analysis of Data Corruption in the Storage Stack", FAST 2008).  Hourly
+lifts and their aggregates are derived from the raw readings, and the next
+proposal's id from the bucket.  ``ingest`` and ``restore`` pass every
+reading through one absorb step, which refuses a reading for an unknown
+candidate or metric, from a later round, with no finite lift, or for a key
+already absorbed, and changes nothing when it does: ``ingest`` drops a
+refused reading, ``restore`` refuses the store.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .gp import GpSurrogate, Helper
 from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 PLAN_SUM_TOL = 1e-12
 
@@ -195,13 +199,16 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class Manifest:
-    """``manifest.json`` after its ``format_version`` key."""
+    """``manifest.json`` after its ``format_version`` key, with the digest of
+    each table that the store's state is read from."""
 
     round: int
     rng_state: dict
     config: SchedulerConfig
     problem: TuningProblem
     last_plan: RoundPlan
+    hyperparams: codec.TableDigest
+    metrics: codec.TableDigest
 
 
 def _bucket_header(problem: TuningProblem) -> list[str]:
@@ -241,11 +248,14 @@ def _reading(row: list[str]) -> Reading:
     return Reading(*(parse(cell) for parse, cell in zip(_CELL_TYPES.values(), row)))
 
 
-def _replay(path: str, header: list[str], take: Callable[[list[str]], None]) -> None:
-    """Pass each row of the table at ``path`` to ``take``; RestoreError for a
-    header other than ``header`` or a row that ``take`` refuses."""
+def _replay(
+    path: str, header: list[str], digest: codec.TableDigest, take: Callable[[list[str]], None]
+) -> None:
+    """Pass each row of the table at ``path`` to ``take``; RestoreError for
+    bytes other than ``digest``'s, a header other than ``header`` or a row
+    that ``take`` refuses."""
     try:
-        for line, row in codec.load_table(path, header):
+        for line, row in codec.load_table(path, header, digest):
             take(row)
     except (OSError, codec.DecodeError) as exc:
         raise RestoreError(str(exc)) from None
@@ -462,10 +472,11 @@ class Scheduler:
 
     def persist(self, store_dir: str) -> None:
         """Write the bucket, the raw readings and then the manifest, which
-        dates the store, to ``store_dir``: a persist that fails before the
-        last write leaves the older manifest in force."""
+        dates the store and holds each table's digest, to ``store_dir``: a
+        persist that fails before the last write leaves the older manifest
+        in force, and restore refuses the tables it does not describe."""
         os.makedirs(store_dir, exist_ok=True)
-        codec.save_table(
+        bucket = codec.save_table(
             os.path.join(store_dir, "hyperparams.csv"),
             _bucket_header(self.problem),
             (
@@ -473,7 +484,7 @@ class Scheduler:
                 for cid in sorted(self._bucket)
             ),
         )
-        codec.save_table(
+        metrics = codec.save_table(
             os.path.join(store_dir, "metrics.csv"), METRICS_HEADER, map(_metrics_row, self._raw_log)
         )
         manifest = Manifest(
@@ -482,12 +493,15 @@ class Scheduler:
             config=self.config,
             problem=self.problem,
             last_plan=self._last_plan,
+            hyperparams=bucket,
+            metrics=metrics,
         )
         codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
 
     @classmethod
     def restore(cls, store_dir: str) -> "Scheduler":
-        """Rebuild a scheduler from storage, byte-for-byte equivalent."""
+        """Rebuild a scheduler from storage, byte-for-byte equivalent; each
+        table is parsed only once its bytes match the manifest's digest."""
         try:
             manifest = codec.load(
                 os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, Manifest
@@ -508,7 +522,10 @@ class Scheduler:
             bucket[cid] = HyperParam(cid, tuple(map(float, row[2:])), problem.base.bounds)
             created[cid] = int(row[1])
 
-        _replay(os.path.join(store_dir, "hyperparams.csv"), _bucket_header(problem), take_candidate)
+        _replay(
+            os.path.join(store_dir, "hyperparams.csv"), _bucket_header(problem),
+            manifest.hyperparams, take_candidate,
+        )
         try:
             sched = cls(
                 problem,
@@ -524,7 +541,7 @@ class Scheduler:
         # Replaying the raw readings in file order, which is ingestion order,
         # gives bitwise the running sums that ingest built.
         _replay(
-            os.path.join(store_dir, "metrics.csv"), METRICS_HEADER,
+            os.path.join(store_dir, "metrics.csv"), METRICS_HEADER, manifest.metrics,
             lambda row: sched._absorb(_reading(row)),
         )
         return sched

@@ -1,6 +1,7 @@
 """Tests for the field-driven codec of the stored dataclasses."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -164,16 +165,21 @@ class TestStoredTable:
             ["c\rd", math.inf, None, 0],
             ["e\nf", 5e-324, None, 10**20],
         ]
-        codec.save_table(str(path), self.HEADER, rows)
-        assert path.read_bytes() == (
+        digest = codec.save_table(str(path), self.HEADER, rows)
+        data = path.read_bytes()
+        assert data == (
             b"label,x,gap,n\n"
             b"x1,0.1,,3\n"
             b'"a,""b""",-0.0,,-1\n'
             b'"c\rd",inf,,0\n'
             b'"e\nf",5e-324,,100000000000000000000\n'
         )
+        assert digest == codec.TableDigest(
+            rows=4, size=len(data), sha256=hashlib.sha256(data).hexdigest()
+        )
         # A row is numbered by the line it ends on; a quoted CR or LF ends a line.
-        assert [line for line, _ in codec.load_table(str(path), self.HEADER)] == [2, 3, 5, 7]
+        lines = [line for line, _ in codec.load_table(str(path), self.HEADER, digest)]
+        assert lines == [2, 3, 5, 7]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -196,21 +202,47 @@ class TestStoredTable:
     def test_cells_come_back_as_written(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "t.csv")
-            codec.save_table(path, self.HEADER, ([s, x, None, n] for s, x, n in rows))
-            read = [cells for _, cells in codec.load_table(path, self.HEADER)]
+            digest = codec.save_table(path, self.HEADER, ([s, x, None, n] for s, x, n in rows))
+            assert digest.rows == len(rows)
+            read = [cells for _, cells in codec.load_table(path, self.HEADER, digest)]
             assert len(read) == len(rows)
             for (s, x, n), cells in zip(rows, read):
                 assert cells[0] == s
                 assert float(cells[1]).hex() == x.hex()
                 assert cells[2:] == ["", str(n)]
             with pytest.raises(DecodeError, match=re.escape(path)):
-                next(codec.load_table(path, self.HEADER[:-1]))
+                next(codec.load_table(path, self.HEADER[:-1], digest))
 
     def test_an_empty_file_has_no_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"")
+        empty = codec.TableDigest(rows=0, size=0, sha256=hashlib.sha256(b"").hexdigest())
         with pytest.raises(DecodeError, match="t.csv: header None"):
-            list(codec.load_table(str(path), self.HEADER))
+            list(codec.load_table(str(path), self.HEADER, empty))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda data: data[:-1], "t.csv: 32 bytes, expected 33"),
+            (lambda data: data + b"x", "t.csv: 34 bytes, expected 33"),
+            (lambda data: data.replace(b"3", b"4"), "t.csv: SHA-256 [0-9a-f]{64}, expected"),
+        ],
+        ids=["cut", "extended", "edited"],
+    )
+    def test_other_bytes_are_refused_before_any_row(self, tmp_path, edit, error):
+        path = tmp_path / "t.csv"
+        digest = codec.save_table(str(path), self.HEADER, [["a", 1.5, None, 3], ["b", 2.5, 7, 9]])
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DecodeError, match=error):
+            next(codec.load_table(str(path), self.HEADER, digest))
+
+    def test_another_row_count_is_refused_after_the_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        digest = codec.save_table(str(path), self.HEADER, [["a", 1.5, None, 3]])
+        rows = codec.load_table(str(path), self.HEADER, dataclasses.replace(digest, rows=2))
+        assert next(rows) == (2, ["a", "1.5", "", "3"])
+        with pytest.raises(DecodeError, match="t.csv: 1 rows, expected 2"):
+            next(rows)
 
 
 class TestDecoder:

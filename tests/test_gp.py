@@ -1,5 +1,6 @@
 """Tests for the per-metric GP surrogate."""
 
+import contextlib
 import ctypes
 import json
 import os
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, cython_blas, cython_lapack, solve_triangular
 
 import spec
@@ -627,6 +630,66 @@ class TestTwoThreadPredict:
                 assert np.array_equal(half, kq)
 
 
+_NUMPY_BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's bundled OpenBLAS on one thread for the block.  On more, a
+    ``gemv`` of 460,800 entries or more is split across them, each part
+    grouping its rows from its own first row, so the whole product's bits
+    depend on the thread count (a (601, 1000) product on 2 threads: row 300)."""
+    get = _NUMPY_BLAS.scipy_openblas_get_num_threads64_
+    put = _NUMPY_BLAS.scipy_openblas_set_num_threads64_
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+@pytest.mark.bitwise
+class TestTiledPrediction:
+    @given(
+        q=st.one_of(
+            st.integers(1, 15),
+            st.integers(0, 324).map(lambda k: 4 * k + 1),
+            st.integers(1, 1300),
+        ),
+        n=st.integers(1, 1300),
+        n_metrics=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(q=5, n=113, n_metrics=2, seed=0)       # a one-row second half, unsplit
+    @example(q=581, n=113, n_metrics=2, seed=2)     # halves of 292 and 288 + 1 rows
+    @example(q=601, n=1000, n_metrics=1, seed=1)    # unlike its whole product on 2 threads
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_tiles_give_the_whole_kernels_bits(self, helper, busy_helper, q, n, n_metrics, seed):
+        """Each tile's means and bounds equal ``kq @ alpha`` on one BLAS
+        thread and the bound's formula, over the whole ``(q, n)`` kernel, on
+        the idle helper and on the busy one, whose halves the caller runs."""
+        gp, rng = _fitted(n, n_metrics, seed)
+        queries = rng.uniform(size=(q, 2))
+        whole = [np.empty((q, n)) for _ in range(n_metrics)]
+        scales = [gp.signal_var(k) for k in range(n_metrics)]
+        gp_module._scaled_kernels(queries, gp._x, gp._ls, scales, whole)   # the unit box
+        shrink = 1.0 - gp_module._BOUND_C * n * (np.finfo(float).eps / 2)
+        with one_blas_thread():
+            mu = np.column_stack([kq @ gk.alpha for kq, gk in zip(whole, gp._gps)])
+        bound = np.column_stack([
+            np.maximum(gk.signal_var - shrink * np.max(kq * gk.row_scale, axis=1) ** 2, 0.0)
+            for kq, gk in zip(whole, gp._gps)
+        ])
+        for runner in (helper, busy_helper):
+            prediction = gp.predict_batch(queries, helper=runner)
+            assert np.array_equal(prediction.mu, mu)
+            assert np.array_equal(prediction.bound, bound)
+
+
 class TestHelper:
     def test_calls_run_in_submission_order_on_the_helper(self):
         ran = []
@@ -663,7 +726,7 @@ class TestHelper:
     def test_a_finished_call_lets_go_of_its_arguments(self, helper, busy_helper):
         """The helper's loop keeps the last call it ran until its next one,
         so a call that held on to its arguments would keep, say, a
-        prediction's kernels alive past the prediction."""
+        selection block's draws alive past its scoring."""
         for runner in (helper, busy_helper):
             big = np.zeros(10)
             gone = weakref.ref(big)
@@ -794,10 +857,12 @@ class TestTwoThreadPredictFailures:
             gp.predict_batch(queries, helper=helper)
 
     def test_split_peak_adds_no_buffer_copies(self, helper):
-        """The threads write into the ``(q, n)`` kernel matrices in place:
-        the peak is the kernels, each thread's two tile buffers, and a
-        margin of an eighth of one kernel (everything else read 0.17-0.30
-        MB of its 0.48 MB), so one copied kernel (3.84 MB) fails."""
+        """Each thread holds the unit kernel's two tile buffers, which take
+        two metrics' scaled tiles too (one more buffer per further metric),
+        each at most ``_KERNEL_TILE`` doubles and a joined last row, and no
+        ``(q, n)`` kernel: the peak is those buffers and a margin of an
+        eighth of one kernel (everything else read 0.16-0.30 MB of its 0.48
+        MB), so any one kernel (3.84 MB) fails."""
         n, q, n_metrics = 800, 600, 2
         gp, rng = _fitted(n, n_metrics, 17)
         queries = rng.uniform(size=(q, 2))
@@ -808,5 +873,5 @@ class TestTwoThreadPredictFailures:
         finally:
             tracemalloc.stop()
         kernel = q * n * 8
-        tiles = 2 * 2 * gp_module._KERNEL_TILE * 8
-        assert peak < n_metrics * kernel + tiles + kernel / 8
+        tiles = 2 * max(2, n_metrics) * (gp_module._KERNEL_TILE + n) * 8
+        assert peak < tiles + kernel / 8

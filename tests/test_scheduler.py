@@ -1,5 +1,6 @@
 """Tests for the round loop, traffic planning, and file-backed persistence."""
 
+import functools
 import hashlib
 import json
 import math
@@ -63,6 +64,23 @@ def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=10
         for metric, lift in zip(METRICS, lifts)
     )
     return InboundBatch(origin_round=origin, arrival_round=arrival, readings=readings)
+
+
+def reseal(store):
+    """Set ``manifest.json``'s table digests to the tables now on disk, as a
+    writer that wrote bad rows would have, so that a test's edit reaches
+    the checks that parse the rows.  Rows are counted by line, which holds
+    for tables without a quoted line break."""
+    path = Path(store) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for name in ("hyperparams", "metrics"):
+        data = (Path(store) / f"{name}.csv").read_bytes()
+        manifest[name] = {
+            "rows": data.count(b"\n") - 1,
+            "size": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 class TestRoundPlan:
@@ -755,7 +773,8 @@ class TestPersistence:
         store = tmp_path / "s"
         self.run_some_rounds().persist(str(store))
         manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
-        for version in (1, 999):    # version 1 stored `exposed` and `next_id`
+        # Version 1 stored `exposed` and `next_id`; version 2 no table digests.
+        for version in (1, 2, 999):
             manifest["format_version"] = version
             (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
             with pytest.raises(RestoreError, match=f"version {version}"):
@@ -830,6 +849,9 @@ class TestPersistence:
             for i in line if isinstance(line, tuple) else (line,):
                 lines[i] = ",".join(edit(lines[i].split(",")))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RestoreError, match="metrics.csv: ([0-9]+ bytes|SHA-256)"):
+            Scheduler.restore(str(store))
+        reseal(store)
         with pytest.raises(RestoreError, match="metrics.csv"):
             Scheduler.restore(str(store))
 
@@ -840,7 +862,8 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].split(",")[0]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(RestoreError, match="hyperparams.csv"):
+        reseal(store)
+        with pytest.raises(RestoreError, match="hyperparams.csv line 2"):
             Scheduler.restore(str(store))
 
     def test_hyperparams_header_of_another_dimension_fails(self, tmp_path):
@@ -852,7 +875,8 @@ class TestPersistence:
         assert lines[0] == "candidate_id,created_round,theta0,theta1"
         lines[0] += ",theta2"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(RestoreError, match="hyperparams.csv"):
+        reseal(store)
+        with pytest.raises(RestoreError, match="hyperparams.csv: header"):
             Scheduler.restore(str(store))
 
     def test_manifest_newer_than_the_bucket_fails(self, tmp_path):
@@ -866,6 +890,9 @@ class TestPersistence:
         sched.persist(str(new))
         assert sched.bucket[-1].id in dict(sched.last_plan.assignments)
         (old / "manifest.json").write_bytes((new / "manifest.json").read_bytes())
+        with pytest.raises(RestoreError, match="hyperparams.csv: [0-9]+ bytes"):
+            Scheduler.restore(str(old))
+        reseal(old)
         with pytest.raises(RestoreError, match="outside the bucket"):
             Scheduler.restore(str(old))
 
@@ -955,6 +982,7 @@ class TestPersistence:
             edit(manifest if name == "manifest.json" else rows)
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         bucket_path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        reseal(store)
         with pytest.raises(RestoreError, match="manifest"):
             Scheduler.restore(str(store))
 
@@ -972,6 +1000,7 @@ class TestPersistence:
         store = tmp_path / "s"
         self.run_some_rounds().persist(str(store))
         (store / name).write_bytes(edit((store / name).read_bytes()))
+        reseal(store)
         with pytest.raises(RestoreError, match=name):
             Scheduler.restore(str(store))
 
@@ -984,8 +1013,100 @@ class TestPersistence:
         assert lines[2].startswith("2,")
         lines.append("2," + lines[3].split(",", 1)[1])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reseal(store)
         with pytest.raises(RestoreError, match=f"hyperparams.csv line {len(lines)}: candidate 2"):
             Scheduler.restore(str(store))
+
+
+@functools.cache
+def _persisted_store():
+    """The files of a ``full`` run (seed 42, 20 candidates) persisted at
+    round 12, and the scheduler that wrote them."""
+    run = SingleRun(42, ExperimentConfig(variant="full", seeds=(42,), bucket_size=20))
+    run.run_to(12)
+    with tempfile.TemporaryDirectory() as tmp:
+        run.sched.persist(tmp)
+        files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    return files, run.sched
+
+
+def _restored_equals(restored, sched):
+    """Whether ``restored`` holds ``sched``'s round, generator state,
+    bucket, created rounds, last plan, settings and every reading."""
+    return (
+        restored.round == sched.round
+        and restored.rng.bit_generator.state == sched.rng.bit_generator.state
+        and restored.bucket == sched.bucket
+        and [restored.created_round(hp.id) for hp in restored.bucket]
+        == [sched.created_round(hp.id) for hp in sched.bucket]
+        and restored.last_plan == sched.last_plan
+        and (restored.config, restored.problem) == (sched.config, sched.problem)
+        and restored._raw_log == sched._raw_log
+    )
+
+
+@st.composite
+def corruptions(draw):
+    """One table of the persisted store and its bytes after one of five
+    corruptions: cut at any byte, a line deleted, duplicated or swapped
+    with another, or one character changed."""
+    files, _ = _persisted_store()
+    name = draw(st.sampled_from(["hyperparams.csv", "metrics.csv"]))
+    data = files[name]
+    lines = data.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["cut", "delete", "duplicate", "swap", "change"]))
+    if kind == "cut":
+        return name, data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "change":
+        at = draw(st.integers(0, len(data) - 1))
+        char = draw(st.sampled_from(b"0123456789.,-e\nx").filter(lambda c: c != data[at]))
+        return name, data[:at] + bytes([char]) + data[at + 1 :]
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    return name, b"".join(lines)
+
+
+class TestTornStore:
+    """Restore parses a table only once its bytes are the ones the manifest
+    records, so a table cut short or edited is refused, never restored with
+    fewer rows or a changed reading."""
+
+    @pytest.mark.parametrize("name", ["hyperparams.csv", "metrics.csv"])
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda data: data[: data.rindex(b"\n", 0, -1) + 1], lambda data: data[:-2]],
+        ids=["at-a-line-boundary", "in-the-last-number"],
+    )
+    def test_a_table_cut_short_fails(self, tmp_path, name, cut):
+        """A cut at a line boundary leaves whole rows; a cut inside the last
+        number, ``…,200000`` read as ``…,20000``, a changed reading."""
+        files, _ = _persisted_store()
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(cut(data) if file == name else data)
+        refused = f"{name}: [0-9]+ bytes, expected {len(files[name])}"
+        with pytest.raises(RestoreError, match=refused):
+            Scheduler.restore(str(tmp_path))
+
+    @given(corruption=corruptions())
+    @settings(max_examples=100, deadline=None)
+    def test_a_corrupted_table_fails_or_restores_the_same_scheduler(self, corruption):
+        name, data = corruption
+        files, sched = _persisted_store()
+        with tempfile.TemporaryDirectory() as tmp:
+            for file, content in files.items():
+                (Path(tmp) / file).write_bytes(data if file == name else content)
+            try:
+                restored = Scheduler.restore(tmp)
+            except RestoreError as exc:
+                assert name in str(exc)
+            else:
+                assert _restored_equals(restored, sched)
 
 
 class TestRawReplay:
@@ -1050,15 +1171,23 @@ class TestRawReplay:
 
 @pytest.mark.bitwise
 class TestFrozenStore:
-    # SHA-256 of manifest.json, hyperparams.csv and metrics.csv, concatenated
-    # in that order, after SingleRun(42, ...) runs 20 rounds and persists.
-    # Re-recorded when manifest format 2 dropped the stored `exposed` and
-    # `next_id`, with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; the two
+    # SHA-256 of each file after SingleRun(42, ...) runs 20 rounds and
+    # persists, with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1.  The two
     # tables hash as they did while the store still wrote the derived hourly
-    # and aggregate tables.
+    # and aggregate tables, and as their concatenation with manifest format
+    # 2 recorded (a0249f22… for `full`, a1672f8f… for `raw-metric`).  Only
+    # the manifest was re-recorded, when format 3 added the tables' digests.
     DIGESTS = {
-        "full": "a0249f22ae7ae9818be0f633ce490557f626575607b51ef4b317a66e85d8a5ff",
-        "raw-metric": "a1672f8f8de43fe0e2c816252a9adc29570d2ae9d34420cdc985e0e743bea633",
+        "full": {
+            "manifest.json": "920f945ffd208362bec6f14f320909a062ad8409ac542e6e23b8ce1e72970c7b",
+            "hyperparams.csv": "a17c92be5b70fb75f102dfc94d416fc13f7b65a16f3c6924e6bf911926722097",
+            "metrics.csv": "6af83699b9b3b83f6a8c50d8784c6761a249a6eda08b78aff7b78f42b468f14f",
+        },
+        "raw-metric": {
+            "manifest.json": "05839b12a9233877a6c85da8d3d9e6c1257f1921a526a9a9ddda634d8e06c8dd",
+            "hyperparams.csv": "95b7e492c2047416990245589202095cc312848f9bfd8bab617f7597a32e4448",
+            "metrics.csv": "eec824b2abc41d3db8d025178c879aebbc62c67e24488295cb38bac8e4b8f89e",
+        },
     }
 
     @pytest.mark.parametrize("variant", ["full", "raw-metric"])
@@ -1066,10 +1195,11 @@ class TestFrozenStore:
         run = SingleRun(42, ExperimentConfig(variant=variant, seeds=(42,)))
         run.run_to(20)
         run.sched.persist(str(tmp_path))
-        names = ["manifest.json", "hyperparams.csv", "metrics.csv"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-        blob = b"".join((tmp_path / name).read_bytes() for name in names)
-        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[variant]
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert digests == self.DIGESTS[variant]
 
         restored = Scheduler.restore(str(tmp_path))
         assert restored._raw_log == run.sched._raw_log

@@ -131,14 +131,19 @@ def test_gate_campaigns_match_the_spec_round_by_round(cfg, monkeypatch):
     "cfg",
     [
         ExperimentConfig(variant="full", proposal_samples=1, rounds=8),
+        ExperimentConfig(variant="full", proposal_samples=5, rounds=8),
+        ExperimentConfig(variant="full", proposal_samples=601, rounds=8),
         ExperimentConfig(variant="full", bucket_size=300, rounds=8),
     ],
-    ids=["one-sample-proposals", "bucket-300"],
+    ids=["one-sample-proposals", "five-sample-proposals", "601-sample-proposals", "bucket-300"],
 )
 def test_configurations_outside_the_gate_match_the_spec(cfg, monkeypatch):
-    """One-sample proposals solve a single column; a 300-candidate bucket
-    selects its length scales through the median's bracket and fits a
-    kernel of several tiles.  Seed 7 proposes in most rounds of each."""
+    """One-sample proposals solve a single column; five samples are
+    predicted unsplit, since a split would leave the helper one row; 601
+    split into 304 and 297 rows, whose last row takes ``dgemv``'s one-row
+    path, as in the whole product; a 300-candidate bucket selects its length
+    scales through the median's bracket and fits a kernel of several tiles.
+    Seed 7 proposes in most rounds of each."""
     assert assert_lock_step(cfg, monkeypatch, seeds=(7,))[0] >= 4
 
 
