@@ -15,11 +15,15 @@ dataclass to its annotations, so it stores what decoding gives back.
 file is a ``format_version`` key beside the encoded fields, written with
 sorted keys, two-space indents and a trailing newline; ``load`` refuses
 another version with ``DecodeError`` and lets ``json``'s ``ValueError``
-through.  ``save_table`` and ``load_table`` are the one path for every CSV
-table: a header line, then one line per row.  ``save_table`` returns the
-``TableDigest`` of what it wrote, its rows, byte length and SHA-256, and
-``load_table`` parses a table only once its bytes match the digest it is
-given, so a table cut short or edited is refused before any row is read.
+through.  A sealed file also holds a ``sha256`` key: the SHA-256 of the
+rest of it as canonical JSON (sorted keys, no whitespace), which ``load``
+checks before it reads any other key, so an edit that keeps the JSON valid
+is refused too.  ``save_table`` and ``load_table`` are the one path for
+every CSV table: a header line, then one line per row.  ``save_table``
+returns the ``TableDigest`` of what it wrote, its rows, byte length and
+SHA-256, and ``load_table`` parses a table only once its bytes match the
+digest it is given, so a table cut short or edited is refused before any
+row is read.
 """
 
 from __future__ import annotations
@@ -89,18 +93,35 @@ def count(value: object, where: str) -> int:
     raise DecodeError(f"{where}: expected int, got {brief(value)}")
 
 
-def save(path: str, version: int, obj: object) -> None:
-    """Write ``obj`` to ``path`` as a stored file of format ``version``."""
+def _seal(body: dict) -> str:
+    """SHA-256 hex digest of ``body`` as canonical JSON: sorted keys, no
+    whitespace, ASCII only."""
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def save(path: str, version: int, obj: object, *, sealed: bool = False) -> None:
+    """Write ``obj`` to ``path`` as a stored file of format ``version``;
+    ``sealed`` adds a ``sha256`` key, the seal of everything else it holds."""
+    body = {"format_version": version, **to_dict(obj)}
+    if sealed:
+        body["sha256"] = _seal(body)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format_version": version, **to_dict(obj)}, fh, indent=2, sort_keys=True)
+        json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load(path: str, version: int, cls: type[T]) -> T:
-    """Read what ``save`` wrote; DecodeError for another version or any mismatch."""
+def load(path: str, version: int, cls: type[T], *, sealed: bool = False) -> T:
+    """Read what ``save`` wrote; DecodeError for another version or any
+    mismatch, and with ``sealed``, first of all for a body whose seal is not
+    its ``sha256`` key."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     body = dict(data) if isinstance(data, dict) else {}
+    if sealed:
+        found = body.pop("sha256", None)
+        if found != (expected := _seal(body)):
+            raise DecodeError(f"{path}: seal {brief(found)}, but the body hashes to {expected}")
     found = body.pop("format_version", None)
     if found != version:
         raise DecodeError(f"{path}: unsupported version {found!r}, expected {version}")

@@ -44,11 +44,14 @@ back through ``Call.result()``, and is joined on every path.  A call the
 helper has not started while it is busy with an earlier one is claimed by
 ``result()`` and run on the caller instead, so the caller never waits for
 work it could do itself (Blumofe & Leiserson, "Scheduling Multithreaded
-Computations by Work Stealing", JACM 1999).  A decided round has one,
-opened by the scheduler and passed to each call that uses it: the
-scheduler submits the GP fit first, ``optimizer.select`` then the scoring
-of each block of Thompson draws, and the prediction the second half of its
-queries and its variance solves.
+Computations by Work Stealing", JACM 1999).  A run has one:
+``harness.SingleRun.run_to`` opens it for all the rounds it runs and passes
+it to each, and a decided round passes it on to each call that uses it:
+the scheduler submits the GP fit first, ``optimizer.select`` then the
+scoring of each block of Thompson draws, and the prediction the second half
+of its queries and its variance solves.  A round takes every result it
+uses before it returns; a fit it does not use finishes on the helper after
+it, ahead of the next round's calls.
 
 The two table modules are loaded straight from their files in scipy's
 ``linalg`` directory, after ``import scipy`` has set up the bundled
@@ -180,8 +183,8 @@ class Call(Generic[_T]):
 
     def _run(self) -> None:
         # The call lets go of its function and arguments before it runs, so
-        # that once done it holds only its outcome: the helper's loop keeps
-        # the last call it ran, and with it, say, a selection block's draws.
+        # that once done it holds only its outcome, not, say, a selection
+        # block's draws, for as long as its caller keeps it.
         fn, args = self._fn, self._args
         self._fn = self._args = None
         try:
@@ -264,6 +267,9 @@ class Helper:
                 call = self._running = self._queue.pop(0)
                 call._started = True
             call._run()
+            # An idle helper holds no call, so a result no caller took, such
+            # as a fit whose round did not propose, is freed once it is made.
+            del call
 
 
 def _int(value: int):

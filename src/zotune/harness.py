@@ -31,6 +31,7 @@ import numpy as np
 
 from . import codec
 from .deltastats import TaylorMode
+from .gp import Helper
 from .problem import ConstraintSpec, HyperParam, LinearExpr, TuningProblem
 from .scheduler import (
     BucketInit,
@@ -322,7 +323,7 @@ class SingleRun:
         """Ground-truth guardrail shortfall of the base configuration."""
         return self.env.true_gain_violation(self.env.spec.base_theta)[1]
 
-    def _step_round(self, r: int) -> None:
+    def _step_round(self, r: int, helper: Helper) -> None:
         if self.rows:
             row = self.rows[-1]._replace(round=r)
         else:
@@ -336,7 +337,7 @@ class SingleRun:
                 self.sched.idle(arrived)
                 plan = None
             else:
-                plan = self.sched.run_round(arrived)
+                plan = self.sched.run_round(arrived, helper=helper)
         if plan is not None:
             thetas = {hp.id: hp.theta for hp in self.sched.bucket}
             self.pending.extend(self.env.step(plan, r, thetas))
@@ -349,12 +350,18 @@ class SingleRun:
     def run_to(self, upto: int) -> None:
         """Advance wall rounds [next_round, upto); a round never runs twice,
         so an ``upto`` below ``next_round``, or one that is not an ``int``,
-        raises ValueError."""
+        raises ValueError.
+
+        The call opens one ``gp.Helper`` thread that every decided round
+        runs its fit, scoring and prediction on, and joins it before it
+        returns or raises, so no thread outlives it.
+        """
         upto = codec.count(upto, "upto")
         if upto < self.next_round:
             raise ValueError(f"run is at round {self.next_round}; cannot run to {upto}")
-        for r in range(self.next_round, upto):
-            self._step_round(r)
+        with Helper() as helper:
+            for r in range(self.next_round, upto):
+                self._step_round(r, helper)
 
     def trajectory(self) -> SeedTrajectory:
         return SeedTrajectory(

@@ -9,19 +9,21 @@ across winners in proportion to how many repetitions each one won.  A round
 is a wall hour: an hour that waits calls ``idle``, which absorbs and
 advances the one clock without drawing, so a plan's ``round`` is its hour.
 
-A round that draws opens one ``gp.Helper`` thread, joined before
-``run_round`` returns or raises; idle hours and rounds without data start
-none, and no other code starts one: ``select``, ``propose``,
-``predict_batch`` and ``Prediction.variance`` each run on the helper the
-round passes them.  The GP fit needs only the beliefs the selection reads,
-not its draws, so the helper's work is, in order: the fit, then the scoring
-of each block of Thompson draws that the caller has not claimed, then the
-prediction's second half of the samples and the variance solves of those the
-proposal needs.  The caller keeps the generator: it draws every selection
-block, ``u``, and the proposal's samples and draws, in the one-thread order
-(select, draw ``u``, then fit and propose), so the random stream and every
-result are that order's.  The fit's result, and its error, are taken only
-in a round that proposes.
+A round that draws runs on the ``gp.Helper`` thread its caller passes it
+(``harness.SingleRun.run_to`` opens one for all the rounds it runs); idle
+hours and rounds without data leave it alone, and the scheduler starts no
+thread: ``select``, ``propose``, ``predict_batch`` and
+``Prediction.variance`` each run on the helper the round passes them.  The
+GP fit needs only the beliefs the selection reads, not its draws, so the
+helper's work is, in order: the fit, then the scoring of each block of
+Thompson draws that the caller has not claimed, then the prediction's second
+half of the samples and the variance solves of those the proposal needs.
+The caller keeps the generator: it draws every selection block, ``u``, and
+the proposal's samples and draws, in the one-thread order (select, draw
+``u``, then fit and propose), so the random stream and every result are that
+order's.  The fit's result, and its error, are taken only in a round that
+proposes; in one that does not, the fit finishes on the helper after the
+round returns.
 
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
@@ -29,12 +31,13 @@ resumed exactly; the scheduler writes it only when its caller calls
 (round counter, rng stream, config, problem, last plan, and each table's
 row count, byte length and SHA-256), ``hyperparams.csv`` (the candidate
 bucket) and ``metrics.csv`` (the raw test/control readings, in ingestion
-order, one ``deltastats.Reading`` per row).  The manifest is written last,
-and restore refuses a table whose bytes are not the ones it describes, so
-a table cut short or edited never restores (Bairavasundaram et al., "An
-Analysis of Data Corruption in the Storage Stack", FAST 2008).  Hourly
-lifts and their aggregates are derived from the raw readings, and the next
-proposal's id from the bucket.  ``ingest`` and ``restore`` pass every
+order, one ``deltastats.Reading`` per row).  The manifest is written last
+and sealed with the SHA-256 of its own body, which restore checks before it
+reads anything else; restore also refuses a table whose bytes are not the
+ones the manifest describes, so no file cut short or edited ever restores
+(Bairavasundaram et al., "An Analysis of Data Corruption in the Storage
+Stack", FAST 2008).  Hourly lifts and their aggregates are derived from the
+raw readings, and the next proposal's id from the bucket.  ``ingest`` and ``restore`` pass every
 reading through one absorb step, which refuses a reading for an unknown
 candidate or metric, from a later round, with no finite lift, or for a key
 already absorbed, and changes nothing when it does: ``ingest`` drops a
@@ -67,7 +70,7 @@ from .gp import GpSurrogate, Helper
 from .optimizer import SelectionResult, beliefs, propose, select
 from .problem import HyperParam, TuningProblem
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 PLAN_SUM_TOL = 1e-12
 
@@ -266,10 +269,9 @@ def _replay(
 class Scheduler:
     """Owns the bucket, the estimate record, the rng stream, and the round loop.
 
-    A scheduler is driven from one thread.  ``run_round`` starts one
-    helper thread for the GP fit, the selection's scoring and the
-    prediction, and joins it before returning or raising, so no thread
-    outlives a call.
+    A scheduler is driven from one thread.  ``run_round`` runs the GP fit,
+    the selection's scoring and the prediction on the helper thread it is
+    given, and starts none of its own.
 
     A scheduler is born with hour 0's plan and always has a plan in force;
     construction refuses a state that no sequence of ``bootstrap``,
@@ -425,11 +427,12 @@ class Scheduler:
         self._round += 1
         self.last_selection = None
 
-    def run_round(self, inbound: Iterable[InboundBatch] = ()) -> RoundPlan:
+    def run_round(self, inbound: Iterable[InboundBatch] = (), *, helper: Helper) -> RoundPlan:
         """Advance one round: absorb, select, maybe propose, plan.
 
         Rounds never block on missing feedback.  Until some candidate has
-        data on every metric the uniform exposure is re-emitted.
+        data on every metric the uniform exposure is re-emitted, and
+        ``helper`` is not used.
         """
         round_no = self._round + 1
         self.ingest(inbound)
@@ -441,28 +444,28 @@ class Scheduler:
         else:
             eligible = [self._bucket[cid] for cid in ids.tolist()]
             cfg = self.config
-            with Helper() as helper:
-                # The fit goes first on the helper; its result, or its
-                # error, is used only if the round proposes.
-                if cfg.proposal_prob > 0.0:
-                    fit = helper.submit(GpSurrogate.fit, eligible, mu, var)
-                sel = select(ids, mu, var, self.problem, cfg.select_count, self.rng, helper=helper)
-                u = self.rng.random()
-                self.last_selection = sel
-                units = Counter(sel.winners)
-                if u < cfg.proposal_prob:
-                    prop = propose(
-                        fit.result(),
-                        self.problem,
-                        cfg.proposal_samples,
-                        self.rng,
-                        new_id=self.next_id,
-                        helper=helper,
-                    )
-                    newcomer = prop.proposed
-                    self._bucket[newcomer.id] = newcomer
-                    self._created_round[newcomer.id] = round_no
-                    units[newcomer.id] += 1  # one winner-unit of traffic
+            # The fit goes first on the helper; its result, or its error, is
+            # used only if the round proposes, and otherwise it finishes on
+            # the helper after the round returns.
+            if cfg.proposal_prob > 0.0:
+                fit = helper.submit(GpSurrogate.fit, eligible, mu, var)
+            sel = select(ids, mu, var, self.problem, cfg.select_count, self.rng, helper=helper)
+            u = self.rng.random()
+            self.last_selection = sel
+            units = Counter(sel.winners)
+            if u < cfg.proposal_prob:
+                prop = propose(
+                    fit.result(),
+                    self.problem,
+                    cfg.proposal_samples,
+                    self.rng,
+                    new_id=self.next_id,
+                    helper=helper,
+                )
+                newcomer = prop.proposed
+                self._bucket[newcomer.id] = newcomer
+                self._created_round[newcomer.id] = round_no
+                units[newcomer.id] += 1  # one winner-unit of traffic
 
         self._round = round_no
         self._last_plan = _plan(self.config, round_no, units)
@@ -496,7 +499,8 @@ class Scheduler:
             hyperparams=bucket,
             metrics=metrics,
         )
-        codec.save(os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, manifest)
+        path = os.path.join(store_dir, "manifest.json")
+        codec.save(path, FORMAT_VERSION, manifest, sealed=True)
 
     @classmethod
     def restore(cls, store_dir: str) -> "Scheduler":
@@ -504,7 +508,7 @@ class Scheduler:
         table is parsed only once its bytes match the manifest's digest."""
         try:
             manifest = codec.load(
-                os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, Manifest
+                os.path.join(store_dir, "manifest.json"), FORMAT_VERSION, Manifest, sealed=True
             )
             rng = np.random.default_rng()
             rng.bit_generator.state = manifest.rng_state

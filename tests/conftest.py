@@ -19,7 +19,8 @@ def no_thread_outlives_its_test():
 
 @pytest.fixture
 def helper():
-    """A ``Helper`` open for the length of the test, as a round opens one."""
+    """A ``Helper`` open for the length of the test, as ``SingleRun.run_to``
+    opens one for its rounds."""
     with Helper() as opened:
         yield opened
 

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.blas import dtrsm
 
+from openblas import one_blas_thread
 from zotune.deltastats import DegenerateBaseError, DeltaStat, DuplicateRoundError
 from zotune.deltastats import aggregate, hourly_delta_stat
 from zotune.gp import BASE_JITTER, MAX_JITTER, SIGNAL_VAR_FLOOR, FitFailureError
@@ -149,14 +150,17 @@ class Surrogate:
 
     def predict(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior ``(q, M)`` means and latent variances, clamped at zero.
-        The solve is BLAS's ``dtrsm`` for any column count: ``solve_triangular``
-        takes ``dtrsv`` for one column, whose bits differ."""
+        The means are one ``gemv`` on one BLAS thread, since on more a large
+        one is split by rows.  The solve is BLAS's ``dtrsm`` for any column
+        count: ``solve_triangular`` takes ``dtrsv`` for one column, whose
+        bits differ."""
         xq = (thetas - self.lo) / self.span
         mu = np.empty((xq.shape[0], len(self.alpha)))
         var = np.empty_like(mu)
         for k, s2 in enumerate(self.signal_var):
             kq = kernel(xq, self.x, self.ls, s2)
-            mu[:, k] = kq @ self.alpha[k]
+            with one_blas_thread():
+                mu[:, k] = kq @ self.alpha[k]
             w = dtrsm(1.0, self.chol[k], kq.T, lower=1)
             var[:, k] = np.maximum(s2 - np.sum(w * w, axis=0), 0.0)
         return mu, var

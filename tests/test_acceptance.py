@@ -33,6 +33,8 @@ from zotune.harness import (
 from zotune.optimizer import beliefs, select
 from zotune.problem import ConstraintSpec, HyperParam, LinearExpr, TuningProblem
 
+pytestmark = pytest.mark.gate
+
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
 REFERENCE_MEAN = 0.0608

@@ -50,7 +50,7 @@ def test_install_finds_every_name_and_restore_puts_back_the_originals(recording)
     assert all(vars(owner)[attr] is raw for owner, attr, raw in patched)
 
 
-def test_workload_checks_pass_on_a_live_run(tmp_path):
+def test_workload_checks_pass_on_a_live_run(tmp_path, helper):
     """Each round's plan, a restore and a report's finals, as the bench reads them."""
     workloads = load_bench("workloads")
     cfg = ExperimentConfig(
@@ -65,7 +65,7 @@ def test_workload_checks_pass_on_a_live_run(tmp_path):
         arrived = [b for b in pending if b.arrival_round <= r]
         pending = [b for b in pending if b.arrival_round > r]
         next_id_before = sched.next_id
-        plan = sched.run_round(arrived)
+        plan = sched.run_round(arrived, helper=helper)
         assert workloads.plan_errors(sched, plan, next_id_before) == []
         proposed += sched.next_id - next_id_before
         pending += run.env.step(plan, r, {hp.id: hp.theta for hp in sched.bucket})

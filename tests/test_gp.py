@@ -1,6 +1,5 @@
 """Tests for the per-metric GP surrogate."""
 
-import contextlib
 import ctypes
 import json
 import os
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, cython_blas, cython_lapack, solve_triangular
 
 import spec
+from openblas import one_blas_thread
 from zotune import gp as gp_module
 from zotune.gp import BASE_JITTER, MAX_JITTER, FitFailureError, GpSurrogate, RejectedInputError
 from zotune.problem import HyperParam
@@ -628,25 +628,6 @@ class TestTwoThreadPredict:
                 gp_module._scaled_kernels(xq[rows], x, ls, scales, outs)
             for half, kq in zip(halves, whole):
                 assert np.array_equal(half, kq)
-
-
-_NUMPY_BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """numpy's bundled OpenBLAS on one thread for the block.  On more, a
-    ``gemv`` of 460,800 entries or more is split across them, each part
-    grouping its rows from its own first row, so the whole product's bits
-    depend on the thread count (a (601, 1000) product on 2 threads: row 300)."""
-    get = _NUMPY_BLAS.scipy_openblas_get_num_threads64_
-    put = _NUMPY_BLAS.scipy_openblas_set_num_threads64_
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
 
 
 @pytest.mark.bitwise

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import threading
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from zotune import cli, codec
 from zotune.cli import build_parser, main
 from zotune.deltastats import TaylorMode
+from zotune.gp import FitFailureError, GpSurrogate
 from zotune.harness import (
     DEFAULT_SEED_POOL,
     DEFAULT_SEEDS,
@@ -508,6 +510,56 @@ class TestCampaignRuns:
     def test_report_carries_seed_order(self):
         report = run_experiment(tiny_config())
         assert report.seeds == TINY["seeds"]
+
+
+class TestRunHelper:
+    """``run_to`` opens one helper thread for all the rounds it runs."""
+
+    @pytest.mark.parametrize("variant", ["full", "synchronous"])
+    def test_a_run_starts_one_thread(self, monkeypatch, variant):
+        """Seed 42 over 30 hours starts one thread, though ``full``'s hours
+        include rounds without data and ``synchronous``'s idle hours."""
+        run = SingleRun(42, ExperimentConfig(variant=variant, seeds=(42,), bucket_size=20))
+        started, hours = [], []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        for name in ("run_round", "idle"):
+            def spy(*args, name=name, method=getattr(run.sched, name), **kwargs):
+                result = method(*args, **kwargs)
+                hours.append("idle" if name == "idle" else
+                             "no data" if run.sched.last_selection is None else "decided")
+                return result
+
+            monkeypatch.setattr(run.sched, name, spy)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        next_id = run.sched.next_id
+        run.run_to(30)
+        assert started == ["zotune-helper"]
+        waits = "idle" if variant == "synchronous" else "no data"
+        assert set(hours) == {waits, "decided"}
+        assert run.sched.next_id == next_id + hours.count("decided")   # each proposed
+
+    def test_a_fit_failure_leaves_no_thread(self, monkeypatch):
+        """The fit of round 10 of 30 fails: ``run_to`` raises it after rounds
+        0 to 9, and its helper is joined."""
+        run = SingleRun(42, ExperimentConfig(variant="full", seeds=(42,), bucket_size=20))
+        fit = GpSurrogate.fit
+
+        def failing_fit(bucket, mu, var):
+            if run.sched.round == 9:
+                raise FitFailureError("injected at round 10")
+            return fit(bucket, mu, var)
+
+        monkeypatch.setattr(GpSurrogate, "fit", failing_fit)
+        threads = threading.active_count()
+        with pytest.raises(FitFailureError, match="injected at round 10"):
+            run.run_to(30)
+        assert threading.active_count() == threads
+        assert run.next_round == 10 and run.sched.round == 9
 
 
 @pytest.mark.bitwise

@@ -67,10 +67,13 @@ def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=10
 
 
 def reseal(store):
-    """Set ``manifest.json``'s table digests to the tables now on disk, as a
-    writer that wrote bad rows would have, so that a test's edit reaches
-    the checks that parse the rows.  Rows are counted by line, which holds
-    for tables without a quoted line break."""
+    """Set ``manifest.json``'s table digests to the tables now on disk and
+    seal the manifest again, as a writer that wrote bad rows or a bad
+    manifest would have, so that a test's edit reaches the checks that parse
+    the rows and decode the manifest.  Rows are counted by line, which holds
+    for tables without a quoted line break.  The seal is the SHA-256 of the
+    manifest without its ``sha256`` key, as JSON with sorted keys and no
+    whitespace."""
     path = Path(store) / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     for name in ("hyperparams", "metrics"):
@@ -80,6 +83,9 @@ def reseal(store):
             "size": len(data),
             "sha256": hashlib.sha256(data).hexdigest(),
         }
+    manifest.pop("sha256", None)
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("ascii")
+    manifest["sha256"] = hashlib.sha256(body).hexdigest()
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
@@ -173,7 +179,7 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             Scheduler.bootstrap(problem, config, np.random.default_rng(0))
 
-    def test_next_id_is_above_the_base_and_the_bucket(self):
+    def test_next_id_is_above_the_base_and_the_bucket(self, helper):
         """The next id is derived, so a base id above the bucket's moves it
         and no proposal can take an id in use."""
         base = HyperParam(id=9, theta=(0.5, 0.5), bounds=BOUNDS)
@@ -182,7 +188,7 @@ class TestBootstrap:
             replace(make_problem(), base=base), config, np.random.default_rng(0)
         )
         assert sched.next_id == 10
-        sched.run_round([batch_for(1, 0, 1)])
+        sched.run_round([batch_for(1, 0, 1)], helper=helper)
         assert [hp.id for hp in sched.bucket] == [1, 2, 3, 4, 5, 10]
         assert sched.next_id == 11
 
@@ -195,10 +201,10 @@ class TestConstruction:
         [lambda created: created.pop(1), lambda created: created.update({999: 0})],
         ids=["missing-id", "extra-id"],
     )
-    def test_created_rounds_not_the_buckets_refused(self, edit):
+    def test_created_rounds_not_the_buckets_refused(self, edit, helper):
         sched = make_sched(seed=42)
         for r in range(1, 4):
-            sched.run_round([batch_for(1, r - 1, r)])
+            sched.run_round([batch_for(1, r - 1, r)], helper=helper)
         parts = dict(
             bucket={hp.id: hp for hp in sched.bucket},
             created_round={hp.id: sched.created_round(hp.id) for hp in sched.bucket},
@@ -223,19 +229,19 @@ class TestInitialPlan:
 
 
 class TestRunRound:
-    def test_no_data_reemits_uniform_without_consuming_rng(self):
+    def test_no_data_reemits_uniform_without_consuming_rng(self, helper):
         """Straight after ``bootstrap``, with no data, a round re-emits hour
         0's uniform plan as its own and draws nothing."""
         sched = make_sched()
         first = sched.last_plan
         state_before = json.dumps(sched.rng.bit_generator.state, sort_keys=True)
-        plan = sched.run_round()  # nothing has arrived yet
+        plan = sched.run_round(helper=helper)  # nothing has arrived yet
         state_after = json.dumps(sched.rng.bit_generator.state, sort_keys=True)
         assert state_before == state_after
         assert plan == replace(first, round=1) == sched.last_plan
         assert sched.round == 1 and sched.last_selection is None
 
-    def test_idle_ingests_and_advances_the_round_without_drawing(self):
+    def test_idle_ingests_and_advances_the_round_without_drawing(self, helper):
         """An idle hour absorbs its feedback and counts on the clock; it
         draws nothing and leaves the last plan in force, and the next
         decision's plan carries its own hour."""
@@ -248,18 +254,18 @@ class TestRunRound:
         assert sched.rng.bit_generator.state == state
         assert sched.last_plan == first and sched.last_selection is None
         sched.idle()
-        assert sched.run_round([batch_for(2, 1, 3)]).round == 3
+        assert sched.run_round([batch_for(2, 1, 3)], helper=helper).round == 3
         assert sched.last_selection is not None
         sched.idle()
         assert sched.round == 4 and sched.last_selection is None
 
-    def test_selection_after_feedback(self):
+    def test_selection_after_feedback(self, helper):
         sched = make_sched(proposal_prob=0.0, select_count=50)
         batches = [
             batch_for(1, 0, 1, lifts=(0.05, 0.01), var=0.0),
             batch_for(2, 0, 1, lifts=(0.01, 0.01), var=0.0),
         ]
-        plan = sched.run_round(batches)
+        plan = sched.run_round(batches, helper=helper)
         assert sched.last_selection is not None
         assert sched.last_selection.winners == (1,) * 50
         assert dict(plan.assignments)[1] == pytest.approx(0.8)
@@ -272,11 +278,11 @@ class TestRunRound:
         assert fractions[1] == pytest.approx(0.8 * 2 / 3, rel=1e-12)
         assert fractions[2] == pytest.approx(0.8 / 3, rel=1e-12)
 
-    def test_proposal_grows_bucket_with_unit_traffic(self):
+    def test_proposal_grows_bucket_with_unit_traffic(self, helper):
         sched = make_sched(proposal_prob=1.0, select_count=3, proposal_samples=16)
         before = len(sched.bucket)
         new_id = sched.next_id
-        plan = sched.run_round([batch_for(1, 0, 1, var=0.0)])
+        plan = sched.run_round([batch_for(1, 0, 1, var=0.0)], helper=helper)
         assert len(sched.bucket) == before + 1
         assert sched.created_round(new_id) == 1
         # zero-variance winners all land on candidate 1: units {1: 3, new: 1}
@@ -284,63 +290,42 @@ class TestRunRound:
         assert fractions[1] == pytest.approx(0.8 * 3 / 4)
         assert fractions[new_id] == pytest.approx(0.8 / 4)
 
-    def test_p_zero_keeps_bucket_constant(self):
+    def test_p_zero_keeps_bucket_constant(self, helper):
         sched = make_sched(proposal_prob=0.0, select_count=10)
         size = len(sched.bucket)
         for r in range(1, 6):
-            sched.run_round([batch_for(1, r - 1, r, var=0.0)])
+            sched.run_round([batch_for(1, r - 1, r, var=0.0)], helper=helper)
         assert len(sched.bucket) == size
 
-    def test_bucket_bounded_by_initial_plus_rounds(self):
+    def test_bucket_bounded_by_initial_plus_rounds(self, helper):
         sched = make_sched(proposal_prob=1.0, select_count=5, proposal_samples=8)
         t = 4
         for r in range(1, t + 1):
-            sched.run_round([batch_for(1, r - 1, r, var=0.0)])
+            sched.run_round([batch_for(1, r - 1, r, var=0.0)], helper=helper)
         assert len(sched.bucket) <= 5 + t
 
-    def test_plans_conserve_traffic(self):
+    def test_plans_conserve_traffic(self, helper):
         sched = make_sched(proposal_prob=1.0, select_count=7, proposal_samples=8)
         plans = [sched.last_plan]
         for r in range(1, 5):
-            plans.append(sched.run_round([batch_for(1, r - 1, r)]))
+            plans.append(sched.run_round([batch_for(1, r - 1, r)], helper=helper))
         for plan in plans:
             total = plan.control_fraction + sum(f for _, f in plan.assignments)
             assert abs(total - 1.0) <= 1e-12
 
-    def test_seed_determinism_full_run(self):
+    def test_seed_determinism_full_run(self, helper):
         def run(seed):
             sched = make_sched(seed=seed, proposal_prob=1.0, select_count=20, proposal_samples=16)
             plans = [sched.last_plan]
             for r in range(1, 6):
-                plans.append(sched.run_round([batch_for(1, r - 1, r), batch_for(2, r - 1, r, lifts=(0.01, 0.03))]))
+                batches = [batch_for(1, r - 1, r), batch_for(2, r - 1, r, lifts=(0.01, 0.03))]
+                plans.append(sched.run_round(batches, helper=helper))
             return plans, tuple(hp.theta for hp in sched.bucket)
 
         a_plans, a_bucket = run(11)
         b_plans, b_bucket = run(11)
         assert a_plans == b_plans
         assert a_bucket == b_bucket
-
-    def test_a_proposing_round_starts_one_thread(self, monkeypatch):
-        """The fit, the scoring and the prediction share one helper; an idle
-        hour and a round without data start none."""
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread.name)
-            start(thread)
-
-        sched = make_sched(proposal_prob=1.0, select_count=50, proposal_samples=20)
-        plan = sched.last_plan
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
-        sched.run_round([])                   # no candidate has data yet
-        assert started == []
-        sched.idle([])
-        assert started == []
-        next_id = sched.next_id
-        sched.run_round(_feedback(plan, np.random.default_rng(3)))
-        assert sched.next_id == next_id + 1   # it proposed
-        assert started == ["zotune-helper"]
 
     @pytest.mark.parametrize(
         "job, side",
@@ -352,16 +337,16 @@ class TestRunRound:
             ("solve", "caller"),
         ],
     )
-    def test_an_error_on_either_thread_leaves_the_round_after_the_join(
-        self, monkeypatch, job, side
+    def test_an_error_on_either_thread_leaves_the_round(
+        self, monkeypatch, job, side, helper
     ):
         """A selection block's scoring, a prediction's kernel half or one
         metric's solve fails on ``side``: the error leaves ``run_round``,
-        through ``result()`` from the helper, only after the round's helper
-        has been joined.  Without a fit to run first, the idle helper scores
-        the one selection block; a prediction builds the second half of the
-        kernel rows and solves metric 1 on the helper, and the rest on the
-        caller."""
+        through ``result()`` from the helper, and the helper, which the round
+        does not own, still takes calls.  Without a fit to run
+        first, the idle helper scores the one selection block; a prediction
+        builds the second half of the kernel rows and solves metric 1 on the
+        helper, and the rest on the caller."""
         if job == "scoring":
             target, name = optimizer_module, "_thompson_winners"
             applies = lambda *args: True
@@ -386,9 +371,10 @@ class TestRunRound:
         sched = make_sched(proposal_prob=p, select_count=5, proposal_samples=8)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{job} failed"):
-            sched.run_round(_feedback(sched.last_plan, np.random.default_rng(3)))
+            sched.run_round(_feedback(sched.last_plan, np.random.default_rng(3)), helper=helper)
         assert failed == [job]
         assert threading.active_count() == threads
+        assert helper.submit(abs, -7).result() == 7
 
 
 def _feedback(plan, rng, mean=None):
@@ -407,8 +393,9 @@ def _feedback(plan, rng, mean=None):
 @pytest.mark.bitwise
 class TestFitBesideSelection:
     """``run_round`` fits the GP, scores the selection's draws and shares
-    the prediction on one helper thread while it draws; every result, and
-    the stream, equal the spec's one-thread loop."""
+    the prediction on the helper thread it is given while it draws, round
+    after round on the same helper; every result, and the stream, equal the
+    spec's one-thread loop."""
 
     def assert_same_state(self, live, ref):
         assert [(hp.id, hp.theta) for hp in live.bucket] == [
@@ -426,7 +413,7 @@ class TestFitBesideSelection:
         live = make_sched(seed=seed, **cfg_kwargs)
         return live, spec.Loop(live.problem, live.config, np.random.default_rng(seed))
 
-    def run_beside_reference(self, p, rounds):
+    def run_beside_reference(self, helper, p, rounds):
         """Drive ``run_round`` and the spec side by side on 200 candidates;
         returns the number of rounds that proposed."""
         init = BucketInit(mode="random", size=200)
@@ -437,7 +424,7 @@ class TestFitBesideSelection:
         proposals = 0
         for _ in range(rounds):
             next_id = ref.next_id
-            live_plan = live.run_round(_feedback(live_plan, live_fb))
+            live_plan = live.run_round(_feedback(live_plan, live_fb), helper=helper)
             assert threading.active_count() == threads
             ref_plan = ref.run_round(_feedback(ref_plan, ref_fb))
             assert live_plan == ref_plan
@@ -446,21 +433,21 @@ class TestFitBesideSelection:
         return proposals
 
     @pytest.mark.parametrize("p", [1.0, 0.5, 0.0])
-    def test_matches_sequential_reference(self, p):
+    def test_matches_sequential_reference(self, p, helper):
         low, high = {1.0: (6, 6), 0.5: (1, 5), 0.0: (0, 0)}[p]
-        assert low <= self.run_beside_reference(p, 6) <= high
+        assert low <= self.run_beside_reference(helper, p, 6) <= high
 
-    def test_matches_sequential_reference_under_frequent_switches(self):
+    def test_matches_sequential_reference_under_frequent_switches(self, helper):
         """A 10 us switch interval hands the GIL back and forth between the
         fit and the draws many times per round; nothing changes."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            assert self.run_beside_reference(1.0, 3) == 3
+            assert self.run_beside_reference(helper, 1.0, 3) == 3
         finally:
             sys.setswitchinterval(interval)
 
-    def test_fit_failure_raised_exactly_when_the_round_proposes(self):
+    def test_fit_failure_raised_exactly_when_the_round_proposes(self, helper):
         """Raw targets of 1e200 overflow the signal variance: the fit fails
         every round, and the round raises only when ``u < p``."""
         init = BucketInit(mode="random", size=200)
@@ -472,7 +459,7 @@ class TestFitBesideSelection:
         outcomes = []
         for _ in range(8):
             try:
-                plan = live.run_round(feedback)
+                plan = live.run_round(feedback, helper=helper)
             except FitFailureError as exc:
                 assert threading.active_count() == threads
                 assert "signal variance" in str(exc)
@@ -487,7 +474,9 @@ class TestFitBesideSelection:
             feedback = []
         assert set(outcomes) == {"raised", "planned"}
 
-    def test_selection_error_joins_the_fit(self, monkeypatch):
+    def test_selection_error_leaves_the_fit_to_the_helper(self, monkeypatch, helper):
+        """The round raises with its fit still queued or running; the fit
+        finishes on the helper, and the round starts no thread."""
         def failing_select(*args, **kwargs):
             raise RuntimeError("selection failed")
 
@@ -495,7 +484,7 @@ class TestFitBesideSelection:
         monkeypatch.setattr(scheduler_module, "select", failing_select)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="selection failed"):
-            sched.run_round([batch_for(1, 0, 1)])
+            sched.run_round([batch_for(1, 0, 1)], helper=helper)
         assert threading.active_count() == threads
 
 
@@ -570,11 +559,11 @@ class TestIngest:
         agg = sched.record.aggregate(1, "x1")
         assert agg.mean == pytest.approx(0.02, rel=1e-9)
 
-    def test_non_finite_lifts_dropped_and_loop_continues(self):
+    def test_non_finite_lifts_dropped_and_loop_continues(self, helper):
         """Finite readings whose lift overflows are dropped like a zero
         control; the batch is not aborted and the next round selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)], helper=helper)
 
         def row(cid, metric, mean, ctrl_mean=100.0, ctrl_var=4.0):
             return Reading(cid, metric, 1, mean, 4.0, 1000, ctrl_mean, ctrl_var, 1000)
@@ -591,37 +580,37 @@ class TestIngest:
         ]
         assert sched.ingest(batches) == 2
         assert [(r.candidate_id, r.metric) for r in sched._raw_log[-2:]] == [(1, "x1"), (2, "x2")]
-        sched.run_round([])
+        sched.run_round([], helper=helper)
         assert sched.last_selection is not None
 
 
-    def test_running_sum_overflow_dropped_and_loop_continues(self):
+    def test_running_sum_overflow_dropped_and_loop_continues(self, helper):
         """A finite lift whose weighted variance overflows the running sum
         (test mean 1e153 over a control of 1.0) is dropped, and the next
         round still selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)], helper=helper)
         overflow = batch_for(1, 1, 2, lifts=(1e153 - 1.0, 0.01), base=1.0)
         assert sched.ingest([overflow, batch_for(2, 1, 2)]) == 3
         assert [(r.candidate_id, r.metric) for r in sched._raw_log[-3:]] == [
             (1, "x2"), (2, "x1"), (2, "x2"),
         ]
-        sched.run_round([])
+        sched.run_round([], helper=helper)
         assert sched.last_selection is not None
 
-    def test_aggregate_overflow_dropped_and_loop_continues(self):
+    def test_aggregate_overflow_dropped_and_loop_continues(self, helper):
         """Two hours of 10**154 users keep every running sum finite, but
         their squared weight sum overflows the aggregate: the second hour is
         dropped, and every later round still selects."""
         sched = make_sched(seed=3, select_count=10, proposal_samples=8)
-        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)])
+        sched.run_round([batch_for(cid, 0, 1) for cid in (1, 2, 3)], helper=helper)
         sched.idle()    # hour 2, so both hours below are past
         huge = [batch_for(1, rnd, 3, n=10**154) for rnd in (1, 2)]
         assert sched.ingest(huge) == 2  # round 1's rows, one per metric
         for metric in METRICS:
             assert sched.record.aggregate(1, metric).weight == 1e154 + 1000.0
         for _ in range(3):
-            sched.run_round([])
+            sched.run_round([], helper=helper)
             assert sched.last_selection is not None
 
 
@@ -699,14 +688,15 @@ class TestOneAbsorbPath:
 
 
 class TestPersistence:
-    def run_some_rounds(self, rounds=4, seed=3):
+    def run_some_rounds(self, helper, rounds=4, seed=3):
         sched = make_sched(seed=seed, proposal_prob=1.0, select_count=10, proposal_samples=8)
         for r in range(1, rounds + 1):
             sched.run_round(
                 [
                     batch_for(1, r - 1, r, lifts=(0.02, 0.01)),
                     batch_for(2, r - 1, r, lifts=(0.01, 0.03)),
-                ]
+                ],
+                helper=helper,
             )
         return sched
 
@@ -715,31 +705,31 @@ class TestPersistence:
             p.name: p.read_bytes() for p in sorted(Path(store_dir).iterdir())
         }
 
-    def test_persist_restore_persist_byte_identical(self, tmp_path):
+    def test_persist_restore_persist_byte_identical(self, tmp_path, helper):
         first = tmp_path / "a"
         second = tmp_path / "b"
-        sched = self.run_some_rounds()
+        sched = self.run_some_rounds(helper)
         sched.persist(str(first))
         restored = Scheduler.restore(str(first))
         restored.persist(str(second))
         assert self.read_all(first) == self.read_all(second)
 
-    def test_restore_continues_identically(self, tmp_path):
+    def test_restore_continues_identically(self, tmp_path, helper):
         batches = lambda r: [
             batch_for(1, r - 1, r, lifts=(0.02, 0.01)),
             batch_for(2, r - 1, r, lifts=(0.01, 0.03)),
         ]
         # uninterrupted run, 8 rounds
         full = make_sched(seed=9, proposal_prob=1.0, select_count=10, proposal_samples=8)
-        full_plans = [full.run_round(batches(r)) for r in range(1, 9)]
+        full_plans = [full.run_round(batches(r), helper=helper) for r in range(1, 9)]
 
         # interrupted at round 4
         half = make_sched(seed=9, proposal_prob=1.0, select_count=10, proposal_samples=8)
         for r in range(1, 5):
-            half.run_round(batches(r))
+            half.run_round(batches(r), helper=helper)
         half.persist(str(tmp_path / "ckpt"))
         resumed = Scheduler.restore(str(tmp_path / "ckpt"))
-        resumed_plans = [resumed.run_round(batches(r)) for r in range(5, 9)]
+        resumed_plans = [resumed.run_round(batches(r), helper=helper) for r in range(5, 9)]
         assert resumed_plans == full_plans[4:]
         assert tuple(hp.theta for hp in resumed.bucket) == tuple(
             hp.theta for hp in full.bucket
@@ -755,28 +745,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match="SchedulerConfig.proposal_prob: expected float"):
             SchedulerConfig(proposal_prob=True)
 
-    def test_missing_file_fails(self, tmp_path):
+    def test_missing_file_fails(self, tmp_path, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         (store / "metrics.csv").unlink()
         with pytest.raises(RestoreError):
             Scheduler.restore(str(store))
 
-    def test_corrupt_manifest_fails(self, tmp_path):
+    def test_corrupt_manifest_fails(self, tmp_path, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         (store / "manifest.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(RestoreError):
             Scheduler.restore(str(store))
 
-    def test_version_mismatch_fails(self, tmp_path):
+    def test_version_mismatch_fails(self, tmp_path, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
-        # Version 1 stored `exposed` and `next_id`; version 2 no table digests.
-        for version in (1, 2, 999):
+        # Version 1 stored `exposed` and `next_id`, version 2 no table
+        # digests and version 3 no seal.
+        for version in (1, 2, 3, 999):
             manifest["format_version"] = version
             (store / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            with pytest.raises(RestoreError, match="manifest.json: .*seal"):
+                Scheduler.restore(str(store))
+            reseal(store)
             with pytest.raises(RestoreError, match=f"version {version}"):
                 Scheduler.restore(str(store))
 
@@ -798,13 +792,16 @@ class TestPersistence:
             "partial-last-plan", "nan-plan-fraction",
         ],
     )
-    def test_malformed_manifest_fails(self, tmp_path, edit):
+    def test_malformed_manifest_fails(self, tmp_path, edit, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         path = store / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
         edit(manifest)
         path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(RestoreError, match="manifest.json: .*seal"):
+            Scheduler.restore(str(store))
+        reseal(store)
         with pytest.raises(RestoreError, match="manifest"):
             Scheduler.restore(str(store))
 
@@ -836,11 +833,11 @@ class TestPersistence:
             "unknown-id", "unknown-metric", "future-round",
         ],
     )
-    def test_malformed_metrics_row_fails(self, tmp_path, line, edit):
+    def test_malformed_metrics_row_fails(self, tmp_path, line, edit, helper):
         """``line`` is one line to edit, a tuple of lines (rows 1 and 5 are
         candidate 1's ``x1`` in rounds 0 and 1), or None to repeat row 1."""
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         path = store / "metrics.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         if line is None:
@@ -855,9 +852,9 @@ class TestPersistence:
         with pytest.raises(RestoreError, match="metrics.csv"):
             Scheduler.restore(str(store))
 
-    def test_truncated_hyperparams_row_fails(self, tmp_path):
+    def test_truncated_hyperparams_row_fails(self, tmp_path, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         path = store / "hyperparams.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].split(",")[0]
@@ -866,10 +863,10 @@ class TestPersistence:
         with pytest.raises(RestoreError, match="hyperparams.csv line 2"):
             Scheduler.restore(str(store))
 
-    def test_hyperparams_header_of_another_dimension_fails(self, tmp_path):
+    def test_hyperparams_header_of_another_dimension_fails(self, tmp_path, helper):
         """Each theta column of the header must be one of the problem's."""
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         path = store / "hyperparams.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "candidate_id,created_round,theta0,theta1"
@@ -879,14 +876,14 @@ class TestPersistence:
         with pytest.raises(RestoreError, match="hyperparams.csv: header"):
             Scheduler.restore(str(store))
 
-    def test_manifest_newer_than_the_bucket_fails(self, tmp_path):
+    def test_manifest_newer_than_the_bucket_fails(self, tmp_path, helper):
         """A crash after a proposing round's manifest and before its
         ``hyperparams.csv`` leaves a last plan that gives the newcomer
         traffic; restoring it would hand the newcomer's id out again."""
         old, new = tmp_path / "old", tmp_path / "new"
-        sched = self.run_some_rounds()
+        sched = self.run_some_rounds(helper)
         sched.persist(str(old))
-        sched.run_round([batch_for(1, 4, 5)])
+        sched.run_round([batch_for(1, 4, 5)], helper=helper)
         sched.persist(str(new))
         assert sched.bucket[-1].id in dict(sched.last_plan.assignments)
         (old / "manifest.json").write_bytes((new / "manifest.json").read_bytes())
@@ -917,11 +914,11 @@ class TestPersistence:
         writes = []
 
         def cut_short(write):
-            def spy(path, *args):
+            def spy(path, *args, **kwargs):
                 writes.append(path)
                 if len(writes) == cut + 1:
                     raise OSError("no space left on device")
-                write(path, *args)
+                write(path, *args, **kwargs)
 
             return spy
 
@@ -965,12 +962,12 @@ class TestPersistence:
             "created-after-the-round", "created-before-round-0", "empty-bucket",
         ],
     )
-    def test_unreachable_state_fails(self, tmp_path, name, edit):
+    def test_unreachable_state_fails(self, tmp_path, name, edit, helper):
         """States that no sequence of ``bootstrap``, ``run_round`` and
         ``idle`` reaches from a store at round 4; ``None`` empties the
         bucket, the readings and the last plan."""
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         manifest_path, bucket_path = store / "manifest.json", store / "hyperparams.csv"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         rows = [line.split(",") for line in bucket_path.read_text(encoding="utf-8").splitlines()]
@@ -996,18 +993,18 @@ class TestPersistence:
         ],
         ids=["not-utf8-header", "not-utf8-row", "oversized-cell"],
     )
-    def test_unreadable_table_fails(self, tmp_path, name, edit):
+    def test_unreadable_table_fails(self, tmp_path, name, edit, helper):
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         (store / name).write_bytes(edit((store / name).read_bytes()))
         reseal(store)
         with pytest.raises(RestoreError, match=name):
             Scheduler.restore(str(store))
 
-    def test_repeated_hyperparams_id_fails(self, tmp_path):
+    def test_repeated_hyperparams_id_fails(self, tmp_path, helper):
         """A second row for one id would silently replace the first's theta."""
         store = tmp_path / "s"
-        self.run_some_rounds().persist(str(store))
+        self.run_some_rounds(helper).persist(str(store))
         path = store / "hyperparams.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[2].startswith("2,")
@@ -1021,7 +1018,7 @@ class TestPersistence:
 @functools.cache
 def _persisted_store():
     """The files of a ``full`` run (seed 42, 20 candidates) persisted at
-    round 12, and the scheduler that wrote them."""
+    round 11, and the scheduler that wrote them."""
     run = SingleRun(42, ExperimentConfig(variant="full", seeds=(42,), bucket_size=20))
     run.run_to(12)
     with tempfile.TemporaryDirectory() as tmp:
@@ -1047,19 +1044,22 @@ def _restored_equals(restored, sched):
 
 @st.composite
 def corruptions(draw):
-    """One table of the persisted store and its bytes after one of five
-    corruptions: cut at any byte, a line deleted, duplicated or swapped
-    with another, or one character changed."""
+    """One file of the persisted store and its bytes after one of five
+    corruptions: cut at any byte, one character changed, or, in a table, a
+    line deleted, duplicated or swapped with another."""
     files, _ = _persisted_store()
-    name = draw(st.sampled_from(["hyperparams.csv", "metrics.csv"]))
+    name = draw(st.sampled_from(["hyperparams.csv", "metrics.csv", "manifest.json"]))
     data = files[name]
     lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["cut", "delete", "duplicate", "swap", "change"]))
+    kinds = ["cut", "change"] if name == "manifest.json" else [
+        "cut", "delete", "duplicate", "swap", "change",
+    ]
+    kind = draw(st.sampled_from(kinds))
     if kind == "cut":
         return name, data[: draw(st.integers(0, len(data) - 1))]
     if kind == "change":
         at = draw(st.integers(0, len(data) - 1))
-        char = draw(st.sampled_from(b"0123456789.,-e\nx").filter(lambda c: c != data[at]))
+        char = draw(st.sampled_from(b'0123456789.,-e\nx": ').filter(lambda c: c != data[at]))
         return name, data[:at] + bytes([char]) + data[at + 1 :]
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "delete":
@@ -1073,9 +1073,34 @@ def corruptions(draw):
 
 
 class TestTornStore:
-    """Restore parses a table only once its bytes are the ones the manifest
-    records, so a table cut short or edited is refused, never restored with
-    fewer rows or a changed reading."""
+    """Restore decodes the manifest only once its seal holds, and parses a
+    table only once its bytes are the ones the manifest records, so a file
+    cut short or edited is refused, never restored with another round, fewer
+    rows or a changed reading."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(round=12),
+            lambda m: m["rng_state"]["state"].update(state=m["rng_state"]["state"]["state"] + 1),
+            lambda m: m.pop("sha256"),
+        ],
+        ids=["round", "generator-state", "unsealed"],
+    )
+    def test_an_edited_manifest_fails(self, tmp_path, edit):
+        """A manifest dated an hour later, or with another generator state,
+        is valid JSON of the right types, and a manifest without its seal is
+        what format 3 wrote; restore refuses all three by the seal alone."""
+        files, sched = _persisted_store()
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        assert Scheduler.restore(str(tmp_path)).round == sched.round == 11
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(RestoreError, match="manifest.json: .*seal"):
+            Scheduler.restore(str(tmp_path))
 
     @pytest.mark.parametrize("name", ["hyperparams.csv", "metrics.csv"])
     @pytest.mark.parametrize(
@@ -1112,7 +1137,7 @@ class TestTornStore:
 class TestRawReplay:
     """The store keeps the raw readings only; restore replays them."""
 
-    def run_with_degenerate_row(self, normalization):
+    def run_with_degenerate_row(self, helper, normalization):
         sched = make_sched(
             seed=4, select_count=10, proposal_samples=8, normalization=normalization
         )
@@ -1123,7 +1148,7 @@ class TestRawReplay:
             ]
             if r >= 3:  # late arrivals, out of origin order
                 batches.append(batch_for(3, r - 3, r, lifts=(0.1 / r, 0.03), n=900))
-            sched.run_round(batches)
+            sched.run_round(batches, helper=helper)
         absorbed = sched.ingest([batch_for(4, 2, 6, base=0.0)])
         assert absorbed == (2 if normalization == "raw" else 0)
         return sched
@@ -1137,8 +1162,8 @@ class TestRawReplay:
                 )
 
     @pytest.mark.parametrize("normalization", ["delta", "raw"])
-    def test_restored_record_equals_live(self, tmp_path, normalization):
-        live = self.run_with_degenerate_row(normalization)
+    def test_restored_record_equals_live(self, tmp_path, normalization, helper):
+        live = self.run_with_degenerate_row(helper, normalization)
         live.persist(str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "hyperparams.csv", "manifest.json", "metrics.csv",
@@ -1152,8 +1177,8 @@ class TestRawReplay:
         self.assert_same_record(live, restored)
         assert (restored.record.aggregate(4, "x1") is not None) == (normalization == "raw")
 
-    def test_legacy_derived_tables_are_ignored(self, tmp_path):
-        live = self.run_with_degenerate_row("delta")
+    def test_legacy_derived_tables_are_ignored(self, tmp_path, helper):
+        live = self.run_with_degenerate_row(helper, "delta")
         live.persist(str(tmp_path))
         # Stores written before the derived tables were dropped carry them
         # too; nothing reads them.
@@ -1176,15 +1201,17 @@ class TestFrozenStore:
     # tables hash as they did while the store still wrote the derived hourly
     # and aggregate tables, and as their concatenation with manifest format
     # 2 recorded (a0249f22… for `full`, a1672f8f… for `raw-metric`).  Only
-    # the manifest was re-recorded, when format 3 added the tables' digests.
+    # the manifest was re-recorded: when format 3 added the tables' digests,
+    # and when format 4 added its seal (format 3's were 920f945f… for
+    # `full` and 05839b12… for `raw-metric`).
     DIGESTS = {
         "full": {
-            "manifest.json": "920f945ffd208362bec6f14f320909a062ad8409ac542e6e23b8ce1e72970c7b",
+            "manifest.json": "bb3b7d0c9ab5bd135f8664fb8a260efcdd8a2f1ba74a3dbac40b184731b1c6ee",
             "hyperparams.csv": "a17c92be5b70fb75f102dfc94d416fc13f7b65a16f3c6924e6bf911926722097",
             "metrics.csv": "6af83699b9b3b83f6a8c50d8784c6761a249a6eda08b78aff7b78f42b468f14f",
         },
         "raw-metric": {
-            "manifest.json": "05839b12a9233877a6c85da8d3d9e6c1257f1921a526a9a9ddda634d8e06c8dd",
+            "manifest.json": "8564d62b5f34aea1ff02c278aeb64fa04d44727e9dc1c9580606ffa9166c2ca2",
             "hyperparams.csv": "95b7e492c2047416990245589202095cc312848f9bfd8bab617f7597a32e4448",
             "metrics.csv": "eec824b2abc41d3db8d025178c879aebbc62c67e24488295cb38bac8e4b8f89e",
         },
