@@ -46,12 +46,11 @@ helper has not started while it is busy with an earlier one is claimed by
 work it could do itself (Blumofe & Leiserson, "Scheduling Multithreaded
 Computations by Work Stealing", JACM 1999).  A run has one:
 ``harness.SingleRun.run_to`` opens it for all the rounds it runs and passes
-it to each, and a decided round passes it on to each call that uses it:
-the scheduler submits the GP fit first, ``optimizer.select`` then the
-scoring of each block of Thompson draws, and the prediction the second half
-of its queries and its variance solves.  A round takes every result it
-uses before it returns; a fit it does not use finishes on the helper after
-it, ahead of the next round's calls.
+it to each, and a decided round gives it two jobs: the scheduler submits
+the GP fit first, and ``optimizer.select`` then the scoring of each block
+of Thompson draws.  A round takes every result it uses before it returns;
+a fit it does not use finishes on the helper after it, ahead of the next
+round's calls.
 
 The two table modules are loaded straight from their files in scipy's
 ``linalg`` directory, after ``import scipy`` has set up the bundled
@@ -70,14 +69,15 @@ A prediction gives every query's posterior mean, an upper bound on each
 latent variance, and the exact variance only of the rows a caller asks for,
 since a decision that needs the exact variance of a few queries should not
 pay for all of them.  It keeps no ``(q, n)`` kernel: each tile's rows get
-their means and bounds while the tile is in cache.  It uses two cores: the
-helper takes the second half of the queries while the caller takes the
-first; ``Prediction.variance`` then solves every metric past the first, if
-any, on the helper while the caller solves metric 0.  Every kernel entry is
-elementwise, the halves and tiles keep the row groups of BLAS's ``dgemv``
-(``_scaled_kernels``), and each metric's solve reads only its own factor and
-kernel, so each output entry goes through the same operations in the same
-order as on one thread, and the bits are the same.
+their means and bounds while the tile is in cache, so one set of tile
+buffers serves every query.  The prediction and its variance solves run on
+the caller alone, one path for every bucket size: on two threads their
+numpy calls of about 10 us each contend for the GIL, which only a large
+bucket's GIL-free BLAS calls make up for (README, Performance).  Every
+kernel entry is elementwise and the tiles keep the row groups of BLAS's
+``dgemv`` (``_scaled_kernels``), so each mean has the bits of the whole
+``(q, n)`` kernel's product on one BLAS thread; each metric's solve reads
+only its own factor and kernel.
 
 Each length scale is an exact order statistic of a sorted matrix: the
 pairwise gaps of a dimension's sorted coordinates grow along rows and
@@ -453,16 +453,16 @@ def _scaled_kernels(
     they are in cache.
 
     A tile is a multiple of 4 rows tall, at least 4, except the last, and a
-    lone last row joins the tile before it.  So when ``x1``'s rows start at
-    a multiple of 4 of a larger block, every tile does too, and no tile is
-    one row unless ``x1`` is.  Under that rule ``tile @ v`` gives the rows
-    of the block's whole product bit for bit: OpenBLAS's ``dgemv``, which
-    numpy's ``@`` calls, takes rows in groups of four and then the rest one
-    at a time, each with its own order of operations, and numpy takes a
-    one-row product to yet another routine.  A product of 460,800 entries
-    or more (OpenBLAS's threshold) is split across BLAS threads, each part
-    grouped from its own first row; no tile comes near it, so a tile's rows
-    get the bits of the whole product on one BLAS thread.
+    lone last row joins the tile before it.  So every tile starts at a
+    multiple of 4, and no tile is one row unless ``x1`` is.  Under that rule
+    ``tile @ v`` gives the rows of the whole product bit for bit: OpenBLAS's
+    ``dgemv``, which numpy's ``@`` calls, takes rows in groups of four and
+    then the rest one at a time, each with its own order of operations, and
+    numpy takes a one-row product to yet another routine.  A product of
+    460,800 entries or more (OpenBLAS's threshold) is split across BLAS
+    threads, each part grouped from its own first row; no tile comes near
+    it, so a tile's rows get the bits of the whole product on one BLAS
+    thread.
     """
     n1, n2 = x1.shape[0], x2.shape[0]
     # Four rows at least and a joined last row, and never more than x1 holds.
@@ -523,7 +523,7 @@ class GpSurrogate:
     Build one with :meth:`fit`; instances are immutable and prediction is a
     pure function of the fitted state, so repeated calls are bitwise
     reproducible.  Neither touches shared state, so a fit may run on a
-    helper thread, and a prediction runs on the caller and a helper.
+    helper thread while its caller draws; a prediction runs on its caller.
     """
 
     def __init__(
@@ -645,19 +645,16 @@ class GpSurrogate:
         if np.any(thetas < self._lo) or np.any(thetas > self._hi):
             raise RejectedInputError("query outside the fitted bounds box")
 
-    def predict_batch(self, thetas: np.ndarray, *, helper: Helper) -> "Prediction":
+    def predict_batch(self, thetas: np.ndarray) -> "Prediction":
         """Posterior means at query points, and a bound on each latent variance.
 
         The ``Prediction`` holds ``mu`` and ``bound`` of shape ``(q, M)``;
         its ``variance`` gives the exact latent variances of the rows asked
-        for.  The query rows, split in two halves, run on the caller and on
-        ``helper``.  Each kernel tile gives its rows' means, ``tile @
-        alpha``, and bounds while it is in cache, and is then overwritten,
-        so no ``(q, n)`` kernel is made.  The halves split at a multiple of
-        4, and not at all when the second would have fewer than 4 rows, so
-        every tile keeps ``_scaled_kernels``'s rule: each mean has the bits
-        of ``kq @ alpha`` over the whole ``(q, n)`` kernel on one BLAS
-        thread, and each bound those of its formula over it.
+        for.  Each kernel tile gives its rows' means, ``tile @ alpha``, and
+        bounds while it is in cache, and is then overwritten, so no ``(q,
+        n)`` kernel is made.  The tiles keep ``_scaled_kernels``'s rule: each
+        mean has the bits of ``kq @ alpha`` over the whole ``(q, n)`` kernel
+        on one BLAS thread, and each bound those of its formula over it.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -672,52 +669,33 @@ class GpSurrogate:
         bound = np.empty((q, self.n_metrics))
         shrink = 1.0 - _BOUND_C * n * (np.finfo(float).eps / 2)        # 1 - c n u
 
-        def predict_rows(rows: slice) -> None:
-            means, caps = mu[rows], bound[rows]
+        def take_tile(tile: slice, kqs: list[np.ndarray]) -> None:
+            for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
+                mu[tile, k] = kq @ gk.alpha
+                kq *= gk.row_scale
+                top = np.max(kq, axis=1)                                # max_j kq / sqrt(K_jj)
+                bound[tile, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
 
-            def take_tile(tile: slice, kqs: list[np.ndarray]) -> None:
-                for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
-                    means[tile, k] = kq @ gk.alpha
-                    kq *= gk.row_scale
-                    top = np.max(kq, axis=1)                            # max_j kq / sqrt(K_jj)
-                    caps[tile, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
-
-            _scaled_kernels(xq[rows], self._x, self._ls, scales, each_tile=take_tile)
-
-        h = (q + 7) // 8 * 4
-        if q - h < 4:
-            h = q
-        upper = helper.submit(predict_rows, slice(h, None))
-        predict_rows(slice(h))
-        upper.result()
+        _scaled_kernels(xq, self._x, self._ls, scales, each_tile=take_tile)
         return Prediction(mu=mu, bound=bound, _xq=xq, _gp=self)
 
-    def _variance(self, xq: np.ndarray, helper: Helper) -> np.ndarray:
+    def _variance(self, xq: np.ndarray) -> np.ndarray:
         """Latent variances at the normalized queries ``xq``, ``(r, M)``.
 
         Their kernel rows are built again, entry for entry as
         ``predict_batch`` built them, since a prediction keeps none.  Each
-        metric's goes through one ``dtrsm``, a square and a column sum,
-        clamped at zero; metric 0 is solved on the caller and the rest on
-        ``helper``.  Over all queries the bits are those of one solve over
-        every query.
+        metric's goes through one ``dtrsm`` with its own factor, a square
+        and a column sum, clamped at zero.
         """
         n, r = self._x.shape[0], xq.shape[0]
         scales = [gk.signal_var for gk in self._gps]
         ws = [np.empty((n, r), order="F") for _ in self._gps]                # (n, r)
         _scaled_kernels(xq, self._x, self._ls, scales, [w.T for w in ws])
         var = np.empty((r, self.n_metrics))
-
-        def solve(metrics: range) -> None:
-            for k in metrics:
-                gk, w = self._gps[k], ws[k]
-                _trsm(gk.chol, w)
-                np.square(w, out=w)
-                var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
-
-        rest = helper.submit(solve, range(1, self.n_metrics))
-        solve(range(1))
-        rest.result()
+        for k, (gk, w) in enumerate(zip(self._gps, ws)):
+            _trsm(gk.chol, w)
+            np.square(w, out=w)
+            var[:, k] = np.maximum(gk.signal_var - np.sum(w, axis=0), 0.0)
         return var
 
 
@@ -757,6 +735,6 @@ class Prediction:
     _xq: np.ndarray        # normalized queries
     _gp: GpSurrogate
 
-    def variance(self, rows: np.ndarray, *, helper: Helper) -> np.ndarray:
+    def variance(self, rows: np.ndarray) -> np.ndarray:
         """Exact latent variances of the integer ``rows``, ``(len(rows), M)``."""
-        return self._gp._variance(self._xq[np.asarray(rows, dtype=np.intp)], helper)
+        return self._gp._variance(self._xq[np.asarray(rows, dtype=np.intp)])

@@ -353,7 +353,7 @@ class SingleRun:
         raises ValueError.
 
         The call opens one ``gp.Helper`` thread that every decided round
-        runs its fit, scoring and prediction on, and joins it before it
+        runs its GP fit and selection scoring on, and joins it before it
         returns or raises, so no thread outlives it.
         """
         upto = codec.count(upto, "upto")

@@ -38,7 +38,8 @@ their values at two corners of that box.  The exact variance is solved only
 for the samples that can still change the outcome: those whose worst slack
 may be either sign, and those that may still win; every other sample keeps
 its bound, and the winner and feasible count are those of scoring every
-sample with its exact variance.
+sample with its exact variance.  Proposal takes no helper: the prediction,
+the variance solves and the scoring all run on the caller.
 """
 
 from __future__ import annotations
@@ -249,8 +250,6 @@ def propose(
     n_samples: int,
     rng: np.random.Generator,
     new_id: int,
-    *,
-    helper: Helper,
 ) -> ProposalResult:
     """Pick one new configuration from N uniform samples scored by the surrogate.
 
@@ -258,8 +257,7 @@ def propose(
     predicted belief and a single Thompson draw; the feasible draw with the
     highest objective wins (fallback: largest worst-constraint slack).  The
     returned candidate carries ``new_id``, which must be unused.  Only the
-    samples ``_contenders`` names get their exact variance; the prediction
-    and that solve share their work with ``helper``.
+    samples ``_contenders`` names get their exact variance.
     """
     if not isinstance(surrogate, GpSurrogate):
         raise RejectedSurrogateError("proposal requires a fitted surrogate")
@@ -269,12 +267,12 @@ def propose(
     lo, hi = np.array(bounds).T
 
     thetas = rng.uniform(lo, hi, size=(n_samples, lo.shape[0]))
-    prediction = surrogate.predict_batch(thetas, helper=helper)
+    prediction = surrogate.predict_batch(thetas)
     mu = prediction.mu
     draws = rng.standard_normal((1,) + mu.shape)                # (1, N, M)
     rows = _contenders(draws, mu, prediction.bound, problem)
     var = prediction.bound.copy()
-    var[rows] = prediction.variance(rows, helper=helper)
+    var[rows] = prediction.variance(rows)
     winner, _, feasible_count = _thompson_winners(draws, mu, np.sqrt(var), problem)
     proposed = HyperParam(
         id=int(new_id), theta=tuple(thetas[winner[0]]), bounds=bounds

@@ -12,18 +12,16 @@ advances the one clock without drawing, so a plan's ``round`` is its hour.
 A round that draws runs on the ``gp.Helper`` thread its caller passes it
 (``harness.SingleRun.run_to`` opens one for all the rounds it runs); idle
 hours and rounds without data leave it alone, and the scheduler starts no
-thread: ``select``, ``propose``, ``predict_batch`` and
-``Prediction.variance`` each run on the helper the round passes them.  The
-GP fit needs only the beliefs the selection reads, not its draws, so the
-helper's work is, in order: the fit, then the scoring of each block of
-Thompson draws that the caller has not claimed, then the prediction's second
-half of the samples and the variance solves of those the proposal needs.
-The caller keeps the generator: it draws every selection block, ``u``, and
-the proposal's samples and draws, in the one-thread order (select, draw
-``u``, then fit and propose), so the random stream and every result are that
-order's.  The fit's result, and its error, are taken only in a round that
-proposes; in one that does not, the fit finishes on the helper after the
-round returns.
+thread.  The GP fit needs only the beliefs the selection reads, not its
+draws, so the helper's work is, in order: the fit, then the scoring of each
+block of Thompson draws that the caller has not claimed, which ``select``
+submits to the helper the round passes it.  ``propose``, with its
+prediction and variance solves, runs on the caller.  The caller keeps the
+generator: it draws every selection block, ``u``, and the proposal's
+samples and draws, in the one-thread order (select, draw ``u``, then fit
+and propose), so the random stream and every result are that order's.  The
+fit's result, and its error, are taken only in a round that proposes; in
+one that does not, the fit finishes on the helper after the round returns.
 
 All state round-trips through a store directory so a run can be stopped and
 resumed exactly; the scheduler writes it only when its caller calls
@@ -269,9 +267,9 @@ def _replay(
 class Scheduler:
     """Owns the bucket, the estimate record, the rng stream, and the round loop.
 
-    A scheduler is driven from one thread.  ``run_round`` runs the GP fit,
-    the selection's scoring and the prediction on the helper thread it is
-    given, and starts none of its own.
+    A scheduler is driven from one thread.  ``run_round`` runs the GP fit
+    and the selection's scoring on the helper thread it is given, and starts
+    none of its own; the proposal's prediction runs on the caller.
 
     A scheduler is born with hour 0's plan and always has a plan in force;
     construction refuses a state that no sequence of ``bootstrap``,
@@ -460,7 +458,6 @@ class Scheduler:
                     cfg.proposal_samples,
                     self.rng,
                     new_id=self.next_id,
-                    helper=helper,
                 )
                 newcomer = prop.proposed
                 self._bucket[newcomer.id] = newcomer

@@ -118,7 +118,9 @@ def required_layers():
 def test_a_traced_live_run_records_every_required_layer():
     """The traced bench fails a run with no span for a layer it requires; a
     refactor that stops calling a wrapped name (say, ``predict_batch``)
-    fails here instead."""
+    fails here instead.  The wrapper counts a prediction's queries from the
+    argument after ``self``, so every proposal's samples must reach it
+    there."""
     spans = load_bench("spans")
     workloads = load_bench("workloads")
     tracer = spans.Tracer(recording=True)
@@ -134,3 +136,5 @@ def test_a_traced_live_run_records_every_required_layer():
     layers = required_layers()
     assert "gp.predict" in layers
     assert [layer for layer in layers if layer not in tracer.layer_times()] == []
+    counts = tracer.counts
+    assert counts["gp.predict.queries"] == counts["optimizer.propose.sampled"] > 0

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, cython_blas, cython_lapack, solve_triangular
 
@@ -30,10 +30,10 @@ def hp(i, theta, bounds=BOUNDS):
     return HyperParam(id=i, theta=theta, bounds=bounds)
 
 
-def predict(gp, queries, helper):
+def predict(gp, queries):
     """Every query's mean and exact latent variance: ``variance`` of all rows."""
-    prediction = gp.predict_batch(queries, helper=helper)
-    return prediction.mu, prediction.variance(np.arange(len(prediction.mu)), helper=helper)
+    prediction = gp.predict_batch(queries)
+    return prediction.mu, prediction.variance(np.arange(len(prediction.mu)))
 
 
 def column(values):
@@ -42,38 +42,38 @@ def column(values):
 
 
 class TestFitAndPredict:
-    def test_single_noiseless_point_interpolates(self, helper):
+    def test_single_noiseless_point_interpolates(self):
         bucket = [hp(1, (0.3, 0.7))]
         gp = GpSurrogate.fit(bucket, column([0.05]), column([0.0]))
-        mu, var = predict(gp, np.array([(0.3, 0.7)]), helper)
+        mu, var = predict(gp, np.array([(0.3, 0.7)]))
         assert mu[0, 0] == pytest.approx(0.05, abs=1e-6)
         assert var[0, 0] <= BASE_JITTER * 1.01
 
-    def test_interpolation_on_well_separated_grid(self, helper):
+    def test_interpolation_on_well_separated_grid(self):
         pts = [(a, b) for a in (0.1, 0.5, 0.9) for b in (0.1, 0.5, 0.9)]
         bucket = [hp(i + 1, p) for i, p in enumerate(pts)]
         targets = [0.02 * (i - 4) for i in range(len(pts))]
         gp = GpSurrogate.fit(bucket, column(targets), column([0.0] * len(targets)))
-        mu, var = predict(gp, np.array(pts), helper)
+        mu, var = predict(gp, np.array(pts))
         np.testing.assert_allclose(mu[:, 0], targets, atol=1e-6)
         assert np.all(var >= 0.0)
 
-    def test_far_field_reverts_to_prior(self, helper):
+    def test_far_field_reverts_to_prior(self):
         big = ((0.0, 1000.0), (0.0, 1000.0))
         bucket = [hp(1, (1.0, 1.0), big), hp(2, (2.0, 2.0), big)]
         gp = GpSurrogate.fit(bucket, column([0.04, 0.06]), column([0.0, 0.0]))
         s2 = gp.signal_var(0)
-        mu, var = predict(gp, np.array([(900.0, 900.0)]), helper)
+        mu, var = predict(gp, np.array([(900.0, 900.0)]))
         assert abs(mu[0, 0]) < 1e-6
         assert abs(var[0, 0] - s2) < 1e-6
 
-    def test_symmetric_targets_cancel_at_midpoint(self, helper):
+    def test_symmetric_targets_cancel_at_midpoint(self):
         bucket = [hp(1, (0.2, 0.5)), hp(2, (0.8, 0.5))]
         gp = GpSurrogate.fit(bucket, column([0.03, -0.03]), column([0.0, 0.0]))
-        mu, _ = predict(gp, np.array([(0.5, 0.5)]), helper)
+        mu, _ = predict(gp, np.array([(0.5, 0.5)]))
         assert abs(mu[0, 0]) < 1e-9
 
-    def test_linear_ground_truth_within_hull(self, helper):
+    def test_linear_ground_truth_within_hull(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(0.0, 1.0, size=(20, 2))
         truth = lambda p: 0.1 + 0.05 * p[0] + 0.03 * p[1]
@@ -83,10 +83,10 @@ class TestFitAndPredict:
         centroid = pts.mean(axis=0)
         queries = [centroid] + [0.5 * centroid + 0.5 * p for p in pts[:5]]
         for q in queries:
-            mu, _ = predict(gp, np.array([q]), helper)
+            mu, _ = predict(gp, np.array([q]))
             assert mu[0, 0] == pytest.approx(truth(q), rel=0.02)
 
-    def test_variance_bounds_at_random_queries(self, helper):
+    def test_variance_bounds_at_random_queries(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.0, 1.0, size=(15, 2))
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
@@ -94,11 +94,11 @@ class TestFitAndPredict:
         mu, var = (column(v) for v in zip(*draws))
         gp = GpSurrogate.fit(bucket, mu, var)
         queries = rng.uniform(0.0, 1.0, size=(1000, 2))
-        _, var = predict(gp, queries, helper)
+        _, var = predict(gp, queries)
         assert np.all(var >= 0.0)
         assert np.all(var <= gp.signal_var(0) + 1e-4 + 1e-12)
 
-    def test_submodularity_of_noiseless_observations(self, monkeypatch, helper):
+    def test_submodularity_of_noiseless_observations(self, monkeypatch):
         """Extra data never increases predictive variance (fixed kernel).
 
         The length scales are pinned, and the tenth target is the root mean
@@ -115,11 +115,11 @@ class TestFitAndPredict:
         full = GpSurrogate.fit(bucket, mu, var)
         assert small.signal_var(0) == full.signal_var(0)
         queries = rng.uniform(0.0, 1.0, size=(100, 2))
-        _, var_small = predict(small, queries, helper)
-        _, var_full = predict(full, queries, helper)
+        _, var_small = predict(small, queries)
+        _, var_full = predict(full, queries)
         assert np.all(var_full <= var_small + 1e-10)
 
-    def test_per_metric_independence(self, helper):
+    def test_per_metric_independence(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(0.0, 1.0, size=(8, 2))
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
@@ -129,47 +129,47 @@ class TestFitAndPredict:
         gp_a = GpSurrogate.fit(bucket, np.column_stack([y1, y2]), var)
         gp_b = GpSurrogate.fit(bucket, np.column_stack([y1, y2[::-1]]), var)
         queries = rng.uniform(0.0, 1.0, size=(50, 2))
-        mu_a, var_a = predict(gp_a, queries, helper)
-        mu_b, var_b = predict(gp_b, queries, helper)
+        mu_a, var_a = predict(gp_a, queries)
+        mu_b, var_b = predict(gp_b, queries)
         np.testing.assert_array_equal(mu_a[:, 0], mu_b[:, 0])
         np.testing.assert_array_equal(var_a[:, 0], var_b[:, 0])
 
-    def test_fit_predict_deterministic(self, helper):
+    def test_fit_predict_deterministic(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(0.0, 1.0, size=(12, 2))
         bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(pts)]
         mu = np.array([[rng.normal(0, 0.05), rng.normal(0, 0.02)] for _ in range(12)])
         var = np.full((12, 2), 1e-5)
         queries = rng.uniform(0.0, 1.0, size=(20, 2))
-        a = predict(GpSurrogate.fit(bucket, mu, var), queries, helper)
-        b = predict(GpSurrogate.fit(bucket, mu, var), queries, helper)
+        a = predict(GpSurrogate.fit(bucket, mu, var), queries)
+        b = predict(GpSurrogate.fit(bucket, mu, var), queries)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_contradictory_duplicates_absorbed(self, helper):
+    def test_contradictory_duplicates_absorbed(self):
         bucket = [hp(1, (0.5, 0.5)), hp(2, (0.5, 0.5))]
         gp = GpSurrogate.fit(bucket, column([0.1, -0.1]), column([1e-4, 1e-4]))
-        mu, _ = predict(gp, np.array([(0.5, 0.5)]), helper)
+        mu, _ = predict(gp, np.array([(0.5, 0.5)]))
         assert np.isfinite(mu[0, 0])
         assert abs(mu[0, 0]) < 0.1  # shrinks toward the prior between the two
 
-    def test_out_of_bounds_query_rejected(self, helper):
+    def test_out_of_bounds_query_rejected(self):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
-            gp.predict_batch(np.array([(1.5, 0.5)]), helper=helper)
+            gp.predict_batch(np.array([(1.5, 0.5)]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_query_rejected(self, bad, helper):
+    def test_non_finite_query_rejected(self, bad):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
-            gp.predict_batch(np.array([(bad, 0.5)]), helper=helper)
+            gp.predict_batch(np.array([(bad, 0.5)]))
         with pytest.raises(RejectedInputError):
-            gp.predict_batch(np.array([[0.5, 0.5], [0.5, bad]]), helper=helper)
+            gp.predict_batch(np.array([[0.5, 0.5], [0.5, bad]]))
 
-    def test_wrong_dimension_query_rejected(self, helper):
+    def test_wrong_dimension_query_rejected(self):
         gp = GpSurrogate.fit([hp(1, (0.5, 0.5))], column([0.05]), column([0.0]))
         with pytest.raises(RejectedInputError):
-            gp.predict_batch(np.zeros((3, 5)), helper=helper)
+            gp.predict_batch(np.zeros((3, 5)))
 
     def test_empty_bucket_rejected(self):
         with pytest.raises(ValueError):
@@ -204,11 +204,11 @@ class TestFitAndPredict:
                 column([0.0, 0.0]),
             )
 
-    def test_jitter_escalation_fits_hard_duplicates(self, helper):
+    def test_jitter_escalation_fits_hard_duplicates(self):
         """Many exact duplicates with zero noise still factorize."""
         bucket = [hp(i + 1, (0.5, 0.5)) for i in range(30)]
         gp = GpSurrogate.fit(bucket, column([0.05] * 30), column([0.0] * 30))
-        mu, _ = predict(gp, np.array([(0.5, 0.5)]), helper)
+        mu, _ = predict(gp, np.array([(0.5, 0.5)]))
         assert mu[0, 0] == pytest.approx(0.05, rel=1e-3)
 
     @pytest.mark.parametrize(
@@ -261,10 +261,10 @@ class TestFitAndPredict:
         assert peak < 2.25 * n * n * 8
 
 
-def _assert_matches_reference(thetas, bounds, mus, noises, queries, helper):
+def _assert_matches_reference(thetas, bounds, mus, noises, queries):
     bucket = [hp(i + 1, tuple(t), bounds) for i, t in enumerate(thetas)]
     gp = GpSurrogate.fit(bucket, mus, noises)
-    mu, var = predict(gp, queries, helper)
+    mu, var = predict(gp, queries)
     ref = spec.Surrogate(bucket, mus, noises)
     ref_mu, ref_var = ref.predict(queries)
     assert np.array_equal(mu, ref_mu)
@@ -284,7 +284,7 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 777, 1030])
-    def test_matches_reference(self, d, n, helper):
+    def test_matches_reference(self, d, n):
         rng = np.random.default_rng(100 * d + n)
         bounds = tuple((-1.0 + k, 2.0 + 3.0 * k) for k in range(d))
         lo = np.array([b[0] for b in bounds])
@@ -294,9 +294,9 @@ class TestBitwiseReference:
         noises = rng.uniform(0.0, 1e-4, size=(n, 3))
         noises[::4] = 0.0
         queries = rng.uniform(lo, hi, size=(200, d))
-        _assert_matches_reference(thetas, bounds, mus, noises, queries, helper)
+        _assert_matches_reference(thetas, bounds, mus, noises, queries)
 
-    def test_duplicates_escalate_jitter_identically(self, helper):
+    def test_duplicates_escalate_jitter_identically(self):
         """20 exact duplicates, noiseless; metric 0's targets are large enough
         (signal variance ~1e10) that the base jitter cannot factorize it."""
         rng = np.random.default_rng(7)
@@ -307,11 +307,11 @@ class TestBitwiseReference:
         )
         noises = np.zeros((30, 2))
         queries = rng.uniform(0.0, 1.0, size=(50, 2))
-        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries, helper)
+        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
         assert gp.jitter(0) > BASE_JITTER
         assert gp.jitter(1) == BASE_JITTER
 
-    def test_multi_tile_duplicates_rebuild_the_triangle_identically(self, helper):
+    def test_multi_tile_duplicates_rebuild_the_triangle_identically(self):
         """300 exact duplicates among 800 points, noiseless: each of metric
         0's failed factorizations (signal variance ~1e8) overwrites its
         multi-tile triangle, which is rebuilt up to the jitter cap."""
@@ -323,7 +323,7 @@ class TestBitwiseReference:
         )
         noises = np.zeros((800, 2))
         queries = rng.uniform(0.0, 1.0, size=(50, 2))
-        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries, helper)
+        gp = _assert_matches_reference(thetas, BOUNDS, mus, noises, queries)
         assert gp.jitter(0) == pytest.approx(MAX_JITTER)
         assert gp.jitter(1) == BASE_JITTER
 
@@ -546,72 +546,66 @@ class TestMedianReference:
         assert len(calls) > 6
 
 
-def _fitted(n, n_metrics, seed):
-    """A surrogate over ``n`` random points of the unit square."""
+def _drawn(n, n_metrics, seed):
+    """A bucket of ``n`` random points of the unit square, its targets and
+    noises, and the generator that drew them."""
     rng = np.random.default_rng(seed)
     bucket = [hp(i + 1, tuple(p)) for i, p in enumerate(rng.uniform(size=(n, 2)))]
     mus = rng.normal(0.0, 0.05, size=(n, n_metrics))
     noises = rng.uniform(0.0, 1e-4, size=(n, n_metrics))
+    return bucket, mus, noises, rng
+
+
+def _fitted(n, n_metrics, seed):
+    """A surrogate over ``n`` random points of the unit square."""
+    bucket, mus, noises, rng = _drawn(n, n_metrics, seed)
     return GpSurrogate.fit(bucket, mus, noises), rng
 
 
-def _record_submits(monkeypatch):
-    """Record the thread that runs each call a prediction hands to a helper."""
-    threads = []
-    submit = gp_module.Helper.submit
-
-    def spy(self, fn, *args):
-        def call(*call_args):
-            threads.append(threading.current_thread())
-            return fn(*call_args)
-
-        return submit(self, call, *args)
-
-    monkeypatch.setattr(gp_module.Helper, "submit", spy)
-    return threads
-
-
 @pytest.mark.bitwise
-class TestTwoThreadPredict:
-    """The kernel rows and their bounds are built in two halves and the
-    metrics' variances solved on two threads; the bits are those of the same
-    calls all run on the caller, by a helper that is busy, so the caller
-    claims them.  Odd ``q`` splits the rows unevenly, and with one metric
-    the helper's solve is empty."""
+class TestOneThreadPredict:
+    """A prediction and its variances start no thread, and give the spec's
+    bits at query counts below one 4-row group and around a tile's edge."""
 
     @pytest.mark.parametrize("n_metrics", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
-    def test_split_matches_one_thread(self, monkeypatch, helper, busy_helper, n, n_metrics):
-        gp, rng = _fitted(n, n_metrics, 10 * n + n_metrics)
-        threads = _record_submits(monkeypatch)
+    def test_every_query_count_matches_the_spec(self, monkeypatch, n, n_metrics):
+        bucket, mus, noises, rng = _drawn(n, n_metrics, 10 * n + n_metrics)
+        gp = GpSurrogate.fit(bucket, mus, noises)
+        ref = spec.Surrogate(bucket, mus, noises)
+
+        def no_thread(self):
+            raise AssertionError(f"a prediction started {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         for q in [1, 2, 3, 599, 600, 601]:
             queries = rng.uniform(size=(q, 2))
-            split = gp.predict_batch(queries, helper=helper)
-            var = split.variance(np.arange(q), helper=helper)
-            assert len(threads) == 2
-            assert all(thread.name == "zotune-helper" for thread in threads)
-            threads.clear()
-            one = gp.predict_batch(queries, helper=busy_helper)
-            one_var = one.variance(np.arange(q), helper=busy_helper)
-            assert threads == [threading.main_thread()] * 2
-            threads.clear()
-            assert np.array_equal(split.mu, one.mu)
-            assert np.array_equal(split.bound, one.bound)
-            assert np.array_equal(var, one_var)
+            prediction = gp.predict_batch(queries)
+            var = prediction.variance(np.arange(q))
+            ref_mu, ref_var = ref.predict(queries)
+            assert np.array_equal(prediction.mu, ref_mu)
+            assert np.array_equal(var, ref_var)
+            assert np.all(var <= prediction.bound)
+
+
+@pytest.mark.bitwise
+class TestRowSubsets:
+    """A subset of the query rows gets the bits it gets among all of them:
+    ``variance`` rebuilds only the asked rows' kernel and solves only them."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 128, 300])
-    def test_any_rows_solve_as_in_all_rows(self, helper, n):
+    def test_any_rows_solve_as_in_all_rows(self, n):
         """Up to n = 324 at least, ``dtrsm`` gives each column the bits it
         gets among all 600, so a proposal that solves a few samples has the
         bits of one that solves them all; above that its blocking can move
         the last bit (n = 393, 919 and 1030 were seen)."""
         gp, rng = _fitted(n, 2, n)
-        prediction = gp.predict_batch(rng.uniform(size=(600, 2)), helper=helper)
-        every = prediction.variance(np.arange(600), helper=helper)
+        prediction = gp.predict_batch(rng.uniform(size=(600, 2)))
+        every = prediction.variance(np.arange(600))
         assert np.all(every <= prediction.bound)
         for size in [1, 2, 3, 14, 106, 378, 599]:
             rows = np.sort(rng.choice(600, size, replace=False))
-            assert np.array_equal(prediction.variance(rows, helper=helper), every[rows])
+            assert np.array_equal(prediction.variance(rows), every[rows])
 
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
     def test_kernel_halves_match_the_whole(self, n):
@@ -642,17 +636,13 @@ class TestTiledPrediction:
         n_metrics=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(q=5, n=113, n_metrics=2, seed=0)       # a one-row second half, unsplit
-    @example(q=581, n=113, n_metrics=2, seed=2)     # halves of 292 and 288 + 1 rows
+    @example(q=5, n=113, n_metrics=2, seed=0)       # four rows and a lone row in one tile
+    @example(q=577, n=113, n_metrics=2, seed=2)     # tiles of 288 and 288 + 1 rows
     @example(q=601, n=1000, n_metrics=1, seed=1)    # unlike its whole product on 2 threads
-    @settings(
-        max_examples=40, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_tiles_give_the_whole_kernels_bits(self, helper, busy_helper, q, n, n_metrics, seed):
+    @settings(max_examples=40, deadline=None)
+    def test_tiles_give_the_whole_kernels_bits(self, q, n, n_metrics, seed):
         """Each tile's means and bounds equal ``kq @ alpha`` on one BLAS
-        thread and the bound's formula, over the whole ``(q, n)`` kernel, on
-        the idle helper and on the busy one, whose halves the caller runs."""
+        thread and the bound's formula, over the whole ``(q, n)`` kernel."""
         gp, rng = _fitted(n, n_metrics, seed)
         queries = rng.uniform(size=(q, 2))
         whole = [np.empty((q, n)) for _ in range(n_metrics)]
@@ -665,10 +655,32 @@ class TestTiledPrediction:
             np.maximum(gk.signal_var - shrink * np.max(kq * gk.row_scale, axis=1) ** 2, 0.0)
             for kq, gk in zip(whole, gp._gps)
         ])
-        for runner in (helper, busy_helper):
-            prediction = gp.predict_batch(queries, helper=runner)
-            assert np.array_equal(prediction.mu, mu)
-            assert np.array_equal(prediction.bound, bound)
+        prediction = gp.predict_batch(queries)
+        assert np.array_equal(prediction.mu, mu)
+        assert np.array_equal(prediction.bound, bound)
+
+
+class TestPredictionMemory:
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    def test_peak_is_one_set_of_tile_buffers(self, n_metrics):
+        """A prediction holds the unit kernel's two tile buffers, which take
+        two metrics' scaled tiles too (one more buffer per further metric),
+        each at most ``_KERNEL_TILE`` doubles and a joined last row, and no
+        ``(q, n)`` kernel: the peak is those buffers and a margin of an
+        eighth of one kernel (everything else read 0.15-0.17 MB of its 0.48
+        MB), so any one kernel (3.84 MB) fails."""
+        n, q = 800, 600
+        gp, rng = _fitted(n, n_metrics, 17)
+        queries = rng.uniform(size=(q, 2))
+        tracemalloc.start()
+        try:
+            gp.predict_batch(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kernel = q * n * 8
+        tiles = max(2, n_metrics) * (gp_module._KERNEL_TILE + n) * 8
+        assert peak < tiles + kernel / 8
 
 
 class TestHelper:
@@ -796,63 +808,57 @@ class TestHelper:
             helper.submit(time.sleep, 0.0)
 
 
-class TestTwoThreadPredictFailures:
-    """An error on either thread leaves ``predict_batch`` or ``variance``;
-    the join that follows is the helper's owner's, tested at
-    ``Scheduler.run_round``."""
+class TestPredictionFailures:
+    """An error in a prediction's kernel tiles or in one metric's solve
+    leaves ``predict_batch`` or ``variance``, and the surrogate and the
+    prediction then give the bits they gave before it."""
 
-    @pytest.mark.parametrize("failing, side", [(1, "helper"), (0, "caller")])
-    def test_solve_error_is_raised_from_either_side(self, monkeypatch, helper, failing, side):
-        """Metric 0 is solved on the caller and metric 1 on the helper."""
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_solve_error_leaves_variance(self, monkeypatch, failing):
+        """The metrics are solved in order, and none after the failing one."""
         gp, rng = _fitted(300, 2, 4)
-        queries = rng.uniform(size=(600, 2))
-        trsm, factor = gp_module._trsm, gp._gps[failing].chol
-        sides = []
+        prediction = gp.predict_batch(rng.uniform(size=(600, 2)))
+        every = prediction.variance(np.arange(600))
+        trsm, factors = gp_module._trsm, [gk.chol for gk in gp._gps]
+        solved = []
 
         def failing_trsm(chol, b):
-            if chol is factor:
-                sides.append(threading.current_thread() is threading.main_thread())
+            solved.append(next(k for k, factor in enumerate(factors) if factor is chol))
+            if solved[-1] == failing:
                 raise RuntimeError("solve failed")
             trsm(chol, b)
 
-        prediction = gp.predict_batch(queries, helper=helper)
-        monkeypatch.setattr(gp_module, "_trsm", failing_trsm)
-        with pytest.raises(RuntimeError, match="solve failed"):
-            prediction.variance(np.arange(600), helper=helper)
-        assert sides == [side == "caller"]
+        with monkeypatch.context() as patch:
+            patch.setattr(gp_module, "_trsm", failing_trsm)
+            with pytest.raises(RuntimeError, match="solve failed"):
+                prediction.variance(np.arange(600))
+        assert solved == list(range(failing + 1))
+        assert np.array_equal(prediction.variance(np.arange(600)), every)
 
-    @pytest.mark.parametrize("side", ["helper", "caller"])
-    def test_kernel_error_is_raised_from_either_side(self, monkeypatch, helper, side):
+    @pytest.mark.parametrize("failing", ["first", "last"])
+    def test_kernel_error_leaves_predict_batch(self, monkeypatch, failing):
+        """600 queries over 300 points take six tiles of 108 rows, the last
+        60; the first or the last of them fails."""
         gp, rng = _fitted(300, 2, 5)
         queries = rng.uniform(size=(600, 2))
+        before = gp.predict_batch(queries)
         kernels = gp_module._scaled_kernels
+        tiles = []
 
-        def failing_kernels(*args, **kwargs):
-            on_caller = threading.current_thread() is threading.main_thread()
-            if on_caller == (side == "caller"):
-                raise RuntimeError("kernel failed")
-            kernels(*args, **kwargs)
+        def failing_kernels(*args, each_tile, **kwargs):
+            def take(rows, kqs):
+                tiles.append(rows)
+                if rows.start == 0 if failing == "first" else rows.stop == len(queries):
+                    raise RuntimeError("kernel failed")
+                each_tile(rows, kqs)
 
-        monkeypatch.setattr(gp_module, "_scaled_kernels", failing_kernels)
-        with pytest.raises(RuntimeError, match="kernel failed"):
-            gp.predict_batch(queries, helper=helper)
+            kernels(*args, each_tile=take, **kwargs)
 
-    def test_split_peak_adds_no_buffer_copies(self, helper):
-        """Each thread holds the unit kernel's two tile buffers, which take
-        two metrics' scaled tiles too (one more buffer per further metric),
-        each at most ``_KERNEL_TILE`` doubles and a joined last row, and no
-        ``(q, n)`` kernel: the peak is those buffers and a margin of an
-        eighth of one kernel (everything else read 0.16-0.30 MB of its 0.48
-        MB), so any one kernel (3.84 MB) fails."""
-        n, q, n_metrics = 800, 600, 2
-        gp, rng = _fitted(n, n_metrics, 17)
-        queries = rng.uniform(size=(q, 2))
-        tracemalloc.start()
-        try:
-            gp.predict_batch(queries, helper=helper)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kernel = q * n * 8
-        tiles = 2 * max(2, n_metrics) * (gp_module._KERNEL_TILE + n) * 8
-        assert peak < tiles + kernel / 8
+        with monkeypatch.context() as patch:
+            patch.setattr(gp_module, "_scaled_kernels", failing_kernels)
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                gp.predict_batch(queries)
+        assert len(tiles) == (1 if failing == "first" else 6)
+        after = gp.predict_batch(queries)
+        assert np.array_equal(after.mu, before.mu)
+        assert np.array_equal(after.bound, before.bound)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import spec
 from zotune import optimizer
 from zotune.deltastats import DeltaStat, EstimateRecord, NoDataError
-from zotune.gp import GpSurrogate, Helper, Prediction
+from zotune.gp import GpSurrogate, Prediction
 from zotune.optimizer import (
     ProposalResult,
     RejectedSurrogateError,
@@ -510,7 +510,7 @@ class TestProposeReference:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_spec(self, case, helper):
+    def test_matches_spec(self, case):
         rng = np.random.default_rng(41)
         problem = random_problem(rng, **self.CASES[case])
         n, n_samples, m = 40, 300, len(problem.metrics)
@@ -520,7 +520,7 @@ class TestProposeReference:
         ref_surrogate = spec.Surrogate(bucket, mu, var)
 
         run_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        res = propose(surrogate, problem, n_samples, run_rng, 77, helper=helper)
+        res = propose(surrogate, problem, n_samples, run_rng, 77)
         ref, (ref_mu, ref_var) = spec.propose(ref_surrogate, problem, n_samples, ref_rng, 77)
         assert res.proposed == ref
         assert run_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -537,55 +537,53 @@ class TestProposeReference:
 
 
 class TestPropose:
-    def test_single_sample_returned_regardless_of_feasibility(self, helper):
+    def test_single_sample_returned_regardless_of_feasibility(self):
         rng = np.random.default_rng(1)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(
             LinearExpr((1.0, 0.0)),
             (ConstraintSpec(g=LinearExpr((0.0, 1.0)), threshold=99.0, direction=AT_LEAST),),
         )
-        res = propose(surrogate, problem, 1, np.random.default_rng(4), new_id=500, helper=helper)
+        res = propose(surrogate, problem, 1, np.random.default_rng(4), new_id=500)
         assert isinstance(res, ProposalResult)
         assert res.proposed.id == 500
         assert res.sampled_count == 1
         assert res.feasible_count == 0
 
-    def test_top_fraction_on_linear_objective(self, helper):
+    def test_top_fraction_on_linear_objective(self):
         """The pick lands in the top 0.1% of its own sample set."""
         rng = np.random.default_rng(12)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 0.0)))
         n = 10_000
         seed = 31
-        res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900, helper=helper)
+        res = propose(surrogate, problem, n, np.random.default_rng(seed), new_id=900)
         # replay the same uniform samples to rank the pick
         replay = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
-        mu = surrogate.predict_batch(replay, helper=helper).mu
+        mu = surrogate.predict_batch(replay).mu
         fvals = mu[:, 0]  # objective = first metric's lift
-        picked_mu = surrogate.predict_batch(np.array([res.proposed.theta]), helper=helper).mu
+        picked_mu = surrogate.predict_batch(np.array([res.proposed.theta])).mu
         rank = int(np.sum(fvals > picked_mu[0, 0]))
         assert rank <= n // 1000
 
-    def test_fixed_seed_reproducible(self, helper):
+    def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(21)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        a = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900, helper=helper)
-        b = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900, helper=helper)
+        a = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
+        b = propose(surrogate, problem, 64, np.random.default_rng(7), new_id=900)
         assert a.proposed.theta == b.proposed.theta
 
-    def test_proposed_always_in_bounds(self, helper):
+    def test_proposed_always_in_bounds(self):
         rng = np.random.default_rng(17)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
         for seed in range(10):
-            res = propose(
-                surrogate, problem, 32, np.random.default_rng(seed), new_id=900, helper=helper
-            )
+            res = propose(surrogate, problem, 32, np.random.default_rng(seed), new_id=900)
             for x, (lo, hi) in zip(res.proposed.theta, BOUNDS):
                 assert lo <= x <= hi
 
-    def test_samples_the_surrogates_box(self, helper):
+    def test_samples_the_surrogates_box(self):
         box = ((-2.0, 4.0), (10.0, 10.5))
         pts = np.random.default_rng(3).uniform([-2.0, 10.0], [4.0, 10.5], size=(12, 2))
         bucket = [HyperParam(id=i + 1, theta=tuple(p), bounds=box) for i, p in enumerate(pts)]
@@ -593,35 +591,33 @@ class TestPropose:
         surrogate = GpSurrogate.fit(bucket, mu, np.zeros_like(mu))
         problem = make_problem(LinearExpr((1.0, 1.0)))
         for seed in range(5):
-            res = propose(
-                surrogate, problem, 32, np.random.default_rng(seed), new_id=900, helper=helper
-            )
+            res = propose(surrogate, problem, 32, np.random.default_rng(seed), new_id=900)
             assert res.proposed.bounds == box
             replay = np.random.default_rng(seed).uniform([-2.0, 10.0], [4.0, 10.5], size=(32, 2))
             assert res.proposed.theta in {tuple(row) for row in replay}
 
-    def test_unfitted_surrogate_rejected(self, helper):
+    def test_unfitted_surrogate_rejected(self):
         problem = make_problem(LinearExpr((1.0, 1.0)))
         with pytest.raises(RejectedSurrogateError):
-            propose(None, problem, 8, np.random.default_rng(0), new_id=1, helper=helper)
+            propose(None, problem, 8, np.random.default_rng(0), new_id=1)
 
-    def test_feasible_count_unconstrained(self, helper):
+    def test_feasible_count_unconstrained(self):
         rng = np.random.default_rng(23)
         surrogate, _ = fit_linear_surrogate(rng)
         problem = make_problem(LinearExpr((1.0, 1.0)))
-        res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900, helper=helper)
+        res = propose(surrogate, problem, 40, np.random.default_rng(2), new_id=900)
         assert res.feasible_count == 40
 
     @pytest.mark.parametrize("n_constraints", [0, 1, 2])
-    def test_solved_count_is_the_rows_solved(self, monkeypatch, helper, n_constraints):
+    def test_solved_count_is_the_rows_solved(self, monkeypatch, n_constraints):
         """One ``variance`` call per proposal, over ``solved_count`` rows:
         at least the winner's, and here far fewer than all 600."""
         solved = []
         variance = Prediction.variance
 
-        def spy(self, rows, **kwargs):
+        def spy(self, rows):
             solved.append(len(rows))
-            return variance(self, rows, **kwargs)
+            return variance(self, rows)
 
         monkeypatch.setattr(Prediction, "variance", spy)
         rng = np.random.default_rng(43)
@@ -631,7 +627,7 @@ class TestPropose:
             bucket, rng.normal(0, 0.05, size=(60, 2)), rng.uniform(0, 1e-3, size=(60, 2))
         )
         for seed in range(5):
-            res = propose(surrogate, problem, 600, np.random.default_rng(seed), 900, helper=helper)
+            res = propose(surrogate, problem, 600, np.random.default_rng(seed), 900)
             assert solved == [res.solved_count]
             assert 1 <= res.solved_count < res.sampled_count == 600
             solved.clear()
@@ -707,16 +703,15 @@ class TestPrunedProposal:
             winners.append(score(*args))
             return winners[-1]
 
-        with Helper() as helper, mock.patch.object(optimizer, "_thompson_winners", spy):
+        with mock.patch.object(optimizer, "_thompson_winners", spy):
             rng = np.random.default_rng(seed)
-            res = propose(surrogate, problem, n_samples, rng, 900, helper=helper)
+            res = propose(surrogate, problem, n_samples, rng, 900)
         ((column,), _, feasible_count), = winners
 
         replay = np.random.default_rng(seed)
         thetas = replay.uniform(size=(n_samples, 2))
-        with Helper() as helper:
-            prediction = surrogate.predict_batch(thetas, helper=helper)
-            exact = prediction.variance(np.arange(n_samples), helper=helper)
+        prediction = surrogate.predict_batch(thetas)
+        exact = prediction.variance(np.arange(n_samples))
         draws = replay.standard_normal((1, n_samples, len(problem.metrics)))
         (ref_column,), _, ref_feasible = score(draws, prediction.mu, np.sqrt(exact), problem)
         assert np.all(exact <= prediction.bound)

@@ -331,22 +331,18 @@ class TestRunRound:
         "job, side",
         [
             ("scoring", "helper"),
-            ("kernels", "helper"),
             ("kernels", "caller"),
-            ("solve", "helper"),
             ("solve", "caller"),
         ],
     )
     def test_an_error_on_either_thread_leaves_the_round(
         self, monkeypatch, job, side, helper
     ):
-        """A selection block's scoring, a prediction's kernel half or one
-        metric's solve fails on ``side``: the error leaves ``run_round``,
-        through ``result()`` from the helper, and the helper, which the round
-        does not own, still takes calls.  Without a fit to run
-        first, the idle helper scores the one selection block; a prediction
-        builds the second half of the kernel rows and solves metric 1 on the
-        helper, and the rest on the caller."""
+        """A selection block's scoring fails on the helper, or a prediction's
+        kernel rows or one metric's solve on the caller: the error leaves
+        ``run_round``, the scoring's through ``result()``, and the helper,
+        which the round does not own, still takes calls.  Without a fit to
+        run first, the idle helper scores the one selection block."""
         if job == "scoring":
             target, name = optimizer_module, "_thompson_winners"
             applies = lambda *args: True
@@ -376,6 +372,24 @@ class TestRunRound:
         assert threading.active_count() == threads
         assert helper.submit(abs, -7).result() == 7
 
+    def test_the_helper_runs_only_the_fit_and_the_scoring(self, monkeypatch, helper):
+        """A proposing round submits one GP fit and then the scoring of its
+        one selection block; the proposal's prediction and variance solves
+        run on the caller."""
+        submitted = []
+        submit = gp_module.Helper.submit
+
+        def spy(self, fn, *args):
+            submitted.append(fn)
+            return submit(self, fn, *args)
+
+        monkeypatch.setattr(gp_module.Helper, "submit", spy)
+        sched = make_sched(proposal_prob=1.0, select_count=5, proposal_samples=8)
+        next_id = sched.next_id
+        sched.run_round(_feedback(sched.last_plan, np.random.default_rng(3)), helper=helper)
+        assert sched.next_id == next_id + 1
+        assert submitted == [gp_module.GpSurrogate.fit, optimizer_module._thompson_winners]
+
 
 def _feedback(plan, rng, mean=None):
     """Feedback for every candidate of ``plan``, arriving the next round:
@@ -392,10 +406,9 @@ def _feedback(plan, rng, mean=None):
 
 @pytest.mark.bitwise
 class TestFitBesideSelection:
-    """``run_round`` fits the GP, scores the selection's draws and shares
-    the prediction on the helper thread it is given while it draws, round
-    after round on the same helper; every result, and the stream, equal the
-    spec's one-thread loop."""
+    """``run_round`` fits the GP and scores the selection's draws on the
+    helper thread it is given while it draws, round after round on the same
+    helper; every result, and the stream, equal the spec's one-thread loop."""
 
     def assert_same_state(self, live, ref):
         assert [(hp.id, hp.theta) for hp in live.bucket] == [

@@ -27,12 +27,12 @@ def lock_step(cfg, seed, monkeypatch):
     predicted, solved, hours = [], [], []
     predict, variance = GpSurrogate.predict_batch, Prediction.variance
 
-    def spy_predict(self, thetas, **kwargs):
-        predicted.append(predict(self, thetas, **kwargs))
+    def spy_predict(self, thetas):
+        predicted.append(predict(self, thetas))
         return predicted[-1]
 
-    def spy_variance(self, rows, **kwargs):
-        solved.append((np.asarray(rows).tolist(), variance(self, rows, **kwargs)))
+    def spy_variance(self, rows):
+        solved.append((np.asarray(rows).tolist(), variance(self, rows)))
         return solved[-1][1]
 
     monkeypatch.setattr(GpSurrogate, "predict_batch", spy_predict)
@@ -122,7 +122,7 @@ def test_full_runs_match_the_spec_round_by_round(monkeypatch):
 @pytest.mark.bitwise
 def test_full_run_matches_the_spec_under_frequent_switches(monkeypatch):
     """A 10 us switch interval hands the GIL back and forth between the
-    caller's draws and the helper's fit, scoring and prediction many times
+    caller's draws and prediction and the helper's fit and scoring many times
     per round; seed 42 still runs in lock step with the spec."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -160,10 +160,9 @@ def test_gate_campaigns_match_the_spec_round_by_round(cfg, monkeypatch):
     ids=["one-sample-proposals", "five-sample-proposals", "601-sample-proposals", "bucket-300"],
 )
 def test_configurations_outside_the_gate_match_the_spec(cfg, monkeypatch):
-    """One-sample proposals solve a single column; five samples are
-    predicted unsplit, since a split would leave the helper one row; 601
-    split into 304 and 297 rows, whose last row takes ``dgemv``'s one-row
-    path, as in the whole product; a 300-candidate bucket selects its length
+    """One-sample proposals solve a single column; five and 601 samples
+    end in a kernel tile whose last row takes ``dgemv``'s one-row path, as
+    in the whole product; a 300-candidate bucket selects its length
     scales through the median's bracket and fits a kernel of several tiles.
     Seed 7 proposes in most rounds of each."""
     assert assert_lock_step(cfg, monkeypatch, seeds=(7,))[0] >= 4
@@ -262,8 +261,8 @@ def test_only_the_codec_writes_files():
 
 def test_only_the_run_loop_starts_a_helper():
     """A helper thread lives for one ``SingleRun.run_to`` call, which opens
-    it; ``run_round``, ``select``, ``propose`` and ``predict_batch`` run on
-    it."""
+    it; ``run_round`` submits the GP fit to it and ``select`` the scoring of
+    its draws, while ``propose`` and ``predict_batch`` run on the caller."""
     package = Path(zotune.__file__).parent
     starters = []
     for path in sorted(package.glob("*.py")):
