@@ -18,16 +18,16 @@ length scales (the median pairwise-distance heuristic), so they differ only
 in signal variance, noise and targets.  The unit kernel
 ``exp(-0.5 * sum_k ((x1_k - x2_k) / l_k)**2)`` is therefore computed once
 per fit, once per prediction, and once more for the rows whose exact
-variance is asked for, one cache-sized row tile at a time.  A fit scales
-each tile by every metric's signal variance straight into that metric's
-matrix, and a variance into that metric's right-hand sides; a prediction
-scales it into tile-sized buffers, takes the tile's means and bounds from
-those, and reuses them for the next tile (Rasmussen & Williams, *GPML*,
-2006, Alg. 2.1 and §2.2).  A fit builds only the triangle the Cholesky
-factorization reads.  Off the diagonal each entry is at most the finite
-signal variance, so checking the diagonal after the noise is added stands
-for a scan of the whole matrix: a diagonal that overflows is a
-``FitFailureError``.
+variance is asked for, one cache-sized row tile at a time, by the one
+walker ``_unit_tiles``.  Each caller scales a tile where it needs it: a fit
+by every metric's signal variance straight into that metric's matrix, a
+variance into that metric's right-hand sides, and a prediction into the
+tile's own buffers, from which it takes the tile's means and bounds before
+the next tile overwrites them (Rasmussen & Williams, *GPML*, 2006, Alg. 2.1
+and §2.2).  A fit builds only the triangle the Cholesky factorization
+reads.  Off the diagonal each entry is at most the finite signal variance,
+so checking the diagonal after the noise is added stands for a scan of the
+whole matrix: a diagonal that overflows is a ``FitFailureError``.
 
 The factorizations call LAPACK's ``dpotrf`` and the solves BLAS's
 ``dtrsm``, through the function pointers scipy exports in
@@ -75,7 +75,7 @@ the caller alone, one path for every bucket size: on two threads their
 numpy calls of about 10 us each contend for the GIL, which only a large
 bucket's GIL-free BLAS calls make up for (README, Performance).  Every
 kernel entry is elementwise and the tiles keep the row groups of BLAS's
-``dgemv`` (``_scaled_kernels``), so each mean has the bits of the whole
+``dgemv`` (``_unit_tiles``), so each mean has the bits of the whole
 ``(q, n)`` kernel's product on one BLAS thread; each metric's solve reads
 only its own factor and kernel.
 
@@ -97,7 +97,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 import scipy
@@ -424,33 +424,23 @@ def _median_lengthscales(x: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _scaled_kernels(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    ls: np.ndarray,
-    scales: Sequence[float],
-    outs: Sequence[np.ndarray] | None = None,
-    *,
-    upper: bool = False,
-    each_tile: Callable[[slice, list[np.ndarray]], None] | None = None,
-) -> None:
-    """Write ``scales[m] * exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` into ``outs[m]``.
+def _unit_tiles(
+    x1: np.ndarray, x2: np.ndarray, ls: np.ndarray, *, upper: bool = False
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Yield ``exp(-0.5 * sum_k ((x1_k - x2_k) / ls_k)**2)`` in row tiles.
 
-    The unit kernel is built in row tiles of about ``_KERNEL_TILE`` doubles,
-    each taken through every pass while it is in cache.  Squared scaled
-    distances are accumulated in place one dimension at a time, in dimension
-    order.  ``np.sum`` adds a last axis of up to seven elements in that order
-    too, so for d <= 7 each entry equals the summed ``(q, n, d)`` form bit
-    for bit.  With ``upper`` a tile of rows ``r0:r1`` gets only the columns
-    ``j >= r0``: every ``j >= i``, which is the triangle a Cholesky
-    factorization of the transpose reads, and the rest of ``outs`` is left
-    unwritten.  Without ``outs`` each metric's tile is scaled in a
-    tile-sized buffer instead, so no ``(n1, n2)`` array is made: metric 0's
-    is the unit tile itself, scaled last, and metric 1's the distance
-    buffer, free once the unit tile is built, so up to two metrics need no
-    buffer beyond the unit kernel's.  ``each_tile``, if given, is called
-    with each tile's rows and its scaled tiles, free to overwrite, while
-    they are in cache.
+    Each tile is yielded as ``(rows, cols, unit, spare)``: ``unit`` is the
+    kernel's block ``[rows, cols]``, and ``spare`` a buffer of its shape,
+    free once ``unit`` is built.  Both are overwritten by the next tile, so
+    a caller scales ``unit`` where it needs it before it asks for the next;
+    no ``(n1, n2)`` array is made.  A tile holds about ``_KERNEL_TILE``
+    doubles and goes through every pass while it is in cache.  Squared
+    scaled distances are accumulated in place one dimension at a time, in
+    dimension order.  ``np.sum`` adds a last axis of up to seven elements in
+    that order too, so for d <= 7 each entry equals the summed ``(q, n, d)``
+    form bit for bit.  With ``upper`` a tile of rows ``r0:r1`` has only the
+    columns ``j >= r0``: every ``j >= i``, which is the triangle a Cholesky
+    factorization of the transpose reads.
 
     A tile is a multiple of 4 rows tall, at least 4, except the last, and a
     lone last row joins the tile before it.  So every tile starts at a
@@ -467,8 +457,7 @@ def _scaled_kernels(
     n1, n2 = x1.shape[0], x2.shape[0]
     # Four rows at least and a joined last row, and never more than x1 holds.
     size = min(n1 * n2, max(_KERNEL_TILE, 4 * n2) + n2)
-    spare = len(scales) - 1 if outs is None else 0
-    bufs = [np.empty(size) for _ in range(1 + max(spare, x1.shape[1] > 1))]
+    bufs = (np.empty(size), np.empty(size))
     r0 = 0
     while r0 < n1:
         c0 = r0 if upper else 0
@@ -476,24 +465,17 @@ def _scaled_kernels(
         if r1 == n1 - 1:
             r1 = n1
         shape = (r1 - r0, n2 - c0)
-        tile, term = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (bufs[0], bufs[-1]))
+        unit, spare = (buf[: shape[0] * shape[1]].reshape(shape) for buf in bufs)
         for k in range(x1.shape[1]):
-            buf = tile if k == 0 else term
+            buf = unit if k == 0 else spare
             np.subtract(x1[r0:r1, k, None], x2[None, c0:, k], out=buf)
             buf /= ls[k]
             np.square(buf, out=buf)
             if k > 0:
-                tile += term
-        tile *= -0.5
-        np.exp(tile, out=tile)
-        if outs is None:
-            scaled = [tile] + [buf[: tile.size].reshape(shape) for buf in bufs[1 : 1 + spare]]
-        else:
-            scaled = [out[r0:r1, c0:] for out in outs]
-        for scale, out in zip(scales[::-1], scaled[::-1]):      # metric 0 last
-            np.multiply(scale, tile, out=out)
-        if each_tile is not None:
-            each_tile(slice(r0, r1), scaled)
+                unit += spare
+        unit *= -0.5
+        np.exp(unit, out=unit)
+        yield slice(r0, r1), slice(c0, None), unit, spare
         r0 = r1
 
 
@@ -605,7 +587,9 @@ class GpSurrogate:
         n = x.shape[0]
         s2s = [float(s2) for s2 in s2_all]
         kmats = [np.empty((n, n)) for _ in s2s]
-        _scaled_kernels(x, x, ls, s2s, kmats, upper=True)
+        for rows, cols, unit, _ in _unit_tiles(x, x, ls, upper=True):
+            for s2, kmat in zip(s2s, kmats):
+                np.multiply(s2, unit, out=kmat[rows, cols])
         gps = []
         for k, (s2, kmat) in enumerate(zip(s2s, kmats)):
             jit = BASE_JITTER
@@ -629,7 +613,8 @@ class GpSurrogate:
                         f"kernel factorization failed for metric {k} "
                         f"even at jitter {MAX_JITTER}"
                     )
-                _scaled_kernels(x, x, ls, (s2,), (kmat,), upper=True)
+                for rows, cols, unit, _ in _unit_tiles(x, x, ls, upper=True):
+                    np.multiply(s2, unit, out=kmat[rows, cols])
             # dpotrs's two solves: L z = y, then L^T alpha = z.
             alpha = mus[:, k].copy()
             _trsm(chol, alpha[:, None])
@@ -650,11 +635,14 @@ class GpSurrogate:
 
         The ``Prediction`` holds ``mu`` and ``bound`` of shape ``(q, M)``;
         its ``variance`` gives the exact latent variances of the rows asked
-        for.  Each kernel tile gives its rows' means, ``tile @ alpha``, and
-        bounds while it is in cache, and is then overwritten, so no ``(q,
-        n)`` kernel is made.  The tiles keep ``_scaled_kernels``'s rule: each
-        mean has the bits of ``kq @ alpha`` over the whole ``(q, n)`` kernel
-        on one BLAS thread, and each bound those of its formula over it.
+        for.  Each ``_unit_tiles`` tile is scaled by metric 1's signal
+        variance into its spare buffer, by a third metric's into a new one,
+        and by metric 0's, last, in place; it gives its rows' means, ``tile
+        @ alpha``, and bounds while it is in cache, and is then overwritten,
+        so no ``(q, n)`` kernel is made.  The tiles keep ``_unit_tiles``'s
+        rule: each mean has the bits of ``kq @ alpha`` over the whole ``(q,
+        n)`` kernel on one BLAS thread, and each bound those of its formula
+        over it.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if thetas.shape[1] != self._lo.shape[0]:
@@ -664,33 +652,38 @@ class GpSurrogate:
         self._check_inside(thetas)
         xq = _normalize(thetas, self._lo, self._span)
         q, n = xq.shape[0], self._x.shape[0]
-        scales = [gk.signal_var for gk in self._gps]
         mu = np.empty((q, self.n_metrics))
         bound = np.empty((q, self.n_metrics))
         shrink = 1.0 - _BOUND_C * n * (np.finfo(float).eps / 2)        # 1 - c n u
-
-        def take_tile(tile: slice, kqs: list[np.ndarray]) -> None:
+        for rows, _, unit, spare in _unit_tiles(xq, self._x, self._ls):
+            # Metric 0 scales the unit tile in place, so it goes last, and
+            # metric 1 takes the spare buffer; rebinding ``kqs`` first frees
+            # the last tile's buffers of further metrics.
+            kqs = [unit, spare][: self.n_metrics]
+            kqs += [np.empty_like(unit) for _ in self._gps[2:]]
+            for gk, kq in zip(self._gps[::-1], kqs[::-1]):
+                np.multiply(gk.signal_var, unit, out=kq)
             for k, (gk, kq) in enumerate(zip(self._gps, kqs)):
-                mu[tile, k] = kq @ gk.alpha
+                mu[rows, k] = kq @ gk.alpha
                 kq *= gk.row_scale
                 top = np.max(kq, axis=1)                                # max_j kq / sqrt(K_jj)
-                bound[tile, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
-
-        _scaled_kernels(xq, self._x, self._ls, scales, each_tile=take_tile)
+                bound[rows, k] = np.maximum(gk.signal_var - shrink * top**2, 0.0)
         return Prediction(mu=mu, bound=bound, _xq=xq, _gp=self)
 
     def _variance(self, xq: np.ndarray) -> np.ndarray:
         """Latent variances at the normalized queries ``xq``, ``(r, M)``.
 
-        Their kernel rows are built again, entry for entry as
-        ``predict_batch`` built them, since a prediction keeps none.  Each
-        metric's goes through one ``dtrsm`` with its own factor, a square
-        and a column sum, clamped at zero.
+        Their kernel rows are built again by ``_unit_tiles``, entry for
+        entry as ``predict_batch`` built them, since a prediction keeps
+        none, and each tile is scaled into every metric's right-hand sides.
+        Each metric's goes through one ``dtrsm`` with its own factor, a
+        square and a column sum, clamped at zero.
         """
         n, r = self._x.shape[0], xq.shape[0]
-        scales = [gk.signal_var for gk in self._gps]
         ws = [np.empty((n, r), order="F") for _ in self._gps]                # (n, r)
-        _scaled_kernels(xq, self._x, self._ls, scales, [w.T for w in ws])
+        for rows, _, unit, _ in _unit_tiles(xq, self._x, self._ls):
+            for gk, w in zip(self._gps, ws):
+                np.multiply(gk.signal_var, unit, out=w.T[rows])
         var = np.empty((r, self.n_metrics))
         for k, (gk, w) in enumerate(zip(self._gps, ws)):
             _trsm(gk.chol, w)

@@ -16,8 +16,9 @@ and ``emit_series`` write its report and series.  Single runs can checkpoint
 to disk mid-campaign and resume to an identical trajectory.  A checkpoint is
 the scheduler store plus ``run.json``, which holds what the seed and config
 do not fix: the environment's noise stream, feedback in flight and the rows
-so far, one per wall hour run.  The landscape is not stored; resume
-rebuilds it from the seed, bit for bit.
+so far, one per wall hour run.  ``run.json`` is sealed with the SHA-256 of
+its own body, as the store's manifest is, so an edited one does not resume.
+The landscape is not stored; resume rebuilds it from the seed, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .scheduler import (
 from .simenv import BOX, CONTROL_ID, EnvKnobs, SimEnv
 
 REPORT_FORMAT_VERSION = 1
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 
 Variant = Literal["full", "raw-metric", "synchronous", "no-proposal"]
 VARIANTS = get_args(Variant)
@@ -277,8 +278,9 @@ class RunReport:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """``run.json`` after its ``format_version`` key: what a run holds
-    besides its scheduler store and what ``seed`` and ``config`` rebuild."""
+    """``run.json`` after its ``format_version`` and ``sha256`` keys: what a
+    run holds besides its scheduler store and what ``seed`` and ``config``
+    rebuild."""
 
     seed: int
     config: ExperimentConfig
@@ -381,7 +383,8 @@ class SingleRun:
             pending=tuple(self.pending),
             rows=tuple(self.rows),
         )
-        codec.save(os.path.join(directory, "run.json"), CHECKPOINT_FORMAT_VERSION, state)
+        path = os.path.join(directory, "run.json")
+        codec.save(path, CHECKPOINT_FORMAT_VERSION, state, sealed=True)
 
     @classmethod
     def resume(cls, directory: str) -> "SingleRun":
@@ -389,17 +392,16 @@ class SingleRun:
         config build it as a fresh run does, then the stored state replaces
         the environment's noise stream, the scheduler and the run's progress.
 
-        A malformed ``run.json``, one with no rows that holds feedback in
-        flight or a moved noise stream, or a scheduler store whose problem
-        or config is not the one the seed and config build, or whose hour
-        is not the last row's (0 when there are none; a store saved at
-        another hour), raises HarnessConfigError; a malformed scheduler
-        store raises ``RestoreError``.
+        A malformed or edited ``run.json`` (its seal is checked first), one
+        with no rows that holds feedback in flight or a moved noise stream,
+        or a scheduler store whose problem or config is not the one the seed
+        and config build, or whose hour is not the last row's (0 when there
+        are none; a store saved at another hour), raises HarnessConfigError;
+        a malformed scheduler store raises ``RestoreError``.
         """
         try:
-            state = codec.load(
-                os.path.join(directory, "run.json"), CHECKPOINT_FORMAT_VERSION, Checkpoint
-            )
+            path = os.path.join(directory, "run.json")
+            state = codec.load(path, CHECKPOINT_FORMAT_VERSION, Checkpoint, sealed=True)
             run = cls(state.seed, state.config)
             if not state.rows and (state.pending or state.env_rng_state != run.env.rng_state):
                 raise ValueError("no hour has run, yet feedback or noise has moved")

@@ -128,29 +128,26 @@ class RoundPlan:
 
 @dataclass(frozen=True)
 class InboundBatch:
-    """Delayed feedback for one candidate and one origin round.
+    """Delayed feedback that arrives at ``arrival_round``.
 
-    ``readings`` holds one ``Reading`` per metric, each of the origin round.
+    ``readings`` holds ``Reading``s, each dated by its own ``round``; none
+    is after the batch's arrival.
     """
 
-    origin_round: int
     arrival_round: int
     readings: tuple[Reading, ...]
 
     def __post_init__(self) -> None:
         set_field, count = object.__setattr__, codec.count
-        set_field(self, "origin_round", count(self.origin_round, "InboundBatch.origin_round"))
         set_field(self, "arrival_round", count(self.arrival_round, "InboundBatch.arrival_round"))
         set_field(self, "readings", tuple(self.readings))
-        if self.arrival_round < self.origin_round:
-            raise ValueError("a batch cannot arrive before its origin round")
         for reading in self.readings:
             if not isinstance(reading, Reading):
                 raise ValueError(
                     f"InboundBatch.readings: expected Reading, got {type(reading).__name__}"
                 )
-            if reading.round != self.origin_round:
-                raise ValueError("readings must carry the batch origin round")
+            if reading.round > self.arrival_round:
+                raise ValueError("a batch cannot arrive before one of its readings' rounds")
 
 
 @dataclass(frozen=True)

@@ -507,7 +507,6 @@ class SimEnv:
         # i * M + k.
         return [
             InboundBatch(
-                origin_round=t,
                 arrival_round=t + spec.fixed_delay + int(round(xi)),
                 readings=tuple(
                     Reading(

@@ -66,7 +66,6 @@ def inbound_batches(draw):
     metrics = draw(st.lists(st.text(max_size=8), max_size=4))
     cid = draw(st.integers(1, 10**6))
     return InboundBatch(
-        origin_round=origin,
         arrival_round=origin + draw(st.integers(0, 100)),
         readings=tuple(Reading(cid, m, origin, *group(), *group()) for m in metrics),
     )

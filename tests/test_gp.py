@@ -609,19 +609,22 @@ class TestRowSubsets:
 
     @pytest.mark.parametrize("n", [1, 2, 50, 300, 1030])
     def test_kernel_halves_match_the_whole(self, n):
+        """Each tile of either half of the queries, scaled, is that block of
+        the spec's whole ``(q, n)`` kernel, and the tiles cover the half."""
         rng = np.random.default_rng(n)
-        x, ls, scales = rng.uniform(size=(n, 2)), rng.uniform(0.1, 1.0, size=2), [0.5, 2.0]
+        x, ls = rng.uniform(size=(n, 2)), rng.uniform(0.1, 1.0, size=2)
         for q in [1, 2, 3, 599, 600, 601]:
             xq = rng.uniform(size=(q, 2))
-            whole = [np.empty((q, n)) for _ in scales]
-            gp_module._scaled_kernels(xq, x, ls, scales, whole)
-            halves = [np.empty((q, n)) for _ in scales]
             h = (q + 1) // 2
-            for rows in (slice(h), slice(h, None)):
-                outs = [kq[rows] for kq in halves]
-                gp_module._scaled_kernels(xq[rows], x, ls, scales, outs)
-            for half, kq in zip(halves, whole):
-                assert np.array_equal(half, kq)
+            for start, stop in ((0, h), (h, q)):
+                whole = {s2: spec.kernel(xq[start:stop], x, ls, s2) for s2 in (0.5, 2.0)}
+                covered = 0
+                for rows, cols, unit, _ in gp_module._unit_tiles(xq[start:stop], x, ls):
+                    assert rows.start == covered and cols == slice(0, None)
+                    covered = rows.stop
+                    for s2, kq in whole.items():
+                        assert np.array_equal(s2 * unit, kq[rows, cols])
+                assert covered == stop - start
 
 
 @pytest.mark.bitwise
@@ -644,10 +647,8 @@ class TestTiledPrediction:
         """Each tile's means and bounds equal ``kq @ alpha`` on one BLAS
         thread and the bound's formula, over the whole ``(q, n)`` kernel."""
         gp, rng = _fitted(n, n_metrics, seed)
-        queries = rng.uniform(size=(q, 2))
-        whole = [np.empty((q, n)) for _ in range(n_metrics)]
-        scales = [gp.signal_var(k) for k in range(n_metrics)]
-        gp_module._scaled_kernels(queries, gp._x, gp._ls, scales, whole)   # the unit box
+        queries = rng.uniform(size=(q, 2))                              # the unit box
+        whole = [spec.kernel(queries, gp._x, gp._ls, gk.signal_var) for gk in gp._gps]
         shrink = 1.0 - gp_module._BOUND_C * n * (np.finfo(float).eps / 2)
         with one_blas_thread():
             mu = np.column_stack([kq @ gk.alpha for kq, gk in zip(whole, gp._gps)])
@@ -664,7 +665,7 @@ class TestPredictionMemory:
     @pytest.mark.parametrize("n_metrics", [1, 2, 3])
     def test_peak_is_one_set_of_tile_buffers(self, n_metrics):
         """A prediction holds the unit kernel's two tile buffers, which take
-        two metrics' scaled tiles too (one more buffer per further metric),
+        two metrics' scaled tiles too (one more per further metric and tile),
         each at most ``_KERNEL_TILE`` doubles and a joined last row, and no
         ``(q, n)`` kernel: the peak is those buffers and a margin of an
         eighth of one kernel (everything else read 0.15-0.17 MB of its 0.48
@@ -842,20 +843,19 @@ class TestPredictionFailures:
         gp, rng = _fitted(300, 2, 5)
         queries = rng.uniform(size=(600, 2))
         before = gp.predict_batch(queries)
-        kernels = gp_module._scaled_kernels
+        unit_tiles = gp_module._unit_tiles
         tiles = []
 
-        def failing_kernels(*args, each_tile, **kwargs):
-            def take(rows, kqs):
+        def failing_tiles(*args, **kwargs):
+            for tile in unit_tiles(*args, **kwargs):
+                rows = tile[0]
                 tiles.append(rows)
                 if rows.start == 0 if failing == "first" else rows.stop == len(queries):
                     raise RuntimeError("kernel failed")
-                each_tile(rows, kqs)
-
-            kernels(*args, each_tile=take, **kwargs)
+                yield tile
 
         with monkeypatch.context() as patch:
-            patch.setattr(gp_module, "_scaled_kernels", failing_kernels)
+            patch.setattr(gp_module, "_unit_tiles", failing_tiles)
             with pytest.raises(RuntimeError, match="kernel failed"):
                 gp.predict_batch(queries)
         assert len(tiles) == (1 if failing == "first" else 6)

@@ -106,6 +106,24 @@ def tiny_config(**overrides):
     return ExperimentConfig(**kwargs)
 
 
+def edit_run_json(directory, edit):
+    """Apply ``edit`` to the dict in ``directory``'s ``run.json``, check that
+    the edited file does not resume on its stale seal, and seal it again, as
+    a writer that wrote bad state would have, so that the edit reaches the
+    checks that decode the state.  The seal is the SHA-256 of the file
+    without its ``sha256`` key, as JSON with sorted keys and no whitespace."""
+    path = Path(directory) / "run.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(HarnessConfigError, match="run.json: seal"):
+        SingleRun.resume(str(directory))
+    data.pop("sha256", None)
+    body = json.dumps(data, sort_keys=True, separators=(",", ":")).encode("ascii")
+    data["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
 def synthetic_report(variant="full", gains_by_seed=None, violation=0.0):
     """Build a report from explicit per-seed gain sequences."""
     gains_by_seed = gains_by_seed or {1: (0.0, 0.01, 0.02), 2: (0.0, 0.03, 0.04)}
@@ -615,14 +633,15 @@ class TestCheckpointResume:
         after_hour_0 = SingleRun(3, cfg)
         after_hour_0.run_to(1)
         SingleRun(3, cfg).save_checkpoint(str(tmp_path))
-        path = tmp_path / "run.json"
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if moved == "pending":
-            data["pending"] = [codec.to_dict(after_hour_0.pending[0])]
-        else:
-            data["env_rng_state"] = after_hour_0.env.rng_state
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(HarnessConfigError, match="checkpoint"):
+
+        def edit(data):
+            if moved == "pending":
+                data["pending"] = [codec.to_dict(after_hour_0.pending[0])]
+            else:
+                data["env_rng_state"] = after_hour_0.env.rng_state
+
+        edit_run_json(tmp_path, edit)
+        with pytest.raises(HarnessConfigError, match="no hour has run"):
             SingleRun.resume(str(tmp_path))
 
     def test_resume_with_crossed_taylor_mode(self, tmp_path):
@@ -645,13 +664,11 @@ class TestCheckpointResume:
         run = SingleRun(3, cfg)
         run.run_to(2)
         run.save_checkpoint(str(tmp_path / "ckpt"))
-        state_path = tmp_path / "ckpt" / "run.json"
-        state = json.loads(state_path.read_text())
         # version 2 stored the landscape in env.json, version 3 next_round,
-        # version 4 each feedback row as a test and a control reading
-        for version in (2, 3, 4, 99):
-            state["format_version"] = version
-            state_path.write_text(json.dumps(state))
+        # version 4 each feedback row as a test and a control reading,
+        # version 5 was unsealed and dated each batch by an origin round
+        for version in (2, 3, 4, 5, 99):
+            edit_run_json(tmp_path / "ckpt", lambda d: d.update(format_version=version))
             with pytest.raises(HarnessConfigError, match=f"version {version}"):
                 SingleRun.resume(str(tmp_path / "ckpt"))
 
@@ -736,11 +753,34 @@ class TestCheckpointResume:
         run = SingleRun(3, tiny_config(seeds=(3,), rounds=4))
         run.run_to(2)
         run.save_checkpoint(str(tmp_path))
+        edit_run_json(tmp_path, edit)
+        with pytest.raises(HarnessConfigError, match="checkpoint") as raised:
+            SingleRun.resume(str(tmp_path))
+        assert "seal" not in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["rows"][5].__setitem__(2, 0.5),
+            lambda d: d["pending"][0]["readings"][0].update(
+                test_mean=1.5 * d["pending"][0]["readings"][0]["test_mean"]
+            ),
+            lambda d: d.pop("sha256"),
+        ],
+        ids=["row-gain", "pending-test-mean", "no-seal"],
+    )
+    def test_edited_checkpoint_does_not_resume(self, tmp_path, edit):
+        """``run.json`` is sealed: an edit that leaves every field well
+        formed, such as a row's gain or a reading still in flight, which
+        would enter the write-once record, does not resume."""
+        run = SingleRun(42, tiny_config(seeds=(42,), rounds=8))
+        run.run_to(8)
+        run.save_checkpoint(str(tmp_path))
         path = tmp_path / "run.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         edit(data)
-        path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(HarnessConfigError, match="checkpoint"):
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with pytest.raises(HarnessConfigError, match="run.json: seal"):
             SingleRun.resume(str(tmp_path))
 
 

@@ -63,7 +63,7 @@ def batch_for(cid, origin, arrival, lifts=(0.02, 0.01), var=4.0, n=1000, base=10
         Reading(cid, metric, origin, base * (1.0 + lift), var, n, base, var, n)
         for metric, lift in zip(METRICS, lifts)
     )
-    return InboundBatch(origin_round=origin, arrival_round=arrival, readings=readings)
+    return InboundBatch(arrival_round=arrival, readings=readings)
 
 
 def reseal(store):
@@ -132,14 +132,16 @@ class TestRoundPlan:
 
 
 class TestInboundBatch:
-    def test_arrival_before_origin_rejected(self):
-        with pytest.raises(ValueError):
+    def test_arrival_before_a_readings_round_rejected(self):
+        """A batch may hold readings of several rounds; it arrives no
+        earlier than the latest of them."""
+        early, late = batch_for(1, origin=2, arrival=5), batch_for(1, origin=5, arrival=5)
+        readings = early.readings + late.readings
+        assert InboundBatch(arrival_round=5, readings=readings).readings == readings
+        with pytest.raises(ValueError, match="before one of its readings' rounds"):
+            InboundBatch(arrival_round=4, readings=readings)
+        with pytest.raises(ValueError, match="before one of its readings' rounds"):
             batch_for(1, origin=5, arrival=4)
-
-    def test_readings_must_carry_origin_round(self):
-        good = batch_for(1, origin=2, arrival=5)
-        with pytest.raises(ValueError):
-            InboundBatch(origin_round=3, arrival_round=5, readings=good.readings)
 
     @pytest.mark.parametrize("element", [(1, 2), "row", None], ids=["pair", "str", "none"])
     def test_elements_must_be_readings(self, element):
@@ -147,7 +149,7 @@ class TestInboundBatch:
         reading = batch_for(1, origin=0, arrival=1).readings[0]
         for readings in ((element,), (reading, element), ((reading, reading),)):
             with pytest.raises(ValueError, match="InboundBatch.readings: expected Reading"):
-                InboundBatch(origin_round=0, arrival_round=1, readings=readings)
+                InboundBatch(arrival_round=1, readings=readings)
 
 
 class TestBootstrap:
@@ -347,7 +349,7 @@ class TestRunRound:
             target, name = optimizer_module, "_thompson_winners"
             applies = lambda *args: True
         elif job == "kernels":   # the fit builds the upper triangle only
-            target, name = gp_module, "_scaled_kernels"
+            target, name = gp_module, "_unit_tiles"
             applies = lambda *args, upper=False, **rest: not upper
         else:                    # the fit solves one column, a prediction q
             target, name = gp_module, "_trsm"
@@ -531,7 +533,7 @@ class TestIngest:
         problem are dropped: neither the record nor the store sees them."""
         sched = make_sched()
         reading = batch_for(1, 0, 1).readings[0]
-        unknown_metric = InboundBatch(origin_round=0, arrival_round=1, readings=(
+        unknown_metric = InboundBatch(arrival_round=1, readings=(
             replace(reading, metric="zz"),
         ))
         batches = [batch_for(99, 0, 1), unknown_metric, batch_for(2, 0, 1)]
@@ -582,11 +584,11 @@ class TestIngest:
             return Reading(cid, metric, 1, mean, 4.0, 1000, ctrl_mean, ctrl_var, 1000)
 
         batches = [
-            InboundBatch(origin_round=1, arrival_round=2, readings=(
+            InboundBatch(arrival_round=2, readings=(
                 row(1, "x1", 102.0),                                # valid
                 row(1, "x2", 1e200),                                # m**2 overflows
             )),
-            InboundBatch(origin_round=1, arrival_round=2, readings=(
+            InboundBatch(arrival_round=2, readings=(
                 row(2, "x1", 102.0, ctrl_mean=1e-5, ctrl_var=1e300),  # inf lift
                 row(2, "x2", 101.0),                                # valid
             )),
@@ -647,7 +649,7 @@ def _kind_row(cid, metric, rnd, kind, jitter):
 # often.
 _any_batch = st.builds(
     lambda origin, delay, rows: InboundBatch(
-        origin_round=origin, arrival_round=origin + delay,
+        arrival_round=origin + delay,
         readings=tuple(_kind_row(cid, m, origin, kind, j) for cid, m, kind, j in rows),
     ),
     st.integers(min_value=0, max_value=2),

@@ -183,7 +183,7 @@ class TestStep:
     def test_fixed_delay_only(self):
         env = SimEnv.build(3, xi_mean=0.0, xi_sd=0.0, fixed_delay=3, users=1000)
         batch = env.step(single_candidate_plan(rnd=5), 5, {1: (0.4, 0.4)})[0]
-        assert batch.origin_round == 5
+        assert {reading.round for reading in batch.readings} == {5}
         assert batch.arrival_round == 8
 
     def test_arrival_never_precedes_fixed_delay(self):
@@ -470,7 +470,6 @@ def _reference_step(env, rng, plan, t, thetas):
         xi = int(round(abs(rng.normal(spec.xi_mean, spec.xi_sd))))
         batches.append(
             InboundBatch(
-                origin_round=t,
                 arrival_round=t + spec.fixed_delay + xi,
                 readings=readings,
             )
